@@ -14,13 +14,7 @@ from typing import Optional
 import click
 
 from .dsl import DslSyntaxError, ValidationError, parse, validate
-from .executor import (
-    ExecConfig,
-    ExecError,
-    ResultStore,
-    run_plans,
-    serialize_outcome,
-)
+from .executor import ExecConfig, ResultStore, run_plans, serialize_outcome
 from .operators import InternalError, PlanLinkError
 from .planner import (
     PlanError,
@@ -81,8 +75,16 @@ def _load_meta(path: Optional[str]):
         _fail(EXIT_VALIDATION, f"bad meta file: {exc}")
 
 
+def _config(cls, **kwargs):
+    """Build a config object; a bad option value exits 1 with one line."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        _fail(EXIT_VALIDATION, f"bad option: {exc}")
+
+
 def _planner_config(**kwargs) -> PlannerConfig:
-    return PlannerConfig(tracker=TrackerConfig(), **kwargs)
+    return _config(PlannerConfig, tracker=TrackerConfig(), **kwargs)
 
 
 @click.group()
@@ -157,7 +159,7 @@ def profile_cmd(program, query, trace, meta_path, manifest, canary_frames,
     except PlanError as exc:
         _fail(EXIT_PLAN, f"planning failed: {exc}")
     except (ProfilingError, TraceError, PlanLinkError, ConfigurationError,
-            ExecError, InternalError, OSError) as exc:
+            InternalError, OSError) as exc:
         _fail(EXIT_RUNTIME, f"profiling failed: {exc}")
     if fell_back:
         click.echo(
@@ -220,8 +222,10 @@ def run(program, queries, trace, meta_path, manifest, batch_size,
         accuracy_target=accuracy_target,
         enable_pullup=not no_pullup,
         enable_fusion=not no_fusion,
-        memo_enabled=not no_memo,
         batch_size=batch_size,
+    )
+    exec_config = _config(
+        ExecConfig, batch_size=batch_size, lazy=not no_lazy, memo=not no_memo
     )
     try:
         if plan_file:
@@ -236,15 +240,12 @@ def run(program, queries, trace, meta_path, manifest, batch_size,
     except PlanError as exc:
         _fail(EXIT_PLAN, f"planning failed: {exc}")
     store = ResultStore(results_dir) if results_dir else None
-    exec_config = ExecConfig(
-        batch_size=batch_size, lazy=not no_lazy, memo=not no_memo
-    )
     try:
         outcomes, stats = run_plans(
             vprog, dags, trace, registry, meta, exec_config, store
         )
-    except (TraceError, PlanLinkError, ConfigurationError, ExecError,
-            InternalError, OSError) as exc:
+    except (TraceError, PlanLinkError, ConfigurationError, InternalError,
+            OSError) as exc:
         _fail(EXIT_RUNTIME, f"execution failed: {exc}")
     text = "".join(serialize_outcome(o) for o in outcomes)
     if out_path:

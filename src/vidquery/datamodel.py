@@ -108,9 +108,6 @@ class FrameGraph:
     def nodes_of(self, class_name: str) -> list[VObjInstance]:
         return [n for n in self.nodes.values() if n.class_name == class_name]
 
-    def nodes_at(self, frame_id: int) -> list[VObjInstance]:
-        return [n for n in self.nodes.values() if n.frame_id == frame_id]
-
     def remove_nodes(self, node_ids: Iterable[NodeId]) -> None:
         doomed = set(node_ids)
         for nid in doomed:
@@ -174,8 +171,6 @@ class Track:
     class_name: str
     declared: frozenset[str]
     history: dict[str, deque] = field(default_factory=dict)  # (frame_id, value)
-    last_seen: int = -1
-    first_seen: int = -1
     _recorded_at: dict[str, int] = field(default_factory=dict)
 
     @classmethod

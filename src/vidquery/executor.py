@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,10 +47,6 @@ from .registry import PropContext, Registry, call_property_impl
 from .trace_io import VideoMeta, batch as batch_records, open_trace
 
 
-class ExecError(Exception):
-    """Runtime failure while executing a plan."""
-
-
 @dataclass
 class ExecConfig:
     batch_size: int = 16
@@ -63,14 +61,13 @@ class ExecConfig:
 @dataclass
 class ExecStats:
     """Counted work: component calls, property-function entries, cost units,
-    operator invocations, and per-conjunct selectivity."""
+    and operator invocations."""
 
     cost_units: float = 0.0
     component_calls: Counter = field(default_factory=Counter)
     component_costs: dict[str, float] = field(default_factory=dict)
     property_calls: Counter = field(default_factory=Counter)
     op_invocations: Counter = field(default_factory=Counter)
-    conjuncts: dict[str, list[list[int]]] = field(default_factory=dict)
 
     def add_cost(self, units: float) -> None:
         self.cost_units += units
@@ -88,20 +85,9 @@ class ExecStats:
     def count_op(self, op_id: str) -> None:
         self.op_invocations[op_id] += 1
 
-    def record_conjunct(self, op_id: str, idx: int, passed: bool) -> None:
-        counts = self.conjuncts.setdefault(op_id, [])
-        while len(counts) <= idx:
-            counts.append([0, 0])
-        counts[idx][0] += 1
-        if not passed:
-            counts[idx][1] += 1
-
     @property
     def total_op_invocations(self) -> int:
         return sum(self.op_invocations.values())
-
-    def conjunct_stats_json(self) -> dict[str, list]:
-        return {k: [list(c) for c in v] for k, v in sorted(self.conjuncts.items())}
 
 
 def _jsonable(value):
@@ -155,26 +141,18 @@ class PropertyEngine:
         self.memo: dict[tuple[str, int, str], Any] = {}
         self.tracks: dict[tuple[str, int], Track] = {}
         self.presence: dict[str, dict[int, set[int]]] = {}
-        self.motion: dict[str, list[tuple]] = {}
 
     # -- track bookkeeping --
 
     def touch_track(self, vobj: str, track_id: int, frame_id: int) -> None:
         key = (vobj, track_id)
-        track = self.tracks.get(key)
-        if track is None:
+        if key not in self.tracks:
             ftype = self.vprog.types[vobj]
-            track = Track.create(
+            self.tracks[key] = Track.create(
                 track_id, vobj, dict(ftype.window_bounds),
                 slack=self.config.batch_size,
             )
-            track.first_seen = frame_id
-            self.tracks[key] = track
-        track.last_seen = max(track.last_seen, frame_id)
         self.presence.setdefault(vobj, {}).setdefault(track_id, set()).add(frame_id)
-
-    def record_motion(self, vobj: str, edges: list[tuple]) -> None:
-        self.motion.setdefault(vobj, []).extend(edges)
 
     def _track_for(self, node: VObjInstance) -> Optional[Track]:
         if node.track_id is None:
@@ -273,39 +251,21 @@ class PropertyEngine:
             raise InternalError(f"unbound predicate binding {ref.binding!r}")
         return self.get(node, ref.prop)
 
-    def _eval(self, expr, env: dict, edge=None) -> bool:
+    def holds(self, expr, env: dict, edge=None) -> bool:
+        """Two-valued filter verdict: an Undefined operand fails its
+        comparison, conjuncts short-circuit left to right, and an absent
+        predicate holds.  `edge` resolves relation references."""
+        if expr is None:
+            return True
         if isinstance(expr, Compare):
             return _compare(self._resolve(expr.ref, env, edge), expr.op, expr.literal)
         if isinstance(expr, And):
-            return all(self._eval(i, env, edge) for i in expr.items)
+            return all(self.holds(i, env, edge) for i in expr.items)
         if isinstance(expr, Or):
-            return any(self._eval(i, env, edge) for i in expr.items)
+            return any(self.holds(i, env, edge) for i in expr.items)
         if isinstance(expr, Not):
-            return not self._eval(expr.item, env, edge)
+            return not self.holds(expr.item, env, edge)
         raise InternalError(f"not a predicate: {expr!r}")
-
-    def eval_encoded(self, expr, env: dict, op_id: Optional[str] = None) -> bool:
-        """Top-level conjuncts short-circuit left to right; pass/fail counts
-        per conjunct are recorded for selectivity-driven reordering."""
-        if expr is None:
-            return True
-        if isinstance(expr, And) and op_id is not None:
-            for idx, item in enumerate(expr.items):
-                ok = self._eval(item, env)
-                self.stats.record_conjunct(op_id, idx, ok)
-                if not ok:
-                    return False
-            return True
-        return self._eval(expr, env)
-
-    def eval_encoded_edge(
-        self, expr, edge, a: VObjInstance, b: VObjInstance,
-        args: Optional[list[str]], op_id: Optional[str] = None,
-    ) -> bool:
-        env = {args[0]: a, args[1]: b} if args else {}
-        if expr is None:
-            return True
-        return self._eval(expr, env, edge=edge)
 
     def eval_tristate(self, expr, env: dict) -> Optional[bool]:
         """Three-valued evaluation: None when the verdict hinges on an
@@ -362,11 +322,6 @@ class OutputOp(RuntimeOp):
         self.rows: list[dict] = []
         self.track_sat: dict[str, dict[int, set[int]]] = {}
 
-    def reset(self) -> None:
-        self.satisfied = set()
-        self.rows = []
-        self.track_sat = {}
-
     def process(self, ctx, inputs: list[Batch]) -> Batch:
         types = dict(self.bindings)
         for fs in inputs[0]:
@@ -422,9 +377,6 @@ class AggregateOp(RuntimeOp):
         self.predicate = params.get("predicate")
         self.per_track: dict[int, list] = {}
 
-    def reset(self) -> None:
-        self.per_track = {}
-
     def process(self, ctx, inputs: list[Batch]) -> Batch:
         for fs in inputs[0]:
             for node in sorted(fs.graph.nodes_of(self.vobj),
@@ -435,22 +387,6 @@ class AggregateOp(RuntimeOp):
                     self.predicate, {self.binding: node}
                 )
                 self.per_track.setdefault(node.track_id, []).append(verdict)
-        return inputs[0]
-
-
-class DurationOp(RuntimeOp):
-    """Placeholder in the stream; evaluated at finalization."""
-
-    kind = "duration"
-
-    def process(self, ctx, inputs: list[Batch]) -> Batch:
-        return inputs[0]
-
-
-class TemporalOp(RuntimeOp):
-    kind = "temporal"
-
-    def process(self, ctx, inputs: list[Batch]) -> Batch:
         return inputs[0]
 
 
@@ -512,10 +448,6 @@ def build_runtime_op(plan_op: PlanOp, registry: Registry) -> RuntimeOp:
         op = AggregateOp(op_id, params)
         op.predicate = decode_expr(op.predicate)
         return op
-    if kind == "duration":
-        return DurationOp(op_id, params)
-    if kind == "temporal":
-        return TemporalOp(op_id, params)
     if kind == "fused":
         steps = [
             build_runtime_op(PlanOp.from_json(s), registry)
@@ -600,13 +532,25 @@ class ResultStore:
         return self.root / f"{self.key(trace_digest, plan_id)}.json"
 
     def get(self, trace_digest: str, plan_id: str) -> Optional[dict]:
-        path = self._path(trace_digest, plan_id)
-        if not path.exists():
+        """The cached result, or None on a miss.  An entry that does not
+        decode (e.g. truncated) is a miss, so the result is recomputed and
+        the entry rewritten."""
+        try:
+            return json.loads(self._path(trace_digest, plan_id).read_text())
+        except (FileNotFoundError, ValueError):
             return None
-        return json.loads(path.read_text())
 
     def put(self, trace_digest: str, plan_id: str, outcome: QueryOutcome) -> None:
-        self._path(trace_digest, plan_id).write_text(serialize_outcome(outcome))
+        """Write to a temporary file beside the entry, then rename it into
+        place, so a reader never sees a partial entry."""
+        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(serialize_outcome(outcome))
+            os.replace(tmp, self._path(trace_digest, plan_id))
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 # --- session ----------------------------------------------------------------
@@ -635,21 +579,33 @@ class Session:
         )
         self._ops_by_sig: dict[str, RuntimeOp] = {}
 
-    def _instantiate(self, dag: PlanDag):
-        sigs: dict[str, str] = {}
-        ops: dict[str, RuntimeOp] = {}
-        for op_id in dag.topo_order():
-            pop = dag.ops[op_id]
-            sig = op_signature(pop, [sigs[i] for i in pop.inputs])
-            sigs[op_id] = sig
-            if pop.kind == "reader":
-                continue
-            rt = self._ops_by_sig.get(sig)
-            if rt is None:
-                rt = build_runtime_op(pop, self.registry)
-                self._ops_by_sig[sig] = rt
-            ops[op_id] = rt
-        return ops, sigs
+    def _compile(self, dags: list[PlanDag]):
+        """The session's schedule, signature -> (runtime op, input
+        signatures): every plan in order, each in topological order, the
+        first op of each signature (a reader has no runtime op).  Duration
+        and temporal stages stay out of it; `_finalize` evaluates them.  Also
+        returns each plan's op id -> runtime op map."""
+        schedule: dict[str, tuple[Optional[RuntimeOp], list[str]]] = {}
+        plan_ops = []
+        for dag in dags:
+            sigs: dict[str, str] = {}
+            ops: dict[str, RuntimeOp] = {}
+            for op_id in dag.topo_order():
+                pop = dag.ops[op_id]
+                input_sigs = [sigs[i] for i in pop.inputs]
+                sig = sigs[op_id] = op_signature(pop, input_sigs)
+                if pop.kind in ("duration", "temporal"):
+                    continue
+                rt = None
+                if pop.kind != "reader":
+                    rt = self._ops_by_sig.get(sig)
+                    if rt is None:
+                        rt = build_runtime_op(pop, self.registry)
+                        self._ops_by_sig[sig] = rt
+                    ops[op_id] = rt
+                schedule.setdefault(sig, (rt, input_sigs))
+            plan_ops.append(ops)
+        return schedule, plan_ops
 
     def _stream(self, trace_path):
         limit = self.meta.frame_count if self.meta else None
@@ -681,33 +637,21 @@ class Session:
             pending.append(i)
 
         if pending:
-            instantiated = {i: self._instantiate(dags[i]) for i in pending}
+            schedule, plan_ops = self._compile([dags[i] for i in pending])
             ctx = RunContext(self.engine, self.stats, self.meta)
             for records in batch_records(
                 self._stream(trace_path), self.config.batch_size
             ):
                 base = [FrameState.fresh(r) for r in records]
-                memo: dict[str, Batch] = {}
-                for i in pending:
-                    dag = dags[i]
-                    ops, sigs = instantiated[i]
-                    for op_id in dag.topo_order():
-                        pop = dag.ops[op_id]
-                        sig = sigs[op_id]
-                        if sig in memo:
-                            continue
-                        if pop.kind == "reader":
-                            memo[sig] = base
-                            continue
-                        if pop.kind in ("duration", "temporal"):
-                            continue
-                        inputs = [memo[sigs[j]] for j in pop.inputs]
-                        rt = ops[op_id]
-                        self.stats.count_op(rt.op_id)
-                        memo[sig] = rt.process(ctx, inputs)
-            for i in pending:
+                out: dict[str, Batch] = {}
+                for sig, (rt, input_sigs) in schedule.items():
+                    if rt is None:
+                        out[sig] = base
+                        continue
+                    self.stats.count_op(rt.op_id)
+                    out[sig] = rt.process(ctx, [out[s] for s in input_sigs])
+            for i, ops in zip(pending, plan_ops):
                 dag = dags[i]
-                ops, _sigs = instantiated[i]
                 outcome = self._finalize(dag, ops, dag.sink)
                 outcome.query = dag.query
                 outcome.plan_id = dag.plan_id
@@ -719,8 +663,8 @@ class Session:
     def _finalize(self, dag: PlanDag, ops: dict[str, RuntimeOp],
                   op_id: str) -> QueryOutcome:
         pop = dag.ops[op_id]
-        rt = ops[op_id]
         if pop.kind == "output":
+            rt = ops[op_id]
             assert isinstance(rt, OutputOp)
             return QueryOutcome(
                 query=rt.query,
@@ -728,6 +672,7 @@ class Session:
                 rows=sorted(rt.rows, key=lambda r: r["frame"]),
             )
         if pop.kind == "aggregate":
+            rt = ops[op_id]
             assert isinstance(rt, AggregateOp)
             base = self._finalize(dag, ops, pop.inputs[0])
             value = count_distinct_tracks(rt.per_track)

@@ -159,7 +159,7 @@ class DetectorOp(RuntimeOp):
 
 
 class TrackerOp(RuntimeOp):
-    """Assigns persistent track ids and adds motion edges."""
+    """Assigns persistent track ids."""
 
     kind = "tracker"
 
@@ -188,12 +188,6 @@ class TrackerOp(RuntimeOp):
             for node_id, track_id in result.assignments:
                 graph.nodes[node_id].track_id = track_id
                 ctx.engine.touch_track(self.vobj, track_id, fs.frame_id)
-            for prev_id, cur_id in result.motion_edges:
-                if prev_id in graph.nodes:  # same-batch predecessor only
-                    graph.add_edge(Edge(
-                        kind=EdgeKind.MOTION, src=prev_id, dst=cur_id,
-                    ))
-            ctx.engine.record_motion(self.vobj, result.motion_edges)
             out.append(FrameState(fs.frame_id, fs.record, graph))
         return out
 
@@ -239,9 +233,7 @@ class VObjFilterOp(RuntimeOp):
             doomed = []
             for node in sorted(fs.graph.nodes_of(self.vobj),
                                key=lambda n: n.node_id):
-                if not ctx.engine.eval_encoded(
-                    self.predicate, {self.binding: node}, op_id=self.op_id
-                ):
+                if not ctx.engine.holds(self.predicate, {self.binding: node}):
                     doomed.append(node.node_id)
             if not doomed:
                 out.append(fs)
@@ -359,9 +351,8 @@ class RelationFilterOp(RuntimeOp):
                 if edge.kind is EdgeKind.SPATIAL and edge.relation == self.relation:
                     a = fs.graph.nodes[edge.src]
                     b = fs.graph.nodes[edge.dst]
-                    if not ctx.engine.eval_encoded_edge(
-                        self.predicate, edge, a, b, self.args, op_id=self.op_id
-                    ):
+                    env = {self.args[0]: a, self.args[1]: b} if self.args else {}
+                    if not ctx.engine.holds(self.predicate, env, edge):
                         continue
                 kept.append(edge)
             graph = FrameGraph(

@@ -15,7 +15,7 @@ from .registry import Registration, Registry, RegistryError
 from .trace_io import VideoMeta
 from .tracker import TrackerConfig
 
-PLAN_VERSION = 1
+PLAN_VERSION = 2
 
 
 class PlanError(Exception):
@@ -89,19 +89,18 @@ class PlanOp:
     kind: str
     params: dict = field(default_factory=dict)
     inputs: list[str] = field(default_factory=list)
-    placement: str = "any"  # informational only
 
     def to_json(self) -> dict:
         return {
             "op_id": self.op_id, "kind": self.kind, "params": self.params,
-            "inputs": self.inputs, "placement": self.placement,
+            "inputs": self.inputs,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "PlanOp":
         return cls(
             op_id=obj["op_id"], kind=obj["kind"], params=obj["params"],
-            inputs=list(obj["inputs"]), placement=obj.get("placement", "any"),
+            inputs=list(obj["inputs"]),
         )
 
 
@@ -174,15 +173,15 @@ class PlannerConfig:
     canary_frames: int = 0  # 0 means the whole canary trace
     enable_pullup: bool = True
     enable_fusion: bool = True
-    memo_enabled: bool = True
-    cost_metric: str = "counted"  # counted | wall
     max_alternatives: int = 32
-    batch_size: int = 16
+    batch_size: int = 16  # of the profiling sessions
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
 
     def __post_init__(self):
         if not 0.0 <= self.accuracy_target <= 1.0:
             raise ValueError("accuracy_target must be in [0, 1]")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass
@@ -190,10 +189,8 @@ class ProfileReport:
     plan_id: str
     f1: float
     cost_units: float
-    wall_seconds: float
     op_count: int
     breakdown: dict[str, float] = field(default_factory=dict)
-    selectivity: dict[str, list] = field(default_factory=dict)
 
 
 # --- base DAG construction --------------------------------------------------
@@ -310,8 +307,7 @@ def build_base_dag(
     dag = PlanDag(query=query_name)
     p = _prefix
     reader_id = "reader"
-    if reader_id not in dag.ops:
-        dag.add(PlanOp(op_id=reader_id, kind="reader"))
+    dag.add(PlanOp(op_id=reader_id, kind="reader"))
 
     scene_bindings = {b for b, t in fq.bindings if t == SCENE_TYPE}
     vobj_bindings = [(b, t) for b, t in fq.bindings if t != SCENE_TYPE]
@@ -377,8 +373,6 @@ def build_base_dag(
         }
         prop_names.update(r.prop for r in out_refs_by_binding.get(binding, []))
         prop_names.update(video_refs_by_binding.get(binding, set()))
-        if fq.relation_pred is not None:
-            pass  # relation properties are computed on edges, not nodes
         needed = _needed_props(ftype, prop_names)
 
         # tracker presence is structural, not an optimization: disabling
@@ -783,19 +777,13 @@ def profile(
     ref_labels = ref_out.labels(canary_meta.frame_count)
     reports = []
     for dag in dags:
-        import time
-
-        t0 = time.perf_counter()
         out, stats = run_one(dag)
-        wall = time.perf_counter() - t0
         reports.append(ProfileReport(
             plan_id=dag.plan_id,
             f1=f1_score(ref_labels, out.labels(canary_meta.frame_count)),
             cost_units=stats.cost_units,
-            wall_seconds=wall,
             op_count=len(dag.ops),
             breakdown=dict(sorted(stats.component_costs.items())),
-            selectivity=stats.conjunct_stats_json(),
         ))
     return reports
 
@@ -813,8 +801,7 @@ def select_plan(
         raise ProfilingError("no profile reports to select from")
     reference = reference or dags[0]
     eligible = [
-        (r.cost_units if config.cost_metric == "counted" else r.wall_seconds,
-         r.op_count, r.plan_id, d)
+        (r.cost_units, r.op_count, r.plan_id, d)
         for d, r in zip(dags, reports)
         if r.f1 + 1e-12 >= config.accuracy_target
     ]

@@ -331,8 +331,7 @@ _QUERY_TEMPLATES = [
 def test_criterion_08_optimization_soundness(tmp_path):
     rng = random.Random(88)
     all_opts_plan = PlannerConfig()
-    no_opts_plan = PlannerConfig(enable_pullup=False, enable_fusion=False,
-                                 memo_enabled=False)
+    no_opts_plan = PlannerConfig(enable_pullup=False, enable_fusion=False)
     no_opts_exec = ExecConfig(lazy=False, memo=False)
     for case in range(100):
         meta = meta_1000(12)

@@ -143,6 +143,42 @@ class TestRun:
         assert out1.read_bytes() == out2.read_bytes()
         assert "op_invocations=0" in r2.output  # served from cache
 
+    def test_damaged_cache_entry_is_a_miss(self, runner, workspace):
+        plain = workspace["dir"] / "plain.json"
+        result = runner.invoke(main, self.args(workspace, "--out", str(plain)))
+        assert result.exit_code == 0, result.output
+        cache = workspace["dir"] / "cache"
+        cached = self.args(workspace, "--results", str(cache), "--out")
+        out = workspace["dir"] / "cached.json"
+        assert runner.invoke(main, cached + [str(out)]).exit_code == 0
+        (entry,) = cache.iterdir()
+        entry.write_bytes(entry.read_bytes()[:40])  # truncated
+        result = runner.invoke(main, cached + [str(out)])
+        assert result.exit_code == 0, result.output
+        assert "op_invocations=0" not in result.output  # recomputed
+        assert out.read_bytes() == plain.read_bytes()
+        # rewritten in place, with no temporary file left behind
+        assert list(cache.iterdir()) == [entry]
+        assert entry.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("run", "--batch-size", "0"),
+    ("profile", "--batch-size", "0"),
+    ("run", "--accuracy-target", "2"),
+    ("profile", "--accuracy-target", "-1"),
+])
+def test_bad_option_value_exit_1(runner, workspace, command, flag, value):
+    result = runner.invoke(main, [
+        command, "-p", workspace["program"], "-q", "reds",
+        "--trace", workspace["trace"], "--meta", workspace["meta"],
+        flag, value,
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr.startswith("bad option: ")
+    assert result.stderr.count("\n") == 1
+
 
 class TestProfile:
     def test_report_and_saved_plan(self, runner, workspace, tmp_path):

@@ -65,13 +65,10 @@ class TestStats:
         stats.count_component("det", 100.0)
         stats.count_property("Car.color", 5.0)
         stats.count_op("detector:c")
-        stats.record_conjunct("filter:c", 0, True)
-        stats.record_conjunct("filter:c", 0, False)
         assert stats.component_calls["det"] == 2
         assert stats.component_costs["det"] == 200.0
         assert stats.cost_units == 205.0
         assert stats.total_op_invocations == 1
-        assert stats.conjunct_stats_json() == {"filter:c": [[2, 1]]}
 
 
 class TestWarmupWindows:

@@ -30,22 +30,17 @@ from vidquery.trace_io import Detection, TraceRecord
 @dataclass
 class FakeEngine:
     touched: list = field(default_factory=list)
-    motion: list = field(default_factory=list)
-    keep: Any = None  # predicate on node, used by eval_encoded
+    keep: Any = None  # predicate on node, used by holds
     keep_edge: Any = None
 
     def touch_track(self, vobj, track_id, frame_id):
         self.touched.append((vobj, track_id, frame_id))
 
-    def record_motion(self, vobj, edges):
-        self.motion.extend(edges)
-
-    def eval_encoded(self, predicate, bindings, op_id=None):
-        (node,) = bindings.values()
+    def holds(self, predicate, env, edge=None):
+        if edge is not None:
+            return self.keep_edge(edge)
+        (node,) = env.values()
         return self.keep(node)
-
-    def eval_encoded_edge(self, predicate, edge, a, b, args, op_id=None):
-        return self.keep_edge(edge)
 
 
 @dataclass
@@ -150,11 +145,9 @@ class TestTrackerOp:
         t0 = out[0].graph.nodes[(0, 0)].track_id
         t1 = out[1].graph.nodes[(1, 0)].track_id
         assert t0 == t1 and t0 is not None
-        # cross-frame motion edges cannot live in a single-frame graph; the
-        # engine records them instead
+        # cross-frame motion edges cannot live in a single-frame graph
         assert out[1].graph.edges == []
         assert ctx.engine.touched == [("Car", t0, 0), ("Car", t0, 1)]
-        assert ctx.engine.motion == [((0, 0), (1, 0))]
 
     def test_input_nodes_not_mutated(self):
         op = TrackerOp("t", {"vobj": "Car"})

@@ -376,7 +376,7 @@ class TestF1AndSelection:
 
     def report(self, dag, f1, cost, ops=5):
         return ProfileReport(plan_id=dag.plan_id, f1=f1, cost_units=cost,
-                             wall_seconds=0.0, op_count=ops)
+                             op_count=ops)
 
     def dags(self, n):
         out = []
