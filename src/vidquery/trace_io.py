@@ -8,9 +8,13 @@ detections, not errors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Optional
+
+
+_INF = math.inf
 
 
 class TraceError(Exception):
@@ -59,8 +63,9 @@ class Detection:
 
     def __post_init__(self):
         x1, y1, x2, y2 = self.bbox
-        if not (x1 < x2 and y1 < y2):
-            raise ValueError(f"degenerate bbox {self.bbox}")
+        # the outer bounds reject inf; nan fails every comparison
+        if not (-_INF < x1 < x2 < _INF and -_INF < y1 < y2 < _INF):
+            raise ValueError(f"degenerate or non-finite bbox {self.bbox}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score {self.score} outside [0, 1]")
 

@@ -1,6 +1,7 @@
 """Trace file parsing, ordering, batching, and sidecar formats."""
 
 import json
+import math
 
 import pytest
 
@@ -70,6 +71,24 @@ def test_degenerate_bbox_rejected(tmp_path):
         "dets": [{"class": "car", "bbox": [10, 10, 10, 20], "score": 0.5}],
     }) + "\n")
     with pytest.raises(TraceParseError):
+        list(open_trace(path))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("index", range(4))
+def test_non_finite_bbox_rejected(bad, index):
+    bbox = [10.0, 10.0, 40.0, 40.0]
+    bbox[index] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        Detection(class_name="car", bbox=tuple(bbox), score=0.5)
+
+
+def test_non_finite_bbox_line_is_parse_error(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"frame": 0, "dets": []}\n'
+                    '{"frame": 1, "dets": [{"class": "car", '
+                    '"bbox": [12, 10, Infinity, 40]}]}\n')
+    with pytest.raises(TraceParseError, match=":2: bad record: .*non-finite"):
         list(open_trace(path))
 
 

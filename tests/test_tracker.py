@@ -2,18 +2,17 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from vidquery.tracker import (
+    KalmanModel,
     SortTracker,
     TrackerConfig,
     associate,
     iou,
-    make_state,
-    predict,
-    update,
-    _box_to_z,
-    _x_to_box,
+    _boxes_to_z,
+    _x_to_boxes,
 )
 
 
@@ -42,40 +41,39 @@ class TestIoU:
 class TestKalman:
     def test_box_state_round_trip(self):
         box = (10.0, 20.0, 50.0, 100.0)
-        z = _box_to_z(box)
+        z = _boxes_to_z(np.array([box]))[0]
         assert z[0] == 30.0 and z[1] == 60.0  # center
         assert z[2] == 40.0 * 80.0  # area
         assert z[3] == pytest.approx(0.5)  # aspect
-        state = make_state(box, TrackerConfig())
-        back = _x_to_box(state.x)
-        assert back == pytest.approx(box)
+        x, _P = KalmanModel(TrackerConfig()).initiate(np.array([box]))
+        assert tuple(_x_to_boxes(x)[0]) == pytest.approx(box)
 
     def test_static_object_stays_put(self):
-        cfg = TrackerConfig()
-        box = (10.0, 10.0, 30.0, 30.0)
-        state = make_state(box, cfg)
+        kf = KalmanModel(TrackerConfig())
+        box = np.array([[10.0, 10.0, 30.0, 30.0]])
+        x, P = kf.initiate(box)
         for _ in range(10):
-            state = predict(state, cfg)
-            state = update(state, box, cfg)
-        assert _x_to_box(state.x) == pytest.approx(box, abs=1e-6)
+            x, P = kf.predict(x, P)
+            x, P = kf.update(x, P, box)
+        assert tuple(_x_to_boxes(x)[0]) == pytest.approx(tuple(box[0]), abs=1e-6)
 
     def test_velocity_learned_from_motion(self):
-        cfg = TrackerConfig()
-        state = make_state((0.0, 0.0, 20.0, 20.0), cfg)
+        kf = KalmanModel(TrackerConfig())
+        x, P = kf.initiate(np.array([[0.0, 0.0, 20.0, 20.0]]))
         for f in range(1, 15):
-            state = predict(state, cfg)
-            state = update(state, (5.0 * f, 0.0, 5.0 * f + 20.0, 20.0), cfg)
-        predicted = predict(state, cfg)
-        cx = predicted.x[0]
+            x, P = kf.predict(x, P)
+            x, P = kf.update(x, P, np.array([[5.0 * f, 0.0, 5.0 * f + 20.0, 20.0]]))
+        predicted, _P = kf.predict(x, P)
+        cx = predicted[0, 0]
         # after settling, the one-step-ahead prediction tracks the +5 px/frame motion
         assert cx == pytest.approx(5.0 * 15 + 10.0, abs=1.0)
 
     def test_covariance_stays_symmetric(self):
-        cfg = TrackerConfig()
-        state = make_state((0, 0, 10, 10), cfg)
+        kf = KalmanModel(TrackerConfig())
+        x, P = kf.initiate(np.array([[0, 0, 10, 10], [5, 5, 25, 15]], dtype=float))
         for _ in range(5):
-            state = predict(state, cfg)
-        assert (state.P == state.P.T).all()
+            x, P = kf.predict(x, P)
+        assert (P == P.transpose(0, 2, 1)).all()
 
 
 class TestAssociate:
@@ -171,3 +169,65 @@ class TestSortTracker:
     def test_config_json_round_trip(self):
         cfg = TrackerConfig(iou_threshold=0.4, max_age=7, min_hits=2)
         assert TrackerConfig.from_json(cfg.to_json()) == cfg
+
+
+class TestArrayBookkeeping:
+    """Row i of the stacked Kalman arrays belongs to slots[i]."""
+
+    @staticmethod
+    def assert_aligned(tracker):
+        n = len(tracker.slots)
+        assert tracker._x.shape == (n, 7) and tracker._P.shape == (n, 7, 7)
+
+    def test_step_with_no_tracks(self):
+        tracker = SortTracker(TrackerConfig())
+        result = tracker.step(0, [])
+        assert result.assignments == [] and result.new_tracks == []
+        self.assert_aligned(tracker)
+        result = tracker.step(1, [((1, 0), (0.0, 0.0, 10.0, 10.0))])
+        assert result.assignments == [((1, 0), 1)] and result.new_tracks == [1]
+        self.assert_aligned(tracker)
+
+    def test_step_with_no_detections(self):
+        tracker = SortTracker(TrackerConfig(max_age=5))
+        tracker.step(0, [((0, 0), (0.0, 0.0, 10.0, 10.0)),
+                         ((0, 1), (50.0, 50.0, 60.0, 60.0))])
+        result = tracker.step(1, [])
+        assert result.assignments == [] and result.motion_edges == []
+        assert [s.time_since_update for s in tracker.slots] == [1, 1]
+        self.assert_aligned(tracker)
+
+    def test_every_track_retired_in_one_step(self):
+        tracker = SortTracker(TrackerConfig(max_age=1))
+        tracker.step(0, [((0, i), (20.0 * i, 0.0, 20.0 * i + 10, 10.0))
+                         for i in range(3)])
+        tracker.step(1, [])
+        assert len(tracker.slots) == 3
+        tracker.step(2, [])
+        assert tracker.slots == []
+        self.assert_aligned(tracker)
+        result = tracker.step(3, [((3, 0), (0.0, 0.0, 10.0, 10.0))])
+        assert result.new_tracks == [4]
+        self.assert_aligned(tracker)
+
+    def test_births_and_retirements_in_one_step(self):
+        kept, dropped, born = ((0.0, 0.0, 10.0, 10.0), (100.0, 0.0, 110.0, 10.0),
+                               (300.0, 0.0, 310.0, 10.0))
+        tracker = SortTracker(TrackerConfig(max_age=1))
+        tracker.step(0, [((0, 0), kept), ((0, 1), dropped)])
+        tracker.step(1, [((1, 0), kept)])
+        result = tracker.step(2, [((2, 0), kept), ((2, 1), born)])
+        assert result.new_tracks == [3]
+        assert [s.track_id for s in tracker.slots] == [1, 3]
+        assert len(tracker.slots) == len(tracker._x) == len(tracker._P)
+        x, P = tracker._kf.initiate(np.array([born]))
+        assert (tracker._x[1] == x[0]).all() and (tracker._P[1] == P[0]).all()
+
+    def test_tie_break_through_the_tracker(self):
+        # TestAssociate's tie case on live tracks: lowest indices win
+        box = (0.0, 0.0, 10.0, 10.0)
+        tracker = SortTracker(TrackerConfig())
+        tracker.step(0, [((0, 0), box), ((0, 1), box)])
+        result = tracker.step(1, [((1, 0), box), ((1, 1), box)])
+        assert result.assignments == [((1, 0), 1), ((1, 1), 2)]
+        assert result.new_tracks == []
