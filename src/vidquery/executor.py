@@ -38,6 +38,7 @@ from .operators import (
     RuntimeOp,
     TrackerOp,
     VObjFilterOp,
+    compare,
     count_distinct_tracks,
     eval_duration,
     eval_temporal,
@@ -96,25 +97,6 @@ def _jsonable(value):
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
     return value
-
-
-def _compare(value, op: str, literal) -> bool:
-    if not is_defined(value):
-        return False
-    if op == "==":
-        return value == literal
-    if op == "!=":
-        return value != literal
-    if op == "in":
-        return value in literal
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    return {
-        "<": value < literal,
-        "<=": value <= literal,
-        ">": value > literal,
-        ">=": value >= literal,
-    }[op]
 
 
 class PropertyEngine:
@@ -251,49 +233,31 @@ class PropertyEngine:
             raise InternalError(f"unbound predicate binding {ref.binding!r}")
         return self.get(node, ref.prop)
 
-    def holds(self, expr, env: dict, edge=None) -> bool:
-        """Two-valued filter verdict: an Undefined operand fails its
-        comparison, conjuncts short-circuit left to right, and an absent
-        predicate holds.  `edge` resolves relation references."""
+    def verdict(self, expr, env: dict, edge=None) -> Optional[bool]:
+        """Kleene three-valued verdict: a comparison on an Undefined operand
+        (e.g. a stateful property still warming up) is None, `!` keeps None,
+        `&` stops at the first False and `|` at the first True, and an
+        absent predicate is True.  `edge` resolves relation references."""
         if expr is None:
             return True
         if isinstance(expr, Compare):
-            return _compare(self._resolve(expr.ref, env, edge), expr.op, expr.literal)
-        if isinstance(expr, And):
-            return all(self.holds(i, env, edge) for i in expr.items)
-        if isinstance(expr, Or):
-            return any(self.holds(i, env, edge) for i in expr.items)
-        if isinstance(expr, Not):
-            return not self.holds(expr.item, env, edge)
-        raise InternalError(f"not a predicate: {expr!r}")
-
-    def eval_tristate(self, expr, env: dict) -> Optional[bool]:
-        """Three-valued evaluation: None when the verdict hinges on an
-        Undefined value (e.g. a stateful property still warming up)."""
-        if expr is None:
-            return True
-        if isinstance(expr, Compare):
-            value = self._resolve(expr.ref, env, None)
+            value = self._resolve(expr.ref, env, edge)
             if not is_defined(value):
                 return None
-            return _compare(value, expr.op, expr.literal)
-        if isinstance(expr, And):
-            verdicts = [self.eval_tristate(i, env) for i in expr.items]
-            if any(v is False for v in verdicts):
-                return False
-            if any(v is None for v in verdicts):
-                return None
-            return True
-        if isinstance(expr, Or):
-            verdicts = [self.eval_tristate(i, env) for i in expr.items]
-            if any(v is True for v in verdicts):
-                return True
-            if any(v is None for v in verdicts):
-                return None
-            return False
+            return compare(value, expr.op, expr.literal)
         if isinstance(expr, Not):
-            v = self.eval_tristate(expr.item, env)
+            v = self.verdict(expr.item, env, edge)
             return None if v is None else not v
+        if isinstance(expr, (And, Or)):
+            stop = isinstance(expr, Or)  # the value that decides alone
+            result = not stop
+            for item in expr.items:
+                v = self.verdict(item, env, edge)
+                if v is stop:
+                    return stop
+                if v is None:
+                    result = None
+            return result
         raise InternalError(f"not a predicate: {expr!r}")
 
 
@@ -383,7 +347,7 @@ class AggregateOp(RuntimeOp):
                                key=lambda n: n.node_id):
                 if node.track_id is None:
                     continue
-                verdict = ctx.engine.eval_tristate(
+                verdict = ctx.engine.verdict(
                     self.predicate, {self.binding: node}
                 )
                 self.per_track.setdefault(node.track_id, []).append(verdict)
@@ -458,10 +422,16 @@ def build_runtime_op(plan_op: PlanOp, registry: Registry) -> RuntimeOp:
 
 
 def op_signature(plan_op: PlanOp, input_sigs: list[str]) -> str:
-    """Structural identity used for cross-query operator sharing; the op id
-    is deliberately excluded so identical stages in different plans unify."""
+    """Structural identity used for cross-query operator sharing.  Op ids,
+    also those of a fused op's steps and their chain-internal inputs, are
+    deliberately excluded so identical stages in different plans unify."""
+    params = plan_op.params
+    if plan_op.kind == "fused":
+        params = dict(params, steps=[
+            {"kind": s["kind"], "params": s["params"]} for s in params["steps"]
+        ])
     payload = json.dumps(
-        {"kind": plan_op.kind, "params": plan_op.params, "inputs": input_sigs},
+        {"kind": plan_op.kind, "params": params, "inputs": input_sigs},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()

@@ -7,6 +7,7 @@ Operators are deterministic given input and seed.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional
@@ -64,6 +65,25 @@ class RuntimeOp:
         raise NotImplementedError
 
 
+_ORDERED = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def compare(value, op: str, literal) -> bool:
+    """One defined value against a literal.  The ordered operators hold only
+    for numbers, and a bool is not a number here."""
+    if op == "==":
+        return value == literal
+    if op == "!=":
+        return value != literal
+    if op == "in":
+        return value in literal
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    return _ORDERED[op](value, literal)
+
+
 class FrameFilterOp(RuntimeOp):
     """Drops frames by a channel predicate; keeps a history of seen values."""
 
@@ -78,16 +98,8 @@ class FrameFilterOp(RuntimeOp):
 
     def _keep(self, value: float) -> bool:
         if self.mode == "threshold":
-            op = self.params.get("op", ">=")
-            threshold = float(self.params.get("threshold", 0.0))
-            return {
-                ">=": value >= threshold,
-                ">": value > threshold,
-                "<=": value <= threshold,
-                "<": value < threshold,
-                "==": value == threshold,
-                "!=": value != threshold,
-            }[op]
+            return compare(value, self.params.get("op", ">="),
+                           float(self.params.get("threshold", 0.0)))
         if self.mode == "similar_to_prev":
             tolerance = float(self.params.get("tolerance", 0.0))
             if not self._history:
@@ -216,8 +228,8 @@ class ProjectorOp(RuntimeOp):
 
 
 class VObjFilterOp(RuntimeOp):
-    """Removes nodes failing the predicate; frames are retained even when
-    emptied (dropping frames is the join's job)."""
+    """Keeps a node only on a True verdict of the predicate; frames are
+    retained even when emptied (dropping frames is the join's job)."""
 
     kind = "vobj_filter"
 
@@ -233,7 +245,8 @@ class VObjFilterOp(RuntimeOp):
             doomed = []
             for node in sorted(fs.graph.nodes_of(self.vobj),
                                key=lambda n: n.node_id):
-                if not ctx.engine.holds(self.predicate, {self.binding: node}):
+                if ctx.engine.verdict(self.predicate,
+                                      {self.binding: node}) is not True:
                     doomed.append(node.node_id)
             if not doomed:
                 out.append(fs)
@@ -333,7 +346,7 @@ class RelationProjectorOp(RuntimeOp):
 
 
 class RelationFilterOp(RuntimeOp):
-    """Removes spatial-relation edges failing the relation predicate."""
+    """Keeps spatial-relation edges on a True verdict of the predicate."""
 
     kind = "relation_filter"
 
@@ -352,7 +365,7 @@ class RelationFilterOp(RuntimeOp):
                     a = fs.graph.nodes[edge.src]
                     b = fs.graph.nodes[edge.dst]
                     env = {self.args[0]: a, self.args[1]: b} if self.args else {}
-                    if not ctx.engine.holds(self.predicate, env, edge):
+                    if ctx.engine.verdict(self.predicate, env, edge) is not True:
                         continue
                 kept.append(edge)
             graph = FrameGraph(

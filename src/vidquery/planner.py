@@ -350,10 +350,13 @@ def build_base_dag(
     for ref in fq.frame_output:
         out_refs_by_binding.setdefault(ref.binding, []).append(ref)
 
-    video_refs_by_binding: dict[str, set[str]] = {}
-    for ref in walk_refs(fq.video_pred):
-        if ref.relation is None:
-            video_refs_by_binding.setdefault(ref.binding, set()).add(ref.prop)
+    # the video constraint and the relation predicate read object properties
+    # after the filters; project them too, so stateful windows fill
+    late_refs_by_binding: dict[str, set[str]] = {}
+    for expr in (fq.video_pred, fq.relation_pred):
+        for ref in walk_refs(expr):
+            if ref.relation is None:
+                late_refs_by_binding.setdefault(ref.binding, set()).add(ref.prop)
 
     branch_tails, required = [], []
     for binding, vobj in vobj_bindings:
@@ -372,7 +375,7 @@ def build_base_dag(
             r.prop for r in walk_refs(pred) if r.relation is None
         }
         prop_names.update(r.prop for r in out_refs_by_binding.get(binding, []))
-        prop_names.update(video_refs_by_binding.get(binding, set()))
+        prop_names.update(late_refs_by_binding.get(binding, set()))
         needed = _needed_props(ftype, prop_names)
 
         # tracker presence is structural, not an optimization: disabling
@@ -757,8 +760,9 @@ def profile(
     config: PlannerConfig,
     reference: Optional[PlanDag] = None,
 ) -> list[ProfileReport]:
-    """Run the reference DAG once for ground-truth labels, then score every
-    candidate on the canary."""
+    """Run every candidate once on the canary and score it against the
+    reference's labels; the reference runs on its own only when it is not
+    one of the candidates."""
     from .executor import ExecConfig, Session
 
     reference = reference or dags[0]
@@ -771,21 +775,23 @@ def profile(
     def run_one(dag: PlanDag):
         session = Session(vprog, registry, canary_meta, exec_config)
         outcome = session.run([dag], canary_path)[0]
-        return outcome, session.stats
+        return outcome.labels(canary_meta.frame_count), session.stats
 
-    ref_out, _ = run_one(reference)
-    ref_labels = ref_out.labels(canary_meta.frame_count)
-    reports = []
-    for dag in dags:
-        out, stats = run_one(dag)
-        reports.append(ProfileReport(
+    runs = [run_one(dag) for dag in dags]
+    labels = {dag.plan_id: run[0] for dag, run in zip(dags, runs)}
+    ref_labels = labels.get(reference.plan_id)
+    if ref_labels is None:
+        ref_labels = run_one(reference)[0]
+    return [
+        ProfileReport(
             plan_id=dag.plan_id,
-            f1=f1_score(ref_labels, out.labels(canary_meta.frame_count)),
+            f1=f1_score(ref_labels, out_labels),
             cost_units=stats.cost_units,
             op_count=len(dag.ops),
             breakdown=dict(sorted(stats.component_costs.items())),
-        ))
-    return reports
+        )
+        for dag, (out_labels, stats) in zip(dags, runs)
+    ]
 
 
 def select_plan(

@@ -76,6 +76,11 @@ class TraceRecord:
     detections: tuple[Detection, ...] = ()
     channels: dict[str, float] = field(default_factory=dict)
 
+    def __post_init__(self):
+        for name, value in self.channels.items():
+            if not -_INF < value < _INF:  # nan fails both comparisons
+                raise ValueError(f"non-finite channel {name}={value}")
+
 
 def _detection_from_obj(obj: dict) -> Detection:
     return Detection(

@@ -128,6 +128,22 @@ class TestRun:
         assert result.stderr.count("\n") == 1
         assert not out.exists()
 
+    def test_non_finite_channel_exit_3(self, runner, workspace):
+        lines = open(workspace["trace"]).read().splitlines()
+        first = json.loads(lines[0])
+        first["channels"] = {"motion_score": float("nan")}  # written as NaN
+        lines[0] = json.dumps(first)
+        with open(workspace["trace"], "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out = workspace["dir"] / "results.json"
+        result = runner.invoke(main, self.args(workspace, "--out", str(out)))
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.stderr.startswith("execution failed: ")
+        assert "non-finite channel" in result.stderr
+        assert result.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_query_exit_1(self, runner, workspace):
         result = runner.invoke(main, self.args(workspace)[:-1] + ["ghost"])
         assert result.exit_code == 1

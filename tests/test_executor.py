@@ -3,17 +3,19 @@ sharing, result caching, and byte-stable serialization."""
 
 import pytest
 
-from vidquery.datamodel import UNDEFINED
+from vidquery.datamodel import UNDEFINED, VObjInstance
+from vidquery.dsl.ast import Compare, PropRef
 from vidquery.executor import (
     ExecConfig,
     ExecStats,
+    PropertyEngine,
     QueryOutcome,
     ResultStore,
     Session,
-    _compare,
     run_plans,
     serialize_outcome,
 )
+from vidquery.operators import compare
 from vidquery.planner import PlannerConfig, plan_query
 from vidquery.synth import WorldSpec, write_world
 
@@ -49,13 +51,20 @@ class TestConfigAndCompare:
             ExecConfig(batch_size=0)
 
     def test_compare_semantics(self):
-        assert _compare(UNDEFINED, "==", 1) is False
-        assert _compare(UNDEFINED, "!=", 1) is False
-        assert _compare("red", "==", "red")
-        assert _compare("red", "in", ("red", "blue"))
-        assert _compare("red", ">", 3) is False   # non-numeric ordered
-        assert _compare(True, ">", 0) is False    # bools are not numbers here
-        assert _compare(5.0, ">=", 5.0)
+        assert compare("red", "==", "red")
+        assert compare("red", "in", ("red", "blue"))
+        assert compare("red", ">", 3) is False   # non-numeric ordered
+        assert compare(True, ">", 0) is False    # bools are not numbers here
+        assert compare(5.0, ">=", 5.0)
+        # an Undefined operand is neither equal nor unequal: no verdict
+        engine = PropertyEngine(make_program(CAR_PROGRAM), frozen_registry(),
+                                meta_1000(1), ExecConfig(), ExecStats())
+        node = VObjInstance(node_id=(0, 0), class_name="Car", frame_id=0,
+                            bbox=(0.0, 0.0, 10.0, 10.0),
+                            properties={"direction": UNDEFINED})
+        for op in ("==", "!="):
+            expr = Compare(PropRef("c", "direction"), op, 1)
+            assert engine.verdict(expr, {"c": node}) is None
 
 
 class TestStats:

@@ -30,13 +30,13 @@ from vidquery.trace_io import Detection, TraceRecord
 @dataclass
 class FakeEngine:
     touched: list = field(default_factory=list)
-    keep: Any = None  # predicate on node, used by holds
+    keep: Any = None  # predicate on node, used by verdict
     keep_edge: Any = None
 
     def touch_track(self, vobj, track_id, frame_id):
         self.touched.append((vobj, track_id, frame_id))
 
-    def holds(self, predicate, env, edge=None):
+    def verdict(self, predicate, env, edge=None):
         if edge is not None:
             return self.keep_edge(edge)
         (node,) = env.values()

@@ -117,3 +117,24 @@ def test_shared_session_pinned_and_equal_to_solo(tmp_path):
     assert set(stats.op_invocations.values()) == {batches}
     assert not [op_id for op_id in stats.op_invocations
                 if op_id.startswith(("duration:", "temporal:"))]
+
+
+def test_duration_query_reuses_its_base_plan(tmp_path):
+    """`held` re-plans `reds` under `reds/`-prefixed op ids; its detector,
+    tracker, fused chain and output op are still reds' own and run once per
+    batch, with the pinned result bytes."""
+    world = _world(SEED)
+    paths = write_world(world, tmp_path / "w")
+    vprog = make_program(PROGRAM)
+    registry = frozen_registry()
+    reds, held = (plan_query(vprog, q, registry, PlannerConfig(), world.meta)
+                  for q in ("reds", "held"))
+    assert {"fused:reds/proj:c.color", "reds/output:reds"} <= set(held.ops)
+
+    outcomes, stats = _run(vprog, registry, [reds, held], paths, world.meta)
+    assert set(stats.op_invocations) == {
+        op_id for op_id, pop in reds.ops.items() if pop.kind != "reader"
+    }
+    assert set(stats.op_invocations.values()) == {math.ceil(FRAMES / BATCH)}
+    assert [hashlib.sha256(serialize_outcome(o).encode()).hexdigest()
+            for o in outcomes] == [GOLDEN["reds"], GOLDEN["held"]]

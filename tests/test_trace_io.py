@@ -92,6 +92,16 @@ def test_non_finite_bbox_line_is_parse_error(tmp_path):
         list(open_trace(path))
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_channel_line_is_parse_error(tmp_path, bad):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"frame": 0, "channels": {"motion_score": 0.5}}\n'
+                    f'{{"frame": 1, "channels": {{"motion_score": {bad}}}}}\n')
+    with pytest.raises(TraceParseError,
+                       match=":2: bad record: non-finite channel motion_score="):
+        list(open_trace(path))
+
+
 def test_score_range_rejected():
     with pytest.raises(ValueError):
         Detection(class_name="car", bbox=(0, 0, 1, 1), score=1.5)
