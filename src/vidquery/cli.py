@@ -32,7 +32,6 @@ from .planner import (
 from .registry import ConfigurationError, RegistryError, builtin_registry, load_manifest
 from .synth import load_world, write_world
 from .trace_io import TraceError, load_meta
-from .tracker import TrackerConfig
 
 EXIT_VALIDATION = 1
 EXIT_PLAN = 2
@@ -84,7 +83,7 @@ def _config(cls, **kwargs):
 
 
 def _planner_config(**kwargs) -> PlannerConfig:
-    return _config(PlannerConfig, tracker=TrackerConfig(), **kwargs)
+    return _config(PlannerConfig, **kwargs)
 
 
 @click.group()

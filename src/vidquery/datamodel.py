@@ -62,7 +62,8 @@ class SchemaError(Exception):
 
 @dataclass
 class VObjInstance:
-    """One video object on one frame."""
+    """One video object on one frame; `track` is the record of the track
+    the tracker assigned it to."""
 
     node_id: NodeId
     class_name: str
@@ -72,6 +73,7 @@ class VObjInstance:
     attrs: dict[str, Any] = field(default_factory=dict)
     track_id: Optional[int] = None
     properties: dict[str, Any] = field(default_factory=dict)
+    track: Optional["Track"] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -145,7 +147,7 @@ def graph_merge(g1: FrameGraph, g2: FrameGraph) -> FrameGraph:
                         )
                     existing.properties[name] = value
                 if existing.track_id is None:
-                    existing.track_id = node.track_id
+                    existing.track_id, existing.track = node.track_id, node.track
             else:
                 out.add_node(node)
     seen = set()
@@ -159,9 +161,11 @@ def graph_merge(g1: FrameGraph, g2: FrameGraph) -> FrameGraph:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class Track:
-    """Persistent identity of one video object across frames.
+    """Persistent identity of one video object across frames, as one tracker
+    numbered it: the frames it is on, and its property histories.  Compared
+    and hashed by identity, so the record itself keys per-track memo entries.
 
     Per-property history is bounded by the largest window declared over that
     property; appends beyond the bound evict the oldest value.
@@ -171,6 +175,7 @@ class Track:
     class_name: str
     declared: frozenset[str]
     history: dict[str, deque] = field(default_factory=dict)  # (frame_id, value)
+    frames: set[int] = field(default_factory=set)
     _recorded_at: dict[str, int] = field(default_factory=dict)
 
     @classmethod

@@ -238,16 +238,23 @@ def _check_pred(
         if ref.prop not in ftype.props and ref.prop not in BUILTIN_PROPS:
             diags.append(Diagnostic(
                 f"{owner}: {btype} has no property {ref.prop!r}", 0, 0, file))
-    # literal typing for ordered comparisons
+    # literal typing: ordered comparisons and scene channels take numbers
     def check_ops(e):
         if isinstance(e, Compare):
             if e.op in ("<", "<=", ">", ">=") and not _lit_is_numeric(e.literal):
                 diags.append(Diagnostic(
                     f"{owner}: ordered comparison needs a numeric literal, "
                     f"got {e.literal!r}", 0, 0, file))
-            if e.op == "in" and not isinstance(e.literal, tuple):
+            elif e.op == "in" and not isinstance(e.literal, tuple):
                 diags.append(Diagnostic(
                     f"{owner}: 'in' needs a literal list", 0, 0, file))
+            elif bindings.get(e.ref.binding) == SCENE_TYPE and not all(map(
+                    _lit_is_numeric,
+                    e.literal if e.op == "in" else (e.literal,))):
+                diags.append(Diagnostic(
+                    f"{owner}: scene channel {e.ref.binding}.{e.ref.prop} "
+                    f"compares with numbers only, got {e.literal!r}",
+                    0, 0, file))
         elif isinstance(e, (And, Or)):
             for item in e.items:
                 check_ops(item)

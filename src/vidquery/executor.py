@@ -103,8 +103,9 @@ class PropertyEngine:
     """On-demand property evaluation over frame-graph nodes.
 
     A property is computed at most once per node; intrinsic values are
-    additionally memoized per track.  A stateful property whose history
-    window is not yet full is Undefined without entering the implementation.
+    additionally memoized per track record.  A stateful property whose
+    history window is not yet full is Undefined without entering the
+    implementation.  One engine serves one `Session.run`.
     """
 
     def __init__(
@@ -120,26 +121,19 @@ class PropertyEngine:
         self.meta = meta
         self.config = config
         self.stats = stats
-        self.memo: dict[tuple[str, int, str], Any] = {}
-        self.tracks: dict[tuple[str, int], Track] = {}
-        self.presence: dict[str, dict[int, set[int]]] = {}
+        self.memo: dict[tuple[Track, str], Any] = {}
+        self.tracks: dict[tuple[Any, int], Track] = {}  # by (tracker, id)
 
-    # -- track bookkeeping --
-
-    def touch_track(self, vobj: str, track_id: int, frame_id: int) -> None:
-        key = (vobj, track_id)
-        if key not in self.tracks:
-            ftype = self.vprog.types[vobj]
-            self.tracks[key] = Track.create(
-                track_id, vobj, dict(ftype.window_bounds),
+    def track(self, tracker, vobj: str, track_id: int) -> Track:
+        """The record of `tracker`'s track `track_id`, made on first use:
+        ids are numbered per tracker, so two trackers never share one."""
+        track = self.tracks.get((tracker, track_id))
+        if track is None:
+            track = self.tracks[tracker, track_id] = Track.create(
+                track_id, vobj, dict(self.vprog.types[vobj].window_bounds),
                 slack=self.config.batch_size,
             )
-        self.presence.setdefault(vobj, {}).setdefault(track_id, set()).add(frame_id)
-
-    def _track_for(self, node: VObjInstance) -> Optional[Track]:
-        if node.track_id is None:
-            return None
-        return self.tracks.get((node.class_name, node.track_id))
+        return track
 
     # -- property evaluation --
 
@@ -157,9 +151,10 @@ class PropertyEngine:
             )
         pdef = ftype.props[prop]
 
+        track = node.track
         memo_key = None
-        if self.config.memo and pdef.intrinsic and node.track_id is not None:
-            memo_key = (node.class_name, node.track_id, prop)
+        if self.config.memo and pdef.intrinsic and track is not None:
+            memo_key = (track, prop)
             if memo_key in self.memo:
                 value = self.memo[memo_key]
                 node.properties[prop] = value
@@ -169,7 +164,6 @@ class PropertyEngine:
         reg = self.registry.resolve_property_fn(pdef.impl)
         name = f"{node.class_name}.{prop}"
         if pdef.kind == "stateful":
-            track = self._track_for(node)
             win = UNDEFINED if track is None else window(
                 track, pdef.deps[0], pdef.window, end_frame=node.frame_id
             )
@@ -204,10 +198,8 @@ class PropertyEngine:
         return value
 
     def _feed(self, ftype, node: VObjInstance, prop: str, value) -> None:
-        if prop in ftype.feeders:
-            track = self._track_for(node)
-            if track is not None:
-                track.record(prop, node.frame_id, value)
+        if prop in ftype.feeders and node.track is not None:
+            node.track.record(prop, node.frame_id, value)
 
     def project(self, node: VObjInstance, prop: str) -> None:
         """Projector entry point: history feeders always run so windows fill;
@@ -284,7 +276,7 @@ class OutputOp(RuntimeOp):
         self.relation = params.get("relation")
         self.satisfied: set[int] = set()
         self.rows: list[dict] = []
-        self.track_sat: dict[str, dict[int, set[int]]] = {}
+        self.track_sat: dict[str, dict[Track, set[int]]] = {}
 
     def process(self, ctx, inputs: list[Batch]) -> Batch:
         types = dict(self.bindings)
@@ -311,8 +303,8 @@ class OutputOp(RuntimeOp):
                 ]
                 sat = self.track_sat.setdefault(b, {})
                 for n in nodes:
-                    if n.track_id is not None:
-                        sat.setdefault(n.track_id, set()).add(fs.frame_id)
+                    if n.track is not None:
+                        sat.setdefault(n.track, set()).add(fs.frame_id)
             outputs = {}
             for ref in self.frame_output:
                 b, prop = ref["binding"], ref["prop"]
@@ -528,9 +520,11 @@ class ResultStore:
 class Session:
     """Executes one or more plans over a trace with operator sharing.
 
-    Structurally identical operators across plans resolve to a single runtime
-    instance; each batch, an instance runs once and its output batch is
-    reused by every consumer.
+    Structurally identical operators across the plans of one `run` resolve
+    to a single runtime instance; each batch, an instance runs once and its
+    output batch is reused by every consumer.  Each `run` builds its own
+    runtime operators and property engine (`engine` is the last run's), so
+    no per-track state outlives it; `stats` adds up over runs.
     """
 
     def __init__(
@@ -541,18 +535,16 @@ class Session:
         config: Optional[ExecConfig] = None,
     ):
         self.config = config or ExecConfig()
+        self.vprog = vprog
         self.registry = registry
         self.meta = meta
         self.stats = ExecStats()
-        self.engine = PropertyEngine(
-            vprog, registry, meta, self.config, self.stats
-        )
-        self._ops_by_sig: dict[str, RuntimeOp] = {}
+        self.engine: Optional[PropertyEngine] = None
 
     def _compile(self, dags: list[PlanDag]):
-        """The session's schedule, signature -> (runtime op, input
-        signatures): every plan in order, each in topological order, the
-        first op of each signature (a reader has no runtime op).  Duration
+        """The run's schedule, signature -> (runtime op, input signatures):
+        every plan in order, each in topological order, the first op of
+        each signature built once (a reader has no runtime op).  Duration
         and temporal stages stay out of it; `_finalize` evaluates them.  Also
         returns each plan's op id -> runtime op map."""
         schedule: dict[str, tuple[Optional[RuntimeOp], list[str]]] = {}
@@ -566,20 +558,17 @@ class Session:
                 sig = sigs[op_id] = op_signature(pop, input_sigs)
                 if pop.kind in ("duration", "temporal"):
                     continue
-                rt = None
-                if pop.kind != "reader":
-                    rt = self._ops_by_sig.get(sig)
-                    if rt is None:
-                        rt = build_runtime_op(pop, self.registry)
-                        self._ops_by_sig[sig] = rt
-                    ops[op_id] = rt
-                schedule.setdefault(sig, (rt, input_sigs))
+                if sig not in schedule:
+                    rt = None if pop.kind == "reader" \
+                        else build_runtime_op(pop, self.registry)
+                    schedule[sig] = (rt, input_sigs)
+                ops[op_id] = schedule[sig][0]
             plan_ops.append(ops)
         return schedule, plan_ops
 
     def _stream(self, trace_path):
         limit = self.meta.frame_count if self.meta else None
-        for rec in open_trace(trace_path):
+        for rec in open_trace(trace_path, self.meta):
             if limit is not None and rec.frame_id >= limit:
                 break
             yield rec
@@ -591,6 +580,9 @@ class Session:
         result_store: Optional[ResultStore] = None,
     ) -> list[QueryOutcome]:
         trace_path = Path(trace_path)
+        self.engine = PropertyEngine(
+            self.vprog, self.registry, self.meta, self.config, self.stats
+        )
         outcomes: list[Optional[QueryOutcome]] = [None] * len(dags)
         trace_digest = None
         if result_store is not None:
@@ -664,14 +656,10 @@ class Session:
         if pop.kind == "duration":
             base = self._finalize(dag, ops, pop.inputs[0])
             out_op = self._sink_output(dag, ops, pop.inputs[0])
-            binding, vobj = out_op.bindings[0]
-            satisfied = {
-                t: frames
-                for t, frames in out_op.track_sat.get(binding, {}).items()
-            }
-            present = self.engine.presence.get(vobj, {})
+            sat = out_op.track_sat.get(out_op.bindings[0][0], {})
             fires = eval_duration(
-                satisfied, present,
+                {t.track_id: frames for t, frames in sat.items()},
+                {t.track_id: t.frames for t in sat},
                 min_frames=pop.params["min_frames"],
                 gap_tolerance=pop.params.get("gap_tolerance", 0),
             )

@@ -99,7 +99,7 @@ class FrameFilterOp(RuntimeOp):
     def _keep(self, value: float) -> bool:
         if self.mode == "threshold":
             return compare(value, self.params.get("op", ">="),
-                           float(self.params.get("threshold", 0.0)))
+                           self.params.get("threshold", 0.0))
         if self.mode == "similar_to_prev":
             tolerance = float(self.params.get("tolerance", 0.0))
             if not self._history:
@@ -171,7 +171,8 @@ class DetectorOp(RuntimeOp):
 
 
 class TrackerOp(RuntimeOp):
-    """Assigns persistent track ids."""
+    """Assigns persistent track ids, and gives each tracked node its
+    track's record (`VObjInstance.track`)."""
 
     kind = "tracker"
 
@@ -198,8 +199,10 @@ class TrackerOp(RuntimeOp):
                 fs.frame_id, [(n.node_id, n.bbox) for n in nodes]
             )
             for node_id, track_id in result.assignments:
-                graph.nodes[node_id].track_id = track_id
-                ctx.engine.touch_track(self.vobj, track_id, fs.frame_id)
+                node = graph.nodes[node_id]
+                node.track_id = track_id
+                node.track = ctx.engine.track(self, self.vobj, track_id)
+                node.track.frames.add(fs.frame_id)
             out.append(FrameState(fs.frame_id, fs.record, graph))
         return out
 

@@ -166,14 +166,11 @@ class _TrackSlot:
     track_id: int
     hits: int = 1
     time_since_update: int = 0
-    last_frame: int = -1
-    last_node: Optional[tuple] = None
 
 
 @dataclass
 class StepResult:
     assignments: list[tuple]  # (node_id, track_id)
-    motion_edges: list[tuple]  # (prev_node_id, node_id)
     new_tracks: list[int]
 
 
@@ -197,8 +194,7 @@ class SortTracker:
 
         `detections` is a list of (node_id, bbox).  Matched tracks are
         Kalman-updated, unmatched detections spawn tracks, and stale tracks
-        are retired.  Motion edges connect a track's nodes on consecutive
-        frames only.
+        are retired.
         """
         cfg, kf = self.config, self._kf
         self._x, self._P = kf.predict(self._x, self._P)
@@ -209,7 +205,7 @@ class SortTracker:
         matches, _unmatched_t, unmatched_d = associate(
             _x_to_boxes(self._x), det_boxes, cfg.iou_threshold
         )
-        assignments, motion_edges, new_tracks = [], [], []
+        assignments, new_tracks = [], []
         if matches:
             rows, cols = np.array(matches).T
             self._x[rows], self._P[rows] = kf.update(
@@ -217,34 +213,22 @@ class SortTracker:
             )
         for ti, di in matches:
             slot = self.slots[ti]
-            node_id = detections[di][0]
             slot.hits += 1
             slot.time_since_update = 0
-            if slot.last_frame == frame_id - 1 and slot.hits > cfg.min_hits:
-                motion_edges.append((slot.last_node, node_id))
-            slot.last_frame = frame_id
-            slot.last_node = node_id
-            assignments.append((node_id, slot.track_id))
+            assignments.append((detections[di][0], slot.track_id))
         if unmatched_d:
             x, P = kf.initiate(det_boxes[unmatched_d])
             self._x = np.concatenate([self._x, x])
             self._P = np.concatenate([self._P, P])
         for di in unmatched_d:
-            node_id = detections[di][0]
-            slot = _TrackSlot(
-                track_id=self._next_id, last_frame=frame_id, last_node=node_id
-            )
+            slot = _TrackSlot(track_id=self._next_id)
             self._next_id += 1
             self.slots.append(slot)
-            assignments.append((node_id, slot.track_id))
+            assignments.append((detections[di][0], slot.track_id))
             new_tracks.append(slot.track_id)
         live = [s.time_since_update <= cfg.max_age for s in self.slots]
         if not all(live):
             self.slots = [s for s, keep in zip(self.slots, live) if keep]
             self._x, self._P = self._x[live], self._P[live]
         assignments.sort(key=lambda a: a[0])
-        return StepResult(
-            assignments=assignments,
-            motion_edges=motion_edges,
-            new_tracks=new_tracks,
-        )
+        return StepResult(assignments=assignments, new_tracks=new_tracks)

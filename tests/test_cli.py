@@ -144,6 +144,47 @@ class TestRun:
         assert result.stderr.count("\n") == 1
         assert not out.exists()
 
+    def test_box_outside_the_frame_exit_3(self, runner, workspace):
+        lines = open(workspace["trace"]).read().splitlines()
+        first = json.loads(lines[0])
+        first["dets"][0]["bbox"][2] = 1200.0  # the frame is 1000 px wide
+        lines[0] = json.dumps(first)
+        with open(workspace["trace"], "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out = workspace["dir"] / "results.json"
+        result = runner.invoke(main, self.args(workspace, "--out", str(out)))
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.stderr.startswith("execution failed: ")
+        assert "outside resolution" in result.stderr
+        assert result.stderr.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("constraint", [
+        's.motion_score == "x"',
+        's.motion_score in [0.5, "x"]',
+        's.motion_score in ["a", "b"]',
+    ])
+    def test_non_numeric_scene_literal_exit_1(self, runner, workspace,
+                                              constraint):
+        program = workspace["dir"] / "scene.vq"
+        program.write_text(CAR_PROGRAM + f"""
+query busy {{
+  bind s: Scene
+  bind c: Car
+  frame_constraint: {constraint} & c.color == "red"
+}}
+""")
+        result = runner.invoke(main, [
+            "run", "-p", str(program), "-q", "busy",
+            "--trace", workspace["trace"], "--meta", workspace["meta"],
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "scene channel s.motion_score compares with numbers only" \
+            in result.stderr
+        assert result.stderr.count("\n") == 1
+
     def test_unknown_query_exit_1(self, runner, workspace):
         result = runner.invoke(main, self.args(workspace)[:-1] + ["ghost"])
         assert result.exit_code == 1

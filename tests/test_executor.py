@@ -17,6 +17,7 @@ from vidquery.executor import (
 )
 from vidquery.operators import compare
 from vidquery.planner import PlannerConfig, plan_query
+from vidquery.registry import load_manifest
 from vidquery.synth import WorldSpec, write_world
 
 from conftest import (
@@ -292,3 +293,44 @@ class TestSerialization:
     def test_labels(self):
         outcome = QueryOutcome(query="q", satisfied=[1, 3])
         assert outcome.labels(5) == [False, True, False, True, False]
+
+
+class TestSceneFilter:
+    def test_in_keeps_frames_whose_channel_is_listed(self, tmp_path):
+        meta = meta_1000(5)
+        world = WorldSpec(
+            meta=meta, objects=[car(1, 0, 4, (100.0, 500.0))],
+            channels={"motion_score": [0.5, 0.7, 0.1, 0.7, 0.9]},
+        )
+        paths = write_world(world, tmp_path / "w")
+        vprog = make_program(CAR_PROGRAM + """
+        query listed {
+          bind s: Scene
+          bind c: Car
+          frame_constraint: s.motion_score in [0.5, 0.7] & c.color == "red"
+        }
+        """)
+        outcome, _stats, _dag = run_single(vprog, "listed", paths["trace"],
+                                           meta)
+        assert outcome.satisfied == [0, 1, 3]
+
+    def test_manifest_gate_compares_its_threshold(self, tmp_path):
+        meta = meta_1000(5)
+        world = WorldSpec(
+            meta=meta, objects=[car(1, 0, 4, (100.0, 500.0))],
+            channels={"motion_score": [0.0, 2.0, 1.0, 0.5, 3.0]},
+        )
+        paths = write_world(world, tmp_path / "w")
+        manifest = tmp_path / "reg.json"
+        manifest.write_text(
+            '{"registrations": [{"name": "busy", "kind": "frame_filter",'
+            ' "auto": true, "channel": "motion_score", "op": ">=",'
+            ' "threshold": 1}]}'
+        )
+        registry = load_manifest(manifest)
+        registry.freeze()
+        vprog = make_program(REDS)
+        outcome, _stats, dag = run_single(vprog, "reds", paths["trace"], meta,
+                                          registry=registry)
+        assert any(op.kind == "frame_filter" for op in dag.ops.values())
+        assert outcome.satisfied == [1, 2, 4]

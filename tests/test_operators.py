@@ -7,7 +7,7 @@ from typing import Any, Optional
 
 import pytest
 
-from vidquery.datamodel import Edge, EdgeKind, FrameGraph, VObjInstance
+from vidquery.datamodel import Edge, EdgeKind, FrameGraph, Track, VObjInstance
 from vidquery.operators import (
     DetectorOp,
     FrameFilterOp,
@@ -29,12 +29,14 @@ from vidquery.trace_io import Detection, TraceRecord
 
 @dataclass
 class FakeEngine:
-    touched: list = field(default_factory=list)
+    tracks: dict = field(default_factory=dict)
     keep: Any = None  # predicate on node, used by verdict
     keep_edge: Any = None
 
-    def touch_track(self, vobj, track_id, frame_id):
-        self.touched.append((vobj, track_id, frame_id))
+    def track(self, tracker, vobj, track_id):
+        return self.tracks.setdefault(
+            (tracker, track_id), Track.create(track_id, vobj, {})
+        )
 
     def verdict(self, predicate, env, edge=None):
         if edge is not None:
@@ -147,7 +149,12 @@ class TestTrackerOp:
         assert t0 == t1 and t0 is not None
         # cross-frame motion edges cannot live in a single-frame graph
         assert out[1].graph.edges == []
-        assert ctx.engine.touched == [("Car", t0, 0), ("Car", t0, 1)]
+        # one record of the track, made for this tracker, on both frames
+        track = out[0].graph.nodes[(0, 0)].track
+        assert out[1].graph.nodes[(1, 0)].track is track
+        assert (track.track_id, track.class_name) == (t0, "Car")
+        assert track.frames == {0, 1}
+        assert list(ctx.engine.tracks) == [(op, t0)]
 
     def test_input_nodes_not_mutated(self):
         op = TrackerOp("t", {"vobj": "Car"})

@@ -149,15 +149,6 @@ class TestSortTracker:
         assert result.assignments[0][1] != first.assignments[0][1]
         assert result.new_tracks == [result.assignments[0][1]]
 
-    def test_motion_edges_consecutive_frames_only(self):
-        tracker = SortTracker(TrackerConfig(max_age=5))
-        tracker.step(0, [((0, 0), (10.0, 10.0, 30.0, 30.0))])
-        r1 = tracker.step(1, [((1, 0), (12.0, 10.0, 32.0, 30.0))])
-        assert r1.motion_edges == [((0, 0), (1, 0))]
-        tracker.step(2, [])  # gap
-        r3 = tracker.step(3, [((3, 0), (16.0, 10.0, 36.0, 30.0))])
-        assert r3.motion_edges == []  # same track, but not consecutive
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrackerConfig(iou_threshold=0.0)
@@ -193,7 +184,7 @@ class TestArrayBookkeeping:
         tracker.step(0, [((0, 0), (0.0, 0.0, 10.0, 10.0)),
                          ((0, 1), (50.0, 50.0, 60.0, 60.0))])
         result = tracker.step(1, [])
-        assert result.assignments == [] and result.motion_edges == []
+        assert result.assignments == []
         assert [s.time_since_update for s in tracker.slots] == [1, 1]
         self.assert_aligned(tracker)
 

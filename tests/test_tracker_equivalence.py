@@ -1,8 +1,8 @@
 """The batched SortTracker against the frozen scalar tracker.
 
 `_scalar_tracker.py` holds the per-track, per-pair tracker the batched one
-replaced.  After every step both must give the same assignments, motion edges
-and new tracks, the same per-slot bookkeeping, and bit for bit the same
+replaced.  After every step both must give the same assignments and new
+tracks, the same per-slot bookkeeping, and bit for bit the same
 Kalman means and covariances.  No tolerance: the batched tracker keeps the
 scalar operation order, so a difference in the last bit is a bug.
 """
@@ -34,10 +34,8 @@ def assert_same_step(batched, oracle, frame_id, dets, where=""):
     got = batched.step(frame_id, dets)
     want = oracle.step(frame_id, dets)
     assert got.assignments == want.assignments, where
-    assert got.motion_edges == want.motion_edges, where
     assert got.new_tracks == want.new_tracks, where
-    book = lambda s: (s.track_id, s.hits, s.time_since_update, s.last_frame,
-                      s.last_node)
+    book = lambda s: (s.track_id, s.hits, s.time_since_update)
     assert [book(s) for s in batched.slots] == [book(s) for s in oracle.slots], where
     n = len(oracle.slots)
     assert batched._x.shape == (n, 7) and batched._P.shape == (n, 7, 7), where
