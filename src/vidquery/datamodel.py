@@ -1,17 +1,15 @@
 """Object-centric data model: video-object instances, tracks, and frame graphs.
 
-A frame graph holds one node per detected video object and typed edges for
-motion, spatial, duration, and temporal relationships.  Graphs are built per
-frame and merged by the join operator; tracks persist across frames and own
-bounded property histories.
+A frame graph holds the objects of one frame, one part per query binding,
+and the spatial-relation edges between them.  Tracks persist across frames
+and own bounded property histories.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any, Iterable, Optional
+from typing import Any, Optional
 
 
 class _Undefined:
@@ -41,21 +39,6 @@ def is_defined(value: Any) -> bool:
 NodeId = tuple[int, int]  # (frame_id, per-frame detection index)
 
 
-class EdgeKind(str, Enum):
-    MOTION = "motion"
-    SPATIAL = "spatial"
-    DURATION = "duration"
-    TEMPORAL = "temporal"
-
-
-class GraphError(Exception):
-    """Structural violation in a frame graph."""
-
-
-class MergeConflictError(GraphError):
-    """Same node carries conflicting property values in a merge."""
-
-
 class SchemaError(Exception):
     """Reference to a property not declared on the type."""
 
@@ -78,87 +61,28 @@ class VObjInstance:
 
 @dataclass
 class Edge:
-    kind: EdgeKind
-    src: NodeId
-    dst: NodeId
-    relation: Optional[str] = None
+    """One instance of a spatial relation between two objects of a frame."""
+
+    relation: str
+    a: VObjInstance
+    b: VObjInstance
     properties: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
 class FrameGraph:
-    """Nodes and typed edges covering a contiguous frame range."""
+    """The objects of one frame: one part per binding, each in node-id
+    order, and the relation edges between them.  A branch has one part; the
+    join makes its input i part i, so an object in two parts is bound twice
+    and each binding sees only its own part."""
 
-    frame_range: tuple[int, int]
-    nodes: dict[NodeId, VObjInstance] = field(default_factory=dict)
+    parts: list[list[VObjInstance]] = field(default_factory=list)
     edges: list[Edge] = field(default_factory=list)
 
-    def add_node(self, node: VObjInstance) -> None:
-        if node.node_id in self.nodes:
-            existing = self.nodes[node.node_id]
-            if existing.class_name != node.class_name:
-                raise MergeConflictError(
-                    f"node {node.node_id} bound to both "
-                    f"{existing.class_name} and {node.class_name}"
-                )
-            return
-        self.nodes[node.node_id] = node
-
-    def add_edge(self, edge: Edge) -> None:
-        self.edges.append(edge)
-
-    def nodes_of(self, class_name: str) -> list[VObjInstance]:
-        return [n for n in self.nodes.values() if n.class_name == class_name]
-
-    def remove_nodes(self, node_ids: Iterable[NodeId]) -> None:
-        doomed = set(node_ids)
-        for nid in doomed:
-            self.nodes.pop(nid, None)
-        self.edges = [
-            e for e in self.edges if e.src not in doomed and e.dst not in doomed
-        ]
-
-
-def graph_merge(g1: FrameGraph, g2: FrameGraph) -> FrameGraph:
-    """Node/edge union of two graphs covering the same frame range.
-
-    Raises MergeConflictError when the same node carries conflicting property
-    values or class bindings in the two inputs.
-    """
-    if g1.frame_range != g2.frame_range:
-        raise GraphError(
-            f"cannot merge graphs over {g1.frame_range} and {g2.frame_range}"
-        )
-    out = FrameGraph(frame_range=g1.frame_range)
-    for g in (g1, g2):
-        for node in g.nodes.values():
-            if node.node_id in out.nodes:
-                existing = out.nodes[node.node_id]
-                if existing.class_name != node.class_name:
-                    raise MergeConflictError(
-                        f"node {node.node_id}: class {existing.class_name} "
-                        f"vs {node.class_name}"
-                    )
-                for name, value in node.properties.items():
-                    if name in existing.properties and existing.properties[name] != value:
-                        raise MergeConflictError(
-                            f"node {node.node_id}: property {name!r} has "
-                            f"conflicting values"
-                        )
-                    existing.properties[name] = value
-                if existing.track_id is None:
-                    existing.track_id, existing.track = node.track_id, node.track
-            else:
-                out.add_node(node)
-    seen = set()
-    for g in (g1, g2):
-        for e in g.edges:
-            key = (e.kind, e.src, e.dst, e.relation)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.add_edge(e)
-    return out
+    @property
+    def nodes(self) -> list[VObjInstance]:
+        """Every part's objects, part after part."""
+        return [n for part in self.parts for n in part]
 
 
 @dataclass(eq=False)
@@ -228,48 +152,3 @@ def window(track: Track, prop: str, k: int, end_frame: Optional[int] = None):
     if len(entries) < k:
         return UNDEFINED
     return [v for _f, v in entries[-k:]]
-
-
-def validate_graph(graph: FrameGraph) -> list[str]:
-    """Check every edge-kind invariant; returns a list of violations."""
-    problems = []
-    for e in graph.edges:
-        if e.src not in graph.nodes or e.dst not in graph.nodes:
-            problems.append(f"{e.kind.value} edge {e.src}->{e.dst}: dangling endpoint")
-            continue
-        src, dst = graph.nodes[e.src], graph.nodes[e.dst]
-        if e.kind is EdgeKind.MOTION:
-            if src.track_id is None or src.track_id != dst.track_id:
-                problems.append(f"motion edge {e.src}->{e.dst}: track_id mismatch")
-            if dst.frame_id - src.frame_id != 1:
-                problems.append(f"motion edge {e.src}->{e.dst}: frames not consecutive")
-        elif e.kind is EdgeKind.SPATIAL:
-            if src.frame_id != dst.frame_id:
-                problems.append(f"spatial edge {e.src}->{e.dst}: frames differ")
-        elif e.kind is EdgeKind.TEMPORAL:
-            if not src.frame_id < dst.frame_id:
-                problems.append(f"temporal edge {e.src}->{e.dst}: not forward in time")
-        elif e.kind is EdgeKind.DURATION:
-            limit = e.properties.get("max_frames")
-            if limit is not None and abs(dst.frame_id - src.frame_id) > limit:
-                problems.append(
-                    f"duration edge {e.src}->{e.dst}: distance exceeds {limit}"
-                )
-    return problems
-
-
-def dump_graph(graph: FrameGraph) -> str:
-    """Deterministic text rendering for golden tests."""
-    lines = [f"frames {graph.frame_range[0]}..{graph.frame_range[1]}"]
-    for nid in sorted(graph.nodes):
-        n = graph.nodes[nid]
-        props = " ".join(
-            f"{k}={n.properties[k]!r}" for k in sorted(n.properties)
-        )
-        track = f" track={n.track_id}" if n.track_id is not None else ""
-        lines.append(f"node {nid} {n.class_name} bbox={n.bbox}{track} {props}".rstrip())
-    for e in sorted(graph.edges, key=lambda e: (e.kind.value, e.src, e.dst)):
-        rel = f" rel={e.relation}" if e.relation else ""
-        props = " ".join(f"{k}={e.properties[k]!r}" for k in sorted(e.properties))
-        lines.append(f"edge {e.kind.value} {e.src}->{e.dst}{rel} {props}".rstrip())
-    return "\n".join(lines)

@@ -175,14 +175,6 @@ class Program:
     def queries(self) -> dict[str, QueryDecl]:
         return {d.name: d for d in self.decls if isinstance(d, QueryDecl)}
 
-    @property
-    def higher_order(self) -> dict[str, Decl]:
-        return {
-            d.name: d
-            for d in self.decls
-            if isinstance(d, (DurationDecl, SpatialDecl, TemporalDecl))
-        }
-
 
 # --- serialization ---------------------------------------------------------
 

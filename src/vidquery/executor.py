@@ -14,7 +14,6 @@ from typing import Any, Optional
 
 from .datamodel import (
     UNDEFINED,
-    EdgeKind,
     SchemaError,
     Track,
     VObjInstance,
@@ -271,7 +270,7 @@ class OutputOp(RuntimeOp):
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
         self.query = params["query"]
-        self.bindings = [tuple(b) for b in params["bindings"]]
+        self.bindings = params["bindings"]  # one name per part
         self.frame_output = params.get("frame_output", [])
         self.relation = params.get("relation")
         self.satisfied: set[int] = set()
@@ -279,20 +278,16 @@ class OutputOp(RuntimeOp):
         self.track_sat: dict[str, dict[Track, set[int]]] = {}
 
     def process(self, ctx, inputs: list[Batch]) -> Batch:
-        types = dict(self.bindings)
         for fs in inputs[0]:
-            ok = all(fs.graph.nodes_of(t) for _b, t in self.bindings)
+            parts = dict(zip(self.bindings, fs.graph.parts))
+            ok = all(parts.values())
             if ok and self.relation is not None:
-                ok = any(
-                    e.kind is EdgeKind.SPATIAL and e.relation == self.relation
-                    for e in fs.graph.edges
-                )
+                ok = any(e.relation == self.relation for e in fs.graph.edges)
             if not ok:
                 continue
             self.satisfied.add(fs.frame_id)
             row: dict[str, Any] = {"frame": fs.frame_id, "objects": {}}
-            for b, t in self.bindings:
-                nodes = sorted(fs.graph.nodes_of(t), key=lambda n: n.node_id)
+            for b, nodes in parts.items():
                 row["objects"][b] = [
                     {
                         "node": list(n.node_id),
@@ -308,11 +303,8 @@ class OutputOp(RuntimeOp):
             outputs = {}
             for ref in self.frame_output:
                 b, prop = ref["binding"], ref["prop"]
-                nodes = sorted(
-                    fs.graph.nodes_of(types[b]), key=lambda n: n.node_id
-                )
                 outputs[f"{b}.{prop}"] = [
-                    _jsonable(ctx.engine.get(n, prop)) for n in nodes
+                    _jsonable(ctx.engine.get(n, prop)) for n in parts[b]
                 ]
             if outputs:
                 row["outputs"] = outputs
@@ -321,7 +313,8 @@ class OutputOp(RuntimeOp):
 
 
 class AggregateOp(RuntimeOp):
-    """Streams per-track three-valued verdicts of the video constraint."""
+    """Streams per-track three-valued verdicts of the video constraint over
+    the objects of its binding's part."""
 
     kind = "aggregate"
 
@@ -329,14 +322,13 @@ class AggregateOp(RuntimeOp):
         super().__init__(op_id, params)
         self.agg_kind = params["kind"]
         self.binding = params["binding"]
-        self.vobj = params["vobj"]
+        self.part = params["part"]
         self.predicate = params.get("predicate")
         self.per_track: dict[int, list] = {}
 
     def process(self, ctx, inputs: list[Batch]) -> Batch:
         for fs in inputs[0]:
-            for node in sorted(fs.graph.nodes_of(self.vobj),
-                               key=lambda n: n.node_id):
+            for node in fs.graph.parts[self.part]:
                 if node.track_id is None:
                     continue
                 verdict = ctx.engine.verdict(
@@ -480,36 +472,38 @@ def serialize_outcome(outcome: QueryOutcome) -> str:
 
 
 class ResultStore:
-    """Result cache keyed by the trace content digest and the plan id."""
+    """Result cache.  An entry is keyed by the plan id and a digest of the
+    run's other inputs: the trace content, the video meta and the
+    registrations (see `Session.run`)."""
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
     @staticmethod
-    def key(trace_digest: str, plan_id: str) -> str:
-        return hashlib.sha256(f"{trace_digest}:{plan_id}".encode()).hexdigest()
+    def key(inputs_digest: str, plan_id: str) -> str:
+        return hashlib.sha256(f"{inputs_digest}:{plan_id}".encode()).hexdigest()
 
-    def _path(self, trace_digest: str, plan_id: str) -> Path:
-        return self.root / f"{self.key(trace_digest, plan_id)}.json"
+    def _path(self, inputs_digest: str, plan_id: str) -> Path:
+        return self.root / f"{self.key(inputs_digest, plan_id)}.json"
 
-    def get(self, trace_digest: str, plan_id: str) -> Optional[dict]:
+    def get(self, inputs_digest: str, plan_id: str) -> Optional[dict]:
         """The cached result, or None on a miss.  An entry that does not
         decode (e.g. truncated) is a miss, so the result is recomputed and
         the entry rewritten."""
         try:
-            return json.loads(self._path(trace_digest, plan_id).read_text())
+            return json.loads(self._path(inputs_digest, plan_id).read_text())
         except (FileNotFoundError, ValueError):
             return None
 
-    def put(self, trace_digest: str, plan_id: str, outcome: QueryOutcome) -> None:
+    def put(self, inputs_digest: str, plan_id: str, outcome: QueryOutcome) -> None:
         """Write to a temporary file beside the entry, then rename it into
         place, so a reader never sees a partial entry."""
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(serialize_outcome(outcome))
-            os.replace(tmp, self._path(trace_digest, plan_id))
+            os.replace(tmp, self._path(inputs_digest, plan_id))
         except BaseException:
             os.unlink(tmp)
             raise
@@ -566,6 +560,15 @@ class Session:
             plan_ops.append(ops)
         return schedule, plan_ops
 
+    def _inputs_digest(self, trace_digest: str) -> str:
+        """What a result depends on besides its plan: the trace content, the
+        video meta (its frame count bounds the run) and every registration
+        (costs, error profiles, detector and gate params)."""
+        meta = None if self.meta is None else vars(self.meta)
+        payload = json.dumps([trace_digest, meta, self.registry.digest()],
+                             sort_keys=True)
+        return hashlib.sha256(payload.encode()).hexdigest()
+
     def _stream(self, trace_path):
         limit = self.meta.frame_count if self.meta else None
         for rec in open_trace(trace_path, self.meta):
@@ -584,13 +587,15 @@ class Session:
             self.vprog, self.registry, self.meta, self.config, self.stats
         )
         outcomes: list[Optional[QueryOutcome]] = [None] * len(dags)
-        trace_digest = None
+        inputs_digest = None
         if result_store is not None:
-            trace_digest = hashlib.sha256(trace_path.read_bytes()).hexdigest()
+            inputs_digest = self._inputs_digest(
+                hashlib.sha256(trace_path.read_bytes()).hexdigest()
+            )
         pending = []
         for i, dag in enumerate(dags):
             if result_store is not None:
-                cached = result_store.get(trace_digest, dag.plan_id)
+                cached = result_store.get(inputs_digest, dag.plan_id)
                 if cached is not None:
                     outcome = QueryOutcome.from_json(cached)
                     outcome.plan_id = dag.plan_id
@@ -619,7 +624,7 @@ class Session:
                 outcome.plan_id = dag.plan_id
                 outcomes[i] = outcome
                 if result_store is not None:
-                    result_store.put(trace_digest, dag.plan_id, outcome)
+                    result_store.put(inputs_digest, dag.plan_id, outcome)
         return outcomes  # type: ignore[return-value]
 
     def _finalize(self, dag: PlanDag, ops: dict[str, RuntimeOp],
@@ -656,7 +661,7 @@ class Session:
         if pop.kind == "duration":
             base = self._finalize(dag, ops, pop.inputs[0])
             out_op = self._sink_output(dag, ops, pop.inputs[0])
-            sat = out_op.track_sat.get(out_op.bindings[0][0], {})
+            sat = out_op.track_sat.get(out_op.bindings[0], {})
             fires = eval_duration(
                 {t.track_id: frames for t, frames in sat.items()},
                 {t.track_id: t.frames for t in sat},

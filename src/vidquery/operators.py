@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Optional
 
-from .datamodel import Edge, EdgeKind, FrameGraph, VObjInstance
+from .datamodel import Edge, FrameGraph, VObjInstance
 from .registry import (
     ConfigurationError,
     Registration,
@@ -34,11 +34,7 @@ class FrameState:
 
     @classmethod
     def fresh(cls, record: TraceRecord) -> "FrameState":
-        return cls(
-            frame_id=record.frame_id,
-            record=record,
-            graph=FrameGraph(frame_range=(record.frame_id, record.frame_id)),
-        )
+        return cls(frame_id=record.frame_id, record=record, graph=FrameGraph())
 
 
 Batch = list[FrameState]
@@ -143,7 +139,8 @@ class ClassifierOp(RuntimeOp):
 
 
 class DetectorOp(RuntimeOp):
-    """Adds one node per emitted detection; node ids are trace indices."""
+    """Starts a branch: one part with a node per emitted detection, in
+    trace-index order; node ids are trace indices."""
 
     kind = "detector"
 
@@ -156,17 +153,18 @@ class DetectorOp(RuntimeOp):
         out = []
         for fs in inputs[0]:
             ctx.stats.count_component(self.reg.name, self.reg.cost_units)
-            graph = FrameGraph(frame_range=(fs.frame_id, fs.frame_id))
-            for idx, det in apply_detector(self.reg, fs.record):
-                graph.add_node(VObjInstance(
+            part = [
+                VObjInstance(
                     node_id=(fs.frame_id, idx),
                     class_name=self.vobj,
                     frame_id=fs.frame_id,
                     bbox=det.bbox,
                     score=det.score,
                     attrs=det.attrs,
-                ))
-            out.append(FrameState(fs.frame_id, fs.record, graph))
+                )
+                for idx, det in apply_detector(self.reg, fs.record)
+            ]
+            out.append(FrameState(fs.frame_id, fs.record, FrameGraph([part])))
         return out
 
 
@@ -188,27 +186,23 @@ class TrackerOp(RuntimeOp):
         for fs in inputs[0]:
             # copy nodes so sibling consumers of the upstream batch never see
             # this tracker's id assignments
-            graph = FrameGraph(frame_range=fs.graph.frame_range)
-            for node in fs.graph.nodes.values():
-                graph.add_node(replace(node, properties=dict(node.properties)))
-            graph.edges = list(fs.graph.edges)
-            nodes = sorted(
-                graph.nodes_of(self.vobj), key=lambda n: n.node_id
-            )
+            (part,) = fs.graph.parts
+            nodes = [replace(n, properties=dict(n.properties)) for n in part]
+            by_id = {n.node_id: n for n in nodes}
             result = self.tracker.step(
                 fs.frame_id, [(n.node_id, n.bbox) for n in nodes]
             )
             for node_id, track_id in result.assignments:
-                node = graph.nodes[node_id]
+                node = by_id[node_id]
                 node.track_id = track_id
                 node.track = ctx.engine.track(self, self.vobj, track_id)
                 node.track.frames.add(fs.frame_id)
-            out.append(FrameState(fs.frame_id, fs.record, graph))
+            out.append(FrameState(fs.frame_id, fs.record, FrameGraph([nodes])))
         return out
 
 
 class ProjectorOp(RuntimeOp):
-    """Computes one declared property for every node of its binding type.
+    """Computes one declared property for every node of its branch.
 
     History feeders (dependencies of stateful properties) are always computed
     so sliding windows fill; other properties are left to on-demand
@@ -219,13 +213,12 @@ class ProjectorOp(RuntimeOp):
 
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
-        self.vobj = params["vobj"]
         self.prop = params["prop"]
 
     def process(self, ctx, inputs: list[Batch]) -> Batch:
         for fs in inputs[0]:
-            for node in sorted(fs.graph.nodes_of(self.vobj),
-                               key=lambda n: n.node_id):
+            (part,) = fs.graph.parts
+            for node in part:
                 ctx.engine.project(node, self.prop)
         return inputs[0]
 
@@ -238,51 +231,33 @@ class VObjFilterOp(RuntimeOp):
 
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
-        self.vobj = params["vobj"]
         self.binding = params["binding"]
         self.predicate = params["predicate"]  # planner-encoded expression
 
     def process(self, ctx, inputs: list[Batch]) -> Batch:
         out = []
         for fs in inputs[0]:
-            doomed = []
-            for node in sorted(fs.graph.nodes_of(self.vobj),
-                               key=lambda n: n.node_id):
+            (part,) = fs.graph.parts
+            kept = [
+                node for node in part
                 if ctx.engine.verdict(self.predicate,
-                                      {self.binding: node}) is not True:
-                    doomed.append(node.node_id)
-            if not doomed:
+                                      {self.binding: node}) is True
+            ]
+            if len(kept) == len(part):
                 out.append(fs)
-                continue
-            # copy before removal; the input batch may feed other queries
-            graph = FrameGraph(
-                frame_range=fs.graph.frame_range,
-                nodes=dict(fs.graph.nodes),
-                edges=list(fs.graph.edges),
-            )
-            graph.remove_nodes(doomed)
-            out.append(FrameState(fs.frame_id, fs.record, graph))
+            else:  # a new part: the input batch may feed other queries
+                out.append(FrameState(fs.frame_id, fs.record,
+                                      FrameGraph([kept])))
         return out
 
 
 class JoinOp(RuntimeOp):
     """Aligns branches by frame id; a frame survives iff every branch still
-    has at least one node of its required type.  Graphs are merged."""
+    has a node on it.  Branch i's objects become part i of the output."""
 
     kind = "join"
 
-    def __init__(self, op_id: str, params: dict):
-        super().__init__(op_id, params)
-        self.required = params["required"]  # one vobj name per input branch
-
     def process(self, ctx, inputs: list[Batch]) -> Batch:
-        if len(inputs) != len(self.required):
-            raise InternalError(
-                f"join {self.op_id}: {len(inputs)} inputs for "
-                f"{len(self.required)} branches"
-            )
-        from .datamodel import graph_merge
-
         by_frame = [{fs.frame_id: fs for fs in b} for b in inputs]
         common = set(by_frame[0])
         for m in by_frame[1:]:
@@ -290,45 +265,30 @@ class JoinOp(RuntimeOp):
         out = []
         for frame_id in sorted(common):
             states = [m[frame_id] for m in by_frame]
-            if not all(
-                s.graph.nodes_of(req)
-                for s, req in zip(states, self.required)
-            ):
-                continue
-            merged = states[0].graph
-            for s in states[1:]:
-                merged = graph_merge(merged, s.graph)
-            out.append(FrameState(frame_id, states[0].record, merged))
+            parts = [part for s in states for part in s.graph.parts]
+            if all(parts):
+                out.append(FrameState(frame_id, states[0].record,
+                                      FrameGraph(parts)))
         return out
 
 
 class RelationProjectorOp(RuntimeOp):
-    """Adds spatial-relation edges with computed properties for every
-    participant pair in the same frame."""
+    """Adds a relation edge, with computed properties, for every pair of an
+    object of part 0 and a different object of part 1."""
 
     kind = "relation_projector"
 
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
         self.relation = params["relation"]
-        self.vobj_a = params["vobj_a"]
-        self.vobj_b = params["vobj_b"]
         self.props = params["props"]  # {prop_name: impl_name}
 
     def process(self, ctx, inputs: list[Batch]) -> Batch:
         out = []
         for fs in inputs[0]:
-            graph = FrameGraph(
-                frame_range=fs.graph.frame_range,
-                nodes=dict(fs.graph.nodes),
-                edges=list(fs.graph.edges),
-            )
-            nodes_a = sorted(graph.nodes_of(self.vobj_a),
-                             key=lambda n: n.node_id)
-            nodes_b = sorted(graph.nodes_of(self.vobj_b),
-                             key=lambda n: n.node_id)
-            for a in nodes_a:
-                for b in nodes_b:
+            edges = list(fs.graph.edges)
+            for a in fs.graph.parts[0]:
+                for b in fs.graph.parts[1]:
                     if a.node_id == b.node_id:
                         continue
                     properties = {}
@@ -337,14 +297,9 @@ class RelationProjectorOp(RuntimeOp):
                         ctx.stats.count_property(
                             f"{self.relation}.{prop}", 0.1
                         )
-                    graph.add_edge(Edge(
-                        kind=EdgeKind.SPATIAL,
-                        src=a.node_id,
-                        dst=b.node_id,
-                        relation=self.relation,
-                        properties=properties,
-                    ))
-            out.append(FrameState(fs.frame_id, fs.record, graph))
+                    edges.append(Edge(self.relation, a, b, properties))
+            out.append(FrameState(fs.frame_id, fs.record,
+                                  FrameGraph(fs.graph.parts, edges)))
         return out
 
 
@@ -364,19 +319,14 @@ class RelationFilterOp(RuntimeOp):
         for fs in inputs[0]:
             kept = []
             for edge in fs.graph.edges:
-                if edge.kind is EdgeKind.SPATIAL and edge.relation == self.relation:
-                    a = fs.graph.nodes[edge.src]
-                    b = fs.graph.nodes[edge.dst]
-                    env = {self.args[0]: a, self.args[1]: b} if self.args else {}
+                if edge.relation == self.relation:
+                    env = {self.args[0]: edge.a, self.args[1]: edge.b} \
+                        if self.args else {}
                     if ctx.engine.verdict(self.predicate, env, edge) is not True:
                         continue
                 kept.append(edge)
-            graph = FrameGraph(
-                frame_range=fs.graph.frame_range,
-                nodes=dict(fs.graph.nodes),
-                edges=kept,
-            )
-            out.append(FrameState(fs.frame_id, fs.record, graph))
+            out.append(FrameState(fs.frame_id, fs.record,
+                                  FrameGraph(fs.graph.parts, kept)))
         return out
 
 

@@ -15,7 +15,7 @@ from .registry import Registration, Registry, RegistryError
 from .trace_io import VideoMeta
 from .tracker import TrackerConfig
 
-PLAN_VERSION = 2
+PLAN_VERSION = 3
 
 
 class PlanError(Exception):
@@ -358,7 +358,7 @@ def build_base_dag(
             if ref.relation is None:
                 late_refs_by_binding.setdefault(ref.binding, set()).add(ref.prop)
 
-    branch_tails, required = [], []
+    branch_tails = []
     for binding, vobj in vobj_bindings:
         ftype = vprog.types.get(vobj)
         if ftype is None:
@@ -405,7 +405,7 @@ def build_base_dag(
             prev = dag.add(PlanOp(
                 op_id=f"{p}proj:{binding}.{prop}",
                 kind="projector",
-                params={"vobj": vobj, "prop": prop},
+                params={"prop": prop},
                 inputs=[prev],
             )).op_id
         if pred is not None:
@@ -419,16 +419,14 @@ def build_base_dag(
                 inputs=[prev],
             )).op_id
         branch_tails.append(prev)
-        required.append(vobj)
 
     if not branch_tails:
         raise PlanError(f"{query_name}: no VObj bindings to plan")
 
-    if len(branch_tails) > 1:
+    if len(branch_tails) > 1:  # input i becomes part i, binding i's
         tail = dag.add(PlanOp(
             op_id=f"{p}join",
             kind="join",
-            params={"required": required},
             inputs=branch_tails,
         )).op_id
     else:
@@ -443,15 +441,11 @@ def build_base_dag(
         impls = {
             pd.name: pd.impl for pd in rel.properties if pd.name in rel_props
         }
-        b1, t1 = fq.bindings[0]
-        b2, t2 = fq.bindings[1]
+        (b1, _t1), (b2, _t2) = vobj_bindings
         tail = dag.add(PlanOp(
             op_id=f"{p}relproj:{fq.relation}",
             kind="relation_projector",
-            params={
-                "relation": fq.relation, "vobj_a": t1, "vobj_b": t2,
-                "props": impls,
-            },
+            params={"relation": fq.relation, "props": impls},
             inputs=[tail],
         )).op_id
         tail = dag.add(PlanOp(
@@ -465,12 +459,13 @@ def build_base_dag(
             inputs=[tail],
         )).op_id
 
+    part_bindings = [b for b, _t in vobj_bindings]
     out = dag.add(PlanOp(
         op_id=f"{p}output:{query_name}",
         kind="output",
         params={
             "query": query_name,
-            "bindings": [[b, t] for b, t in vobj_bindings],
+            "bindings": part_bindings,
             "frame_output": [
                 encode_ref(r) for r in fq.frame_output
             ],
@@ -488,7 +483,7 @@ def build_base_dag(
             params={
                 "kind": kind,
                 "binding": binding,
-                "vobj": dict(vobj_bindings)[binding],
+                "part": part_bindings.index(binding),
                 "predicate": encode_expr(fq.video_pred),
             },
             inputs=[dag.sink],
@@ -575,6 +570,7 @@ def pull_up_predicates(dag: PlanDag, vprog: ValidatedProgram,
                     "threshold": reg.params.get("threshold", 0.0),
                     "tolerance": reg.params.get("tolerance", 0.0),
                     "window": reg.params.get("window", 1),
+                    "cost_units": reg.cost_units,
                 },
             ))
         head = det.inputs[0]
@@ -758,14 +754,11 @@ def profile(
     vprog: ValidatedProgram,
     registry: Registry,
     config: PlannerConfig,
-    reference: Optional[PlanDag] = None,
 ) -> list[ProfileReport]:
     """Run every candidate once on the canary and score it against the
-    reference's labels; the reference runs on its own only when it is not
-    one of the candidates."""
+    labels of the reference, `dags[0]`."""
     from .executor import ExecConfig, Session
 
-    reference = reference or dags[0]
     frame_budget = config.canary_frames or meta.frame_count
     if frame_budget <= 0:
         raise ProfilingError("empty canary: nothing to profile")
@@ -778,10 +771,7 @@ def profile(
         return outcome.labels(canary_meta.frame_count), session.stats
 
     runs = [run_one(dag) for dag in dags]
-    labels = {dag.plan_id: run[0] for dag, run in zip(dags, runs)}
-    ref_labels = labels.get(reference.plan_id)
-    if ref_labels is None:
-        ref_labels = run_one(reference)[0]
+    ref_labels = runs[0][0]
     return [
         ProfileReport(
             plan_id=dag.plan_id,
@@ -798,21 +788,19 @@ def select_plan(
     dags: list[PlanDag],
     reports: list[ProfileReport],
     config: PlannerConfig,
-    reference: Optional[PlanDag] = None,
 ) -> tuple[PlanDag, bool]:
     """Cheapest plan meeting the accuracy target; ties break on operator
-    count then plan id.  Falls back to the reference (second value True)
-    when nothing meets the target."""
+    count then plan id.  Falls back to the reference, `dags[0]` (second
+    value True), when nothing meets the target."""
     if not reports:
         raise ProfilingError("no profile reports to select from")
-    reference = reference or dags[0]
     eligible = [
         (r.cost_units, r.op_count, r.plan_id, d)
         for d, r in zip(dags, reports)
         if r.f1 + 1e-12 >= config.accuracy_target
     ]
     if not eligible:
-        return reference, True
+        return dags[0], True
     eligible.sort(key=lambda t: t[:3])
     return eligible[0][3], False
 

@@ -101,6 +101,12 @@ class Registry:
     def try_resolve(self, kind: str, name: str) -> Optional[Registration]:
         return self._regs.get((kind, name))
 
+    def digest(self) -> str:
+        """Content digest of every registration."""
+        payload = json.dumps([vars(r) for _k, r in sorted(self._regs.items())],
+                             sort_keys=True, default=repr)
+        return hashlib.sha256(payload.encode()).hexdigest()
+
     def all_of(self, kind: str) -> list[Registration]:
         return [r for (k, _n), r in sorted(self._regs.items()) if k == kind]
 

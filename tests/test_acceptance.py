@@ -337,7 +337,8 @@ def test_criterion_08_optimization_soundness(tmp_path):
         meta = meta_1000(12)
         world = _random_world(rng, meta, rng.randint(1, 4))
         paths = write_world(world, tmp_path / f"w{case}")
-        if rng.random() < 0.2:
+        two_bindings = rng.random() < 0.2
+        if two_bindings:
             body = ('frame_constraint: a.color == "red" '
                     '& b.color == "blue"')
             src = CAR_PROGRAM + f"""
@@ -365,6 +366,29 @@ def test_criterion_08_optimization_soundness(tmp_path):
         )
         assert serialize_outcome(out_opt) == serialize_outcome(out_plain), \
             f"case {case}: {body!r}"
+        if two_bindings:
+            _check_red_and_blue_bindings(world, out_opt, case)
+
+
+def _check_red_and_blue_bindings(world, outcome, case):
+    """Script oracle for `a.color == "red" & b.color == "blue"`: trace index
+    i on frame f is the i-th script object alive on f; `a` lists exactly the
+    red ones and `b` exactly the blue ones."""
+    expected = {}
+    for f in range(world.meta.frame_count):
+        alive = [o for o in world.objects if o.alive(f)]
+        by_color = {
+            color: [[f, i] for i, o in enumerate(alive)
+                    if o.attrs["color"] == color]
+            for color in ("red", "blue")
+        }
+        if by_color["red"] and by_color["blue"]:
+            expected[f] = by_color
+    assert outcome.satisfied == sorted(expected), f"case {case}"
+    for row in outcome.rows:
+        got = {b: [o["node"] for o in row["objects"][b]] for b in ("a", "b")}
+        want = expected[row["frame"]]
+        assert got == {"a": want["red"], "b": want["blue"]}, f"case {case}"
 
 
 def test_criterion_09_tracker_quality(tmp_path):

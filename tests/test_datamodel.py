@@ -1,21 +1,14 @@
-"""Frame-graph structure, merge semantics, tracks, and history windows."""
+"""Frame graphs, tracks, and history windows."""
 
 import pytest
 
 from vidquery.datamodel import (
     UNDEFINED,
-    Edge,
-    EdgeKind,
     FrameGraph,
-    MergeConflictError,
-    GraphError,
     SchemaError,
     Track,
     VObjInstance,
-    dump_graph,
-    graph_merge,
     is_defined,
-    validate_graph,
     window,
 )
 
@@ -38,53 +31,11 @@ def test_undefined_singleton_and_falsiness():
     assert is_defined(None) and is_defined(0) and is_defined(False)
 
 
-def test_add_node_dedup_and_conflict():
-    g = FrameGraph(frame_range=(0, 0))
-    g.add_node(node((0, 0)))
-    g.add_node(node((0, 0)))  # same binding: idempotent
-    assert len(g.nodes) == 1
-    with pytest.raises(MergeConflictError):
-        g.add_node(node((0, 0), cls="Person"))
-
-
-def test_remove_nodes_drops_incident_edges():
-    g = FrameGraph(frame_range=(0, 1))
-    g.add_node(node((0, 0), track=1))
-    g.add_node(node((1, 0), track=1))
-    g.add_edge(Edge(kind=EdgeKind.MOTION, src=(0, 0), dst=(1, 0)))
-    g.remove_nodes([(1, 0)])
-    assert (1, 0) not in g.nodes
-    assert g.edges == []
-
-
-def test_graph_merge_union_and_conflicts():
-    g1 = FrameGraph(frame_range=(0, 0))
-    g1.add_node(node((0, 0), color="red"))
-    g2 = FrameGraph(frame_range=(0, 0))
-    g2.add_node(node((0, 1)))
-    merged = graph_merge(g1, g2)
-    assert set(merged.nodes) == {(0, 0), (0, 1)}
-
-    g3 = FrameGraph(frame_range=(0, 0))
-    g3.add_node(node((0, 0), color="blue"))
-    with pytest.raises(MergeConflictError):
-        graph_merge(g1, g3)
-
-    g4 = FrameGraph(frame_range=(1, 1))
-    with pytest.raises(GraphError):
-        graph_merge(g1, g4)
-
-
-def test_graph_merge_dedups_edges():
-    g1 = FrameGraph(frame_range=(0, 0))
-    g1.add_node(node((0, 0)))
-    g1.add_node(node((0, 1)))
-    g1.add_edge(Edge(kind=EdgeKind.SPATIAL, src=(0, 0), dst=(0, 1), relation="near"))
-    g2 = FrameGraph(frame_range=(0, 0))
-    g2.add_node(node((0, 0)))
-    g2.add_node(node((0, 1)))
-    g2.add_edge(Edge(kind=EdgeKind.SPATIAL, src=(0, 0), dst=(0, 1), relation="near"))
-    assert len(graph_merge(g1, g2).edges) == 1
+def test_nodes_lists_every_part_in_order():
+    red, blue = node((0, 0)), node((0, 1))
+    g = FrameGraph([[red], [blue, red]])
+    assert g.nodes == [red, blue, red]  # an object bound twice counts twice
+    assert FrameGraph().nodes == []
 
 
 class TestTrackHistory:
@@ -126,64 +77,3 @@ class TestTrackHistory:
         t = Track.create(1, "Car", {"center": 3})
         with pytest.raises(ValueError):
             window(t, "center", 0)
-
-
-class TestGraphInvariants:
-    def _graph(self):
-        g = FrameGraph(frame_range=(0, 2))
-        g.add_node(node((0, 0), track=1))
-        g.add_node(node((1, 0), track=1))
-        g.add_node(node((1, 1), cls="Person", track=7))
-        g.add_node(node((2, 0), track=1))
-        return g
-
-    def test_clean_graph(self):
-        g = self._graph()
-        g.add_edge(Edge(kind=EdgeKind.MOTION, src=(0, 0), dst=(1, 0)))
-        g.add_edge(Edge(kind=EdgeKind.SPATIAL, src=(1, 0), dst=(1, 1)))
-        g.add_edge(Edge(kind=EdgeKind.TEMPORAL, src=(0, 0), dst=(2, 0)))
-        g.add_edge(Edge(kind=EdgeKind.DURATION, src=(0, 0), dst=(2, 0),
-                        properties={"max_frames": 5}))
-        assert validate_graph(g) == []
-
-    def test_motion_violations(self):
-        g = self._graph()
-        g.add_edge(Edge(kind=EdgeKind.MOTION, src=(0, 0), dst=(1, 1)))  # wrong track
-        g.add_edge(Edge(kind=EdgeKind.MOTION, src=(0, 0), dst=(2, 0)))  # gap
-        problems = validate_graph(g)
-        assert len(problems) == 2
-        assert any("track_id" in p for p in problems)
-        assert any("consecutive" in p for p in problems)
-
-    def test_spatial_same_frame(self):
-        g = self._graph()
-        g.add_edge(Edge(kind=EdgeKind.SPATIAL, src=(0, 0), dst=(1, 1)))
-        assert any("frames differ" in p for p in validate_graph(g))
-
-    def test_temporal_forward(self):
-        g = self._graph()
-        g.add_edge(Edge(kind=EdgeKind.TEMPORAL, src=(2, 0), dst=(0, 0)))
-        assert any("forward" in p for p in validate_graph(g))
-
-    def test_duration_distance(self):
-        g = self._graph()
-        g.add_edge(Edge(kind=EdgeKind.DURATION, src=(0, 0), dst=(2, 0),
-                        properties={"max_frames": 1}))
-        assert any("exceeds" in p for p in validate_graph(g))
-
-    def test_dangling_endpoint(self):
-        g = self._graph()
-        g.add_edge(Edge(kind=EdgeKind.MOTION, src=(9, 9), dst=(0, 0)))
-        assert any("dangling" in p for p in validate_graph(g))
-
-
-def test_dump_graph_deterministic():
-    g = FrameGraph(frame_range=(0, 0))
-    g.add_node(node((0, 1), color="red"))
-    g.add_node(node((0, 0)))
-    text = dump_graph(g)
-    assert text == dump_graph(g)
-    lines = text.splitlines()
-    assert lines[0] == "frames 0..0"
-    assert lines[1].startswith("node (0, 0)")
-    assert "color='red'" in lines[2]

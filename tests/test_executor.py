@@ -1,6 +1,8 @@
 """Execution semantics: laziness, memoization, warm-up windows, operator
 sharing, result caching, and byte-stable serialization."""
 
+from dataclasses import replace
+
 import pytest
 
 from vidquery.datamodel import UNDEFINED, VObjInstance
@@ -17,7 +19,7 @@ from vidquery.executor import (
 )
 from vidquery.operators import compare
 from vidquery.planner import PlannerConfig, plan_query
-from vidquery.registry import load_manifest
+from vidquery.registry import Registration, Registry, load_manifest
 from vidquery.synth import WorldSpec, write_world
 
 from conftest import (
@@ -277,6 +279,47 @@ class TestResultStore:
         assert stats.total_op_invocations > 0
 
 
+    def test_meta_change_misses(self, tmp_path):
+        paths, meta = red_world(tmp_path, frames=150)
+        short = replace(meta, frame_count=50)
+        vprog = make_program(REDS)
+        store = ResultStore(tmp_path / "cache")
+        out_short, _s, _d = run_single(vprog, "reds", paths["trace"], short,
+                                       result_store=store)
+        assert out_short.satisfied[-1] == 49
+        out, stats, _dag = run_single(vprog, "reds", paths["trace"], meta,
+                                      result_store=store)
+        assert stats.total_op_invocations > 0
+        assert out.satisfied[-1] == 149
+        uncached, _s, _d = run_single(vprog, "reds", paths["trace"], meta)
+        assert serialize_outcome(out) == serialize_outcome(uncached)
+
+    def test_registration_change_misses(self, tmp_path):
+        # a detector's params are not in the plan, which names it only
+        def registry(score_threshold):
+            reg = Registry()
+            reg.register(Registration(
+                name="general_car", kind="detector", cost_units=100.0,
+                params={"classes": ["car"],
+                        "score_threshold": score_threshold},
+            ))
+            reg.freeze()
+            return reg
+
+        paths, meta = red_world(tmp_path, frames=20)
+        vprog = make_program(REDS)
+        store = ResultStore(tmp_path / "cache")
+        out, _s, dag = run_single(vprog, "reds", paths["trace"], meta,
+                                  registry=registry(0.0), result_store=store)
+        assert out.satisfied == list(range(20))
+        strict, stats, dag2 = run_single(
+            vprog, "reds", paths["trace"], meta, registry=registry(0.99),
+            result_store=store)
+        assert dag2.plan_id == dag.plan_id
+        assert stats.total_op_invocations > 0
+        assert strict.satisfied == []  # the cars score 0.95
+
+
 class TestSerialization:
     def test_outcome_round_trip_and_stability(self, tmp_path):
         paths, meta = red_world(tmp_path, frames=10)
@@ -334,3 +377,29 @@ class TestSceneFilter:
                                           registry=registry)
         assert any(op.kind == "frame_filter" for op in dag.ops.values())
         assert outcome.satisfied == [1, 2, 4]
+
+    def test_manifest_gate_charges_its_declared_cost(self, tmp_path):
+        meta = meta_1000(5)
+        world = WorldSpec(
+            meta=meta, objects=[car(1, 0, 4, (100.0, 500.0))],
+            channels={"motion_score": [0.0, 2.0, 1.0, 0.5, 3.0]},
+        )
+        paths = write_world(world, tmp_path / "w")
+        vprog = make_program(REDS)
+        costs, declared = [], []
+        for gate in ("", ', "cost_units": 50'):
+            manifest = tmp_path / "reg.json"
+            manifest.write_text(
+                '{"registrations": [{"name": "busy", "kind": "frame_filter",'
+                ' "auto": true, "channel": "motion_score", "op": ">=",'
+                f' "threshold": 1{gate}}}]}}'
+            )
+            registry = load_manifest(manifest)
+            registry.freeze()
+            _outcome, stats, _dag = run_single(vprog, "reds", paths["trace"],
+                                               meta, registry=registry)
+            costs.append(stats.cost_units)
+            declared.append(registry.resolve("frame_filter", "busy").cost_units)
+        assert declared[1] == 50
+        # 5 frames through the gate, each at its declared cost
+        assert costs[1] - costs[0] == pytest.approx(5 * (50 - declared[0]))

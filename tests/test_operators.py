@@ -7,12 +7,11 @@ from typing import Any, Optional
 
 import pytest
 
-from vidquery.datamodel import Edge, EdgeKind, FrameGraph, Track, VObjInstance
+from vidquery.datamodel import Edge, FrameGraph, Track, VObjInstance
 from vidquery.operators import (
     DetectorOp,
     FrameFilterOp,
     FrameState,
-    InternalError,
     JoinOp,
     RelationFilterOp,
     RelationProjectorOp,
@@ -64,10 +63,8 @@ def record(frame, boxes=(), channels=None, cls="car", **attrs):
 
 
 def state_with_nodes(frame, *nodes):
-    fs = FrameState.fresh(record(frame))
-    for n in nodes:
-        fs.graph.add_node(n)
-    return fs
+    """A branch's frame: one part holding `nodes`."""
+    return FrameState(frame, record(frame), FrameGraph([list(nodes)]))
 
 
 def node(nid, cls="Car", track=None, bbox=(0.0, 0.0, 10.0, 10.0), **props):
@@ -120,9 +117,9 @@ class TestDetectorOp:
         out = op.process(ctx, [[FrameState.fresh(
             record(3, [(0.0, 0.0, 10.0, 10.0), (20.0, 0.0, 30.0, 10.0)])
         )]])
-        ids = sorted(out[0].graph.nodes)
-        assert ids == [(3, 0), (3, 1)]
-        assert out[0].graph.nodes[(3, 0)].class_name == "Car"
+        (part,) = out[0].graph.parts
+        assert [n.node_id for n in part] == [(3, 0), (3, 1)]
+        assert part[0].class_name == "Car"
         assert ctx.stats.component_calls["general_car"] == 1
         assert ctx.stats.component_costs["general_car"] == 100.0
 
@@ -144,14 +141,14 @@ class TestTrackerOp:
             state_with_nodes(1, node((1, 0), bbox=(2.0, 0.0, 12.0, 10.0))),
         ]
         out = op.process(ctx, [batch])
-        t0 = out[0].graph.nodes[(0, 0)].track_id
-        t1 = out[1].graph.nodes[(1, 0)].track_id
+        ((n0,),), ((n1,),) = out[0].graph.parts, out[1].graph.parts
+        t0, t1 = n0.track_id, n1.track_id
         assert t0 == t1 and t0 is not None
         # cross-frame motion edges cannot live in a single-frame graph
         assert out[1].graph.edges == []
         # one record of the track, made for this tracker, on both frames
-        track = out[0].graph.nodes[(0, 0)].track
-        assert out[1].graph.nodes[(1, 0)].track is track
+        track = n0.track
+        assert n1.track is track
         assert (track.track_id, track.class_name) == (t0, "Car")
         assert track.frames == {0, 1}
         assert list(ctx.engine.tracks) == [(op, t0)]
@@ -160,8 +157,8 @@ class TestTrackerOp:
         op = TrackerOp("t", {"vobj": "Car"})
         fs = state_with_nodes(0, node((0, 0)))
         out = op.process(FakeCtx(), [[fs]])
-        assert fs.graph.nodes[(0, 0)].track_id is None
-        assert out[0].graph.nodes[(0, 0)].track_id is not None
+        assert fs.graph.nodes[0].track_id is None
+        assert out[0].graph.nodes[0].track_id is not None
 
 
 class TestVObjFilterOp:
@@ -172,8 +169,8 @@ class TestVObjFilterOp:
         ctx.engine.keep = lambda n: n.node_id == (0, 0)
         fs = state_with_nodes(0, node((0, 0)), node((0, 1)))
         out = op.process(ctx, [[fs]])
-        assert set(out[0].graph.nodes) == {(0, 0)}
-        assert set(fs.graph.nodes) == {(0, 0), (0, 1)}  # input untouched
+        assert [n.node_id for n in out[0].graph.nodes] == [(0, 0)]
+        assert [n.node_id for n in fs.graph.nodes] == [(0, 0), (0, 1)]
 
     def test_empty_frames_retained(self):
         op = VObjFilterOp("v", {"vobj": "Car", "binding": "c",
@@ -181,12 +178,12 @@ class TestVObjFilterOp:
         ctx = FakeCtx()
         ctx.engine.keep = lambda n: False
         out = op.process(ctx, [[state_with_nodes(0, node((0, 0)))]])
-        assert len(out) == 1 and not out[0].graph.nodes
+        assert len(out) == 1 and out[0].graph.parts == [[]]
 
 
 class TestJoinOp:
     def test_frame_alignment_and_type_requirement(self):
-        op = JoinOp("j", {"required": ["Car", "Person"]})
+        op = JoinOp("j", {})
         cars = [
             state_with_nodes(0, node((0, 0))),
             state_with_nodes(1, node((1, 0))),
@@ -199,43 +196,55 @@ class TestJoinOp:
         ]
         out = op.process(FakeCtx(), [cars, people])
         assert [fs.frame_id for fs in out] == [1]
-        assert set(out[0].graph.nodes) == {(1, 0), (1, 1)}
+        assert [[n.node_id for n in part] for part in out[0].graph.parts] == \
+            [[(1, 0)], [(1, 1)]]
 
-    def test_branch_count_checked(self):
-        op = JoinOp("j", {"required": ["Car", "Person"]})
-        with pytest.raises(InternalError):
-            op.process(FakeCtx(), [[]])
+    def test_input_i_is_part_i_even_for_one_type(self):
+        red, blue = node((0, 0)), node((0, 1))
+        reds = [state_with_nodes(0, red)]
+        blues = [state_with_nodes(0, blue)]
+        out = JoinOp("j", {}).process(FakeCtx(), [reds, blues])
+        assert out[0].graph.parts == [[red], [blue]]
+        out = JoinOp("j", {}).process(FakeCtx(), [blues, reds])
+        assert out[0].graph.parts == [[blue], [red]]
 
 
 class TestRelationOps:
     def pair(self):
-        return state_with_nodes(
-            0,
-            node((0, 0), bbox=(0.0, 0.0, 10.0, 10.0)),
-            node((0, 1), cls="Person", bbox=(30.0, 40.0, 40.0, 50.0)),
-        )
+        return FrameState(0, record(0), FrameGraph([
+            [node((0, 0), bbox=(0.0, 0.0, 10.0, 10.0))],
+            [node((0, 1), cls="Person", bbox=(30.0, 40.0, 40.0, 50.0))],
+        ]))
 
     def test_projector_adds_edges_with_values(self):
         op = RelationProjectorOp("r", {
-            "relation": "Near", "vobj_a": "Car", "vobj_b": "Person",
-            "props": {"distance_px": "distance_px"},
+            "relation": "Near", "props": {"distance_px": "distance_px"},
         })
         fs = self.pair()
         out = op.process(FakeCtx(), [[fs]])
         (edge,) = out[0].graph.edges
-        assert edge.kind is EdgeKind.SPATIAL and edge.relation == "Near"
-        assert edge.src == (0, 0) and edge.dst == (0, 1)
+        assert edge.relation == "Near"
+        assert edge.a.node_id == (0, 0) and edge.b.node_id == (0, 1)
         # centers (5,5) and (35,45): hypot(30,40) = 50
         assert edge.properties["distance_px"] == pytest.approx(50.0)
         assert fs.graph.edges == []  # input untouched
 
+    def test_projector_pairs_part_0_with_part_1_never_with_itself(self):
+        a, b, c = node((0, 0)), node((0, 1)), node((0, 2))
+        fs = FrameState(0, record(0), FrameGraph([[a, b], [b, c]]))
+        op = RelationProjectorOp("r", {"relation": "Near", "props": {}})
+        out = op.process(FakeCtx(), [[fs]])
+        pairs = [(e.a.node_id, e.b.node_id) for e in out[0].graph.edges]
+        assert pairs == [((0, 0), (0, 1)), ((0, 0), (0, 2)),
+                         ((0, 1), (0, 2))]
+
     def test_filter_drops_failing_edges_only(self):
         proj = RelationProjectorOp("r", {
-            "relation": "Near", "vobj_a": "Car", "vobj_b": "Person",
-            "props": {"distance_px": "distance_px"},
+            "relation": "Near", "props": {"distance_px": "distance_px"},
         })
         projected = proj.process(FakeCtx(), [[self.pair()]])
-        unrelated = Edge(kind=EdgeKind.MOTION, src=(0, 0), dst=(0, 1))
+        car, person = projected[0].graph.nodes
+        unrelated = Edge("Far", car, person)
         projected[0].graph.edges.append(unrelated)
         op = RelationFilterOp("f", {"relation": "Near", "predicate": {}})
         ctx = FakeCtx()

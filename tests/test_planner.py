@@ -138,12 +138,14 @@ class TestBaseDag:
         """)
         dag = build_base_dag(vprog, "close", frozen_registry(), PlannerConfig())
         join = dag.ops["join"]
-        assert sorted(join.inputs) == ["filter:c", "filter:p"]
-        assert join.params["required"] == ["Car", "Person"]
+        # input i of the join is part i: the binding order of the output
+        assert join.inputs == ["filter:c", "filter:p"]
+        assert join.params == {}
         assert dag.ops["relproj:Near"].inputs == ["join"]
-        assert dag.ops["relproj:Near"].params["props"] == \
-            {"distance_px": "distance_px"}
+        assert dag.ops["relproj:Near"].params == \
+            {"relation": "Near", "props": {"distance_px": "distance_px"}}
         assert dag.ops["relfilter:Near"].params["args"] == ["c", "p"]
+        assert dag.ops["output:close"].params["bindings"] == ["c", "p"]
         assert dag.sink == "output:close"
 
     def test_aggregate_added_for_video_side(self):
@@ -158,6 +160,7 @@ class TestBaseDag:
                              PlannerConfig())
         assert dag.sink == "aggregate:red_count"
         assert dag.ops[dag.sink].params["kind"] == "count_distinct"
+        assert dag.ops[dag.sink].params["part"] == 0
 
     def test_duration_wraps_base_and_forces_tracker(self):
         vprog = make_program("""
@@ -319,9 +322,9 @@ class TestFusion:
         dag = PlanDag(query="q")
         dag.add(PlanOp(op_id="reader", kind="reader"))
         dag.add(PlanOp(op_id="p1", kind="projector",
-                       params={"vobj": "Car", "prop": "a"}, inputs=["reader"]))
+                       params={"prop": "a"}, inputs=["reader"]))
         dag.add(PlanOp(op_id="p2", kind="projector",
-                       params={"vobj": "Car", "prop": "b"}, inputs=["p1"]))
+                       params={"prop": "b"}, inputs=["p1"]))
         dag.add(PlanOp(op_id="tap", kind="output", params={}, inputs=["p1"]))
         dag.sink = "tap"
         fused = fuse_operators(dag)
@@ -439,11 +442,13 @@ class TestPersistence:
         vprog = reds_program()
         dag = plan_query(vprog, "reds", frozen_registry(), PlannerConfig())
         obj = dag.to_json()
-        obj["version"] = 99
         path = tmp_path / "plan.json"
-        path.write_text(json.dumps(obj))
-        with pytest.raises(PlanLoadError):
-            load_plan(path)
+        # version 2 plans found objects by class name, not per binding
+        for version in (2, 99):
+            obj["version"] = version
+            path.write_text(json.dumps(obj))
+            with pytest.raises(PlanLoadError):
+                load_plan(path)
 
     def test_unlinkable_detector(self, tmp_path):
         vprog = reds_program()
