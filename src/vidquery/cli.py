@@ -158,7 +158,7 @@ def profile_cmd(program, query, trace, meta_path, manifest, canary_frames,
     except PlanError as exc:
         _fail(EXIT_PLAN, f"planning failed: {exc}")
     except (ProfilingError, TraceError, PlanLinkError, ConfigurationError,
-            InternalError, OSError) as exc:
+            RegistryError, InternalError, OSError) as exc:
         _fail(EXIT_RUNTIME, f"profiling failed: {exc}")
     if fell_back:
         click.echo(
@@ -243,8 +243,8 @@ def run(program, queries, trace, meta_path, manifest, batch_size,
         outcomes, stats = run_plans(
             vprog, dags, trace, registry, meta, exec_config, store
         )
-    except (TraceError, PlanLinkError, ConfigurationError, InternalError,
-            OSError) as exc:
+    except (TraceError, PlanLinkError, ConfigurationError, RegistryError,
+            InternalError, OSError) as exc:
         _fail(EXIT_RUNTIME, f"execution failed: {exc}")
     text = "".join(serialize_outcome(o) for o in outcomes)
     if out_path:

@@ -9,6 +9,7 @@ import os
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import takewhile
 from pathlib import Path
 from typing import Any, Optional
 
@@ -43,8 +44,14 @@ from .operators import (
     eval_temporal,
 )
 from .planner import PlanDag, PlanOp, decode_expr
-from .registry import PropContext, Registry, call_property_impl
-from .trace_io import VideoMeta, batch as batch_records, open_trace
+from .registry import (
+    RELATION_IMPLS,
+    PropContext,
+    Registry,
+    RegistryError,
+    call_property_impl,
+)
+from .trace_io import TraceRecord, VideoMeta, batch as batch_records, open_trace
 
 
 @dataclass
@@ -385,6 +392,11 @@ def build_runtime_op(plan_op: PlanOp, registry: Registry) -> RuntimeOp:
     if kind == "join":
         return JoinOp(op_id, params)
     if kind == "relation_projector":
+        for impl in params["props"].values():
+            if impl not in RELATION_IMPLS:
+                raise PlanLinkError(
+                    f"{op_id}: unknown relation implementation {impl!r}"
+                )
         return RelationProjectorOp(op_id, params)
     if kind == "relation_filter":
         op = RelationFilterOp(op_id, params)
@@ -511,14 +523,26 @@ class ResultStore:
 
 # --- session ----------------------------------------------------------------
 
+def trace_batches(trace_path, meta: Optional[VideoMeta], batch_size: int):
+    """The records of `trace_path` that a run under `meta` reads, in batches
+    of at most `batch_size`: reading stops at the first record at or past
+    `meta.frame_count`, so no line after it is parsed."""
+    records = open_trace(trace_path, meta)
+    if meta is not None:
+        records = takewhile(lambda r: r.frame_id < meta.frame_count, records)
+    return batch_records(records, batch_size)
+
+
 class Session:
     """Executes one or more plans over a trace with operator sharing.
 
-    Structurally identical operators across the plans of one `run` resolve
+    Structurally identical operators across the plans of one pass resolve
     to a single runtime instance; each batch, an instance runs once and its
-    output batch is reused by every consumer.  Each `run` builds its own
-    runtime operators and property engine (`engine` is the last run's), so
-    no per-track state outlives it; `stats` adds up over runs.
+    output batch is reused by every consumer.  A pass `start`s its plans,
+    `feed`s them every batch of records in frame order, and `finish`es;
+    `run` drives one over a trace file.  Each pass builds its own runtime
+    operators and property engine (`engine` is the last pass's), so no
+    per-track state outlives it; `stats` adds up over passes.
     """
 
     def __init__(
@@ -534,9 +558,13 @@ class Session:
         self.meta = meta
         self.stats = ExecStats()
         self.engine: Optional[PropertyEngine] = None
+        self._dags: list[PlanDag] = []  # the pass in progress (`start`)
+        self._schedule: dict = {}
+        self._plan_ops: list = []
+        self._ctx: Optional[RunContext] = None
 
     def _compile(self, dags: list[PlanDag]):
-        """The run's schedule, signature -> (runtime op, input signatures):
+        """The pass's schedule, signature -> (runtime op, input signatures):
         every plan in order, each in topological order, the first op of
         each signature built once (a reader has no runtime op).  Duration
         and temporal stages stay out of it; `_finalize` evaluates them.  Also
@@ -555,10 +583,24 @@ class Session:
                 if sig not in schedule:
                     rt = None if pop.kind == "reader" \
                         else build_runtime_op(pop, self.registry)
+                    if pop.kind == "detector":
+                        self._link_properties(pop.params["vobj"])
                     schedule[sig] = (rt, input_sigs)
                 ops[op_id] = schedule[sig][0]
             plan_ops.append(ops)
         return schedule, plan_ops
+
+    def _link_properties(self, vobj: str) -> None:
+        """Resolve every property function of a detected type while the
+        operators link, so a missing one fails before any frame is read."""
+        ftype = self.vprog.types.get(vobj)
+        if ftype is None:  # a saved plan's type the program lacks
+            return
+        for name, pdef in ftype.props.items():
+            try:
+                self.registry.resolve_property_fn(pdef.impl)
+            except RegistryError as exc:
+                raise PlanLinkError(f"{vobj}.{name}: {exc}") from exc
 
     def _inputs_digest(self, trace_digest: str) -> str:
         """What a result depends on besides its plan: the trace content, the
@@ -569,12 +611,38 @@ class Session:
                              sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def _stream(self, trace_path):
-        limit = self.meta.frame_count if self.meta else None
-        for rec in open_trace(trace_path, self.meta):
-            if limit is not None and rec.frame_id >= limit:
-                break
-            yield rec
+    def start(self, dags: list[PlanDag]) -> None:
+        """Compile the schedule of `dags` and build a fresh property engine,
+        so no per-track state outlives the pass."""
+        self.engine = PropertyEngine(
+            self.vprog, self.registry, self.meta, self.config, self.stats
+        )
+        self._dags = dags
+        self._schedule, self._plan_ops = self._compile(dags)
+        self._ctx = RunContext(self.engine, self.stats, self.meta)
+
+    def feed(self, records: list[TraceRecord]) -> None:
+        """Run every scheduled operator once over one batch of records."""
+        base = [FrameState.fresh(r) for r in records]
+        out: dict[str, Batch] = {}
+        for sig, (rt, input_sigs) in self._schedule.items():
+            if rt is None:
+                out[sig] = base
+                continue
+            self.stats.count_op(rt.op_id)
+            out[sig] = rt.process(self._ctx, [out[s] for s in input_sigs])
+
+    def finish(self) -> list[QueryOutcome]:
+        """The outcome of each started plan, in order; ends the pass and
+        releases its operators."""
+        outcomes = []
+        for dag, ops in zip(self._dags, self._plan_ops):
+            outcome = self._finalize(dag, ops, dag.sink)
+            outcome.query = dag.query
+            outcome.plan_id = dag.plan_id
+            outcomes.append(outcome)
+        self._dags, self._schedule, self._plan_ops = [], {}, []
+        return outcomes
 
     def run(
         self,
@@ -583,9 +651,6 @@ class Session:
         result_store: Optional[ResultStore] = None,
     ) -> list[QueryOutcome]:
         trace_path = Path(trace_path)
-        self.engine = PropertyEngine(
-            self.vprog, self.registry, self.meta, self.config, self.stats
-        )
         outcomes: list[Optional[QueryOutcome]] = [None] * len(dags)
         inputs_digest = None
         if result_store is not None:
@@ -603,28 +668,15 @@ class Session:
                     continue
             pending.append(i)
 
+        self.start([dags[i] for i in pending])
         if pending:
-            schedule, plan_ops = self._compile([dags[i] for i in pending])
-            ctx = RunContext(self.engine, self.stats, self.meta)
-            for records in batch_records(
-                self._stream(trace_path), self.config.batch_size
-            ):
-                base = [FrameState.fresh(r) for r in records]
-                out: dict[str, Batch] = {}
-                for sig, (rt, input_sigs) in schedule.items():
-                    if rt is None:
-                        out[sig] = base
-                        continue
-                    self.stats.count_op(rt.op_id)
-                    out[sig] = rt.process(ctx, [out[s] for s in input_sigs])
-            for i, ops in zip(pending, plan_ops):
-                dag = dags[i]
-                outcome = self._finalize(dag, ops, dag.sink)
-                outcome.query = dag.query
-                outcome.plan_id = dag.plan_id
-                outcomes[i] = outcome
-                if result_store is not None:
-                    result_store.put(inputs_digest, dag.plan_id, outcome)
+            for records in trace_batches(trace_path, self.meta,
+                                         self.config.batch_size):
+                self.feed(records)
+        for i, outcome in zip(pending, self.finish()):
+            outcomes[i] = outcome
+            if result_store is not None:
+                result_store.put(inputs_digest, dags[i].plan_id, outcome)
         return outcomes  # type: ignore[return-value]
 
     def _finalize(self, dag: PlanDag, ops: dict[str, RuntimeOp],

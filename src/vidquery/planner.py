@@ -756,8 +756,10 @@ def profile(
     config: PlannerConfig,
 ) -> list[ProfileReport]:
     """Run every candidate once on the canary and score it against the
-    labels of the reference, `dags[0]`."""
-    from .executor import ExecConfig, Session
+    labels of the reference, `dags[0]`.  The canary is read once: each batch
+    of records goes to every candidate's own session in turn, so each
+    report counts exactly its candidate's work."""
+    from .executor import ExecConfig, Session, trace_batches
 
     frame_budget = config.canary_frames or meta.frame_count
     if frame_budget <= 0:
@@ -765,22 +767,25 @@ def profile(
     canary_meta = replace(meta, frame_count=min(meta.frame_count, frame_budget))
     exec_config = ExecConfig(batch_size=config.batch_size)
 
-    def run_one(dag: PlanDag):
-        session = Session(vprog, registry, canary_meta, exec_config)
-        outcome = session.run([dag], canary_path)[0]
-        return outcome.labels(canary_meta.frame_count), session.stats
-
-    runs = [run_one(dag) for dag in dags]
-    ref_labels = runs[0][0]
+    sessions = [Session(vprog, registry, canary_meta, exec_config)
+                for _dag in dags]
+    for session, dag in zip(sessions, dags):
+        session.start([dag])
+    for records in trace_batches(canary_path, canary_meta,
+                                 exec_config.batch_size):
+        for session in sessions:
+            session.feed(records)
+    labels = [session.finish()[0].labels(canary_meta.frame_count)
+              for session in sessions]
     return [
         ProfileReport(
             plan_id=dag.plan_id,
-            f1=f1_score(ref_labels, out_labels),
-            cost_units=stats.cost_units,
+            f1=f1_score(labels[0], out_labels),
+            cost_units=session.stats.cost_units,
             op_count=len(dag.ops),
-            breakdown=dict(sorted(stats.component_costs.items())),
+            breakdown=dict(sorted(session.stats.component_costs.items())),
         )
-        for dag, (out_labels, stats) in zip(dags, runs)
+        for dag, session, out_labels in zip(dags, sessions, labels)
     ]
 
 

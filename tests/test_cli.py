@@ -253,6 +253,48 @@ def test_bad_option_value_exit_1(runner, workspace, command, flag, value):
     assert result.stderr.count("\n") == 1
 
 
+NEAR_PROGRAM = PROGRAM + """
+relation Near(Car, Car) {
+  property distance_px: stateless(impl="nosuch")
+}
+query blues {
+  bind b: Car
+  frame_constraint: b.color == "blue"
+}
+spatial query reds_near_blues {
+  first: reds
+  second: blues
+  relation: Near
+  predicate: Near(c, b).distance_px < 500
+}
+"""
+
+
+@pytest.mark.parametrize("command, prefix", [
+    ("run", "execution failed: "),
+    ("profile", "profiling failed: "),
+])
+@pytest.mark.parametrize("source, query, named", [
+    (PROGRAM.replace('impl="attr:color"', 'impl="nosuch"'), "reds",
+     "Car.color: no property function registered under 'nosuch'"),
+    (NEAR_PROGRAM, "reds_near_blues",
+     "unknown relation implementation 'nosuch'"),
+], ids=["property", "relation"])
+def test_unknown_function_exit_3(runner, workspace, command, prefix, source,
+                                 query, named):
+    program = workspace["dir"] / "nosuch.vq"
+    program.write_text(source)
+    result = runner.invoke(main, [
+        command, "-p", str(program), "-q", query,
+        "--trace", workspace["trace"], "--meta", workspace["meta"],
+    ])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr.startswith(prefix)
+    assert named in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
 class TestProfile:
     def test_report_and_saved_plan(self, runner, workspace, tmp_path):
         manifest = tmp_path / "reg.json"
@@ -277,6 +319,51 @@ class TestProfile:
                      if o["kind"] == "detector"]
         assert detectors == ["red_car"]
 
+
+    def canary_args(self, ws, *extra):
+        return ["profile", "-p", ws["program"], "-q", "reds",
+                "--trace", ws["trace"], "--meta", ws["meta"], *extra]
+
+    def replace_line(self, ws, index, edit):
+        lines = open(ws["trace"]).read().splitlines()
+        lines[index] = edit(lines[index])
+        with open(ws["trace"], "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+    def test_bad_line_past_the_canary_is_never_read(self, runner, workspace):
+        self.replace_line(workspace, 15, lambda line: line[:20])  # frame 15
+        result = runner.invoke(main, self.canary_args(
+            workspace, "--canary-frames", "10"))
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout)["selected"]
+        result = runner.invoke(main, self.canary_args(workspace))
+        assert result.exit_code == 3
+
+    def test_bad_line_inside_the_canary_exit_3(self, runner, workspace):
+        self.replace_line(workspace, 5, lambda line: line[:20])  # frame 5
+        result = runner.invoke(main, self.canary_args(
+            workspace, "--canary-frames", "10"))
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.stderr.startswith("profiling failed: ")
+        assert "trace.jsonl:6: bad record" in result.stderr
+        assert result.stderr.count("\n") == 1
+
+    def test_box_outside_the_frame_inside_the_canary_exit_3(self, runner,
+                                                            workspace):
+        def widen(line):
+            rec = json.loads(line)
+            rec["dets"][0]["bbox"][2] = 1200.0  # the frame is 1000 px wide
+            return json.dumps(rec)
+
+        self.replace_line(workspace, 5, widen)
+        result = runner.invoke(main, self.canary_args(
+            workspace, "--canary-frames", "10"))
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.stderr.startswith("profiling failed: ")
+        assert "outside resolution" in result.stderr
+        assert result.stderr.count("\n") == 1
 
 class TestSynth:
     def test_renders_world(self, runner, workspace):
