@@ -9,7 +9,6 @@ import os
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import takewhile
 from pathlib import Path
 from typing import Any, Optional
 
@@ -467,15 +466,24 @@ class QueryOutcome:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QueryOutcome":
-        return cls(
+        """The outcome whose `to_json` is `obj`; KeyError or TypeError if
+        `obj` does not have that shape."""
+        outcome = cls(
             query=obj["query"],
-            plan_id=obj.get("plan_id", ""),
-            satisfied=list(obj.get("satisfied", [])),
-            rows=list(obj.get("frames", [])),
+            satisfied=obj["satisfied"],
+            rows=obj["frames"],
             video=obj.get("video"),
             duration_fires=obj.get("duration_fires"),
             temporal=obj.get("temporal"),
         )
+        if not (isinstance(outcome.query, str)
+                and isinstance(outcome.satisfied, list)
+                and isinstance(outcome.rows, list)
+                and isinstance(outcome.video, (dict, type(None)))
+                and isinstance(outcome.duration_fires, (list, type(None)))
+                and isinstance(outcome.temporal, (dict, type(None)))):
+            raise TypeError("not a query outcome")
+        return outcome
 
 
 def serialize_outcome(outcome: QueryOutcome) -> str:
@@ -486,7 +494,12 @@ def serialize_outcome(outcome: QueryOutcome) -> str:
 class ResultStore:
     """Result cache.  An entry is keyed by the plan id and a digest of the
     run's other inputs: the trace content, the video meta and the
-    registrations (see `Session.run`)."""
+    registrations (see `Session.run`).  Entries are internal: each holds
+    its outcome's `to_json` as compact sorted-key JSON, which `json`'s C
+    encoder writes several times faster than the `indent=2` text of
+    `serialize_outcome`.  Result files are made from the decoded outcome by
+    `serialize_outcome`, so they stay `indent=2` and byte-stable whether or
+    not they were served from here."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -499,14 +512,18 @@ class ResultStore:
     def _path(self, inputs_digest: str, plan_id: str) -> Path:
         return self.root / f"{self.key(inputs_digest, plan_id)}.json"
 
-    def get(self, inputs_digest: str, plan_id: str) -> Optional[dict]:
-        """The cached result, or None on a miss.  An entry that does not
-        decode (e.g. truncated) is a miss, so the result is recomputed and
-        the entry rewritten."""
+    def get(self, inputs_digest: str, plan_id: str) -> Optional[QueryOutcome]:
+        """The cached outcome of `plan_id`, or None on a miss.  An entry
+        that does not decode to an outcome (truncated, or JSON of another
+        shape) is a miss, so the result is recomputed and the entry
+        rewritten."""
         try:
-            return json.loads(self._path(inputs_digest, plan_id).read_text())
-        except (FileNotFoundError, ValueError):
+            outcome = QueryOutcome.from_json(
+                json.loads(self._path(inputs_digest, plan_id).read_text()))
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
             return None
+        outcome.plan_id = plan_id
+        return outcome
 
     def put(self, inputs_digest: str, plan_id: str, outcome: QueryOutcome) -> None:
         """Write to a temporary file beside the entry, then rename it into
@@ -514,7 +531,8 @@ class ResultStore:
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(serialize_outcome(outcome))
+                fh.write(json.dumps(outcome.to_json(), sort_keys=True,
+                                    separators=(",", ":")))
             os.replace(tmp, self._path(inputs_digest, plan_id))
         except BaseException:
             os.unlink(tmp)
@@ -525,12 +543,23 @@ class ResultStore:
 
 def trace_batches(trace_path, meta: Optional[VideoMeta], batch_size: int):
     """The records of `trace_path` that a run under `meta` reads, in batches
-    of at most `batch_size`: reading stops at the first record at or past
-    `meta.frame_count`, so no line after it is parsed."""
+    of at most `batch_size`.  Reading stops right after the record of frame
+    `meta.frame_count - 1`, so no line after it is parsed; a trace with no
+    record of that frame is read up to its first record past it."""
     records = open_trace(trace_path, meta)
     if meta is not None:
-        records = takewhile(lambda r: r.frame_id < meta.frame_count, records)
+        records = _before(records, meta.frame_count)
     return batch_records(records, batch_size)
+
+
+def _before(records, frame_count: int):
+    """`records` up to frame `frame_count - 1`, read no further than needed."""
+    for rec in records:
+        if rec.frame_id >= frame_count:
+            return
+        yield rec
+        if rec.frame_id == frame_count - 1:
+            return
 
 
 class Session:
@@ -660,11 +689,8 @@ class Session:
         pending = []
         for i, dag in enumerate(dags):
             if result_store is not None:
-                cached = result_store.get(inputs_digest, dag.plan_id)
-                if cached is not None:
-                    outcome = QueryOutcome.from_json(cached)
-                    outcome.plan_id = dag.plan_id
-                    outcomes[i] = outcome
+                outcomes[i] = result_store.get(inputs_digest, dag.plan_id)
+                if outcomes[i] is not None:
                     continue
             pending.append(i)
 

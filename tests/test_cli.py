@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from vidquery.cli import main
+from vidquery.executor import QueryOutcome, serialize_outcome
 from vidquery.synth import WorldSpec, write_world
 
 from conftest import CAR_PROGRAM, car, meta_1000
@@ -232,7 +233,8 @@ query busy {{
         assert out.read_bytes() == plain.read_bytes()
         # rewritten in place, with no temporary file left behind
         assert list(cache.iterdir()) == [entry]
-        assert entry.read_bytes() == plain.read_bytes()
+        restored = QueryOutcome.from_json(json.loads(entry.read_bytes()))
+        assert serialize_outcome(restored).encode() == plain.read_bytes()
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -337,6 +339,18 @@ class TestProfile:
         assert result.exit_code == 0, result.output
         assert json.loads(result.stdout)["selected"]
         result = runner.invoke(main, self.canary_args(workspace))
+        assert result.exit_code == 3
+
+    def test_bad_line_right_after_the_canary_is_never_read(self, runner,
+                                                           workspace):
+        args = self.canary_args(workspace, "--canary-frames", "10")
+        intact = runner.invoke(main, args)
+        assert intact.exit_code == 0, intact.output
+        self.replace_line(workspace, 10, lambda line: line[:20])  # frame 10
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == intact.stdout
+        result = runner.invoke(main, TestRun().args(workspace))
         assert result.exit_code == 3
 
     def test_bad_line_inside_the_canary_exit_3(self, runner, workspace):

@@ -1,6 +1,7 @@
 """Execution semantics: laziness, memoization, warm-up windows, operator
 sharing, result caching, and byte-stable serialization."""
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -16,11 +17,13 @@ from vidquery.executor import (
     Session,
     run_plans,
     serialize_outcome,
+    trace_batches,
 )
 from vidquery.operators import compare
 from vidquery.planner import PlannerConfig, plan_query
 from vidquery.registry import Registration, Registry, load_manifest
-from vidquery.synth import WorldSpec, write_world
+from vidquery.synth import ObjectScript, WorldSpec, write_world
+from vidquery.trace_io import TraceParseError
 
 from conftest import (
     CAR_PROGRAM,
@@ -318,6 +321,153 @@ class TestResultStore:
         assert dag2.plan_id == dag.plan_id
         assert stats.total_op_invocations > 0
         assert strict.satisfied == []  # the cars score 0.95
+
+    @pytest.mark.parametrize("damage", [
+        b"{}",
+        b"[]",
+        b'{"query": "reds", "satisfied": 5}',
+        b'{"query": "reds", "satisfied": [], "frames": {}}',
+        b'{"frames":[],"query":"re',  # truncated
+    ], ids=["empty-object", "array", "int-satisfied", "object-frames",
+            "truncated"])
+    def test_malformed_entry_is_a_miss(self, tmp_path, damage):
+        paths, meta = red_world(tmp_path, frames=20)
+        vprog = make_program(REDS)
+        store = ResultStore(tmp_path / "cache")
+        cold, _s, _d = run_single(vprog, "reds", paths["trace"], meta,
+                                  result_store=store)
+        (entry,) = store.root.iterdir()
+        written = entry.read_bytes()
+        entry.write_bytes(damage)
+        out, stats, _dag = run_single(vprog, "reds", paths["trace"], meta,
+                                      result_store=store)
+        assert stats.total_op_invocations > 0  # recomputed
+        assert serialize_outcome(out) == serialize_outcome(cold)
+        assert list(store.root.iterdir()) == [entry]
+        assert entry.read_bytes() == written  # rewritten
+
+
+SHAPES = CAR_PROGRAM + """
+vobj Person {
+  detector: "general_person"
+  property role: stateless(impl="attr:role") intrinsic
+}
+relation Near(Car, Person) {
+  property distance_px: stateless(impl="distance_px")
+}
+query reds { bind c: Car
+  frame_constraint: c.color == "red" }
+query adults { bind p: Person
+  frame_constraint: p.role == "adult" }
+query right_movers {
+  bind c: Car
+  frame_constraint: c.color == "red"
+  video_constraint: c.direction == "right"
+  video_output: count_distinct(c)
+}
+query speeds {
+  bind c: Car
+  frame_constraint: c.color == "red"
+  frame_output: c.speed
+}
+spatial query near {
+  first: reds
+  second: adults
+  relation: Near
+  predicate: Near(c, p).distance_px < 150
+}
+duration query held { base: reds min_frames: 5 }
+temporal query seq {
+  first: reds
+  then: adults
+  max_interval_frames: 10
+}
+temporal query nested {
+  first: seq
+  then: reds
+  max_interval_frames: 20
+}
+"""
+
+
+class TestCompactEntries:
+    """Entries are compact JSON; what is served from them is byte-for-byte
+    what the uncached run gives, for every shape of outcome."""
+
+    QUERIES = ["reds", "right_movers", "speeds", "near", "held", "nested"]
+
+    def run(self, tmp_path, store=None):
+        meta = meta_1000(40)
+        world = WorldSpec(meta=meta, seed=5, objects=[
+            car(1, 0, 8, (100.0, 300.0), velocity=(3.7, 0.0)),
+            car(2, 20, 39, (300.0, 400.0), velocity=(0.5, -3.0)),
+            car(3, 10, 25, (700.0, 500.0), velocity=(-2.5, 0.0),
+                color="blue"),
+            ObjectScript(label=4, class_name="person", start_frame=12,
+                         end_frame=39, start_center=(240.0, 420.0),
+                         velocity=(0.5, -3.0), size=(20.0, 24.0),
+                         attrs={"role": "adult"}),
+        ])
+        paths = write_world(world, tmp_path / "w")
+        vprog = make_program(SHAPES)
+        registry = frozen_registry()
+        dags = [plan_query(vprog, q, registry, PlannerConfig(), meta)
+                for q in self.QUERIES]
+        outcomes, stats = run_plans(vprog, dags, paths["trace"], registry,
+                                    meta, result_store=store)
+        return [serialize_outcome(o) for o in outcomes], stats
+
+    def test_served_bytes_equal_uncached(self, tmp_path):
+        uncached, _stats = self.run(tmp_path)
+        shapes = [json.loads(text) for text in uncached]
+        assert all(o["satisfied"] for o in shapes)
+        assert shapes[1]["video"]["per_track"]
+        assert any(isinstance(v, float) and v != int(v)
+                   for r in shapes[2]["frames"]
+                   for v in r["outputs"]["c.speed"] if v is not None)
+        assert shapes[5]["temporal"]["first"]["temporal"]["matched"]
+        assert shapes[4]["duration_fires"] and shapes[5]["temporal"]
+        store = ResultStore(tmp_path / "cache")
+        cold, _stats = self.run(tmp_path, store)
+        warm, stats = self.run(tmp_path, store)
+        assert stats.total_op_invocations == 0
+        assert cold == uncached and warm == uncached
+        entries = sorted(store.root.iterdir())
+        assert len(entries) == len(self.QUERIES)
+        for entry in entries:
+            text = entry.read_text()
+            obj = json.loads(text)
+            assert text == json.dumps(obj, sort_keys=True,
+                                      separators=(",", ":"))
+
+    def test_indented_entry_is_still_a_hit(self, tmp_path):
+        uncached, _stats = self.run(tmp_path)
+        store = ResultStore(tmp_path / "cache")
+        self.run(tmp_path, store)
+        for entry in store.root.iterdir():  # the earlier `indent=2` form
+            outcome = QueryOutcome.from_json(json.loads(entry.read_text()))
+            entry.write_text(serialize_outcome(outcome))
+        served, stats = self.run(tmp_path, store)
+        assert stats.total_op_invocations == 0
+        assert served == uncached
+
+
+class TestTraceBatches:
+    @pytest.mark.parametrize("frame_count, frames", [
+        (5, [0, 3]),      # frame 7's record ends the read
+        (8, [0, 3, 7]),   # frame 7 is the last: nothing after it is read
+        (9, None),        # no record of frame 8: the bad line is read
+    ])
+    def test_reads_up_to_the_last_frame(self, tmp_path, frame_count, frames):
+        trace = tmp_path / "trace.jsonl"
+        lines = [json.dumps({"frame": f, "dets": []}) for f in (0, 3, 7)]
+        trace.write_text("\n".join(lines + ['{"frame": 12, "de']) + "\n")
+        batches = trace_batches(trace, meta_1000(frame_count), batch_size=2)
+        if frames is None:
+            with pytest.raises(TraceParseError):
+                list(batches)
+        else:
+            assert [r.frame_id for b in batches for r in b] == frames
 
 
 class TestSerialization:
