@@ -1,5 +1,6 @@
-"""Query planning: base DAG construction, predicate pull-up, operator fusion,
-inheritance-based alternatives, canary profiling, and plan selection."""
+"""Query planning: plan construction (each branch laid out with its
+detector gates, pulled-up filter and fused chain), inheritance-based
+alternatives, canary profiling, and plan selection."""
 
 from __future__ import annotations
 
@@ -133,9 +134,6 @@ class PlanDag:
             visit(op_id, ())
         return order
 
-    def consumers(self, op_id: str) -> list[str]:
-        return [o.op_id for o in self.ops.values() if op_id in o.inputs]
-
     def canonical(self) -> dict:
         return {
             "version": PLAN_VERSION,
@@ -193,7 +191,7 @@ class ProfileReport:
     breakdown: dict[str, float] = field(default_factory=dict)
 
 
-# --- base DAG construction --------------------------------------------------
+# --- plan construction ------------------------------------------------------
 
 def _ref_bindings(conj) -> set[str]:
     names = set()
@@ -244,27 +242,44 @@ def _interval_frames(frames: Optional[int], seconds: Optional[float],
     return max(1, round(seconds * meta.fps))
 
 
-def build_base_dag(
+def plan_query(
     vprog: ValidatedProgram,
     query_name: str,
     registry: Registry,
     config: PlannerConfig,
     meta: Optional[VideoMeta] = None,
     detector_overrides: Optional[dict[str, str]] = None,
-    require_tracker: bool = False,
-    _prefix: str = "",
 ) -> PlanDag:
     """One branch per bound VObj type, joined, then relation stages, then
-    higher-order evaluators and the output/aggregate stage."""
+    higher-order evaluators and the output/aggregate stage.
+
+    With `config.enable_pullup`, zero-error classifiers and auto frame
+    filters gate each detector, and each branch's filter runs right after
+    the last projector its predicate needs.  With `config.enable_fusion`,
+    each branch's projector/filter steps after the detector or tracker run
+    as one fused op.  Neither changes a result."""
+    return _build(vprog, query_name, registry, config, meta,
+                  detector_overrides or {}, require_tracker=False, prefix="")
+
+
+def _build(
+    vprog: ValidatedProgram,
+    query_name: str,
+    registry: Registry,
+    config: PlannerConfig,
+    meta: Optional[VideoMeta],
+    overrides: dict[str, str],
+    require_tracker: bool,
+    prefix: str,
+) -> PlanDag:
     fq = vprog.queries.get(query_name)
     if fq is None:
         raise PlanError(f"unknown query {query_name!r}")
-    overrides = detector_overrides or {}
 
     if fq.kind == "duration":
-        dag = build_base_dag(
+        dag = _build(
             vprog, fq.base, registry, config, meta, overrides,
-            require_tracker=True, _prefix=f"{fq.base}/",
+            require_tracker=True, prefix=f"{fq.base}/",
         )
         dag.query = query_name
         dur = dag.add(PlanOp(
@@ -281,10 +296,10 @@ def build_base_dag(
         return dag
 
     if fq.kind == "temporal":
-        d1 = build_base_dag(vprog, fq.first, registry, config, meta,
-                            overrides, _prefix=f"{fq.first}/")
-        d2 = build_base_dag(vprog, fq.then, registry, config, meta,
-                            overrides, _prefix=f"{fq.then}/")
+        d1 = _build(vprog, fq.first, registry, config, meta, overrides,
+                    require_tracker=False, prefix=f"{fq.first}/")
+        d2 = _build(vprog, fq.then, registry, config, meta, overrides,
+                    require_tracker=False, prefix=f"{fq.then}/")
         dag = PlanDag(query=query_name)
         for sub in (d1, d2):
             for op in sub.ops.values():
@@ -305,7 +320,6 @@ def build_base_dag(
 
     # basic or spatial
     dag = PlanDag(query=query_name)
-    p = _prefix
     reader_id = "reader"
     dag.add(PlanOp(op_id=reader_id, kind="reader"))
 
@@ -334,7 +348,7 @@ def build_base_dag(
                 f"{query_name}: scene constraints must be plain comparisons"
             )
         ff = dag.add(PlanOp(
-            op_id=f"{p}scene_filter:{i}",
+            op_id=f"{prefix}scene_filter:{i}",
             kind="frame_filter",
             params={
                 "channel": conj.ref.prop,
@@ -371,12 +385,11 @@ def build_base_dag(
             raise PlanError(f"{query_name}: detector {det_name!r} not registered")
 
         pred = conjoin(_prune_subsumed(binding_conjs[binding], binding, det_reg))
-        prop_names = {
-            r.prop for r in walk_refs(pred) if r.relation is None
-        }
-        prop_names.update(r.prop for r in out_refs_by_binding.get(binding, []))
-        prop_names.update(late_refs_by_binding.get(binding, set()))
-        needed = _needed_props(ftype, prop_names)
+        pred_props = {r.prop for r in walk_refs(pred) if r.relation is None}
+        needed = _needed_props(ftype, pred_props.union(
+            (r.prop for r in out_refs_by_binding.get(binding, [])),
+            late_refs_by_binding.get(binding, set()),
+        ))
 
         # tracker presence is structural, not an optimization: disabling
         # memoization at run time must not change the plan or its output
@@ -388,36 +401,58 @@ def build_base_dag(
             or _has_intrinsic(ftype, needed)
         )
 
+        det_id = f"{prefix}detector:{binding}"
+        prev = head
+        if config.enable_pullup:
+            for gate in _gates(registry, ftype, det_id):
+                gate.inputs = [prev]
+                prev = dag.add(gate).op_id
         prev = dag.add(PlanOp(
-            op_id=f"{p}detector:{binding}",
+            op_id=det_id,
             kind="detector",
             params={"detector": det_name, "vobj": vobj},
-            inputs=[head],
+            inputs=[prev],
         )).op_id
         if tracker_needed:
             prev = dag.add(PlanOp(
-                op_id=f"{p}tracker:{binding}",
+                op_id=f"{prefix}tracker:{binding}",
                 kind="tracker",
                 params={"vobj": vobj, "config": config.tracker.to_json()},
                 inputs=[prev],
             )).op_id
-        for prop in needed:
-            prev = dag.add(PlanOp(
-                op_id=f"{p}proj:{binding}.{prop}",
-                kind="projector",
-                params={"prop": prop},
-                inputs=[prev],
-            )).op_id
+
+        steps = [
+            PlanOp(op_id=f"{prefix}proj:{binding}.{prop}", kind="projector",
+                   params={"prop": prop})
+            for prop in needed
+        ]
         if pred is not None:
-            prev = dag.add(PlanOp(
-                op_id=f"{p}filter:{binding}",
+            at = len(steps)
+            if config.enable_pullup:  # right after the last projector it needs
+                closure = set(_needed_props(ftype, pred_props))
+                at = max((i + 1 for i, prop in enumerate(needed)
+                          if prop in closure), default=0)
+            steps.insert(at, PlanOp(
+                op_id=f"{prefix}filter:{binding}",
                 kind="vobj_filter",
                 params={
                     "vobj": vobj, "binding": binding,
                     "predicate": encode_expr(pred),
                 },
-                inputs=[prev],
+            ))
+        for step in steps:
+            step.inputs = [prev]
+            prev = step.op_id
+        if config.enable_fusion and len(steps) > 1:
+            prev = dag.add(PlanOp(
+                op_id=f"fused:{steps[0].op_id}",
+                kind="fused",
+                params={"steps": [s.to_json() for s in steps]},
+                inputs=list(steps[0].inputs),
             )).op_id
+        else:
+            for step in steps:
+                dag.add(step)
         branch_tails.append(prev)
 
     if not branch_tails:
@@ -425,7 +460,7 @@ def build_base_dag(
 
     if len(branch_tails) > 1:  # input i becomes part i, binding i's
         tail = dag.add(PlanOp(
-            op_id=f"{p}join",
+            op_id=f"{prefix}join",
             kind="join",
             inputs=branch_tails,
         )).op_id
@@ -443,13 +478,13 @@ def build_base_dag(
         }
         (b1, _t1), (b2, _t2) = vobj_bindings
         tail = dag.add(PlanOp(
-            op_id=f"{p}relproj:{fq.relation}",
+            op_id=f"{prefix}relproj:{fq.relation}",
             kind="relation_projector",
             params={"relation": fq.relation, "props": impls},
             inputs=[tail],
         )).op_id
         tail = dag.add(PlanOp(
-            op_id=f"{p}relfilter:{fq.relation}",
+            op_id=f"{prefix}relfilter:{fq.relation}",
             kind="relation_filter",
             params={
                 "relation": fq.relation,
@@ -461,7 +496,7 @@ def build_base_dag(
 
     part_bindings = [b for b, _t in vobj_bindings]
     out = dag.add(PlanOp(
-        op_id=f"{p}output:{query_name}",
+        op_id=f"{prefix}output:{query_name}",
         kind="output",
         params={
             "query": query_name,
@@ -478,7 +513,7 @@ def build_base_dag(
     if fq.video_output is not None or fq.video_pred is not None:
         kind, binding = fq.video_output or ("count_distinct", vobj_bindings[0][0])
         agg = dag.add(PlanOp(
-            op_id=f"{p}aggregate:{query_name}",
+            op_id=f"{prefix}aggregate:{query_name}",
             kind="aggregate",
             params={
                 "kind": kind,
@@ -508,176 +543,36 @@ def _prune_subsumed(conjs: list, binding: str, det_reg: Registration) -> list:
     return out
 
 
-# --- optimization passes ----------------------------------------------------
-
-def _branch_chain(dag: PlanDag, det_id: str) -> list[str]:
-    """Linear chain of single-consumer ops starting at a detector."""
-    chain = [det_id]
-    cur = det_id
-    while True:
-        consumers = dag.consumers(cur)
-        if len(consumers) != 1:
-            break
-        nxt = dag.ops[consumers[0]]
-        if nxt.kind not in ("tracker", "projector", "vobj_filter"):
-            break
-        chain.append(nxt.op_id)
-        cur = nxt.op_id
-    return chain
-
-
-def _filter_prop_closure(dag: PlanDag, vprog: ValidatedProgram,
-                         filter_op: PlanOp) -> set[str]:
-    pred = decode_expr(filter_op.params["predicate"])
-    ftype = vprog.types[filter_op.params["vobj"]]
-    names = {r.prop for r in walk_refs(pred) if r.relation is None}
-    return set(_needed_props(ftype, names))
-
-
-def pull_up_predicates(dag: PlanDag, vprog: ValidatedProgram,
-                       registry: Registry) -> PlanDag:
-    """Move filters to the earliest point where their inputs exist and gate
-    detectors with registered zero-error classifiers and frame filters.
-
-    Components with a nonzero error profile are not inserted here; they are
-    accuracy-affecting and belong to alternative enumeration.
-    """
-    for det_id in [i for i, o in dag.ops.items() if o.kind == "detector"]:
-        det = dag.ops[det_id]
-        vobj = det.params["vobj"]
-        ancestors = vprog.types[vobj].ancestors if vobj in vprog.types else [vobj]
-
-        # classifier / frame-filter gates ahead of the detector
-        gates: list[PlanOp] = []
-        for reg in registry.classifiers_for(ancestors):
-            if reg.error_profile is not None and not reg.error_profile.is_zero:
-                continue
-            gates.append(PlanOp(
-                op_id=f"classifier:{det_id}:{reg.name}",
-                kind="classifier",
-                params={"classifier": reg.name},
-            ))
-        for reg in registry.frame_filters_auto():
-            if reg.error_profile is not None and not reg.error_profile.is_zero:
-                continue
-            gates.append(PlanOp(
-                op_id=f"gate:{det_id}:{reg.name}",
-                kind="frame_filter",
-                params={
-                    "channel": reg.params.get("channel", "motion_score"),
-                    "mode": reg.params.get("mode", "threshold"),
-                    "op": reg.params.get("op", ">="),
-                    "threshold": reg.params.get("threshold", 0.0),
-                    "tolerance": reg.params.get("tolerance", 0.0),
-                    "window": reg.params.get("window", 1),
-                    "cost_units": reg.cost_units,
-                },
-            ))
-        head = det.inputs[0]
-        for gate in gates:
-            gate.inputs = [head]
-            dag.add(gate)
-            head = gate.op_id
-        det.inputs = [head]
-
-        # reposition the branch filter just after its last needed projector
-        chain = _branch_chain(dag, det_id)
-        filters = [i for i in chain if dag.ops[i].kind == "vobj_filter"]
-        if not filters:
+def _gates(registry: Registry, ftype: FlatVObjType, det_id: str) -> list[PlanOp]:
+    """Zero-error classifiers of the type's chain and auto frame filters, to
+    run ahead of the detector.  Components with a nonzero error profile are
+    left out: they affect accuracy and belong to alternative enumeration."""
+    gates: list[PlanOp] = []
+    for reg in registry.classifiers_for(ftype.ancestors):
+        if reg.error_profile is not None and not reg.error_profile.is_zero:
             continue
-        filter_id = filters[0]
-        closure = _filter_prop_closure(dag, vprog, dag.ops[filter_id])
-        body = [i for i in chain if i != filter_id]
-        insert_at = 0
-        for pos, op_id in enumerate(body):
-            op = dag.ops[op_id]
-            if op.kind in ("detector", "tracker"):
-                insert_at = pos + 1
-            elif op.kind == "projector" and op.params["prop"] in closure:
-                insert_at = pos + 1
-        new_chain = body[:insert_at] + [filter_id] + body[insert_at:]
-        _relink_chain(dag, chain, new_chain)
-    return dag
-
-
-def _relink_chain(dag: PlanDag, old_chain: list[str], new_chain: list[str]) -> None:
-    if old_chain == new_chain:
-        return
-    upstream = dag.ops[old_chain[0]].inputs[0]
-    old_tail = old_chain[-1]
-    prev = upstream
-    for op_id in new_chain:
-        dag.ops[op_id].inputs = [prev]
-        prev = op_id
-    new_tail = new_chain[-1]
-    if new_tail != old_tail:
-        for op in dag.ops.values():
-            if op.op_id not in new_chain and old_tail in op.inputs:
-                op.inputs = [
-                    new_tail if i == old_tail else i for i in op.inputs
-                ]
-
-
-def fuse_operators(dag: PlanDag) -> PlanDag:
-    """Merge maximal same-branch projector/filter chains into fused ops."""
-    fusable = {"projector", "vobj_filter"}
-    visited: set[str] = set()
-    for op_id in dag.topo_order():
-        op = dag.ops.get(op_id)
-        if op is None or op_id in visited or op.kind not in fusable:
+        gates.append(PlanOp(
+            op_id=f"classifier:{det_id}:{reg.name}",
+            kind="classifier",
+            params={"classifier": reg.name},
+        ))
+    for reg in registry.frame_filters_auto():
+        if reg.error_profile is not None and not reg.error_profile.is_zero:
             continue
-        chain = [op_id]
-        cur = op_id
-        while True:
-            consumers = dag.consumers(cur)
-            if len(consumers) != 1:
-                break
-            nxt = dag.ops[consumers[0]]
-            if nxt.kind not in fusable or len(nxt.inputs) != 1:
-                break
-            chain.append(nxt.op_id)
-            cur = nxt.op_id
-        visited.update(chain)
-        if len(chain) < 2:
-            continue
-        first, last = dag.ops[chain[0]], dag.ops[chain[-1]]
-        fused = PlanOp(
-            op_id=f"fused:{chain[0]}",
-            kind="fused",
-            params={"steps": [dag.ops[i].to_json() for i in chain]},
-            inputs=list(first.inputs),
-        )
-        for op in dag.ops.values():
-            if last.op_id in op.inputs:
-                op.inputs = [
-                    fused.op_id if i == last.op_id else i for i in op.inputs
-                ]
-        if dag.sink == last.op_id:
-            dag.sink = fused.op_id
-        for i in chain:
-            del dag.ops[i]
-        dag.add(fused)
-    dag.ops = {i: dag.ops[i] for i in dag.topo_order()}
-    return dag
-
-
-def plan_query(
-    vprog: ValidatedProgram,
-    query_name: str,
-    registry: Registry,
-    config: PlannerConfig,
-    meta: Optional[VideoMeta] = None,
-    detector_overrides: Optional[dict[str, str]] = None,
-) -> PlanDag:
-    """Base DAG plus the enabled result-preserving passes."""
-    dag = build_base_dag(
-        vprog, query_name, registry, config, meta, detector_overrides
-    )
-    if config.enable_pullup:
-        dag = pull_up_predicates(dag, vprog, registry)
-    if config.enable_fusion:
-        dag = fuse_operators(dag)
-    return dag
+        gates.append(PlanOp(
+            op_id=f"gate:{det_id}:{reg.name}",
+            kind="frame_filter",
+            params={
+                "channel": reg.params.get("channel", "motion_score"),
+                "mode": reg.params.get("mode", "threshold"),
+                "op": reg.params.get("op", ">="),
+                "threshold": reg.params.get("threshold", 0.0),
+                "tolerance": reg.params.get("tolerance", 0.0),
+                "window": reg.params.get("window", 1),
+                "cost_units": reg.cost_units,
+            },
+        ))
+    return gates
 
 
 def enumerate_alternatives(

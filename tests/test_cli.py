@@ -75,6 +75,33 @@ class TestExplain:
         assert "digraph plan {" in result.output
         assert "detector" in result.output
 
+    @staticmethod
+    def nodes(output: str) -> list[str]:
+        """The op ids of the DOT node lines, in the order printed."""
+        return [line.split('"')[1] for line in output.splitlines()
+                if "[label=" in line]
+
+    def test_flags_off_print_the_unoptimised_layout(self, runner, workspace):
+        manifest = workspace["dir"] / "registry.json"
+        manifest.write_text(json.dumps({"registrations": [
+            {"name": "has_car", "kind": "classifier", "vobj": "Car",
+             "target_class": "car"},
+        ]}))
+        base = ["explain", "-p", workspace["program"], "-q", "reds",
+                "--registry", str(manifest)]
+        plain = runner.invoke(main, base + ["--no-pullup", "--no-fusion"])
+        assert plain.exit_code == 0, plain.output
+        assert self.nodes(plain.output) == [
+            "reader", "detector:c", "tracker:c", "proj:c.color",
+            "proj:c.center", "proj:c.direction", "filter:c", "output:reds",
+        ]
+        optimised = runner.invoke(main, base)
+        assert optimised.exit_code == 0, optimised.output
+        assert self.nodes(optimised.output) == [
+            "reader", "classifier:detector:c:has_car", "detector:c",
+            "tracker:c", "fused:proj:c.color", "output:reds",
+        ]
+
     def test_unknown_query_exit_2(self, runner, workspace):
         result = runner.invoke(main, [
             "explain", "-p", workspace["program"], "-q", "nope",

@@ -1,4 +1,4 @@
-"""Plan construction, optimization passes, profiling math, and persistence."""
+"""Plan construction and branch layout, profiling math, and persistence."""
 
 import json
 
@@ -12,16 +12,13 @@ from vidquery.planner import (
     PlanOp,
     PlannerConfig,
     ProfileReport,
-    build_base_dag,
     decode_expr,
     encode_expr,
     enumerate_alternatives,
     explain_dot,
     f1_score,
-    fuse_operators,
     load_plan,
     plan_query,
-    pull_up_predicates,
     save_plan,
     select_plan,
 )
@@ -34,6 +31,11 @@ from conftest import (
     meta_1000,
     specialized_red_car,
 )
+
+
+# the layout the builder gives with no optimisation: detector, tracker,
+# projectors, filter
+PLAIN = PlannerConfig(enable_pullup=False, enable_fusion=False)
 
 
 def reds_program(extra=""):
@@ -76,8 +78,7 @@ class TestBaseDag:
           frame_constraint: c.direction == "right"
         }
         """)
-        dag = build_base_dag(vprog, "fast_reds", frozen_registry(),
-                             PlannerConfig())
+        dag = plan_query(vprog, "fast_reds", frozen_registry(), PLAIN)
         order = dag.topo_order()
         assert order == [
             "reader", "detector:c", "tracker:c", "proj:c.color",
@@ -97,7 +98,7 @@ class TestBaseDag:
           frame_constraint: c.kindof == "suv"
         }
         """)
-        dag = build_base_dag(vprog, "suvs", frozen_registry(), PlannerConfig())
+        dag = plan_query(vprog, "suvs", frozen_registry(), PLAIN)
         assert not any(o.kind == "tracker" for o in dag.ops.values())
 
     def test_scene_conjuncts_become_frame_filters(self):
@@ -108,8 +109,7 @@ class TestBaseDag:
           frame_constraint: s.motion_score > 0.5 & c.color == "red"
         }
         """)
-        dag = build_base_dag(vprog, "busy_reds", frozen_registry(),
-                             PlannerConfig())
+        dag = plan_query(vprog, "busy_reds", frozen_registry(), PLAIN)
         ff = dag.ops["scene_filter:0"]
         assert ff.kind == "frame_filter"
         assert ff.params["channel"] == "motion_score"
@@ -136,7 +136,7 @@ class TestBaseDag:
           predicate: Near(c, p).distance_px < 100
         }
         """)
-        dag = build_base_dag(vprog, "close", frozen_registry(), PlannerConfig())
+        dag = plan_query(vprog, "close", frozen_registry(), PLAIN)
         join = dag.ops["join"]
         # input i of the join is part i: the binding order of the output
         assert join.inputs == ["filter:c", "filter:p"]
@@ -156,8 +156,7 @@ class TestBaseDag:
           video_output: count_distinct(c)
         }
         """)
-        dag = build_base_dag(vprog, "red_count", frozen_registry(),
-                             PlannerConfig())
+        dag = plan_query(vprog, "red_count", frozen_registry(), PLAIN)
         assert dag.sink == "aggregate:red_count"
         assert dag.ops[dag.sink].params["kind"] == "count_distinct"
         assert dag.ops[dag.sink].params["part"] == 0
@@ -172,7 +171,7 @@ class TestBaseDag:
           frame_constraint: c.kindof == "suv" }
         duration query held { base: suvs min_frames: 5 gap_tolerance: 1 }
         """)
-        dag = build_base_dag(vprog, "held", frozen_registry(), PlannerConfig())
+        dag = plan_query(vprog, "held", frozen_registry(), PLAIN)
         assert dag.sink == "duration:held"
         assert dag.ops[dag.sink].params == {"min_frames": 5, "gap_tolerance": 1}
         assert dag.ops[dag.sink].inputs == ["suvs/output:suvs"]
@@ -183,9 +182,9 @@ class TestBaseDag:
         duration query held { base: reds min_seconds: 1.5 }
         """)
         with pytest.raises(PlanError):
-            build_base_dag(vprog, "held", frozen_registry(), PlannerConfig())
-        dag = build_base_dag(vprog, "held", frozen_registry(), PlannerConfig(),
-                             meta=meta_1000(100, fps=10))
+            plan_query(vprog, "held", frozen_registry(), PLAIN)
+        dag = plan_query(vprog, "held", frozen_registry(), PLAIN,
+                         meta=meta_1000(100, fps=10))
         assert dag.ops["duration:held"].params["min_frames"] == 15
 
     def test_temporal_merges_prefixed_subplans(self):
@@ -200,7 +199,7 @@ class TestBaseDag:
           max_interval_frames: 30
         }
         """)
-        dag = build_base_dag(vprog, "seq", frozen_registry(), PlannerConfig())
+        dag = plan_query(vprog, "seq", frozen_registry(), PLAIN)
         top = dag.ops["temporal:seq"]
         assert top.inputs == ["reds/output:reds", "blues/output:blues"]
         assert top.params["max_interval"] == 30
@@ -216,19 +215,17 @@ class TestBaseDag:
           frame_constraint: c.kindof == "x" }
         """)
         with pytest.raises(PlanError) as exc:
-            build_base_dag(vprog, "q", frozen_registry(), PlannerConfig())
+            plan_query(vprog, "q", frozen_registry(), PLAIN)
         assert "cnn_v9" in str(exc.value)
 
     def test_plan_id_stable_and_content_sensitive(self):
         vprog = reds_program()
-        cfg = PlannerConfig()
-        d1 = build_base_dag(vprog, "reds", frozen_registry(), cfg)
-        d2 = build_base_dag(vprog, "reds", frozen_registry(), cfg)
+        d1 = plan_query(vprog, "reds", frozen_registry(), PlannerConfig())
+        d2 = plan_query(vprog, "reds", frozen_registry(), PlannerConfig())
         assert d1.plan_id == d2.plan_id
-        fused = fuse_operators(
-            build_base_dag(vprog, "reds", frozen_registry(), cfg)
-        )
-        assert fused.plan_id != d1.plan_id
+        unfused = plan_query(vprog, "reds", frozen_registry(),
+                             PlannerConfig(enable_fusion=False))
+        assert unfused.plan_id != d1.plan_id
 
 
 class TestPullUp:
@@ -244,15 +241,54 @@ class TestPullUp:
         )
         vprog = reds_program()
         registry = frozen_registry([gate, flaky])
-        dag = pull_up_predicates(
-            build_base_dag(vprog, "reds", registry, PlannerConfig()),
-            vprog, registry,
-        )
+        dag = plan_query(vprog, "reds", registry,
+                         PlannerConfig(enable_fusion=False))
         gate_id = "classifier:detector:c:has_car"
         assert dag.ops[gate_id].inputs == ["reader"]
         assert dag.ops["detector:c"].inputs == [gate_id]
         # errorful gate stays out: inserting it would change results
         assert not any("flaky_gate" in i for i in dag.ops)
+
+    def test_each_branch_gated_from_the_same_head(self):
+        gate = Registration(
+            name="has_car", kind="classifier", cost_units=1.0,
+            params={"vobj": "Car", "target_class": "car"},
+        )
+        motion = Registration(
+            name="moving", kind="frame_filter", cost_units=0.5,
+            params={"auto": True, "channel": "motion_score", "op": ">=",
+                    "threshold": 0.2},
+        )
+        vprog = make_program(CAR_PROGRAM + """
+        query pair {
+          bind s: Scene
+          bind a: Car
+          bind b: Car
+          frame_constraint: s.motion_score > 0.1 & a.color == "red"
+                            & b.color == "blue"
+        }
+        """)
+        dag = plan_query(vprog, "pair", frozen_registry([gate, motion]),
+                         PlannerConfig())
+        for b in ("a", "b"):
+            cls, ff = f"classifier:detector:{b}:has_car", f"gate:detector:{b}:moving"
+            assert dag.ops[cls].inputs == ["scene_filter:0"]
+            assert dag.ops[ff].inputs == [cls]
+            assert dag.ops[ff].params["cost_units"] == 0.5
+            assert dag.ops[f"detector:{b}"].inputs == [ff]
+        assert dag.ops["join"].inputs == [
+            "fused:proj:a.color", "fused:proj:b.color",
+        ]
+
+    def test_no_gates_without_pullup(self):
+        gate = Registration(
+            name="has_car", kind="classifier", cost_units=1.0,
+            params={"vobj": "Car", "target_class": "car"},
+        )
+        dag = plan_query(reds_program(), "reds", frozen_registry([gate]),
+                         PLAIN)
+        assert dag.ops["detector:c"].inputs == ["reader"]
+        assert not any(o.kind == "classifier" for o in dag.ops.values())
 
     def test_filter_moves_above_unneeded_projectors(self):
         vprog = make_program(CAR_PROGRAM + """
@@ -263,10 +299,8 @@ class TestPullUp:
         }
         """)
         registry = frozen_registry()
-        dag = pull_up_predicates(
-            build_base_dag(vprog, "reds", registry, PlannerConfig()),
-            vprog, registry,
-        )
+        dag = plan_query(vprog, "reds", registry,
+                         PlannerConfig(enable_fusion=False))
         order = dag.topo_order()
         assert order.index("filter:c") == order.index("proj:c.color") + 1
         assert order.index("filter:c") < order.index("proj:c.center")
@@ -278,10 +312,8 @@ class TestPullUp:
         }
         """)
         registry = frozen_registry()
-        dag = pull_up_predicates(
-            build_base_dag(vprog, "movers", registry, PlannerConfig()),
-            vprog, registry,
-        )
+        dag = plan_query(vprog, "movers", registry,
+                         PlannerConfig(enable_fusion=False))
         order = dag.topo_order()
         assert order.index("filter:c") > order.index("proj:c.direction")
 
@@ -289,9 +321,8 @@ class TestPullUp:
 class TestFusion:
     def test_chain_fused_and_relinked(self):
         vprog = reds_program()
-        dag = fuse_operators(
-            build_base_dag(vprog, "reds", frozen_registry(), PlannerConfig())
-        )
+        dag = plan_query(vprog, "reds", frozen_registry(),
+                         PlannerConfig(enable_pullup=False))
         fused = [o for o in dag.ops.values() if o.kind == "fused"]
         assert len(fused) == 1
         steps = [s["op_id"] for s in fused[0].params["steps"]]
@@ -301,34 +332,39 @@ class TestFusion:
         assert all(s not in dag.ops for s in steps)
 
     def test_single_op_chain_untouched(self):
-        vprog = make_program("""
-        vobj Car {
-          detector: "general_car"
-          property kindof: stateless(impl="attr:kind")
+        # red_car guarantees the colour, so the branch keeps one projector
+        vprog = reds_program("""
+        query red_centers extends reds {
+          frame_output: c.center
         }
-        query q { bind c: Car
-          frame_constraint: c.kindof == "x" }
         """)
-        dag = fuse_operators(
-            build_base_dag(vprog, "q", frozen_registry(), PlannerConfig())
-        )
-        # projector feeds the filter: exactly one fusable chain of length 2
-        kinds = {o.kind for o in dag.ops.values()}
-        assert "fused" in kinds or (
-            "projector" in kinds and "vobj_filter" in kinds
-        )
+        dag = plan_query(vprog, "red_centers",
+                         frozen_registry([specialized_red_car()]),
+                         PlannerConfig(), detector_overrides={"c": "red_car"})
+        assert dag.topo_order() == [
+            "reader", "detector:c", "proj:c.center", "output:red_centers",
+        ]
 
-    def test_branch_points_block_fusion(self):
-        dag = PlanDag(query="q")
-        dag.add(PlanOp(op_id="reader", kind="reader"))
-        dag.add(PlanOp(op_id="p1", kind="projector",
-                       params={"prop": "a"}, inputs=["reader"]))
-        dag.add(PlanOp(op_id="p2", kind="projector",
-                       params={"prop": "b"}, inputs=["p1"]))
-        dag.add(PlanOp(op_id="tap", kind="output", params={}, inputs=["p1"]))
-        dag.sink = "tap"
-        fused = fuse_operators(dag)
-        assert "p1" in fused.ops and "p2" in fused.ops  # p1 has two consumers
+    def test_filter_placed_inside_the_fused_chain(self):
+        vprog = make_program(CAR_PROGRAM + """
+        query reds {
+          bind c: Car
+          frame_constraint: c.color == "red"
+          frame_output: c.direction
+        }
+        """)
+        dag = plan_query(vprog, "reds", frozen_registry(), PlannerConfig())
+        fused = dag.ops["fused:proj:c.color"]
+        steps = fused.params["steps"]
+        assert [s["op_id"] for s in steps] == [
+            "proj:c.color", "filter:c", "proj:c.center", "proj:c.direction",
+        ]
+        # each step reads the one before it, the first the tracker
+        assert [s["inputs"] for s in steps] == [
+            ["tracker:c"], ["proj:c.color"], ["filter:c"], ["proj:c.center"],
+        ]
+        assert fused.inputs == ["tracker:c"]
+        assert dag.ops["output:reds"].inputs == ["fused:proj:c.color"]
 
 
 class TestAlternatives:
