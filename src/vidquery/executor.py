@@ -258,13 +258,6 @@ class PropertyEngine:
         raise InternalError(f"not a predicate: {expr!r}")
 
 
-@dataclass
-class RunContext:
-    engine: PropertyEngine
-    stats: ExecStats
-    meta: Optional[VideoMeta]
-
-
 # --- sink-side runtime operators -------------------------------------------
 
 class OutputOp(RuntimeOp):
@@ -283,7 +276,7 @@ class OutputOp(RuntimeOp):
         self.rows: list[dict] = []
         self.track_sat: dict[str, dict[Track, set[int]]] = {}
 
-    def process(self, ctx, inputs: list[Batch]) -> Batch:
+    def process(self, engine, inputs: list[Batch]) -> Batch:
         for fs in inputs[0]:
             parts = dict(zip(self.bindings, fs.graph.parts))
             ok = all(parts.values())
@@ -310,7 +303,7 @@ class OutputOp(RuntimeOp):
             for ref in self.frame_output:
                 b, prop = ref["binding"], ref["prop"]
                 outputs[f"{b}.{prop}"] = [
-                    _jsonable(ctx.engine.get(n, prop)) for n in parts[b]
+                    _jsonable(engine.get(n, prop)) for n in parts[b]
                 ]
             if outputs:
                 row["outputs"] = outputs
@@ -332,12 +325,12 @@ class AggregateOp(RuntimeOp):
         self.predicate = params.get("predicate")
         self.per_track: dict[int, list] = {}
 
-    def process(self, ctx, inputs: list[Batch]) -> Batch:
+    def process(self, engine, inputs: list[Batch]) -> Batch:
         for fs in inputs[0]:
             for node in fs.graph.parts[self.part]:
                 if node.track_id is None:
                     continue
-                verdict = ctx.engine.verdict(
+                verdict = engine.verdict(
                     self.predicate, {self.binding: node}
                 )
                 self.per_track.setdefault(node.track_id, []).append(verdict)
@@ -353,10 +346,10 @@ class FusedOp(RuntimeOp):
         super().__init__(op_id, params)
         self.steps = steps
 
-    def process(self, ctx, inputs: list[Batch]) -> Batch:
+    def process(self, engine, inputs: list[Batch]) -> Batch:
         batch = inputs[0]
         for step in self.steps:
-            batch = step.process(ctx, [batch])
+            batch = step.process(engine, [batch])
         return batch
 
 
@@ -590,7 +583,6 @@ class Session:
         self._dags: list[PlanDag] = []  # the pass in progress (`start`)
         self._schedule: dict = {}
         self._plan_ops: list = []
-        self._ctx: Optional[RunContext] = None
 
     def _compile(self, dags: list[PlanDag]):
         """The pass's schedule, signature -> (runtime op, input signatures):
@@ -648,7 +640,6 @@ class Session:
         )
         self._dags = dags
         self._schedule, self._plan_ops = self._compile(dags)
-        self._ctx = RunContext(self.engine, self.stats, self.meta)
 
     def feed(self, records: list[TraceRecord]) -> None:
         """Run every scheduled operator once over one batch of records."""
@@ -659,7 +650,7 @@ class Session:
                 out[sig] = base
                 continue
             self.stats.count_op(rt.op_id)
-            out[sig] = rt.process(self._ctx, [out[s] for s in input_sigs])
+            out[sig] = rt.process(self.engine, [out[s] for s in input_sigs])
 
     def finish(self) -> list[QueryOutcome]:
         """The outcome of each started plan, in order; ends the pass and
@@ -667,7 +658,6 @@ class Session:
         outcomes = []
         for dag, ops in zip(self._dags, self._plan_ops):
             outcome = self._finalize(dag, ops, dag.sink)
-            outcome.query = dag.query
             outcome.plan_id = dag.plan_id
             outcomes.append(outcome)
         self._dags, self._schedule, self._plan_ops = [], {}, []
@@ -746,6 +736,7 @@ class Session:
                 min_frames=pop.params["min_frames"],
                 gap_tolerance=pop.params.get("gap_tolerance", 0),
             )
+            base.query = pop.params["query"]
             base.duration_fires = [list(p) for p in sorted(fires)]
             fire_frames = sorted({f for _t, f in fires})
             base.satisfied = fire_frames
@@ -758,7 +749,7 @@ class Session:
                 first.satisfied, then.satisfied, pop.params["max_interval"]
             )
             return QueryOutcome(
-                query=dag.query,
+                query=pop.params["query"],
                 satisfied=sorted({s for _e, s in witnesses}),
                 rows=[],
                 temporal={

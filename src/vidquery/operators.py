@@ -57,7 +57,9 @@ class RuntimeOp:
         self.op_id = op_id
         self.params = params
 
-    def process(self, ctx, inputs: list[Batch]) -> Batch:
+    def process(self, engine, inputs: list[Batch]) -> Batch:
+        """One batch per input in, one batch out.  `engine` is the pass's
+        `PropertyEngine`; an operator counts work in `engine.stats`."""
         raise NotImplementedError
 
 
@@ -103,7 +105,7 @@ class FrameFilterOp(RuntimeOp):
             return all(abs(value - prev) > tolerance for prev in self._history)
         raise ConfigurationError(f"unknown frame-filter mode {self.mode!r}")
 
-    def process(self, ctx, inputs: list[Batch]) -> Batch:
+    def process(self, engine, inputs: list[Batch]) -> Batch:
         out = []
         for fs in inputs[0]:
             if self.channel not in fs.record.channels:
@@ -114,7 +116,7 @@ class FrameFilterOp(RuntimeOp):
             value = fs.record.channels[self.channel]
             keep = self._keep(value)
             self._history.append(value)
-            ctx.stats.add_cost(self.params.get("cost_units", 0.1))
+            engine.stats.add_cost(self.params.get("cost_units", 0.1))
             if keep:
                 out.append(fs)
         return out
@@ -129,10 +131,10 @@ class ClassifierOp(RuntimeOp):
         super().__init__(op_id, params)
         self.reg = reg
 
-    def process(self, ctx, inputs: list[Batch]) -> Batch:
+    def process(self, engine, inputs: list[Batch]) -> Batch:
         out = []
         for fs in inputs[0]:
-            ctx.stats.count_component(self.reg.name, self.reg.cost_units)
+            engine.stats.count_component(self.reg.name, self.reg.cost_units)
             if classify_frame(self.reg, fs.record):
                 out.append(fs)
         return out
@@ -149,10 +151,10 @@ class DetectorOp(RuntimeOp):
         self.reg = reg
         self.vobj = params["vobj"]
 
-    def process(self, ctx, inputs: list[Batch]) -> Batch:
+    def process(self, engine, inputs: list[Batch]) -> Batch:
         out = []
         for fs in inputs[0]:
-            ctx.stats.count_component(self.reg.name, self.reg.cost_units)
+            engine.stats.count_component(self.reg.name, self.reg.cost_units)
             part = [
                 VObjInstance(
                     node_id=(fs.frame_id, idx),
@@ -181,7 +183,7 @@ class TrackerOp(RuntimeOp):
             else TrackerConfig()
         self.tracker = SortTracker(config)
 
-    def process(self, ctx, inputs: list[Batch]) -> Batch:
+    def process(self, engine, inputs: list[Batch]) -> Batch:
         out = []
         for fs in inputs[0]:
             # copy nodes so sibling consumers of the upstream batch never see
@@ -195,7 +197,7 @@ class TrackerOp(RuntimeOp):
             for node_id, track_id in result.assignments:
                 node = by_id[node_id]
                 node.track_id = track_id
-                node.track = ctx.engine.track(self, self.vobj, track_id)
+                node.track = engine.track(self, self.vobj, track_id)
                 node.track.frames.add(fs.frame_id)
             out.append(FrameState(fs.frame_id, fs.record, FrameGraph([nodes])))
         return out
@@ -215,11 +217,11 @@ class ProjectorOp(RuntimeOp):
         super().__init__(op_id, params)
         self.prop = params["prop"]
 
-    def process(self, ctx, inputs: list[Batch]) -> Batch:
+    def process(self, engine, inputs: list[Batch]) -> Batch:
         for fs in inputs[0]:
             (part,) = fs.graph.parts
             for node in part:
-                ctx.engine.project(node, self.prop)
+                engine.project(node, self.prop)
         return inputs[0]
 
 
@@ -234,13 +236,13 @@ class VObjFilterOp(RuntimeOp):
         self.binding = params["binding"]
         self.predicate = params["predicate"]  # planner-encoded expression
 
-    def process(self, ctx, inputs: list[Batch]) -> Batch:
+    def process(self, engine, inputs: list[Batch]) -> Batch:
         out = []
         for fs in inputs[0]:
             (part,) = fs.graph.parts
             kept = [
                 node for node in part
-                if ctx.engine.verdict(self.predicate,
+                if engine.verdict(self.predicate,
                                       {self.binding: node}) is True
             ]
             if len(kept) == len(part):
@@ -257,7 +259,7 @@ class JoinOp(RuntimeOp):
 
     kind = "join"
 
-    def process(self, ctx, inputs: list[Batch]) -> Batch:
+    def process(self, engine, inputs: list[Batch]) -> Batch:
         by_frame = [{fs.frame_id: fs for fs in b} for b in inputs]
         common = set(by_frame[0])
         for m in by_frame[1:]:
@@ -283,7 +285,7 @@ class RelationProjectorOp(RuntimeOp):
         self.relation = params["relation"]
         self.props = params["props"]  # {prop_name: impl_name}
 
-    def process(self, ctx, inputs: list[Batch]) -> Batch:
+    def process(self, engine, inputs: list[Batch]) -> Batch:
         out = []
         for fs in inputs[0]:
             edges = list(fs.graph.edges)
@@ -293,8 +295,8 @@ class RelationProjectorOp(RuntimeOp):
                         continue
                     properties = {}
                     for prop, impl in sorted(self.props.items()):
-                        properties[prop] = relation_value(impl, a, b, ctx.meta)
-                        ctx.stats.count_property(
+                        properties[prop] = relation_value(impl, a, b, engine.meta)
+                        engine.stats.count_property(
                             f"{self.relation}.{prop}", 0.1
                         )
                     edges.append(Edge(self.relation, a, b, properties))
@@ -314,7 +316,7 @@ class RelationFilterOp(RuntimeOp):
         self.predicate = params["predicate"]
         self.args = params.get("args")
 
-    def process(self, ctx, inputs: list[Batch]) -> Batch:
+    def process(self, engine, inputs: list[Batch]) -> Batch:
         out = []
         for fs in inputs[0]:
             kept = []
@@ -322,7 +324,7 @@ class RelationFilterOp(RuntimeOp):
                 if edge.relation == self.relation:
                     env = {self.args[0]: edge.a, self.args[1]: edge.b} \
                         if self.args else {}
-                    if ctx.engine.verdict(self.predicate, env, edge) is not True:
+                    if engine.verdict(self.predicate, env, edge) is not True:
                         continue
                 kept.append(edge)
             out.append(FrameState(fs.frame_id, fs.record,

@@ -16,7 +16,7 @@ from .registry import Registration, Registry, RegistryError
 from .trace_io import VideoMeta
 from .tracker import TrackerConfig
 
-PLAN_VERSION = 3
+PLAN_VERSION = 4
 
 
 class PlanError(Exception):
@@ -279,13 +279,14 @@ def _build(
     if fq.kind == "duration":
         dag = _build(
             vprog, fq.base, registry, config, meta, overrides,
-            require_tracker=True, prefix=f"{fq.base}/",
+            require_tracker=True, prefix=f"{prefix}{fq.base}/",
         )
         dag.query = query_name
         dur = dag.add(PlanOp(
-            op_id=f"duration:{query_name}",
+            op_id=f"{prefix}duration:{query_name}",
             kind="duration",
             params={
+                "query": query_name,
                 "min_frames": _interval_frames(
                     fq.min_frames, fq.min_seconds, meta, query_name),
                 "gap_tolerance": fq.gap_tolerance,
@@ -296,19 +297,22 @@ def _build(
         return dag
 
     if fq.kind == "temporal":
+        # each sub-plan's ids sit under its own path of query names, so two
+        # ops of one id are the same op
         d1 = _build(vprog, fq.first, registry, config, meta, overrides,
-                    require_tracker=False, prefix=f"{fq.first}/")
+                    require_tracker=False, prefix=f"{prefix}{fq.first}/")
         d2 = _build(vprog, fq.then, registry, config, meta, overrides,
-                    require_tracker=False, prefix=f"{fq.then}/")
+                    require_tracker=False, prefix=f"{prefix}{fq.then}/")
         dag = PlanDag(query=query_name)
         for sub in (d1, d2):
             for op in sub.ops.values():
                 if op.op_id not in dag.ops:
                     dag.add(op)
         tmp = dag.add(PlanOp(
-            op_id=f"temporal:{query_name}",
+            op_id=f"{prefix}temporal:{query_name}",
             kind="temporal",
             params={
+                "query": query_name,
                 "max_interval": _interval_frames(
                     fq.max_interval_frames, fq.max_interval_seconds, meta,
                     query_name),

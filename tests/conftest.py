@@ -65,6 +65,22 @@ vobj Car {
 """
 
 
+# `t` holds `suvs` twice: once bare, once as the tracked base of `held`
+SUV_PROGRAM = """
+vobj Car {
+  detector: "general_car"
+  property kindof: stateless(impl="attr:kind")
+}
+query suvs {
+  bind c: Car
+  frame_constraint: c.kindof == "suv"
+}
+duration query held { base: suvs min_frames: 3 }
+temporal query t { first: suvs then: held max_interval_frames: 30 }
+temporal query tt { first: t then: suvs max_interval_frames: 30 }
+"""
+
+
 def meta_1000(frames: int, fps: float = 10.0, px_per_m: float = 10.0) -> VideoMeta:
     return VideoMeta(
         fps=fps, width=1000, height=1000, frame_count=frames, px_per_m=px_per_m

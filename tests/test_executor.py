@@ -27,6 +27,7 @@ from vidquery.trace_io import TraceParseError
 
 from conftest import (
     CAR_PROGRAM,
+    SUV_PROGRAM,
     car,
     frozen_registry,
     make_program,
@@ -450,6 +451,37 @@ class TestCompactEntries:
         served, stats = self.run(tmp_path, store)
         assert stats.total_op_invocations == 0
         assert served == uncached
+
+
+class TestNestedQueries:
+    """A query inside a higher-order one answers as it does alone, under its
+    own name."""
+
+    def run(self, tmp_path, query):
+        meta = meta_1000(20)
+        world = WorldSpec(meta=meta, seed=3, objects=[ObjectScript(
+            label=1, class_name="car", start_frame=0, end_frame=19,
+            start_center=(200.0, 300.0), velocity=(2.0, 0.0),
+            attrs={"kind": "suv"},
+        )])
+        paths = write_world(world, tmp_path / query)
+        vprog = make_program(SUV_PROGRAM)
+        outcome, _stats, _dag = run_single(vprog, query, paths["trace"], meta)
+        return outcome.to_json()
+
+    def test_then_part_equals_its_query_alone(self, tmp_path):
+        held = self.run(tmp_path, "held")
+        assert held["satisfied"] == list(range(2, 20))
+        t = self.run(tmp_path, "t")
+        assert t["temporal"]["then"] == held
+
+    def test_each_outcome_names_its_own_query(self, tmp_path):
+        tt = self.run(tmp_path, "tt")
+        first = tt["temporal"]["first"]
+        assert [tt["query"], first["query"], tt["temporal"]["then"]["query"]] \
+            == ["tt", "t", "suvs"]
+        assert first["temporal"]["first"]["query"] == "suvs"
+        assert first["temporal"]["then"]["query"] == "held"
 
 
 class TestTraceBatches:

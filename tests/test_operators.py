@@ -28,6 +28,10 @@ from vidquery.trace_io import Detection, TraceRecord
 
 @dataclass
 class FakeEngine:
+    """What operators read of a `PropertyEngine`."""
+
+    stats: ExecStats = field(default_factory=ExecStats)
+    meta: Optional[Any] = None
     tracks: dict = field(default_factory=dict)
     keep: Any = None  # predicate on node, used by verdict
     keep_edge: Any = None
@@ -42,13 +46,6 @@ class FakeEngine:
             return self.keep_edge(edge)
         (node,) = env.values()
         return self.keep(node)
-
-
-@dataclass
-class FakeCtx:
-    stats: ExecStats = field(default_factory=ExecStats)
-    engine: FakeEngine = field(default_factory=FakeEngine)
-    meta: Optional[Any] = None
 
 
 def record(frame, boxes=(), channels=None, cls="car", **attrs):
@@ -83,7 +80,7 @@ class TestFrameFilterOp:
             FrameState.fresh(record(1, channels={"m": 0.5})),
             FrameState.fresh(record(2, channels={"m": 0.1})),
         ]
-        out = op.process(FakeCtx(), [batch])
+        out = op.process(FakeEngine(), [batch])
         assert [fs.frame_id for fs in out] == [0]
 
     def test_similar_to_prev_drops_near_duplicates(self):
@@ -92,18 +89,18 @@ class TestFrameFilterOp:
         values = [0.5, 0.55, 0.9, 0.91]
         batch = [FrameState.fresh(record(i, channels={"m": v}))
                  for i, v in enumerate(values)]
-        out = op.process(FakeCtx(), [batch])
+        out = op.process(FakeEngine(), [batch])
         assert [fs.frame_id for fs in out] == [0, 2]
 
     def test_missing_channel(self):
         op = FrameFilterOp("f", {"channel": "m"})
         with pytest.raises(ConfigurationError):
-            op.process(FakeCtx(), [[FrameState.fresh(record(0))]])
+            op.process(FakeEngine(), [[FrameState.fresh(record(0))]])
 
     def test_unknown_mode(self):
         op = FrameFilterOp("f", {"channel": "m", "mode": "wavelet"})
         with pytest.raises(ConfigurationError):
-            op.process(FakeCtx(), [[FrameState.fresh(
+            op.process(FakeEngine(), [[FrameState.fresh(
                 record(0, channels={"m": 1.0})
             )]])
 
@@ -113,34 +110,34 @@ class TestDetectorOp:
         reg = Registration(name="general_car", kind="detector", cost_units=100,
                            params={"classes": ["car"]})
         op = DetectorOp("d", {"vobj": "Car"}, reg)
-        ctx = FakeCtx()
-        out = op.process(ctx, [[FrameState.fresh(
+        engine = FakeEngine()
+        out = op.process(engine, [[FrameState.fresh(
             record(3, [(0.0, 0.0, 10.0, 10.0), (20.0, 0.0, 30.0, 10.0)])
         )]])
         (part,) = out[0].graph.parts
         assert [n.node_id for n in part] == [(3, 0), (3, 1)]
         assert part[0].class_name == "Car"
-        assert ctx.stats.component_calls["general_car"] == 1
-        assert ctx.stats.component_costs["general_car"] == 100.0
+        assert engine.stats.component_calls["general_car"] == 1
+        assert engine.stats.component_costs["general_car"] == 100.0
 
     def test_counts_even_when_frame_empty(self):
         reg = Registration(name="general_car", kind="detector", cost_units=100,
                            params={"classes": ["car"]})
         op = DetectorOp("d", {"vobj": "Car"}, reg)
-        ctx = FakeCtx()
-        op.process(ctx, [[FrameState.fresh(record(0))]])
-        assert ctx.stats.component_calls["general_car"] == 1
+        engine = FakeEngine()
+        op.process(engine, [[FrameState.fresh(record(0))]])
+        assert engine.stats.component_calls["general_car"] == 1
 
 
 class TestTrackerOp:
     def test_ids_and_motion_edges(self):
         op = TrackerOp("t", {"vobj": "Car"})
-        ctx = FakeCtx()
+        engine = FakeEngine()
         batch = [
             state_with_nodes(0, node((0, 0))),
             state_with_nodes(1, node((1, 0), bbox=(2.0, 0.0, 12.0, 10.0))),
         ]
-        out = op.process(ctx, [batch])
+        out = op.process(engine, [batch])
         ((n0,),), ((n1,),) = out[0].graph.parts, out[1].graph.parts
         t0, t1 = n0.track_id, n1.track_id
         assert t0 == t1 and t0 is not None
@@ -151,12 +148,12 @@ class TestTrackerOp:
         assert n1.track is track
         assert (track.track_id, track.class_name) == (t0, "Car")
         assert track.frames == {0, 1}
-        assert list(ctx.engine.tracks) == [(op, t0)]
+        assert list(engine.tracks) == [(op, t0)]
 
     def test_input_nodes_not_mutated(self):
         op = TrackerOp("t", {"vobj": "Car"})
         fs = state_with_nodes(0, node((0, 0)))
-        out = op.process(FakeCtx(), [[fs]])
+        out = op.process(FakeEngine(), [[fs]])
         assert fs.graph.nodes[0].track_id is None
         assert out[0].graph.nodes[0].track_id is not None
 
@@ -165,19 +162,19 @@ class TestVObjFilterOp:
     def test_removes_failing_nodes_copy_on_write(self):
         op = VObjFilterOp("v", {"vobj": "Car", "binding": "c",
                                 "predicate": {}})
-        ctx = FakeCtx()
-        ctx.engine.keep = lambda n: n.node_id == (0, 0)
+        engine = FakeEngine()
+        engine.keep = lambda n: n.node_id == (0, 0)
         fs = state_with_nodes(0, node((0, 0)), node((0, 1)))
-        out = op.process(ctx, [[fs]])
+        out = op.process(engine, [[fs]])
         assert [n.node_id for n in out[0].graph.nodes] == [(0, 0)]
         assert [n.node_id for n in fs.graph.nodes] == [(0, 0), (0, 1)]
 
     def test_empty_frames_retained(self):
         op = VObjFilterOp("v", {"vobj": "Car", "binding": "c",
                                 "predicate": {}})
-        ctx = FakeCtx()
-        ctx.engine.keep = lambda n: False
-        out = op.process(ctx, [[state_with_nodes(0, node((0, 0)))]])
+        engine = FakeEngine()
+        engine.keep = lambda n: False
+        out = op.process(engine, [[state_with_nodes(0, node((0, 0)))]])
         assert len(out) == 1 and out[0].graph.parts == [[]]
 
 
@@ -194,7 +191,7 @@ class TestJoinOp:
             state_with_nodes(2, node((2, 1), cls="Person")),
             state_with_nodes(3, node((3, 1), cls="Person")),
         ]
-        out = op.process(FakeCtx(), [cars, people])
+        out = op.process(FakeEngine(), [cars, people])
         assert [fs.frame_id for fs in out] == [1]
         assert [[n.node_id for n in part] for part in out[0].graph.parts] == \
             [[(1, 0)], [(1, 1)]]
@@ -203,9 +200,9 @@ class TestJoinOp:
         red, blue = node((0, 0)), node((0, 1))
         reds = [state_with_nodes(0, red)]
         blues = [state_with_nodes(0, blue)]
-        out = JoinOp("j", {}).process(FakeCtx(), [reds, blues])
+        out = JoinOp("j", {}).process(FakeEngine(), [reds, blues])
         assert out[0].graph.parts == [[red], [blue]]
-        out = JoinOp("j", {}).process(FakeCtx(), [blues, reds])
+        out = JoinOp("j", {}).process(FakeEngine(), [blues, reds])
         assert out[0].graph.parts == [[blue], [red]]
 
 
@@ -221,7 +218,7 @@ class TestRelationOps:
             "relation": "Near", "props": {"distance_px": "distance_px"},
         })
         fs = self.pair()
-        out = op.process(FakeCtx(), [[fs]])
+        out = op.process(FakeEngine(), [[fs]])
         (edge,) = out[0].graph.edges
         assert edge.relation == "Near"
         assert edge.a.node_id == (0, 0) and edge.b.node_id == (0, 1)
@@ -233,7 +230,7 @@ class TestRelationOps:
         a, b, c = node((0, 0)), node((0, 1)), node((0, 2))
         fs = FrameState(0, record(0), FrameGraph([[a, b], [b, c]]))
         op = RelationProjectorOp("r", {"relation": "Near", "props": {}})
-        out = op.process(FakeCtx(), [[fs]])
+        out = op.process(FakeEngine(), [[fs]])
         pairs = [(e.a.node_id, e.b.node_id) for e in out[0].graph.edges]
         assert pairs == [((0, 0), (0, 1)), ((0, 0), (0, 2)),
                          ((0, 1), (0, 2))]
@@ -242,14 +239,14 @@ class TestRelationOps:
         proj = RelationProjectorOp("r", {
             "relation": "Near", "props": {"distance_px": "distance_px"},
         })
-        projected = proj.process(FakeCtx(), [[self.pair()]])
+        projected = proj.process(FakeEngine(), [[self.pair()]])
         car, person = projected[0].graph.nodes
         unrelated = Edge("Far", car, person)
         projected[0].graph.edges.append(unrelated)
         op = RelationFilterOp("f", {"relation": "Near", "predicate": {}})
-        ctx = FakeCtx()
-        ctx.engine.keep_edge = lambda e: False
-        out = op.process(ctx, [projected])
+        engine = FakeEngine()
+        engine.keep_edge = lambda e: False
+        out = op.process(engine, [projected])
         assert out[0].graph.edges == [unrelated]
 
 

@@ -1,6 +1,8 @@
 """Plan construction and branch layout, profiling math, and persistence."""
 
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,7 @@ from vidquery.registry import ErrorProfile, Registration
 
 from conftest import (
     CAR_PROGRAM,
+    SUV_PROGRAM,
     frozen_registry,
     make_program,
     meta_1000,
@@ -173,7 +176,9 @@ class TestBaseDag:
         """)
         dag = plan_query(vprog, "held", frozen_registry(), PLAIN)
         assert dag.sink == "duration:held"
-        assert dag.ops[dag.sink].params == {"min_frames": 5, "gap_tolerance": 1}
+        assert dag.ops[dag.sink].params == {
+            "query": "held", "min_frames": 5, "gap_tolerance": 1,
+        }
         assert dag.ops[dag.sink].inputs == ["suvs/output:suvs"]
         assert "suvs/tracker:c" in dag.ops  # forced despite stateless base
 
@@ -204,6 +209,19 @@ class TestBaseDag:
         assert top.inputs == ["reds/output:reds", "blues/output:blues"]
         assert top.params["max_interval"] == 30
         assert "reds/detector:c" in dag.ops and "blues/detector:c" in dag.ops
+
+    def test_nested_subplans_keep_their_own_ops(self):
+        # `held` plans `suvs` with a tracker, `t`'s first part without one
+        vprog = make_program(SUV_PROGRAM)
+        dag = plan_query(vprog, "t", frozen_registry(), PLAIN)
+        top = dag.ops["temporal:t"]
+        assert top.params["query"] == "t"
+        assert top.inputs == ["suvs/output:suvs", "held/duration:held"]
+        assert dag.ops["held/duration:held"].inputs == [
+            "held/suvs/output:suvs"]
+        assert dag.ops["held/suvs/proj:c.kindof"].inputs == [
+            "held/suvs/tracker:c"]
+        assert dag.ops["suvs/proj:c.kindof"].inputs == ["suvs/detector:c"]
 
     def test_missing_detector(self):
         vprog = make_program("""
@@ -479,8 +497,9 @@ class TestPersistence:
         dag = plan_query(vprog, "reds", frozen_registry(), PlannerConfig())
         obj = dag.to_json()
         path = tmp_path / "plan.json"
-        # version 2 plans found objects by class name, not per binding
-        for version in (2, 99):
+        # version 2 plans found objects by class name, not per binding;
+        # version 3 duration and temporal ops did not name their query
+        for version in (2, 3, 99):
             obj["version"] = version
             path.write_text(json.dumps(obj))
             with pytest.raises(PlanLoadError):
@@ -510,3 +529,41 @@ def test_explain_dot_lists_nodes_and_edges():
     assert dot.startswith("digraph plan {")
     assert '"reader" -> "detector:c";' in dot
     assert "cost=100" in dot
+
+
+def test_every_op_of_every_plan_reaches_the_sink():
+    """Over every program constant of the test modules, every query, flag
+    setting and alternative: no op is left that the sink does not read."""
+    programs = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        module = importlib.import_module(path.stem)
+        programs += [(f"{path.stem}.{name}", value)
+                     for name, value in sorted(vars(module).items())
+                     if name.isupper() and isinstance(value, str)
+                     and "query " in value]
+    assert len(programs) >= 8
+    registry = frozen_registry([
+        Registration(name="has_car", kind="classifier", cost_units=1.0,
+                     params={"vobj": "Car", "target_class": "car"}),
+        Registration(name="moving", kind="frame_filter", cost_units=0.5,
+                     params={"auto": True, "channel": "motion_score",
+                             "op": ">=", "threshold": 0.2}),
+        specialized_red_car(),
+    ])
+    for name, source in programs:
+        vprog = make_program(source)
+        for query in vprog.query_order:
+            for pullup in (True, False):
+                for fusion in (True, False):
+                    config = PlannerConfig(enable_pullup=pullup,
+                                           enable_fusion=fusion)
+                    for dag in enumerate_alternatives(
+                            vprog, query, registry, config, meta_1000(100)):
+                        reached, stack = {dag.sink}, [dag.sink]
+                        while stack:
+                            for dep in dag.ops[stack.pop()].inputs:
+                                if dep not in reached:
+                                    reached.add(dep)
+                                    stack.append(dep)
+                        assert reached == set(dag.ops), (
+                            name, query, config, sorted(set(dag.ops) - reached))
