@@ -298,16 +298,6 @@ class TestPullUp:
             "fused:proj:a.color", "fused:proj:b.color",
         ]
 
-    def test_no_gates_without_pullup(self):
-        gate = Registration(
-            name="has_car", kind="classifier", cost_units=1.0,
-            params={"vobj": "Car", "target_class": "car"},
-        )
-        dag = plan_query(reds_program(), "reds", frozen_registry([gate]),
-                         PLAIN)
-        assert dag.ops["detector:c"].inputs == ["reader"]
-        assert not any(o.kind == "classifier" for o in dag.ops.values())
-
     def test_filter_moves_above_unneeded_projectors(self):
         vprog = make_program(CAR_PROGRAM + """
         query reds {
