@@ -2,7 +2,7 @@
 
 A frame graph holds the objects of one frame, one part per query binding,
 and the spatial-relation edges between them.  Tracks persist across frames
-and own bounded property histories.
+and keep their latest objects, which stateful windows read.
 """
 
 from __future__ import annotations
@@ -88,67 +88,30 @@ class FrameGraph:
 @dataclass(eq=False)
 class Track:
     """Persistent identity of one video object across frames, as one tracker
-    numbered it: the frames it is on, and its property histories.  Compared
-    and hashed by identity, so the record itself keys per-track memo entries.
+    numbered it: the frames it is on, and its latest tracked objects, oldest
+    first.  Compared and hashed by identity, so the record itself keys
+    per-track memo entries.
 
-    Per-property history is bounded by the largest window declared over that
-    property; appends beyond the bound evict the oldest value.
+    `objects` is bounded; an append beyond the bound evicts the oldest.
     """
 
     track_id: int
     class_name: str
-    declared: frozenset[str]
-    history: dict[str, deque] = field(default_factory=dict)  # (frame_id, value)
+    objects: deque = field(default_factory=deque)
     frames: set[int] = field(default_factory=set)
-    _recorded_at: dict[str, int] = field(default_factory=dict)
 
     @classmethod
-    def create(
-        cls,
-        track_id: int,
-        class_name: str,
-        window_bounds: dict[str, int],
-        slack: int = 0,
-    ) -> "Track":
-        """`slack` extends retention beyond the declared window so values for
-        a frame stay available while later frames of the same batch are
-        recorded ahead of it."""
-        t = cls(
-            track_id=track_id,
-            class_name=class_name,
-            declared=frozenset(window_bounds),
-        )
-        for prop, bound in window_bounds.items():
-            t.history[prop] = deque(maxlen=bound + slack)
-        return t
-
-    def record(self, prop: str, frame_id: int, value: Any) -> None:
-        """Append one history value, at most once per frame."""
-        if prop not in self.history:
-            return
-        if self._recorded_at.get(prop) == frame_id:
-            return
-        self._recorded_at[prop] = frame_id
-        self.history[prop].append((frame_id, value))
+    def create(cls, track_id: int, class_name: str, depth: int) -> "Track":
+        """A record that keeps the track's `depth` latest objects."""
+        return cls(track_id, class_name, deque(maxlen=depth))
 
 
-def window(track: Track, prop: str, k: int, end_frame: Optional[int] = None):
-    """The k most recent history values of `prop` recorded at or before
-    `end_frame` (all frames when omitted), oldest first.
-
-    Returns UNDEFINED while fewer than k such values exist.
-    """
+def window(track: Track, k: int, end_frame: int) -> Any:
+    """The track's k most recent objects at or before `end_frame`, oldest
+    first; UNDEFINED while it has fewer."""
     if k < 1:
         raise ValueError("window length must be >= 1")
-    if prop not in track.declared:
-        raise SchemaError(
-            f"property {prop!r} not declared on {track.class_name}"
-        )
-    hist = track.history.get(prop, ())
-    if end_frame is not None:
-        entries = [(f, v) for f, v in hist if f <= end_frame]
-    else:
-        entries = list(hist)
-    if len(entries) < k:
+    objects = [n for n in track.objects if n.frame_id <= end_frame]
+    if len(objects) < k:
         return UNDEFINED
-    return [v for _f, v in entries[-k:]]
+    return objects[-k:]

@@ -55,8 +55,7 @@ class FlatVObjType:
     detector: Optional[str]
     props: dict[str, PropertyDef]
     prop_order: list[str]  # dependency-respecting order
-    feeders: frozenset[str]  # deps of stateful properties (history sources)
-    window_bounds: dict[str, int]  # feeder -> largest declared window
+    max_window: int  # most latest objects of a track one value reads; 0 if none
 
 
 @dataclass
@@ -86,7 +85,6 @@ class FlatQuery:
 
 @dataclass
 class ValidatedProgram:
-    program: Program
     types: dict[str, FlatVObjType]
     relations: dict[str, RelationDecl]
     queries: dict[str, FlatQuery]
@@ -177,21 +175,21 @@ def _flatten_vobj(
     for p in props.values():
         if not visit(p.name, []):
             return None
-    feeders = set()
-    bounds: dict[str, int] = {}
-    for p in props.values():
-        if p.kind == "stateful":
-            dep = p.deps[0]
-            feeders.add(dep)
-            bounds[dep] = max(bounds.get(dep, 0), p.window or 1)
+    # how many of a track's latest objects one value reads: a window of k
+    # over a dependency that itself reads r of them reaches k + r - 1
+    reach: dict[str, int] = {}
+    for name in order:
+        p = props[name]
+        deps = max((reach.get(d, 1) for d in p.deps), default=1)
+        reach[name] = deps + p.window - 1 if p.kind == "stateful" else deps
     return FlatVObjType(
         name=decl.name,
         ancestors=chain,
         detector=detector,
         props=props,
         prop_order=order,
-        feeders=frozenset(feeders),
-        window_bounds=bounds,
+        max_window=max((reach[n] for n in order
+                        if props[n].kind == "stateful"), default=0),
     )
 
 
@@ -275,19 +273,6 @@ def _conjunct_bindings(conj, relations) -> tuple[set[str], bool]:
         else:
             names.add(ref.binding)
     return names, uses_rel
-
-
-def effective_constraint(program: Program, query_name: str):
-    """Conjunction of the query's frame constraint with all its ancestors'."""
-    queries = program.queries
-    chain = _chain(queries, query_name)
-    if chain is None:
-        raise KeyError(query_name)
-    return conjoin([
-        queries[name].frame_constraint
-        for name in reversed(chain)
-        if queries[name].frame_constraint is not None
-    ])
 
 
 def _flatten_query(
@@ -545,7 +530,6 @@ def validate(program: Program, file: str = "<source>") -> ValidatedProgram:
     if diags:
         raise ValidationError(diags)
     return ValidatedProgram(
-        program=program,
         types=types,
         relations=relations,
         queries=queries,

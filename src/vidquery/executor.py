@@ -108,9 +108,10 @@ class PropertyEngine:
     """On-demand property evaluation over frame-graph nodes.
 
     A property is computed at most once per node; intrinsic values are
-    additionally memoized per track record.  A stateful property whose
-    history window is not yet full is Undefined without entering the
-    implementation.  One engine serves one `Session.run`.
+    additionally memoized per track record.  A stateful property reads its
+    dependency on the track's latest `window` objects; while the track has
+    fewer, it is Undefined without entering the implementation.  One engine
+    serves one `Session.run`.
     """
 
     def __init__(
@@ -134,10 +135,13 @@ class PropertyEngine:
         ids are numbered per tracker, so two trackers never share one."""
         track = self.tracks.get((tracker, track_id))
         if track is None:
+            # a type without windows keeps no objects; one with them keeps a
+            # batch more, as a batch's later objects are appended before its
+            # earlier frames' windows are read
+            reach = self.vprog.types[vobj].max_window
+            depth = reach + self.config.batch_size if reach else 0
             track = self.tracks[tracker, track_id] = Track.create(
-                track_id, vobj, dict(self.vprog.types[vobj].window_bounds),
-                slack=self.config.batch_size,
-            )
+                track_id, vobj, depth)
         return track
 
     # -- property evaluation --
@@ -163,18 +167,18 @@ class PropertyEngine:
             if memo_key in self.memo:
                 value = self.memo[memo_key]
                 node.properties[prop] = value
-                self._feed(ftype, node, prop, value)
                 return value
 
         reg = self.registry.resolve_property_fn(pdef.impl)
         name = f"{node.class_name}.{prop}"
         if pdef.kind == "stateful":
-            win = UNDEFINED if track is None else window(
-                track, pdef.deps[0], pdef.window, end_frame=node.frame_id
+            objects = UNDEFINED if track is None else window(
+                track, pdef.window, node.frame_id
             )
-            if win is UNDEFINED:
+            if objects is UNDEFINED:
                 value = UNDEFINED  # warm-up: no implementation entry
             else:
+                win = [self.get(n, pdef.deps[0]) for n in objects]
                 self.stats.count_property(name, reg.cost_units)
                 value = call_property_impl(reg, PropContext(
                     node=node, deps={}, window_values=win,
@@ -199,20 +203,12 @@ class PropertyEngine:
         node.properties[prop] = value
         if memo_key is not None and is_defined(value):
             self.memo[memo_key] = value
-        self._feed(ftype, node, prop, value)
         return value
 
-    def _feed(self, ftype, node: VObjInstance, prop: str, value) -> None:
-        if prop in ftype.feeders and node.track is not None:
-            node.track.record(prop, node.frame_id, value)
-
     def project(self, node: VObjInstance, prop: str) -> None:
-        """Projector entry point: history feeders always run so windows fill;
-        everything else waits for demand when lazy evaluation is on."""
-        ftype = self.vprog.types.get(node.class_name)
-        if ftype is None:
-            return
-        if not self.config.lazy or prop in ftype.feeders:
+        """Projector entry point: with lazy evaluation on, every property,
+        a window's dependency too, waits for demand."""
+        if not self.config.lazy and node.class_name in self.vprog.types:
             self.get(node, prop)
 
     # -- predicate evaluation --

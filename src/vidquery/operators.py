@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Optional
 
-from .datamodel import Edge, FrameGraph, VObjInstance
+from .datamodel import Edge, FrameGraph, Track, VObjInstance
 from .registry import (
     ConfigurationError,
     Registration,
@@ -171,8 +171,9 @@ class DetectorOp(RuntimeOp):
 
 
 class TrackerOp(RuntimeOp):
-    """Assigns persistent track ids, and gives each tracked node its
-    track's record (`VObjInstance.track`)."""
+    """Assigns persistent track ids, gives each tracked node its track's
+    record (`VObjInstance.track`) and appends the node to the record's
+    latest objects."""
 
     kind = "tracker"
 
@@ -182,8 +183,14 @@ class TrackerOp(RuntimeOp):
         config = TrackerConfig.from_json(params["config"]) if "config" in params \
             else TrackerConfig()
         self.tracker = SortTracker(config)
+        self._held: dict[int, Track] = {}  # records of live tracks, by id
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
+        # a track retired during the last batch stayed readable until that
+        # batch ended; its record lets its objects go now
+        live = {slot.track_id for slot in self.tracker.slots}
+        for track_id in [t for t in self._held if t not in live]:
+            self._held.pop(track_id).objects.clear()
         out = []
         for fs in inputs[0]:
             # copy nodes so sibling consumers of the upstream batch never see
@@ -197,19 +204,19 @@ class TrackerOp(RuntimeOp):
             for node_id, track_id in result.assignments:
                 node = by_id[node_id]
                 node.track_id = track_id
-                node.track = engine.track(self, self.vobj, track_id)
+                node.track = self._held[track_id] = \
+                    engine.track(self, self.vobj, track_id)
                 node.track.frames.add(fs.frame_id)
+                node.track.objects.append(node)
             out.append(FrameState(fs.frame_id, fs.record, FrameGraph([nodes])))
         return out
 
 
 class ProjectorOp(RuntimeOp):
-    """Computes one declared property for every node of its branch.
-
-    History feeders (dependencies of stateful properties) are always computed
-    so sliding windows fill; other properties are left to on-demand
-    evaluation when lazy evaluation is enabled.
-    """
+    """Computes one declared property for every node of its branch, or, when
+    lazy evaluation is enabled, leaves it to on-demand evaluation.  A
+    stateful window fills from its track's objects, so no dependency of one
+    is forced here."""
 
     kind = "projector"
 

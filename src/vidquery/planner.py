@@ -17,6 +17,7 @@ from .trace_io import VideoMeta
 from .tracker import TrackerConfig
 
 PLAN_VERSION = 4
+MAX_ALTERNATIVES = 32  # candidates `enumerate_alternatives` returns at most
 
 
 class PlanError(Exception):
@@ -171,9 +172,7 @@ class PlannerConfig:
     canary_frames: int = 0  # 0 means the whole canary trace
     enable_pullup: bool = True
     enable_fusion: bool = True
-    max_alternatives: int = 32
     batch_size: int = 16  # of the profiling sessions
-    tracker: TrackerConfig = field(default_factory=TrackerConfig)
 
     def __post_init__(self):
         if not 0.0 <= self.accuracy_target <= 1.0:
@@ -214,9 +213,6 @@ def _needed_props(ftype: FlatVObjType, prop_names: set[str]) -> list[str]:
         needed.add(name)
         for dep in ftype.props[name].deps:
             expand(dep)
-        pdef = ftype.props[name]
-        if pdef.kind == "stateful":
-            expand(pdef.deps[0])
 
     for name in prop_names:
         expand(name)
@@ -257,7 +253,9 @@ def plan_query(
     filters gate each detector, and each branch's filter runs right after
     the last projector its predicate needs.  With `config.enable_fusion`,
     each branch's projector/filter steps after the detector or tracker run
-    as one fused op.  Neither changes a result."""
+    as one fused op.  Neither changes a result.  `detector_overrides` maps a
+    binding, behind the path of its sub-plan (`"reds/c"` in a temporal
+    query whose first part is `reds`), to the detector it runs."""
     return _build(vprog, query_name, registry, config, meta,
                   detector_overrides or {}, require_tracker=False, prefix="")
 
@@ -381,7 +379,7 @@ def _build(
         ftype = vprog.types.get(vobj)
         if ftype is None:
             raise PlanError(f"{query_name}: unknown VObj type {vobj!r}")
-        det_name = overrides.get(binding) or ftype.detector
+        det_name = overrides.get(f"{prefix}{binding}") or ftype.detector
         if det_name is None:
             raise PlanError(f"{query_name}: no detector for {vobj!r}")
         det_reg = registry.try_resolve("detector", det_name)
@@ -421,7 +419,7 @@ def _build(
             prev = dag.add(PlanOp(
                 op_id=f"{prefix}tracker:{binding}",
                 kind="tracker",
-                params={"vobj": vobj, "config": config.tracker.to_json()},
+                params={"vobj": vobj, "config": TrackerConfig().to_json()},
                 inputs=[prev],
             )).op_id
 
@@ -587,48 +585,32 @@ def enumerate_alternatives(
     meta: Optional[VideoMeta] = None,
 ) -> list[PlanDag]:
     """Cross product of detector choices per binding along inheritance
-    chains; the all-general reference plan comes first."""
-    fq = vprog.queries[query_name]
+    chains; the all-general reference plan comes first.  Each sub-plan's
+    bindings are choices of their own, keyed by the sub-plan's path as in
+    `plan_query`'s overrides, so a `c` in both parts of a temporal query
+    makes two choices."""
 
-    def binding_names(q: FlatQuery) -> list[str]:
+    def bindings(q: FlatQuery, prefix: str):
+        """(override key, VObj type) of every binding of `q`'s sub-plans."""
         if q.kind == "duration":
-            return binding_names(vprog.queries[q.base])
+            return bindings(vprog.queries[q.base], f"{prefix}{q.base}/")
         if q.kind == "temporal":
-            return sorted(
-                set(binding_names(vprog.queries[q.first]))
-                | set(binding_names(vprog.queries[q.then]))
-            )
-        return [b for b, t in q.bindings if t != SCENE_TYPE]
+            return (bindings(vprog.queries[q.first], f"{prefix}{q.first}/")
+                    + bindings(vprog.queries[q.then], f"{prefix}{q.then}/"))
+        return [(f"{prefix}{b}", t) for b, t in q.bindings if t != SCENE_TYPE]
 
-    def binding_type(name: str, q: FlatQuery) -> Optional[str]:
-        if q.kind == "duration":
-            return binding_type(name, vprog.queries[q.base])
-        if q.kind == "temporal":
-            return (binding_type(name, vprog.queries[q.first])
-                    or binding_type(name, vprog.queries[q.then]))
-        return dict(q.bindings).get(name)
-
-    options: list[list[tuple[str, Optional[str]]]] = []
-    names = binding_names(fq)
-    for binding in names:
-        vobj = binding_type(binding, fq)
+    combos: list[dict[str, str]] = [{}]  # {} is the type's own detectors
+    for key, vobj in dict(bindings(vprog.queries[query_name], "")).items():
         ftype = vprog.types.get(vobj)
-        choice = [(binding, None)]  # None means the type's own detector
-        if ftype is not None:
-            for reg in registry.specialized_detectors_for(ftype.ancestors):
-                choice.append((binding, reg.name))
-        options.append(choice)
-
-    combos = [[]]
-    for choice in options:
-        combos = [c + [o] for c in combos for o in choice]
-    dags = []
-    for combo in combos[: config.max_alternatives]:
-        overrides = {b: d for b, d in combo if d is not None}
-        dags.append(plan_query(
-            vprog, query_name, registry, config, meta, overrides or None
-        ))
-    return dags
+        names = [] if ftype is None else [
+            reg.name for reg in registry.specialized_detectors_for(ftype.ancestors)
+        ]
+        combos = [c2 for c in combos
+                  for c2 in [c] + [{**c, key: name} for name in names]]
+    return [
+        plan_query(vprog, query_name, registry, config, meta, overrides)
+        for overrides in combos[:MAX_ALTERNATIVES]
+    ]
 
 
 # --- profiling and selection ------------------------------------------------

@@ -412,10 +412,10 @@ def test_criterion_09_tracker_quality(tmp_path):
     objs = [car(1, 0, 19, (100.0, 500.0), velocity=(3.0, 0.0),
                 dropout_frames=frozenset({10}))]
     paths = write_world(WorldSpec(meta=meta, objects=objs), tmp_path / "drop")
-    outcome, _s, _d = run_single(
-        vprog, "reds", paths["trace"], meta,
-        planner_config=PlannerConfig(tracker=TrackerConfig(max_age=3)),
-    )
+    registry = frozen_registry()
+    dag = plan_query(vprog, "reds", registry, PlannerConfig(), meta)
+    dag.ops["tracker:c"].params["config"] = TrackerConfig(max_age=3).to_json()
+    (outcome,), _s = run_plans(vprog, [dag], paths["trace"], registry, meta)
     tracks = row_tracks(outcome)
     assert sorted(tracks) == [f for f in range(20) if f != 10]
     assert len({ids[0] for ids in tracks.values()}) == 1

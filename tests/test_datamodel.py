@@ -1,11 +1,10 @@
-"""Frame graphs, tracks, and history windows."""
+"""Frame graphs, tracks, and windows over a track's latest objects."""
 
 import pytest
 
 from vidquery.datamodel import (
     UNDEFINED,
     FrameGraph,
-    SchemaError,
     Track,
     VObjInstance,
     is_defined,
@@ -39,41 +38,40 @@ def test_nodes_lists_every_part_in_order():
 
 
 class TestTrackHistory:
+    """`window` over a track's latest objects."""
+
+    @staticmethod
+    def track(depth, frames):
+        t = Track.create(1, "Car", depth)
+        for f in frames:
+            t.objects.append(node((f, 0), track=1))
+        return t
+
     def test_window_undefined_until_full(self):
-        t = Track.create(1, "Car", {"center": 5})
-        for f in range(4):
-            t.record("center", f, (f, 0.0))
-        assert window(t, "center", 5) is UNDEFINED
-        t.record("center", 4, (4, 0.0))
-        assert window(t, "center", 5) == [(f, 0.0) for f in range(5)]
+        t = self.track(5, range(4))
+        assert window(t, 5, 3) is UNDEFINED
+        t.objects.append(node((4, 0), track=1))
+        assert [n.frame_id for n in window(t, 5, 4)] == list(range(5))
 
     def test_window_end_frame(self):
-        t = Track.create(1, "Car", {"center": 3}, slack=10)
-        for f in range(10):
-            t.record("center", f, f * 1.0)
-        assert window(t, "center", 3, end_frame=5) == [3.0, 4.0, 5.0]
-        assert window(t, "center", 3, end_frame=1) is UNDEFINED
-        assert window(t, "center", 3) == [7.0, 8.0, 9.0]
+        t = self.track(13, range(10))
+        assert [n.frame_id for n in window(t, 3, 5)] == [3, 4, 5]
+        assert window(t, 3, 1) is UNDEFINED
+        assert [n.frame_id for n in window(t, 3, 9)] == [7, 8, 9]
 
-    def test_record_once_per_frame(self):
-        t = Track.create(1, "Car", {"center": 3})
-        t.record("center", 0, "a")
-        t.record("center", 0, "b")
-        t.record("center", 1, "c")
-        assert window(t, "center", 2) == ["a", "c"]
+    def test_window_counts_observations_not_frames(self):
+        t = self.track(5, [0, 4, 9])  # tracked on three frames only
+        assert [n.frame_id for n in window(t, 3, 9)] == [0, 4, 9]
 
     def test_bounded_retention(self):
-        t = Track.create(1, "Car", {"center": 2})
-        for f in range(50):
-            t.record("center", f, f)
-        assert len(t.history["center"]) == 2
+        t = self.track(2, range(50))
+        assert [n.frame_id for n in t.objects] == [48, 49]
+        assert window(t, 3, 49) is UNDEFINED
 
-    def test_undeclared_property(self):
-        t = Track.create(1, "Car", {"center": 3})
-        with pytest.raises(SchemaError):
-            window(t, "speed", 3)
+    def test_no_window_keeps_no_objects(self):
+        assert list(self.track(0, range(5)).objects) == []
 
     def test_window_length_validated(self):
-        t = Track.create(1, "Car", {"center": 3})
+        t = self.track(3, range(3))
         with pytest.raises(ValueError):
-            window(t, "center", 0)
+            window(t, 0, 2)

@@ -11,7 +11,6 @@ from vidquery.dsl import (
     ValidationError,
     conjuncts,
     dump_ast,
-    effective_constraint,
     parse,
     serialize_program,
     validate,
@@ -162,8 +161,18 @@ class TestValidation:
         """)))
         assert vprog.types["Car"].prop_order.index("center") < \
             vprog.types["Car"].prop_order.index("direction")
-        assert vprog.types["Car"].feeders == frozenset({"center"})
-        assert vprog.types["Car"].window_bounds == {"center": 5}
+        assert vprog.types["Car"].max_window == 5
+
+    def test_max_window_reaches_through_nested_windows(self):
+        vprog = validate(parse(CAR + """
+        vobj Plain { property center: stateless(impl="center", deps=[bbox]) }
+        vobj Turning extends Car {
+          property turn: stateful(impl="direction", deps=[direction], window=3)
+        }
+        """))
+        assert vprog.types["Plain"].max_window == 0  # keeps no objects
+        # turn's 3 values of direction read 3 + 5 - 1 latest objects
+        assert vprog.types["Turning"].max_window == 7
 
     def test_inheritance_flattening_child_overrides(self):
         vprog = validate(parse(CAR + """
@@ -292,7 +301,7 @@ class TestValidation:
           frame_constraint: c.direction == "left"
         }
         """))
-        expr = effective_constraint(program, "child_q")
+        expr = validate(program).queries["child_q"].frame_pred
         assert expr_text(expr) == '(c.color == "red" & c.direction == "left")'
 
 

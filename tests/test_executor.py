@@ -23,7 +23,8 @@ from vidquery.operators import compare
 from vidquery.planner import PlannerConfig, plan_query
 from vidquery.registry import Registration, Registry, load_manifest
 from vidquery.synth import ObjectScript, WorldSpec, write_world
-from vidquery.trace_io import TraceParseError
+from vidquery.trace_io import Detection, TraceParseError, TraceRecord, write_trace
+from vidquery.tracker import TrackerConfig
 
 from conftest import (
     CAR_PROGRAM,
@@ -103,10 +104,11 @@ class TestWarmupWindows:
         assert outcome.satisfied == list(range(4, 20))
         # warm-up frames never enter the implementation body
         assert stats.property_calls["Car.direction"] == 16
-        assert stats.property_calls["Car.center"] == 20  # feeder, every frame
+        # the windows read the dependency on every frame of the track
+        assert stats.property_calls["Car.center"] == 20
 
     def test_windows_ignore_batch_lookahead(self, tmp_path):
-        # one batch spans the whole trace: feeders record all 20 frames
+        # one batch spans the whole trace: the track holds all 20 objects
         # before the filter evaluates frame 4, yet its window must stop there
         paths, meta = red_world(tmp_path, frames=20)
         vprog = make_program(CAR_PROGRAM + """
@@ -126,6 +128,130 @@ class TestWarmupWindows:
             planner_config=PlannerConfig(batch_size=1), exec_config=tiny,
         )
         assert serialize_outcome(out_big) == serialize_outcome(out_tiny)
+
+
+MOVING = """
+vobj Car {
+  detector: "general_car"
+  property w: stateless(impl="attr:w")
+  property center: stateless(impl="center", deps=[bbox])
+  property direction: stateful(impl="direction", deps=[center], window=3)
+  property mv: stateful(impl="direction", deps=[bbox], window=3)
+  property spd: stateful(impl="speed", deps=[center], window=3)
+}
+query moving_right { bind c: Car frame_constraint: c.direction == "right" }
+"""
+
+
+def moving_car_trace(tmp_path, frames, w=lambda f: 1.0, last=None):
+    """One car moving right 10 px a frame on frames 0..`last`, with a
+    per-frame attribute `w` and its position as attribute `pos`; a frame
+    after `last` has no detection."""
+    last = frames - 1 if last is None else last
+    path = tmp_path / "moving.jsonl"
+    write_trace([
+        TraceRecord(f, (Detection(
+            "car", (100.0 + 10 * f, 500.0, 140.0 + 10 * f, 540.0), 0.95,
+            {"w": w(f), "pos": f"{10 * f},0"}),) if f <= last else ())
+        for f in range(frames)], path)
+    return path, meta_1000(frames)
+
+
+class TestTrackWindows:
+    """A stateful window is its track's latest objects, whatever else the
+    session, the plan or the flags compute."""
+
+    def test_shared_with_an_untracked_query_equals_solo(self, tmp_path):
+        trace, meta = moving_car_trace(tmp_path, 20)
+        vprog = make_program(MOVING + """
+        query anywhere { bind c: Car frame_constraint: c.center != 0 }
+        """)
+        registry = frozen_registry()
+        dags = [plan_query(vprog, q, registry, PlannerConfig(), meta)
+                for q in ("anywhere", "moving_right")]
+        (_anywhere, shared), _s = run_plans(vprog, dags, trace, registry, meta)
+        (solo,), _s = run_plans(vprog, dags[1:], trace, registry, meta)
+        assert solo.satisfied == list(range(2, 20))
+        assert serialize_outcome(shared) == serialize_outcome(solo)
+
+    def test_a_filter_ahead_of_the_dependency_leaves_the_window_whole(
+            self, tmp_path):
+        # w is 0 on frame 5 only; w comes first in dependency order, so the
+        # pulled-up filter drops that object before center is projected,
+        # but the track still holds it
+        trace, meta = moving_car_trace(tmp_path, 10, w=lambda f: float(f != 5))
+        vprog = make_program(MOVING + """
+        query q { bind c: Car frame_constraint: c.w > 0.5
+                  frame_output: c.spd }
+        """)
+        speeds = {}
+        for pullup in (True, False):
+            outcome, _s, _d = run_single(
+                vprog, "q", trace, meta,
+                planner_config=PlannerConfig(enable_pullup=pullup))
+            speeds[pullup] = {r["frame"]: r["outputs"]["c.spd"]
+                              for r in outcome.rows}
+        assert speeds[True] == speeds[False]
+        # 20 px over a 3-object window at 10 fps and 10 px/m
+        assert speeds[True][6] == speeds[True][7] == [20 * 10 / 3 / 10]
+        assert 5 not in speeds[True]
+
+    def test_a_window_over_a_builtin_fills(self, tmp_path):
+        trace, meta = moving_car_trace(tmp_path, 10)
+        vprog = make_program(MOVING + """
+        query mv_right { bind c: Car frame_constraint: c.mv == "right" }
+        """)
+        outcome, _s, _d = run_single(vprog, "mv_right", trace, meta)
+        assert outcome.satisfied == list(range(2, 10))
+
+    def test_a_window_over_a_window_reads_back_far_enough(self, tmp_path):
+        # drift's 3 values of pos each need direction's window of 5 objects,
+        # 7 objects in all.  Frames 14 and 15 are dropped before pos is
+        # projected, so frame 16, first of its batch of 16, computes pos on
+        # frame 14 from objects 10-14 (frames before 6 are dropped too,
+        # as pos is Undefined until direction has warmed up)
+        trace, meta = moving_car_trace(
+            tmp_path, 40, w=lambda f: float(f >= 6 and f not in (14, 15)))
+        vprog = make_program(MOVING.replace("}\nquery", """
+          property pos: stateless(impl="attr_vector:pos", deps=[direction])
+          property drift: stateful(impl="direction", deps=[pos], window=3)
+        }
+        query""", 1) + """
+        query q { bind c: Car frame_constraint: c.w > 0.5
+                  frame_output: c.drift }
+        """)
+        texts = {
+            batch: serialize_outcome(run_single(
+                vprog, "q", trace, meta,
+                exec_config=ExecConfig(batch_size=batch))[0])
+            for batch in (1, 3, 16, 64)
+        }
+        assert len(set(texts.values())) == 1
+        drift = {r["frame"]: r["outputs"]["c.drift"]
+                 for r in json.loads(texts[16])["frames"]}
+        assert sorted(drift) == [6, 7, 8, 9, 10, 11, 12, 13] + list(range(16, 40))
+        assert drift[16] == ["right"]
+
+    def test_retired_track_readable_in_its_last_batch_then_released(
+            self, tmp_path):
+        # the car leaves after frame 9 and max_age 1 retires its track on
+        # frame 11, inside the first batch of 16
+        trace, meta = moving_car_trace(tmp_path, 40, last=9)
+        vprog = make_program(MOVING)
+        registry = frozen_registry()
+        dag = plan_query(vprog, "moving_right", registry, PlannerConfig(), meta)
+        dag.ops["tracker:c"].params["config"] = \
+            TrackerConfig(max_age=1).to_json()
+        session = Session(vprog, registry, meta, ExecConfig(batch_size=16))
+        session.start([dag])
+        first, second, _third = trace_batches(trace, meta, 16)
+        session.feed(first)
+        (track,) = session.engine.tracks.values()
+        assert [n.frame_id for n in track.objects] == list(range(10))
+        session.feed(second)
+        assert list(track.objects) == []
+        (outcome,) = session.finish()
+        assert outcome.satisfied == list(range(2, 10))
 
 
 class TestMemoization:

@@ -24,6 +24,7 @@ from vidquery.operators import (
 from vidquery.executor import ExecStats
 from vidquery.registry import ConfigurationError, Registration
 from vidquery.trace_io import Detection, TraceRecord
+from vidquery.tracker import TrackerConfig
 
 
 @dataclass
@@ -36,9 +37,11 @@ class FakeEngine:
     keep: Any = None  # predicate on node, used by verdict
     keep_edge: Any = None
 
+    depth: int = 0  # latest objects each track keeps
+
     def track(self, tracker, vobj, track_id):
         return self.tracks.setdefault(
-            (tracker, track_id), Track.create(track_id, vobj, {})
+            (tracker, track_id), Track.create(track_id, vobj, self.depth)
         )
 
     def verdict(self, predicate, env, edge=None):
@@ -132,7 +135,7 @@ class TestDetectorOp:
 class TestTrackerOp:
     def test_ids_and_motion_edges(self):
         op = TrackerOp("t", {"vobj": "Car"})
-        engine = FakeEngine()
+        engine = FakeEngine(depth=5)
         batch = [
             state_with_nodes(0, node((0, 0))),
             state_with_nodes(1, node((1, 0), bbox=(2.0, 0.0, 12.0, 10.0))),
@@ -148,7 +151,24 @@ class TestTrackerOp:
         assert n1.track is track
         assert (track.track_id, track.class_name) == (t0, "Car")
         assert track.frames == {0, 1}
+        assert list(track.objects) == [n0, n1]  # the tracked copies, in order
         assert list(engine.tracks) == [(op, t0)]
+
+    def test_retired_track_lets_its_objects_go_one_batch_later(self):
+        config = TrackerConfig(max_age=1).to_json()
+        op = TrackerOp("t", {"vobj": "Car", "config": config})
+        engine = FakeEngine(depth=20)
+        # the car is seen on frames 0-2; frame 4 retires it (two misses)
+        batch = [state_with_nodes(f, node((f, 0))) for f in range(3)]
+        batch += [state_with_nodes(f) for f in range(3, 16)]
+        out = op.process(engine, [batch])
+        track = out[0].graph.parts[0][0].track
+        assert track.frames == {0, 1, 2}
+        assert op.tracker.slots == []
+        # the batch that retired it may still read its windows
+        assert [n.frame_id for n in track.objects] == [0, 1, 2]
+        op.process(engine, [[state_with_nodes(16)]])
+        assert list(track.objects) == []
 
     def test_input_nodes_not_mutated(self):
         op = TrackerOp("t", {"vobj": "Car"})

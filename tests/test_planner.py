@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from vidquery import planner
 from vidquery.dsl.ast import And, Compare, Not, Or, PropRef
 from vidquery.planner import (
     PlanDag,
@@ -397,7 +398,8 @@ class TestAlternatives:
         # red_car guarantees color == "red": no filter (or projector) remains
         assert not any(o.kind == "vobj_filter" for o in spec.ops.values())
 
-    def test_cap_respected(self):
+    def test_cap_respected(self, monkeypatch):
+        monkeypatch.setattr(planner, "MAX_ALTERNATIVES", 2)
         vprog = reds_program()
         extras = [specialized_red_car()]
         extras.append(Registration(
@@ -406,9 +408,36 @@ class TestAlternatives:
         ))
         registry = frozen_registry(extras)
         dags = enumerate_alternatives(
-            vprog, "reds", registry, PlannerConfig(max_alternatives=2)
+            vprog, "reds", registry, PlannerConfig()
         )
         assert len(dags) == 2
+
+    def test_each_part_of_a_temporal_query_chooses_its_own_detector(self):
+        vprog = make_program(CAR_PROGRAM + """
+        query reds { bind c: Car frame_constraint: c.color == "red" }
+        query fast { bind c: Car frame_constraint: c.speed > 3.0 }
+        temporal query red_then_fast {
+          first: reds then: fast max_interval_frames: 30
+        }
+        """)
+        registry = frozen_registry([specialized_red_car()])
+        dags = enumerate_alternatives(vprog, "red_then_fast", registry,
+                                      PlannerConfig())
+        dets = [
+            {o.op_id: o.params["detector"] for o in d.ops.values()
+             if o.kind == "detector"}
+            for d in dags
+        ]
+        assert dets == [
+            {"reds/detector:c": first, "fast/detector:c": then}
+            for first in ("general_car", "red_car")
+            for then in ("general_car", "red_car")
+        ]
+        # a top-level binding keeps its bare key, so its plans do not change
+        assert enumerate_alternatives(vprog, "reds", registry,
+                                      PlannerConfig())[1].plan_id == \
+            plan_query(vprog, "reds", registry, PlannerConfig(),
+                       detector_overrides={"c": "red_car"}).plan_id
 
 
 class TestF1AndSelection:
