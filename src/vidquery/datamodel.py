@@ -39,10 +39,6 @@ def is_defined(value: Any) -> bool:
 NodeId = tuple[int, int]  # (frame_id, per-frame detection index)
 
 
-class SchemaError(Exception):
-    """Reference to a property not declared on the type."""
-
-
 @dataclass
 class VObjInstance:
     """One video object on one frame; `track` is the record of the track

@@ -8,19 +8,12 @@ import json
 import os
 import tempfile
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
-from .datamodel import (
-    UNDEFINED,
-    SchemaError,
-    Track,
-    VObjInstance,
-    is_defined,
-    window,
-)
-from .dsl.ast import And, Compare, Not, Or
+from .datamodel import UNDEFINED, Track, VObjInstance, is_defined, window
+from .dsl.ast import And, Compare, Not, Or, PropertyDef
 from .dsl.validate import ValidatedProgram
 from .operators import (
     Batch,
@@ -46,6 +39,7 @@ from .planner import PlanDag, PlanOp, decode_expr
 from .registry import (
     RELATION_IMPLS,
     PropContext,
+    Registration,
     Registry,
     RegistryError,
     call_property_impl,
@@ -104,13 +98,24 @@ def _jsonable(value):
     return value
 
 
+@dataclass(frozen=True)
+class LinkedProperty:
+    """A detected type's property as `PropertyEngine.get` runs it."""
+
+    pdef: PropertyDef
+    reg: Registration
+    name: str  # in the stats: "Type.prop"
+    memo: bool  # memoized per track
+
+
 class PropertyEngine:
     """On-demand property evaluation over frame-graph nodes.
 
     A property is computed at most once per node; intrinsic values are
     additionally memoized per track record.  A stateful property reads its
-    dependency on the track's latest `window` objects; while the track has
-    fewer, it is Undefined without entering the implementation.  One engine
+    dependency on the track's latest `window` objects.  A value is Undefined,
+    without entering its implementation, when any value it reads is: a
+    dependency, a window entry, or a window still warming up.  One engine
     serves one `Session.run`.
     """
 
@@ -129,6 +134,26 @@ class PropertyEngine:
         self.stats = stats
         self.memo: dict[tuple[Track, str], Any] = {}
         self.tracks: dict[tuple[Any, int], Track] = {}  # by (tracker, id)
+        # type -> property -> link; only detected types are linked
+        self.linked: dict[str, dict[str, LinkedProperty]] = {}
+
+    def link(self, vobj: str) -> None:
+        """Link each property of the detected type `vobj` once, so a missing
+        type or function fails before any frame is read."""
+        if vobj in self.linked:
+            return
+        ftype = self.vprog.types.get(vobj)
+        if ftype is None:  # a saved plan's type the program lacks
+            raise PlanLinkError(f"the program declares no type {vobj!r}")
+        props = self.linked[vobj] = {}
+        for name, pdef in ftype.props.items():
+            try:
+                reg = self.registry.resolve_property_fn(pdef.impl)
+            except RegistryError as exc:
+                raise PlanLinkError(f"{vobj}.{name}: {exc}") from exc
+            props[name] = LinkedProperty(
+                pdef, reg, f"{vobj}.{name}",
+                self.config.memo and pdef.intrinsic)
 
     def track(self, tracker, vobj: str, track_id: int) -> Track:
         """The record of `tracker`'s track `track_id`, made on first use:
@@ -153,62 +178,47 @@ class PropertyEngine:
             return self.meta.fps if self.meta else UNDEFINED
         if prop in node.properties:
             return node.properties[prop]
-        ftype = self.vprog.types.get(node.class_name)
-        if ftype is None or prop not in ftype.props:
-            raise SchemaError(
-                f"{node.class_name} has no property {prop!r}"
-            )
-        pdef = ftype.props[prop]
+        linked = self.linked[node.class_name].get(prop)
+        if linked is None:  # a saved plan's property the program lacks
+            raise PlanLinkError(f"{node.class_name} has no property {prop!r}")
+        pdef = linked.pdef
 
         track = node.track
         memo_key = None
-        if self.config.memo and pdef.intrinsic and track is not None:
+        if linked.memo and track is not None:
             memo_key = (track, prop)
             if memo_key in self.memo:
-                value = self.memo[memo_key]
-                node.properties[prop] = value
+                value = node.properties[prop] = self.memo[memo_key]
                 return value
 
-        reg = self.registry.resolve_property_fn(pdef.impl)
-        name = f"{node.class_name}.{prop}"
+        deps, win = {}, None
         if pdef.kind == "stateful":
             objects = UNDEFINED if track is None else window(
-                track, pdef.window, node.frame_id
-            )
-            if objects is UNDEFINED:
-                value = UNDEFINED  # warm-up: no implementation entry
-            else:
-                win = [self.get(n, pdef.deps[0]) for n in objects]
-                self.stats.count_property(name, reg.cost_units)
-                value = call_property_impl(reg, PropContext(
-                    node=node, deps={}, window_values=win,
-                    meta=self.meta, params={},
-                ))
+                track, pdef.window, node.frame_id)
+            # a window still warming up reads one Undefined
+            reads = win = (UNDEFINED,) if objects is UNDEFINED else [
+                self.get(n, pdef.deps[0]) for n in objects]
         else:
-            deps, undefined = {}, False
-            for dep in pdef.deps:
-                v = self.get(node, dep)
-                deps[dep] = v
-                if not is_defined(v):
-                    undefined = True
-            if undefined:
-                value = UNDEFINED
-            else:
-                self.stats.count_property(name, reg.cost_units)
-                value = call_property_impl(reg, PropContext(
-                    node=node, deps=deps, window_values=None,
-                    meta=self.meta, params={},
-                ))
+            deps = {dep: self.get(node, dep) for dep in pdef.deps}
+            reads = deps.values()
+        if UNDEFINED in reads:
+            value = UNDEFINED
+        else:
+            self.stats.count_property(linked.name, linked.reg.cost_units)
+            value = call_property_impl(linked.reg, PropContext(
+                node=node, deps=deps, window_values=win,
+                meta=self.meta, params={},
+            ))
 
         node.properties[prop] = value
-        if memo_key is not None and is_defined(value):
+        if memo_key is not None and value is not UNDEFINED:
             self.memo[memo_key] = value
         return value
 
     def project(self, node: VObjInstance, prop: str) -> None:
         """Projector entry point: with lazy evaluation on, every property,
         a window's dependency too, waits for demand."""
-        if not self.config.lazy and node.class_name in self.vprog.types:
+        if not self.config.lazy:
             self.get(node, prop)
 
     # -- predicate evaluation --
@@ -585,7 +595,8 @@ class Session:
         every plan in order, each in topological order, the first op of
         each signature built once (a reader has no runtime op).  Duration
         and temporal stages stay out of it; `_finalize` evaluates them.  Also
-        returns each plan's op id -> runtime op map."""
+        returns each plan's op id -> runtime op map, and links each detected
+        type's properties into the engine."""
         schedule: dict[str, tuple[Optional[RuntimeOp], list[str]]] = {}
         plan_ops = []
         for dag in dags:
@@ -601,31 +612,23 @@ class Session:
                     rt = None if pop.kind == "reader" \
                         else build_runtime_op(pop, self.registry)
                     if pop.kind == "detector":
-                        self._link_properties(pop.params["vobj"])
+                        self.engine.link(pop.params["vobj"])
                     schedule[sig] = (rt, input_sigs)
                 ops[op_id] = schedule[sig][0]
             plan_ops.append(ops)
         return schedule, plan_ops
 
-    def _link_properties(self, vobj: str) -> None:
-        """Resolve every property function of a detected type while the
-        operators link, so a missing one fails before any frame is read."""
-        ftype = self.vprog.types.get(vobj)
-        if ftype is None:  # a saved plan's type the program lacks
-            return
-        for name, pdef in ftype.props.items():
-            try:
-                self.registry.resolve_property_fn(pdef.impl)
-            except RegistryError as exc:
-                raise PlanLinkError(f"{vobj}.{name}: {exc}") from exc
-
     def _inputs_digest(self, trace_digest: str) -> str:
         """What a result depends on besides its plan: the trace content, the
-        video meta (its frame count bounds the run) and every registration
-        (costs, error profiles, detector and gate params)."""
+        video meta (its frame count bounds the run), every registration
+        (costs, error profiles, detector and gate params) and the program's
+        property definitions, which plan ids name but do not hold."""
         meta = None if self.meta is None else vars(self.meta)
-        payload = json.dumps([trace_digest, meta, self.registry.digest()],
-                             sort_keys=True)
+        props = {t: [vars(replace(p, loc=None)) for p in ft.props.values()]
+                 for t, ft in self.vprog.types.items()}
+        payload = json.dumps(
+            [trace_digest, meta, self.registry.digest(), props],
+            sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()
 
     def start(self, dags: list[PlanDag]) -> None:

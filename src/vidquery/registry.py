@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from .datamodel import UNDEFINED, VObjInstance, is_defined
+from .datamodel import UNDEFINED, VObjInstance
 from .trace_io import Detection, TraceRecord, VideoMeta
 
 GENERAL_DETECTOR_COST = 100.0
@@ -211,9 +211,7 @@ def _cosine(a, b) -> float:
 
 
 def _impl_cosine_similarity(ctx: PropContext):
-    vectors = [v for v in ctx.window_values if is_defined(v)]
-    if not vectors:
-        return UNDEFINED
+    vectors = ctx.window_values
     dim = len(vectors[0])
     mean = tuple(sum(v[i] for v in vectors) / len(vectors) for i in range(dim))
     reference = tuple(float(v) for v in ctx.params["reference"])

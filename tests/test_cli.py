@@ -324,6 +324,34 @@ def test_unknown_function_exit_3(runner, workspace, command, prefix, source,
     assert result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("source, named", [
+    ('vobj Truck {\n  detector: "general_truck"\n}\n',
+     "the program declares no type 'Car'"),
+    (CAR_PROGRAM.replace(
+        '  property color: stateless(impl="attr:color") intrinsic\n', ""),
+     "Car has no property 'color'"),
+], ids=["type", "property"])
+def test_saved_plan_the_program_lacks_exit_3(runner, workspace, source, named):
+    plan = workspace["dir"] / "plan.json"
+    result = runner.invoke(main, [
+        "profile", "-p", workspace["program"], "-q", "reds",
+        "--trace", workspace["trace"], "--meta", workspace["meta"],
+        "--save-plan", str(plan),
+    ])
+    assert result.exit_code == 0, result.output
+    program = workspace["dir"] / "other.vq"
+    program.write_text(source)
+    result = runner.invoke(main, [
+        "run", "-p", str(program), "--plan-file", str(plan),
+        "--trace", workspace["trace"], "--meta", workspace["meta"],
+    ])
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr.startswith("execution failed: ")
+    assert named in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
 class TestProfile:
     def test_report_and_saved_plan(self, runner, workspace, tmp_path):
         manifest = tmp_path / "reg.json"

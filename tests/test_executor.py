@@ -2,6 +2,7 @@
 sharing, result caching, and byte-stable serialization."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -157,6 +158,14 @@ def moving_car_trace(tmp_path, frames, w=lambda f: 1.0, last=None):
     return path, meta_1000(frames)
 
 
+# pos is Undefined while direction warms up; drift is a window over it
+DRIFTING = MOVING.replace("}\nquery", """
+  property pos: stateless(impl="attr_vector:pos", deps=[direction])
+  property drift: stateful(impl="direction", deps=[pos], window=3)
+}
+query""", 1)
+
+
 class TestTrackWindows:
     """A stateful window is its track's latest objects, whatever else the
     session, the plan or the flags compute."""
@@ -212,11 +221,7 @@ class TestTrackWindows:
         # as pos is Undefined until direction has warmed up)
         trace, meta = moving_car_trace(
             tmp_path, 40, w=lambda f: float(f >= 6 and f not in (14, 15)))
-        vprog = make_program(MOVING.replace("}\nquery", """
-          property pos: stateless(impl="attr_vector:pos", deps=[direction])
-          property drift: stateful(impl="direction", deps=[pos], window=3)
-        }
-        query""", 1) + """
+        vprog = make_program(DRIFTING + """
         query q { bind c: Car frame_constraint: c.w > 0.5
                   frame_output: c.drift }
         """)
@@ -231,6 +236,59 @@ class TestTrackWindows:
                  for r in json.loads(texts[16])["frames"]}
         assert sorted(drift) == [6, 7, 8, 9, 10, 11, 12, 13] + list(range(16, 40))
         assert drift[16] == ["right"]
+
+    @pytest.mark.parametrize("batch", [1, 3, 16, 64])
+    def test_a_window_over_undefined_entries_is_undefined(self, tmp_path,
+                                                          batch):
+        # the car's pos attribute moves 10 px right a frame.  direction's
+        # window of 3 first fills on frame 2, so pos is Undefined on frames
+        # 0-1, and drift's window of 3 holds one of those through frame 3
+        frames = 20
+        trace, meta = moving_car_trace(tmp_path, frames)
+        vprog = make_program(DRIFTING + """
+        query q { bind c: Car video_constraint: c.drift == "right"
+                  frame_output: c.drift }
+        """)
+        outcome, stats, _d = run_single(
+            vprog, "q", trace, meta,
+            planner_config=PlannerConfig(batch_size=batch),
+            exec_config=ExecConfig(batch_size=batch))
+        drift = {r["frame"]: r["outputs"]["c.drift"] for r in outcome.rows}
+        assert drift == {f: [None if f < 4 else "right"]
+                         for f in range(frames)}
+        assert list(outcome.video["per_track"].values()) == [
+            {"true": 16, "false": 0, "undefined": 4}]
+        assert stats.property_calls["Car.drift"] == 16
+
+    def test_a_similarity_window_with_an_undefined_entry_is_undefined(
+            self, tmp_path):
+        # the car has no emb on frame 2, so the windows of frames 2-4 hold an
+        # Undefined entry and only frame 5's window is whole
+        path = tmp_path / "emb.jsonl"
+        write_trace([
+            TraceRecord(f, (Detection(
+                "car", (100.0 + 10 * f, 500.0, 140.0 + 10 * f, 540.0), 0.95,
+                {} if f == 2 else {"emb": "1,0"}),))
+            for f in range(6)], path)
+        registry = frozen_registry([Registration(
+            name="like_x", kind="property_fn", cost_units=5.0,
+            params={"impl": "cosine_similarity", "reference": [1, 0]})])
+        vprog = make_program("""
+        vobj Car {
+          detector: "general_car"
+          property emb: stateless(impl="attr_vector:emb")
+          property sim: stateful(impl="like_x", deps=[emb], window=3)
+        }
+        query q { bind c: Car video_constraint: c.sim > 0.5
+                  frame_output: c.sim }
+        """)
+        outcome, stats, _d = run_single(vprog, "q", path, meta_1000(6),
+                                        registry=registry)
+        sims = [r["outputs"]["c.sim"] for r in outcome.rows]
+        assert sims == [[None]] * 5 + [[1.0]]
+        assert list(outcome.video["per_track"].values()) == [
+            {"true": 1, "false": 0, "undefined": 5}]
+        assert stats.property_calls["Car.sim"] == 1
 
     def test_retired_track_readable_in_its_last_batch_then_released(
             self, tmp_path):
@@ -449,6 +507,26 @@ class TestResultStore:
         assert stats.total_op_invocations > 0
         assert strict.satisfied == []  # the cars score 0.95
 
+    def test_property_definition_change_misses(self, tmp_path):
+        # a plan names the properties it reads but does not hold their
+        # definitions
+        trace, meta = moving_car_trace(tmp_path, 20)
+        store = ResultStore(tmp_path / "cache")
+        short = make_program(MOVING)
+        long = make_program(MOVING.replace(
+            'impl="direction", deps=[center], window=3',
+            'impl="direction", deps=[center], window=8'))
+        out, _s, dag = run_single(short, "moving_right", trace, meta,
+                                  result_store=store)
+        assert out.satisfied == list(range(2, 20))
+        cached, stats, dag8 = run_single(long, "moving_right", trace, meta,
+                                         result_store=store)
+        assert dag8.plan_id == dag.plan_id
+        assert stats.total_op_invocations > 0
+        uncached, _s, _d = run_single(long, "moving_right", trace, meta)
+        assert uncached.satisfied == list(range(7, 20))
+        assert serialize_outcome(cached) == serialize_outcome(uncached)
+
     @pytest.mark.parametrize("damage", [
         b"{}",
         b"[]",
@@ -577,6 +655,51 @@ class TestCompactEntries:
         served, stats = self.run(tmp_path, store)
         assert stats.total_op_invocations == 0
         assert served == uncached
+
+
+class TestLinking:
+    """A pass resolves each property of each detected type once, however
+    many values it computes."""
+
+    @pytest.mark.parametrize("frames, batch", [(10, 1), (10, 16), (40, 3),
+                                               (40, 64)])
+    def test_each_property_resolves_once_per_pass(self, tmp_path,
+                                                  monkeypatch, frames, batch):
+        meta = meta_1000(frames)
+        world = WorldSpec(meta=meta, objects=[
+            car(1, 0, frames - 1, (100.0, 300.0), velocity=(3.0, 0.0)),
+            ObjectScript(label=2, class_name="person", start_frame=0,
+                         end_frame=frames - 1, start_center=(160.0, 300.0),
+                         velocity=(3.0, 0.0), size=(20.0, 24.0),
+                         attrs={"role": "adult"}),
+        ])
+        paths = write_world(world, tmp_path / "w")
+        vprog = make_program(SHAPES + """
+        vobj Bus {
+          detector: "general_bus"
+          property plate: stateless(impl="attr:plate")
+        }
+        """)  # declared, never detected
+        registry = frozen_registry()
+        dags = [plan_query(vprog, q, registry, PlannerConfig(batch_size=batch),
+                           meta)
+                for q in ("reds", "adults", "right_movers", "speeds", "near")]
+        resolved = Counter()
+        resolve = Registry.resolve_property_fn
+
+        def counting(self, name):
+            resolved[name] += 1
+            return resolve(self, name)
+
+        monkeypatch.setattr(Registry, "resolve_property_fn", counting)
+        session = Session(vprog, registry, meta, ExecConfig(batch_size=batch))
+        for _pass in range(2):
+            outcomes = session.run(dags, paths["trace"])
+            assert all(o.satisfied for o in outcomes)
+            assert session.stats.property_calls["Car.speed"] > 0
+            assert resolved == Counter(["attr:color", "center", "direction",
+                                        "speed", "attr:role"])
+            resolved.clear()
 
 
 class TestNestedQueries:
