@@ -48,7 +48,6 @@ class VObjInstance:
     class_name: str
     frame_id: int
     bbox: tuple[float, float, float, float]
-    score: float = 1.0
     attrs: dict[str, Any] = field(default_factory=dict)
     track_id: Optional[int] = None
     properties: dict[str, Any] = field(default_factory=dict)

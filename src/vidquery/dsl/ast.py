@@ -46,9 +46,6 @@ class Not:
     item: Any
 
 
-PredicateExpr = Union[Compare, And, Or, Not]
-
-
 def conjuncts(expr) -> list:
     """Flatten nested And nodes into a top-level conjunct list."""
     if expr is None:
@@ -80,6 +77,18 @@ def walk_refs(expr) -> Iterator[PropRef]:
             yield from walk_refs(item)
     elif isinstance(expr, Not):
         yield from walk_refs(expr.item)
+
+
+def ref_bindings(expr) -> set[str]:
+    """The bindings `expr` references: each property's binding and each
+    relation's arguments."""
+    names = set()
+    for ref in walk_refs(expr):
+        if ref.relation is not None:
+            names.update(ref.args or ())
+        else:
+            names.add(ref.binding)
+    return names
 
 
 # --- declarations ----------------------------------------------------------

@@ -93,14 +93,6 @@ def _tokenize(source: str, file: str) -> list[Token]:
     return tokens
 
 
-_KEYWORDS = {
-    "vobj", "relation", "query", "extends", "duration", "spatial", "temporal",
-    "detector", "property", "stateless", "stateful", "intrinsic", "bind",
-    "frame_constraint", "frame_output", "video_constraint", "video_output",
-    "in",
-}
-
-
 class _Parser:
     def __init__(self, source: str, file: str):
         self.file = file

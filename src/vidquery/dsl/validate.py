@@ -22,6 +22,7 @@ from .ast import (
     VObjTypeDecl,
     conjoin,
     conjuncts,
+    ref_bindings,
     walk_refs,
 )
 
@@ -73,11 +74,10 @@ class FlatQuery:
     min_seconds: Optional[float] = None
     gap_tolerance: int = 0
     # spatial
-    first: Optional[str] = None
-    second: Optional[str] = None
     relation: Optional[str] = None
     relation_pred: Optional[Any] = None
     # temporal
+    first: Optional[str] = None
     then: Optional[str] = None
     max_interval_frames: Optional[int] = None
     max_interval_seconds: Optional[float] = None
@@ -263,18 +263,6 @@ def _check_pred(
         check_ops(expr)
 
 
-def _conjunct_bindings(conj, relations) -> tuple[set[str], bool]:
-    """Bindings referenced by one conjunct, and whether it uses a relation."""
-    names, uses_rel = set(), False
-    for ref in walk_refs(conj):
-        if ref.relation is not None:
-            uses_rel = True
-            names.update(ref.args or ())
-        else:
-            names.add(ref.binding)
-    return names, uses_rel
-
-
 def _flatten_query(
     program: Program, decl: QueryDecl, diags: list[Diagnostic], file: str
 ) -> Optional[FlatQuery]:
@@ -373,8 +361,9 @@ def validate(program: Program, file: str = "<source>") -> ValidatedProgram:
         _check_pred(flat.frame_pred, bmap, types, relations, decl.name, diags, file)
         _check_pred(flat.video_pred, bmap, types, relations, decl.name, diags, file)
         for conj in conjuncts(flat.frame_pred):
-            names, uses_rel = _conjunct_bindings(conj, relations)
-            vobj_names = {n for n in names if bmap.get(n) != SCENE_TYPE}
+            vobj_names = {n for n in ref_bindings(conj)
+                          if bmap.get(n) != SCENE_TYPE}
+            uses_rel = any(r.relation is not None for r in walk_refs(conj))
             if not uses_rel and len(vobj_names) > 1:
                 diags.append(Diagnostic(
                     f"query {decl.name}: a non-relation conjunct may reference "
@@ -413,8 +402,9 @@ def validate(program: Program, file: str = "<source>") -> ValidatedProgram:
         d for d in program.decls
         if isinstance(d, (DurationDecl, SpatialDecl, TemporalDecl))
     ]
-    # multiple passes so higher-order queries can reference each other in
-    # declaration order (temporal over temporal)
+    # one pass in declaration order: a higher-order query may reference every
+    # basic query and each higher-order query declared before it (temporal
+    # over temporal)
     for decl in hoq_decls:
         if isinstance(decl, SpatialDecl):
             ok = True
@@ -461,8 +451,6 @@ def validate(program: Program, file: str = "<source>") -> ValidatedProgram:
                 kind="spatial",
                 bindings=bindings,
                 frame_pred=conjoin([q1.frame_pred, q2.frame_pred]),
-                first=decl.first,
-                second=decl.second,
                 relation=decl.relation,
                 relation_pred=rel_pred,
                 frame_output=q1.frame_output + q2.frame_output,

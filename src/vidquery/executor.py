@@ -206,9 +206,7 @@ class PropertyEngine:
         else:
             self.stats.count_property(linked.name, linked.reg.cost_units)
             value = call_property_impl(linked.reg, PropContext(
-                node=node, deps=deps, window_values=win,
-                meta=self.meta, params={},
-            ))
+                node=node, deps=deps, window_values=win, meta=self.meta))
 
         node.properties[prop] = value
         if memo_key is not None and value is not UNDEFINED:
@@ -436,7 +434,6 @@ def op_signature(plan_op: PlanOp, input_sigs: list[str]) -> str:
 @dataclass
 class QueryOutcome:
     query: str
-    plan_id: str = ""
     satisfied: list[int] = field(default_factory=list)
     rows: list[dict] = field(default_factory=list)
     video: Optional[dict] = None
@@ -448,8 +445,6 @@ class QueryOutcome:
         return [f in sat for f in range(frame_count)]
 
     def to_json(self) -> dict:
-        # plan_id deliberately omitted: semantically equal plans must yield
-        # byte-identical result files regardless of optimization flags
         out: dict[str, Any] = {
             "query": self.query,
             "satisfied": self.satisfied,
@@ -517,12 +512,10 @@ class ResultStore:
         shape) is a miss, so the result is recomputed and the entry
         rewritten."""
         try:
-            outcome = QueryOutcome.from_json(
+            return QueryOutcome.from_json(
                 json.loads(self._path(inputs_digest, plan_id).read_text()))
         except (FileNotFoundError, ValueError, KeyError, TypeError):
             return None
-        outcome.plan_id = plan_id
-        return outcome
 
     def put(self, inputs_digest: str, plan_id: str, outcome: QueryOutcome) -> None:
         """Write to a temporary file beside the entry, then rename it into
@@ -654,11 +647,8 @@ class Session:
     def finish(self) -> list[QueryOutcome]:
         """The outcome of each started plan, in order; ends the pass and
         releases its operators."""
-        outcomes = []
-        for dag, ops in zip(self._dags, self._plan_ops):
-            outcome = self._finalize(dag, ops, dag.sink)
-            outcome.plan_id = dag.plan_id
-            outcomes.append(outcome)
+        outcomes = [self._finalize(dag, ops, dag.sink)
+                    for dag, ops in zip(self._dags, self._plan_ops)]
         self._dags, self._schedule, self._plan_ops = [], {}, []
         return outcomes
 

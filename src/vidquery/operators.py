@@ -7,6 +7,7 @@ Operators are deterministic given input and seed.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import deque
 from dataclasses import dataclass, replace
@@ -14,6 +15,7 @@ from typing import Any, Iterable, Optional
 
 from .datamodel import Edge, FrameGraph, Track, VObjInstance
 from .registry import (
+    GEOMETRIC_FN_COST,
     ConfigurationError,
     Registration,
     apply_detector,
@@ -82,28 +84,44 @@ def compare(value, op: str, literal) -> bool:
     return _ORDERED[op](value, literal)
 
 
+def _finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 class FrameFilterOp(RuntimeOp):
-    """Drops frames by a channel predicate; keeps a history of seen values."""
+    """Drops frames by a channel predicate: in `threshold` mode, a
+    comparison of the channel's value with the threshold; in
+    `similar_to_prev` mode, a difference above the tolerance from each of
+    the last `window` values.  Every setting is checked here, so a bad one
+    fails before any frame is read."""
 
     kind = "frame_filter"
 
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
         self.channel = params["channel"]
-        self.mode = params.get("mode", "threshold")
-        self.window = int(params.get("window", 1))
-        self._history: deque = deque(maxlen=self.window)
-
-    def _keep(self, value: float) -> bool:
-        if self.mode == "threshold":
-            return compare(value, self.params.get("op", ">="),
-                           self.params.get("threshold", 0.0))
-        if self.mode == "similar_to_prev":
-            tolerance = float(self.params.get("tolerance", 0.0))
-            if not self._history:
-                return True
-            return all(abs(value - prev) > tolerance for prev in self._history)
-        raise ConfigurationError(f"unknown frame-filter mode {self.mode!r}")
+        mode = params.get("mode", "threshold")
+        self.op = params.get("op", ">=")
+        self.threshold = params.get("threshold", 0.0)
+        self.tolerance = params.get("tolerance", 0.0)
+        window = params.get("window", 1)
+        self.cost = params.get("cost_units", GEOMETRIC_FN_COST)
+        literals = self.threshold if self.op == "in" else [self.threshold]
+        for bad, what in (
+            (mode not in ("threshold", "similar_to_prev"), f"mode {mode!r}"),
+            (self.op not in ("==", "!=", "in", *_ORDERED), f"op {self.op!r}"),
+            (not isinstance(literals, (list, tuple))
+             or not all(map(_finite, literals)),
+             f"threshold {self.threshold!r}"),
+            (not _finite(self.tolerance), f"tolerance {self.tolerance!r}"),
+            (type(window) is not int or window < 1, f"window {window!r}"),
+        ):
+            if bad:
+                raise ConfigurationError(f"frame filter {op_id}: bad {what}")
+        # only `similar_to_prev` reads back the values it has seen
+        self._history = deque(maxlen=window) \
+            if mode == "similar_to_prev" else None
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         out = []
@@ -114,9 +132,13 @@ class FrameFilterOp(RuntimeOp):
                     f"missing on frame {fs.frame_id}"
                 )
             value = fs.record.channels[self.channel]
-            keep = self._keep(value)
-            self._history.append(value)
-            engine.stats.add_cost(self.params.get("cost_units", 0.1))
+            if self._history is None:
+                keep = compare(value, self.op, self.threshold)
+            else:
+                keep = all(abs(value - prev) > self.tolerance
+                           for prev in self._history)
+                self._history.append(value)
+            engine.stats.add_cost(self.cost)
             if keep:
                 out.append(fs)
         return out
@@ -161,7 +183,6 @@ class DetectorOp(RuntimeOp):
                     class_name=self.vobj,
                     frame_id=fs.frame_id,
                     bbox=det.bbox,
-                    score=det.score,
                     attrs=det.attrs,
                 )
                 for idx, det in apply_detector(self.reg, fs.record)
@@ -304,7 +325,7 @@ class RelationProjectorOp(RuntimeOp):
                     for prop, impl in sorted(self.props.items()):
                         properties[prop] = relation_value(impl, a, b, engine.meta)
                         engine.stats.count_property(
-                            f"{self.relation}.{prop}", 0.1
+                            f"{self.relation}.{prop}", GEOMETRIC_FN_COST
                         )
                     edges.append(Edge(self.relation, a, b, properties))
             out.append(FrameState(fs.frame_id, fs.record,

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
-from .dsl.ast import And, Compare, Not, Or, PropRef, conjoin, conjuncts, walk_refs
+from .dsl.ast import (And, Compare, Not, Or, PropRef, conjoin, conjuncts,
+                       ref_bindings, walk_refs)
 from .dsl.validate import SCENE_TYPE, FlatQuery, FlatVObjType, ValidatedProgram
 from .registry import Registration, Registry, RegistryError
 from .trace_io import VideoMeta
@@ -192,16 +193,6 @@ class ProfileReport:
 
 # --- plan construction ------------------------------------------------------
 
-def _ref_bindings(conj) -> set[str]:
-    names = set()
-    for ref in walk_refs(conj):
-        if ref.relation is not None:
-            names.update(ref.args or ())
-        else:
-            names.add(ref.binding)
-    return names
-
-
 def _needed_props(ftype: FlatVObjType, prop_names: set[str]) -> list[str]:
     """Requested properties plus transitive dependencies, in dependency
     order per the type's topological property order."""
@@ -331,7 +322,7 @@ def _build(
     conj_all = conjuncts(fq.frame_pred)
     scene_conjs, binding_conjs = [], {b: [] for b, _t in vobj_bindings}
     for conj in conj_all:
-        names = _ref_bindings(conj)
+        names = ref_bindings(conj)
         if names and names <= scene_bindings:
             scene_conjs.append(conj)
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -128,23 +128,29 @@ class Registry:
         return [r for r in self.all_of("frame_filter") if r.params.get("auto")]
 
     def resolve_property_fn(self, name: str) -> Registration:
-        """Named property function; `attr:x` and `attr_vector:x` lookups are
-        implicitly available."""
+        """The property function `name`, registered or built in, with its
+        implementation resolved: `params["impl"]` is a key of
+        `PROPERTY_IMPLS`, and for `attr:x` and `attr_vector:x`,
+        `params["attr"]` is `x`."""
         reg = self.try_resolve("property_fn", name)
-        if reg is not None:
-            return reg
-        if name.startswith(("attr:", "attr_vector:")):
-            return Registration(
-                name=name, kind="property_fn", cost_units=ATTRIBUTE_FN_COST,
-                params={"impl": name},
-            )
-        if name in PROPERTY_IMPLS:
-            return Registration(
-                name=name, kind="property_fn",
-                cost_units=_BUILTIN_COSTS.get(name, GEOMETRIC_FN_COST),
-                params={"impl": name},
-            )
-        raise RegistryError(f"no property function registered under {name!r}")
+        impl = name if reg is None else reg.params.get("impl", name)
+        head, colon, attr = str(impl).partition(":")
+        key = head + colon
+        if key not in PROPERTY_IMPLS:
+            if reg is None:
+                raise RegistryError(
+                    f"no property function registered under {name!r}")
+            raise RegistryError(
+                f"property function {name!r} names no implementation "
+                f"{impl!r}")
+        params = {**(reg.params if reg else {}), "impl": key}
+        if colon:
+            params["attr"] = attr
+        if reg is None:
+            return Registration(name=name, kind="property_fn",
+                                cost_units=PROPERTY_IMPLS[key][1],
+                                params=params)
+        return replace(reg, params=params)
 
 
 # --- property function implementations -------------------------------------
@@ -157,7 +163,7 @@ class PropContext:
     deps: dict[str, Any]
     window_values: Optional[list]
     meta: Optional[VideoMeta]
-    params: dict
+    params: Optional[dict] = None  # the registration's; set on each call
 
 
 def _impl_center(ctx: PropContext):
@@ -187,9 +193,7 @@ def _impl_speed(ctx: PropContext):
 
 
 def _impl_attr(ctx: PropContext):
-    name = ctx.params["attr"]
-    value = ctx.node.attrs.get(name, UNDEFINED)
-    return value
+    return ctx.node.attrs.get(ctx.params["attr"], UNDEFINED)
 
 
 def _impl_attr_vector(ctx: PropContext):
@@ -218,34 +222,22 @@ def _impl_cosine_similarity(ctx: PropContext):
     return _cosine(mean, reference)
 
 
-PROPERTY_IMPLS: dict[str, Callable[[PropContext], Any]] = {
-    "center": _impl_center,
-    "direction": _impl_direction,
-    "speed": _impl_speed,
-    "cosine_similarity": _impl_cosine_similarity,
-}
-
-_BUILTIN_COSTS = {
-    "center": GEOMETRIC_FN_COST,
-    "direction": GEOMETRIC_FN_COST,
-    "speed": GEOMETRIC_FN_COST,
-    "cosine_similarity": ATTRIBUTE_FN_COST,
+# name -> (implementation, built-in cost); a name ending in ":" is used as
+# `name:x` and reads the detection attribute `x`
+PROPERTY_IMPLS: dict[str, tuple[Callable[[PropContext], Any], float]] = {
+    "attr:": (_impl_attr, ATTRIBUTE_FN_COST),
+    "attr_vector:": (_impl_attr_vector, ATTRIBUTE_FN_COST),
+    "center": (_impl_center, GEOMETRIC_FN_COST),
+    "direction": (_impl_direction, GEOMETRIC_FN_COST),
+    "speed": (_impl_speed, GEOMETRIC_FN_COST),
+    "cosine_similarity": (_impl_cosine_similarity, ATTRIBUTE_FN_COST),
 }
 
 
 def call_property_impl(reg: Registration, ctx: PropContext):
-    impl_name = reg.params.get("impl", reg.name)
-    if impl_name.startswith("attr:"):
-        ctx.params = {**reg.params, "attr": impl_name.split(":", 1)[1]}
-        return _impl_attr(ctx)
-    if impl_name.startswith("attr_vector:"):
-        ctx.params = {**reg.params, "attr": impl_name.split(":", 1)[1]}
-        return _impl_attr_vector(ctx)
-    fn = PROPERTY_IMPLS.get(impl_name)
-    if fn is None:
-        raise RegistryError(f"unknown property implementation {impl_name!r}")
+    """Run a property function that `Registry.resolve_property_fn` returned."""
     ctx.params = reg.params
-    return fn(ctx)
+    return PROPERTY_IMPLS[reg.params["impl"]][0](ctx)
 
 
 # --- relation property implementations -------------------------------------

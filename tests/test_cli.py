@@ -352,6 +352,63 @@ def test_saved_plan_the_program_lacks_exit_3(runner, workspace, source, named):
     assert result.stderr.count("\n") == 1
 
 
+MINE_PROGRAM = PROGRAM.replace(
+    '  property color: stateless(impl="attr:color") intrinsic\n',
+    '  property color: stateless(impl="attr:color") intrinsic\n'
+    '  property mine: stateless(impl="myfn")\n',
+) + """
+query greens {
+  bind c: Car
+  frame_constraint: c.color == "green" & c.mine == 1
+}
+"""
+
+GATE = {"name": "busy", "kind": "frame_filter", "auto": True,
+        "channel": "motion_score", "op": ">=", "threshold": 1}
+
+
+@pytest.mark.parametrize("command, flags, prefix", [
+    ("run", [], "execution failed: "),
+    ("run", ["--no-lazy"], "execution failed: "),
+    ("profile", [], "profiling failed: "),
+], ids=["run", "run-no-lazy", "profile"])
+@pytest.mark.parametrize("frames", [20, 0], ids=["frames", "empty"])
+@pytest.mark.parametrize("source, query, registration, named", [
+    # no frame demands `mine` with lazy evaluation on: no car is green
+    (MINE_PROGRAM, "greens",
+     {"name": "myfn", "kind": "property_fn", "impl": "nope"},
+     "Car.mine: property function 'myfn' names no implementation 'nope'"),
+    (PROGRAM, "reds", dict(GATE, op="~"), "bad op '~'"),
+    (PROGRAM, "reds", dict(GATE, threshold="high"), "bad threshold 'high'"),
+    (PROGRAM, "reds", dict(GATE, mode="bogus"), "bad mode 'bogus'"),
+], ids=["impl", "gate-op", "gate-threshold", "gate-mode"])
+def test_bad_registration_exit_3_before_any_frame(
+        runner, workspace, command, flags, prefix, frames, source, query,
+        registration, named):
+    ws = workspace["dir"]
+    program = ws / "bad.vq"
+    program.write_text(source)
+    manifest = ws / "bad.json"
+    manifest.write_text(json.dumps({"registrations": [registration]}))
+    meta = meta_1000(20)
+    world = WorldSpec(meta=meta, seed=11, objects=[
+        car(1, 0, 19, (100.0, 200.0), velocity=(3.0, 0.0)),
+    ], channels={"motion_score": [2.0] * 20})
+    trace = write_world(world, ws / "gated")["trace"]
+    if not frames:
+        trace.write_text("")
+    result = runner.invoke(main, [
+        command, "-p", str(program), "-q", query, "--trace", str(trace),
+        "--meta", workspace["meta"], "--registry", str(manifest), *flags,
+    ])
+    assert result.exit_code == 3, result.output
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stdout == ""
+    assert result.stderr.startswith(prefix)
+    assert named in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
 class TestProfile:
     def test_report_and_saved_plan(self, runner, workspace, tmp_path):
         manifest = tmp_path / "reg.json"

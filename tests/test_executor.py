@@ -440,7 +440,7 @@ class TestResultStore:
         paths, meta = red_world(tmp_path, frames=20)
         vprog = make_program(REDS)
         store = ResultStore(tmp_path / "cache")
-        out1, stats1, dag = run_single(
+        out1, stats1, _dag = run_single(
             vprog, "reds", paths["trace"], meta, result_store=store
         )
         assert stats1.total_op_invocations > 0
@@ -449,7 +449,6 @@ class TestResultStore:
         )
         assert stats2.total_op_invocations == 0
         assert serialize_outcome(out1) == serialize_outcome(out2)
-        assert out2.plan_id == dag.plan_id  # restored, not serialized
 
     def test_different_trace_misses(self, tmp_path):
         paths, meta = red_world(tmp_path, frames=20)

@@ -101,11 +101,18 @@ class TestFrameFilterOp:
             op.process(FakeEngine(), [[FrameState.fresh(record(0))]])
 
     def test_unknown_mode(self):
-        op = FrameFilterOp("f", {"channel": "m", "mode": "wavelet"})
         with pytest.raises(ConfigurationError):
-            op.process(FakeEngine(), [[FrameState.fresh(
-                record(0, channels={"m": 1.0})
-            )]])
+            FrameFilterOp("f", {"channel": "m", "mode": "wavelet"})
+
+    @pytest.mark.parametrize("setting", [
+        {"op": "~"}, {"threshold": "high"}, {"threshold": float("nan")},
+        {"threshold": True}, {"op": "in", "threshold": 1},
+        {"op": "in", "threshold": [1, "x"]}, {"tolerance": "x"},
+        {"tolerance": float("inf")}, {"window": 0}, {"window": "2"},
+    ])
+    def test_bad_setting_fails_at_construction(self, setting):
+        with pytest.raises(ConfigurationError):
+            FrameFilterOp("f", {"channel": "m", **setting})
 
 
 class TestDetectorOp:

@@ -112,10 +112,13 @@ class TestRegistryLookup:
     def test_resolve_property_fn(self):
         r = builtin_registry()
         assert r.resolve_property_fn("center").cost_units == GEOMETRIC_FN_COST
-        assert r.resolve_property_fn("attr:color").cost_units == \
-            ATTRIBUTE_FN_COST
-        with pytest.raises(RegistryError):
-            r.resolve_property_fn("nope")
+        attr = r.resolve_property_fn("attr:color")
+        assert attr.cost_units == ATTRIBUTE_FN_COST
+        assert attr.params == {"impl": "attr:", "attr": "color"}
+        # an attribute lookup needs its attribute; nothing else takes one
+        for name in ("nope", "attr", "center:x"):
+            with pytest.raises(RegistryError):
+                r.resolve_property_fn(name)
 
 
 def make_node(bbox=(0.0, 0.0, 10.0, 10.0), **attrs):
@@ -128,10 +131,13 @@ def make_node(bbox=(0.0, 0.0, 10.0, 10.0), **attrs):
 
 class TestPropertyImpls:
     def reg(self, impl, **params):
-        return Registration(
-            name=impl, kind="property_fn", cost_units=1,
+        """A function registered under `impl`, resolved as a pass links it."""
+        registry = Registry()
+        registry.register(Registration(
+            name="fn", kind="property_fn", cost_units=1,
             params={"impl": impl, **params},
-        )
+        ))
+        return registry.resolve_property_fn("fn")
 
     def test_center(self):
         value = call_property_impl(
@@ -195,7 +201,7 @@ class TestPropertyImpls:
 
     def test_unknown_impl(self):
         with pytest.raises(RegistryError):
-            call_property_impl(self.reg("warp"), ctx())
+            self.reg("warp")
 
 
 class TestRelationValues:
