@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from .datamodel import Edge, FrameGraph, Track, VObjInstance
@@ -217,7 +217,11 @@ class TrackerOp(RuntimeOp):
             # copy nodes so sibling consumers of the upstream batch never see
             # this tracker's id assignments
             (part,) = fs.graph.parts
-            nodes = [replace(n, properties=dict(n.properties)) for n in part]
+            nodes = [
+                VObjInstance(n.node_id, n.class_name, n.frame_id, n.bbox,
+                             n.attrs, n.track_id, dict(n.properties), n.track)
+                for n in part
+            ]
             by_id = {n.node_id: n for n in nodes}
             result = self.tracker.step(
                 fs.frame_id, [(n.node_id, n.bbox) for n in nodes]

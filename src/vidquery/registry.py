@@ -337,19 +337,41 @@ def builtin_registry() -> Registry:
     return reg
 
 
+def _manifest_number(obj: dict, key: str, default, convert=float):
+    value = obj.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise RegistryError(f"bad {key} {value!r}") from None
+
+
 def load_manifest(path, registry: Optional[Registry] = None) -> Registry:
-    """Extend a registry from a manifest file of registrations."""
+    """Extend a registry from a manifest file of registrations.  A manifest
+    of the wrong shape raises `RegistryError`."""
     registry = registry or builtin_registry()
     with Path(path).open() as fh:
         manifest = json.load(fh)
-    for entry in manifest.get("registrations", []):
+    if not isinstance(manifest, dict):
+        raise RegistryError("the manifest is not a JSON object")
+    entries = manifest.get("registrations", [])
+    if not isinstance(entries, list):
+        raise RegistryError("'registrations' is not a list")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise RegistryError(f"registration {i} is not an object")
+        for key in ("kind", "name"):
+            if not isinstance(entry.get(key), str):
+                raise RegistryError(f"registration {i} has no string {key!r}")
         profile = None
         if "error_profile" in entry:
             ep = entry["error_profile"]
+            if not isinstance(ep, dict):
+                raise RegistryError(
+                    f"registration {i}: error_profile is not an object")
             profile = ErrorProfile(
-                miss_rate=float(ep.get("miss_rate", 0.0)),
-                false_rate=float(ep.get("false_rate", 0.0)),
-                seed=int(ep.get("seed", 0)),
+                miss_rate=_manifest_number(ep, "miss_rate", 0.0),
+                false_rate=_manifest_number(ep, "false_rate", 0.0),
+                seed=_manifest_number(ep, "seed", 0, int),
             )
         kind = entry["kind"]
         default_cost = {
@@ -366,7 +388,7 @@ def load_manifest(path, registry: Optional[Registry] = None) -> Registry:
         registry.register(Registration(
             name=entry["name"],
             kind=kind,
-            cost_units=float(entry.get("cost_units", default_cost)),
+            cost_units=_manifest_number(entry, "cost_units", default_cost),
             params=params,
             error_profile=profile,
         ))

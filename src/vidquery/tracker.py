@@ -1,19 +1,27 @@
 """Constant-velocity Kalman tracking with IoU-gated greedy association.
 
 State per track: (cx, cy, area, aspect, vcx, vcy, varea); aspect is held
-constant by the motion model.  A tracker keeps the states of all its live
-tracks as two stacked arrays and advances them together: one batched
-predict, one IoU matrix of every track against every detection, one batched
-update of the matched rows.  Association is greedy by descending IoU with
-ties broken by (track, detection) index, so it is deterministic.
+constant by the motion model.  The model of SORT (Bewley et al., ICIP 2016)
+is block-diagonal per axis: F, H, Q, R and the initial covariance couple
+each of cx, cy and area only with its own velocity, and aspect with
+nothing.  So each track keeps its mean and the three 2x2 covariance blocks
+plus the aspect variance as Python floats, every covariance entry outside
+the blocks is zero, and a step costs a few float operations per track.
+The operations run in the order of the dense 7x7 filter, so the results
+are its results bit for bit.
+
+Association scores only track/detection pairs whose boxes can intersect,
+found by bisecting the detections sorted by x1, and matches greedily by
+descending IoU with ties broken by (track, detection) index, so it is
+deterministic.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 Box = tuple[float, float, float, float]
 
@@ -48,124 +56,165 @@ class TrackerConfig:
         return cls(**obj)
 
 
-def iou_matrix(track_boxes, det_boxes) -> np.ndarray:
-    """IoU of every track box (rows) against every detection box (columns)."""
-    a = np.asarray(track_boxes, dtype=float).reshape(-1, 1, 4)
-    b = np.asarray(det_boxes, dtype=float).reshape(1, -1, 4)
-    lo = np.maximum(a[..., :2], b[..., :2])  # (x1, y1) of the intersection
-    hi = np.minimum(a[..., 2:], b[..., 2:])  # (x2, y2)
-    side = np.maximum(0.0, hi - lo)
-    inter = side[..., 0] * side[..., 1]
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    # disjoint pairs score 0 without dividing, as their union may be 0
-    return np.divide(inter, area_a + area_b - inter,
-                     out=np.zeros_like(inter), where=inter != 0.0)
-
-
 def iou(a: Box, b: Box) -> float:
-    return float(iou_matrix([a], [b])[0, 0])
+    # `y if y > x else x` is max(x, y) and `y if y < x else x` is min(x, y),
+    # without the cost of a builtin call
+    ax1, ay1, ax2, ay2 = a
+    bx1, by1, bx2, by2 = b
+    w = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+    h = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
+    inter = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
+    if inter == 0.0:  # disjoint pairs score 0: their union may be 0
+        return 0.0
+    return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
 
 
-def _boxes_to_z(boxes: np.ndarray) -> np.ndarray:
-    """(n, 4) boxes -> (n, 4) measurements (cx, cy, area, aspect)."""
-    wh = boxes[:, 2:] - boxes[:, :2]
-    z = np.empty((len(boxes), 4))
-    z[:, :2] = boxes[:, :2] + wh / 2.0
-    z[:, 2] = wh[:, 0] * wh[:, 1]
-    z[:, 3] = wh[:, 0] / wh[:, 1]
-    return z
+def _box_to_z(box: Box) -> tuple[float, float, float, float]:
+    """Box -> measurement (cx, cy, area, aspect)."""
+    w, h = box[2] - box[0], box[3] - box[1]
+    return (box[0] + w / 2.0, box[1] + h / 2.0, w * h, w / h)
 
 
-def _x_to_boxes(x: np.ndarray) -> np.ndarray:
-    """(n, 7) states -> (n, 4) boxes; area and aspect floored at 1e-6."""
-    area, aspect = np.maximum(x[:, 2:4], 1e-6).T
-    half = np.empty((len(x), 2))
-    half[:, 0] = np.sqrt(area * aspect)  # w
-    half[:, 1] = area / half[:, 0]  # h
-    half /= 2.0
-    return np.concatenate([x[:, :2] - half, x[:, :2] + half], axis=1)
-
-
-class KalmanModel:
-    """Constant-velocity model, 4-dim box measurement, applied to stacked
-    states: `x` is (n, 7) and `P` is (n, 7, 7), one row per track."""
-
-    def __init__(self, config: TrackerConfig):
-        self.F = np.eye(7)
-        self.F[0, 4] = self.F[1, 5] = self.F[2, 6] = 1.0
-        self.H = np.zeros((4, 7))
-        self.H[0, 0] = self.H[1, 1] = self.H[2, 2] = self.H[3, 3] = 1.0
-        Q = np.eye(7)
-        Q[2, 2] = Q[6, 6] = 0.01
-        Q[4:6, 4:6] *= 0.01
-        self.Q = Q * config.process_noise
-        self.R = np.eye(4) * config.measurement_noise
-        self.R[2:, 2:] *= 10.0
-        self.I = np.eye(7)
-        P0 = np.eye(7) * 10.0
-        P0[4:, 4:] *= 100.0  # unobserved velocities start uncertain
-        self.P0 = P0 * config.measurement_noise
-
-    def initiate(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.zeros((len(boxes), 7))
-        x[:, :4] = _boxes_to_z(boxes)
-        return x, np.repeat(self.P0[None], len(boxes), axis=0)
-
-    def predict(self, x: np.ndarray, P: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Advance means by velocity and grow covariances by process noise."""
-        x = x @ self.F.T
-        shrunk = x[:, 2] + x[:, 6] <= 0  # keep predicted area positive
-        if shrunk.any():
-            x[shrunk, 6] = 0.0
-            x[shrunk, 2] = np.maximum(x[shrunk, 2], 1e-6)
-        P = self.F @ P @ self.F.T + self.Q
-        return x, (P + P.transpose(0, 2, 1)) / 2.0
-
-    def update(self, x: np.ndarray, P: np.ndarray, boxes: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """Correct each row by its matched box.  The gain uses `inv`, as the
-        scalar tracker in the tests does, so the two agree bit for bit."""
-        y = _boxes_to_z(boxes) - x @ self.H.T
-        S = self.H @ P @ self.H.T + self.R
-        K = P @ self.H.T @ np.linalg.inv(S)
-        x = x + (K @ y[:, :, None])[:, :, 0]
-        P = (self.I - K @ self.H) @ P
-        return x, (P + P.transpose(0, 2, 1)) / 2.0
+def _x_to_box(x: list[float]) -> Box:
+    """Mean -> box; area and aspect floored at 1e-6."""
+    area, aspect = x[2], x[3]
+    area = 1e-6 if area < 1e-6 else area  # max(area, 1e-6), see `iou`
+    w = math.sqrt(area * (1e-6 if aspect < 1e-6 else aspect))
+    h = area / w
+    return (x[0] - w / 2.0, x[1] - h / 2.0, x[0] + w / 2.0, x[1] + h / 2.0)
 
 
 def associate(
-    track_boxes,
-    det_boxes,
+    track_boxes: list[Box],
+    det_boxes: list[Box],
     iou_threshold: float,
 ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Greedy matching by descending IoU; each side matched at most once.
 
-    Ties go to the lower (track, detection) index pair.
+    Ties go to the lower (track, detection) index pair.  A pair can reach
+    the threshold only if its boxes overlap on both axes, so only those
+    pairs are scored.  The candidates are found by comparisons alone: the
+    detections are sorted by x1, those from `hi` on start right of the
+    track, and those before `lo` all end left of it, because `reach[i]` is
+    the largest x2 among the first i + 1 of them.
     """
-    scores = iou_matrix(track_boxes, det_boxes)
-    n_tracks, n_dets = scores.shape
-    ti, di = np.nonzero(scores >= iou_threshold)
-    order = np.lexsort((di, ti, -scores[ti, di]))
+    order = sorted(range(len(det_boxes)), key=lambda d: det_boxes[d][0])
+    boxes, x1s, reach, right = [], [], [], -math.inf
+    for d in order:
+        b = det_boxes[d]
+        boxes.append(b)
+        x1s.append(b[0])
+        right = b[2] if b[2] > right else right
+        reach.append(right)
+    pairs = []
+    for t, tb in enumerate(track_boxes):
+        tx1, ty1, tx2, ty2 = tb
+        lo, hi = bisect_right(reach, tx1), bisect_left(x1s, tx2)
+        for k in range(lo, hi):
+            db = boxes[k]
+            if db[2] > tx1 and db[1] < ty2 and db[3] > ty1:
+                score = iou(tb, db)
+                if score >= iou_threshold:
+                    pairs.append((-score, t, order[k]))
+    pairs.sort()
     matches, used_t, used_d = [], set(), set()
-    for t, d in zip(ti[order].tolist(), di[order].tolist()):
+    for _score, t, d in pairs:
         if t in used_t or d in used_d:
             continue
         used_t.add(t)
         used_d.add(d)
         matches.append((t, d))
     matches.sort()
-    unmatched_tracks = [t for t in range(n_tracks) if t not in used_t]
-    unmatched_dets = [d for d in range(n_dets) if d not in used_d]
+    unmatched_tracks = [t for t in range(len(track_boxes)) if t not in used_t]
+    unmatched_dets = [d for d in range(len(det_boxes)) if d not in used_d]
     return matches, unmatched_tracks, unmatched_dets
 
 
-@dataclass
+@dataclass(frozen=True)
+class _Model:
+    """The block-diagonal constants of the constant-velocity model: per
+    axis j of (cx, cy, area, aspect), process noise `q_p[j]` on the
+    position and `q_v[j]` on its velocity (aspect has none), measurement
+    noise `r[j]`, and the initial variances of a new track."""
+
+    q_p: tuple[float, float, float, float]
+    q_v: tuple[float, float, float]
+    r: tuple[float, float, float, float]
+    p0: float
+    v0: float
+
+    @classmethod
+    def of(cls, config: TrackerConfig) -> "_Model":
+        pn, mn = config.process_noise, config.measurement_noise
+        return cls(
+            q_p=(pn, pn, 0.01 * pn, pn),
+            q_v=(0.01 * pn, 0.01 * pn, 0.01 * pn),
+            r=(mn, mn, mn * 10.0, mn * 10.0),
+            p0=10.0 * mn,
+            v0=1000.0 * mn,  # unobserved velocities start uncertain
+        )
+
+
+@dataclass(eq=False, slots=True)
 class _TrackSlot:
+    """One live track: its bookkeeping and its Kalman state.
+
+    `x` is the mean (cx, cy, area, aspect, vcx, vcy, varea).  For axis j of
+    cx, cy and area, `p[j]` is the position variance, `c[j]` its covariance
+    with the velocity and `v[j]` the velocity variance; `p[3]` is the
+    aspect variance.  Every other covariance entry is zero.
+    """
+
     track_id: int
+    x: list[float]
+    p: list[float]
+    c: list[float]
+    v: list[float]
     hits: int = 1
     time_since_update: int = 0
+
+    @classmethod
+    def start(cls, track_id: int, box: Box, model: _Model) -> "_TrackSlot":
+        return cls(track_id, [*_box_to_z(box), 0.0, 0.0, 0.0],
+                   [model.p0] * 4, [0.0] * 3, [model.v0] * 3)
+
+    def predict(self, model: _Model) -> Box:
+        """Advance the mean by its velocity, grow the covariance by process
+        noise, and return the predicted box."""
+        x, p, c, v = self.x, self.p, self.c, self.v
+        q_p, q_v = model.q_p, model.q_v
+        for j in 0, 1, 2:
+            x[j] += x[j + 4]
+            p[j] = ((p[j] + c[j]) + (c[j] + v[j])) + q_p[j]
+            c[j] = c[j] + v[j]
+            v[j] = v[j] + q_v[j]
+        p[3] = p[3] + q_p[3]
+        if x[2] + x[6] <= 0:  # keep predicted area positive
+            x[6] = 0.0
+            x[2] = 1e-6 if x[2] < 1e-6 else x[2]
+        return _x_to_box(x)
+
+    def update(self, box: Box, model: _Model) -> None:
+        """Correct the state by the matched box.  The innovation covariance
+        is diagonal, so the gain of axis j is (p[j], c[j]) times the
+        reciprocal of p[j] + r[j], taken first as the dense filter's `inv`."""
+        x, p, c, v = self.x, self.p, self.c, self.v
+        z, r = _box_to_z(box), model.r
+        for j in 0, 1, 2:
+            pj, cj = p[j], c[j]
+            inv = 1.0 / (pj + r[j])
+            kp, kv = pj * inv, cj * inv
+            y = z[j] - x[j]
+            x[j] += kp * y
+            x[j + 4] += kv * y
+            p[j] = (1.0 - kp) * pj
+            # the dense filter averages P with its transpose; of the block,
+            # only its two cross terms can differ, in the last bit
+            c[j] = ((1.0 - kp) * cj + ((-kv) * pj + cj)) / 2.0
+            v[j] = (-kv) * cj + v[j]
+        ka = p[3] * (1.0 / (p[3] + r[3]))
+        x[3] += ka * (z[3] - x[3])
+        p[3] = (1.0 - ka) * p[3]
 
 
 @dataclass
@@ -176,17 +225,12 @@ class StepResult:
 
 class SortTracker:
     """Per-VObjType tracker; one instance tracks one class of detections.
-
-    Row i of `_x` (n, 7) and `_P` (n, 7, 7) is the Kalman state of
-    `slots[i]`; the slots hold the per-track bookkeeping.
-    """
+    `slots` holds the live tracks, oldest first."""
 
     def __init__(self, config: Optional[TrackerConfig] = None):
         self.config = config or TrackerConfig()
         self.slots: list[_TrackSlot] = []
-        self._kf = KalmanModel(self.config)
-        self._x = np.zeros((0, 7))
-        self._P = np.zeros((0, 7, 7))
+        self._model = _Model.of(self.config)
         self._next_id = 1
 
     def step(self, frame_id: int, detections: list[tuple]) -> StepResult:
@@ -196,39 +240,29 @@ class SortTracker:
         Kalman-updated, unmatched detections spawn tracks, and stale tracks
         are retired.
         """
-        cfg, kf = self.config, self._kf
-        self._x, self._P = kf.predict(self._x, self._P)
-        for slot in self.slots:
+        cfg, model, slots = self.config, self._model, self.slots
+        track_boxes = []
+        for slot in slots:
+            track_boxes.append(slot.predict(model))
             slot.time_since_update += 1
-        det_boxes = np.array([d[1] for d in detections], dtype=float)
-        det_boxes = det_boxes.reshape(-1, 4)
         matches, _unmatched_t, unmatched_d = associate(
-            _x_to_boxes(self._x), det_boxes, cfg.iou_threshold
+            track_boxes, [d[1] for d in detections], cfg.iou_threshold
         )
         assignments, new_tracks = [], []
-        if matches:
-            rows, cols = np.array(matches).T
-            self._x[rows], self._P[rows] = kf.update(
-                self._x[rows], self._P[rows], det_boxes[cols]
-            )
         for ti, di in matches:
-            slot = self.slots[ti]
+            slot = slots[ti]
+            node_id, box = detections[di]
+            slot.update(box, model)
             slot.hits += 1
             slot.time_since_update = 0
-            assignments.append((detections[di][0], slot.track_id))
-        if unmatched_d:
-            x, P = kf.initiate(det_boxes[unmatched_d])
-            self._x = np.concatenate([self._x, x])
-            self._P = np.concatenate([self._P, P])
+            assignments.append((node_id, slot.track_id))
         for di in unmatched_d:
-            slot = _TrackSlot(track_id=self._next_id)
+            node_id, box = detections[di]
+            slot = _TrackSlot.start(self._next_id, box, model)
             self._next_id += 1
-            self.slots.append(slot)
-            assignments.append((detections[di][0], slot.track_id))
+            slots.append(slot)
+            assignments.append((node_id, slot.track_id))
             new_tracks.append(slot.track_id)
-        live = [s.time_since_update <= cfg.max_age for s in self.slots]
-        if not all(live):
-            self.slots = [s for s, keep in zip(self.slots, live) if keep]
-            self._x, self._P = self._x[live], self._P[live]
+        self.slots = [s for s in slots if s.time_since_update <= cfg.max_age]
         assignments.sort(key=lambda a: a[0])
         return StepResult(assignments=assignments, new_tracks=new_tracks)

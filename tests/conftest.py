@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vidquery.dsl import parse, validate
@@ -125,3 +126,18 @@ def run_single(
     session = Session(vprog, registry, meta, exec_config)
     outcome = session.run([dag], trace_path, result_store=result_store)[0]
     return outcome, session.stats, dag
+
+
+def dense_state(slots) -> tuple[np.ndarray, np.ndarray]:
+    """Tracker slots' means as (n, 7) and covariances as (n, 7, 7), the
+    layout of the dense filter in `_scalar_tracker.py`, with +0.0 off the
+    per-axis blocks."""
+    x = np.zeros((len(slots), 7))
+    P = np.zeros((len(slots), 7, 7))
+    for i, s in enumerate(slots):
+        x[i] = s.x
+        for j in range(3):
+            P[i, j, j], P[i, j + 4, j + 4] = s.p[j], s.v[j]
+            P[i, j, j + 4] = P[i, j + 4, j] = s.c[j]
+        P[i, 3, 3] = s.p[3]
+    return x, P

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -280,6 +283,48 @@ def test_bad_option_value_exit_1(runner, workspace, command, flag, value):
     assert isinstance(result.exception, SystemExit)  # not a traceback
     assert result.stderr.startswith("bad option: ")
     assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("manifest, named", [
+    ([{"name": "d", "kind": "detector"}], "the manifest is not a JSON object"),
+    ({"registrations": {"name": "d", "kind": "detector"}},
+     "'registrations' is not a list"),
+    ({"registrations": ["d"]}, "registration 0 is not an object"),
+    ({"registrations": [{"kind": "detector", "classes": ["car"]}]},
+     "registration 0 has no string 'name'"),
+    ({"registrations": [{"name": "d", "classes": ["car"]}]},
+     "registration 0 has no string 'kind'"),
+    ({"registrations": [{"name": "d", "kind": "detector",
+                         "error_profile": 0.1}]},
+     "registration 0: error_profile is not an object"),
+    ({"registrations": [{"name": "d", "kind": "detector",
+                         "cost_units": None}]}, "bad cost_units None"),
+], ids=["top-level", "registrations", "entry", "name", "kind",
+        "error-profile", "cost-units"])
+def test_bad_manifest_shape_exit_1(runner, workspace, manifest, named):
+    path = workspace["dir"] / "bad.json"
+    path.write_text(json.dumps(manifest))
+    result = runner.invoke(main, [
+        "run", "-p", workspace["program"], "-q", "reds",
+        "--trace", workspace["trace"], "--meta", workspace["meta"],
+        "--registry", str(path),
+    ])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr == f"bad registry manifest: {named}\n"
+
+
+def test_engine_imports_without_numpy():
+    """numpy serves the tests and the benchmark only; every CLI call would
+    pay for importing it."""
+    import vidquery
+
+    src = Path(vidquery.__file__).resolve().parents[1]
+    code = "import sys, vidquery, vidquery.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout == "False\n"
 
 
 NEAR_PROGRAM = PROGRAM + """

@@ -2,17 +2,18 @@
 
 import random
 
-import numpy as np
 import pytest
 
+from conftest import dense_state
 from vidquery.tracker import (
-    KalmanModel,
     SortTracker,
     TrackerConfig,
     associate,
     iou,
-    _boxes_to_z,
-    _x_to_boxes,
+    _box_to_z,
+    _Model,
+    _TrackSlot,
+    _x_to_box,
 )
 
 
@@ -39,41 +40,55 @@ class TestIoU:
 
 
 class TestKalman:
+    MODEL = _Model.of(TrackerConfig())
+
     def test_box_state_round_trip(self):
         box = (10.0, 20.0, 50.0, 100.0)
-        z = _boxes_to_z(np.array([box]))[0]
+        z = _box_to_z(box)
         assert z[0] == 30.0 and z[1] == 60.0  # center
         assert z[2] == 40.0 * 80.0  # area
         assert z[3] == pytest.approx(0.5)  # aspect
-        x, _P = KalmanModel(TrackerConfig()).initiate(np.array([box]))
-        assert tuple(_x_to_boxes(x)[0]) == pytest.approx(box)
+        slot = _TrackSlot.start(1, box, self.MODEL)
+        assert _x_to_box(slot.x) == pytest.approx(box)
 
     def test_static_object_stays_put(self):
-        kf = KalmanModel(TrackerConfig())
-        box = np.array([[10.0, 10.0, 30.0, 30.0]])
-        x, P = kf.initiate(box)
+        box = (10.0, 10.0, 30.0, 30.0)
+        slot = _TrackSlot.start(1, box, self.MODEL)
         for _ in range(10):
-            x, P = kf.predict(x, P)
-            x, P = kf.update(x, P, box)
-        assert tuple(_x_to_boxes(x)[0]) == pytest.approx(tuple(box[0]), abs=1e-6)
+            slot.predict(self.MODEL)
+            slot.update(box, self.MODEL)
+        assert _x_to_box(slot.x) == pytest.approx(box, abs=1e-6)
 
     def test_velocity_learned_from_motion(self):
-        kf = KalmanModel(TrackerConfig())
-        x, P = kf.initiate(np.array([[0.0, 0.0, 20.0, 20.0]]))
+        slot = _TrackSlot.start(1, (0.0, 0.0, 20.0, 20.0), self.MODEL)
         for f in range(1, 15):
-            x, P = kf.predict(x, P)
-            x, P = kf.update(x, P, np.array([[5.0 * f, 0.0, 5.0 * f + 20.0, 20.0]]))
-        predicted, _P = kf.predict(x, P)
-        cx = predicted[0, 0]
+            slot.predict(self.MODEL)
+            slot.update((5.0 * f, 0.0, 5.0 * f + 20.0, 20.0), self.MODEL)
+        predicted = slot.predict(self.MODEL)
+        cx = (predicted[0] + predicted[2]) / 2.0
         # after settling, the one-step-ahead prediction tracks the +5 px/frame motion
         assert cx == pytest.approx(5.0 * 15 + 10.0, abs=1.0)
 
     def test_covariance_stays_symmetric(self):
-        kf = KalmanModel(TrackerConfig())
-        x, P = kf.initiate(np.array([[0, 0, 10, 10], [5, 5, 25, 15]], dtype=float))
-        for _ in range(5):
-            x, P = kf.predict(x, P)
+        slots = [_TrackSlot.start(1, (0.0, 0.0, 10.0, 10.0), self.MODEL),
+                 _TrackSlot.start(2, (5.0, 5.0, 25.0, 15.0), self.MODEL)]
+        for f in range(5):
+            for slot in slots:
+                slot.predict(self.MODEL)
+            slots[0].update((f + 1.0, 0.0, f + 11.0, 10.0), self.MODEL)
+        _x, P = dense_state(slots)
         assert (P == P.transpose(0, 2, 1)).all()
+        # and positive definite, block by block
+        for slot in slots:
+            for j in range(3):
+                assert slot.p[j] > 0 and slot.p[j] * slot.v[j] > slot.c[j] ** 2
+            assert slot.p[3] > 0
+
+    def test_predict_returns_the_predicted_box(self):
+        slot = _TrackSlot.start(1, (0.0, 0.0, 20.0, 20.0), self.MODEL)
+        slot.x[4:] = [3.0, -1.0, 0.0]
+        assert slot.predict(self.MODEL) == _x_to_box(slot.x) \
+            == (3.0, -1.0, 23.0, 19.0)
 
 
 class TestAssociate:
@@ -163,12 +178,14 @@ class TestSortTracker:
 
 
 class TestArrayBookkeeping:
-    """Row i of the stacked Kalman arrays belongs to slots[i]."""
+    """Each slot owns its whole Kalman state; no two slots share a list."""
 
     @staticmethod
     def assert_aligned(tracker):
-        n = len(tracker.slots)
-        assert tracker._x.shape == (n, 7) and tracker._P.shape == (n, 7, 7)
+        states = [(s.x, s.p, s.c, s.v) for s in tracker.slots]
+        assert all(list(map(len, st)) == [7, 4, 3, 3] for st in states)
+        lists = [id(lst) for st in states for lst in st]
+        assert len(set(lists)) == len(lists)
 
     def test_step_with_no_tracks(self):
         tracker = SortTracker(TrackerConfig())
@@ -210,9 +227,10 @@ class TestArrayBookkeeping:
         result = tracker.step(2, [((2, 0), kept), ((2, 1), born)])
         assert result.new_tracks == [3]
         assert [s.track_id for s in tracker.slots] == [1, 3]
-        assert len(tracker.slots) == len(tracker._x) == len(tracker._P)
-        x, P = tracker._kf.initiate(np.array([born]))
-        assert (tracker._x[1] == x[0]).all() and (tracker._P[1] == P[0]).all()
+        self.assert_aligned(tracker)
+        fresh = _TrackSlot.start(3, born, tracker._model)
+        state = lambda s: (s.x, s.p, s.c, s.v)
+        assert state(tracker.slots[1]) == state(fresh)
 
     def test_tie_break_through_the_tracker(self):
         # TestAssociate's tie case on live tracks: lowest indices win

@@ -1,10 +1,13 @@
-"""The batched SortTracker against the frozen scalar tracker.
+"""The block-state SortTracker against the frozen scalar tracker.
 
-`_scalar_tracker.py` holds the per-track, per-pair tracker the batched one
-replaced.  After every step both must give the same assignments and new
-tracks, the same per-slot bookkeeping, and bit for bit the same
-Kalman means and covariances.  No tolerance: the batched tracker keeps the
-scalar operation order, so a difference in the last bit is a bug.
+`_scalar_tracker.py` holds the per-track, per-pair tracker with dense 7x7
+numpy matrices.  After every step both must give the same assignments and
+new tracks, the same per-slot bookkeeping, and bit for bit the same Kalman
+means and covariances: each slot's block state is expanded to the dense
+mean and covariance, with +0.0 off the blocks.  No tolerance: the block
+tracker keeps the dense filter's operation order, so a difference in the
+last bit is a bug.  The association, which scores only pairs whose boxes
+can intersect, must match the scalar all-pairs one on every box set.
 """
 
 import random
@@ -13,8 +16,9 @@ import numpy as np
 import pytest
 
 import _scalar_tracker as scalar
+from conftest import dense_state
 from vidquery import synth
-from vidquery.tracker import SortTracker, TrackerConfig, iou_matrix
+from vidquery.tracker import SortTracker, TrackerConfig, associate, iou
 from vidquery.trace_io import VideoMeta
 
 CONFIGS = [
@@ -30,28 +34,26 @@ def _bits(arrays, shape) -> bytes:
     return np.stack(arrays).tobytes() if arrays else np.zeros(shape).tobytes()
 
 
-def assert_same_step(batched, oracle, frame_id, dets, where=""):
-    got = batched.step(frame_id, dets)
+def assert_same_step(tracker, oracle, frame_id, dets, where=""):
+    got = tracker.step(frame_id, dets)
     want = oracle.step(frame_id, dets)
     assert got.assignments == want.assignments, where
     assert got.new_tracks == want.new_tracks, where
     book = lambda s: (s.track_id, s.hits, s.time_since_update)
-    assert [book(s) for s in batched.slots] == [book(s) for s in oracle.slots], where
-    n = len(oracle.slots)
-    assert batched._x.shape == (n, 7) and batched._P.shape == (n, 7, 7), where
-    assert batched._x.tobytes() == _bits(
-        [s.state.x for s in oracle.slots], (0, 7)), where
-    assert batched._P.tobytes() == _bits(
+    assert [book(s) for s in tracker.slots] == [book(s) for s in oracle.slots], where
+    x, P = dense_state(tracker.slots)
+    assert x.tobytes() == _bits([s.state.x for s in oracle.slots], (0, 7)), where
+    assert P.tobytes() == _bits(
         [s.state.P for s in oracle.slots], (0, 7, 7)), where
     return got
 
 
 def run_both(config, stream, where=""):
-    batched, oracle = SortTracker(config), scalar.SortTracker(config)
+    tracker, oracle = SortTracker(config), scalar.SortTracker(config)
     for frame_id, dets in stream:
-        assert_same_step(batched, oracle, frame_id, dets,
+        assert_same_step(tracker, oracle, frame_id, dets,
                          f"{where} frame {frame_id}")
-    return batched
+    return tracker
 
 
 def random_stream(rng: random.Random, frames: int = 24):
@@ -92,8 +94,8 @@ def random_stream(rng: random.Random, frames: int = 24):
         yield frame_id, [((frame_id, i), b) for i, b in enumerate(boxes)]
 
 
-def test_iou_matrix_matches_scalar_iou():
-    """Every cell bit for bit, including disjoint, touching, nested and
+def test_iou_matches_scalar_iou():
+    """Every pair bit for bit, including disjoint, touching, nested and
     identical boxes; assignments alone would miss a last-bit change."""
     rng = random.Random(5)
     boxes = [(0.0, 0.0, 10.0, 10.0), (10.0, 0.0, 20.0, 10.0),
@@ -101,11 +103,94 @@ def test_iou_matrix_matches_scalar_iou():
     for _ in range(60):
         x, y = rng.uniform(0, 100), rng.uniform(0, 100)
         boxes.append((x, y, x + rng.uniform(0.5, 60), y + rng.uniform(0.5, 60)))
-    matrix = iou_matrix(boxes[:30], boxes)
-    assert matrix.shape == (30, len(boxes))
-    for i, a in enumerate(boxes[:30]):
-        for j, b in enumerate(boxes):
-            assert matrix[i, j].tobytes() == np.float64(scalar.iou(a, b)).tobytes()
+    for a in boxes[:30]:
+        for b in boxes:
+            got = iou(a, b)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == \
+                np.float64(scalar.iou(a, b)).tobytes()
+
+
+def random_boxes(rng: random.Random, n: int, span: float = 400.0):
+    boxes = []
+    for _ in range(n):
+        x, y = rng.uniform(0, span), rng.uniform(0, span)
+        boxes.append((x, y, x + rng.uniform(0.5, 80), y + rng.uniform(0.5, 80)))
+    return boxes
+
+
+def jittered(rng: random.Random, boxes):
+    """Boxes near the given ones, so that many pairs overlap."""
+    out = []
+    for x1, y1, x2, y2 in boxes:
+        dx, dy = rng.uniform(-6, 6), rng.uniform(-6, 6)
+        out.append((x1 + dx, y1 + dy, x2 + dx * rng.random(),
+                    y2 + dy * rng.random()))
+    return out
+
+
+def assert_same_association(tracks, dets, threshold=0.3):
+    assert associate(tracks, dets, threshold) == \
+        scalar.associate(tracks, dets, threshold)
+
+
+@pytest.mark.parametrize("threshold", [0.05, 0.3, 0.7])
+def test_association_matches_all_pairs(threshold):
+    rng = random.Random(f"associate:{threshold}")
+    for _ in range(150):
+        tracks = random_boxes(rng, rng.randint(0, 25))
+        dets = jittered(rng, tracks) + random_boxes(rng, rng.randint(0, 10))
+        rng.shuffle(dets)
+        dets = dets[:rng.randint(0, len(dets))]
+        assert_same_association(tracks, dets, threshold)
+
+
+BASE = [(0.0, 0.0, 10.0, 10.0), (8.0, 1.0, 18.0, 11.0),
+        (30.0, 30.0, 50.0, 45.0), (100.0, 0.0, 120.0, 20.0)]
+
+ADVERSARIAL = {
+    # its x1 is left of every track, its x2 right of every track
+    "one very wide detection": (BASE, [(1.0, 1.0, 11.0, 11.0),
+                                       (-1e6, 2.0, 1e6, 12.0),
+                                       (101.0, 0.0, 121.0, 20.0)]),
+    # the wide one ends right of the narrow ones sorted after it
+    "wide detection among narrow ones": (
+        [(50.0, 0.0, 150.0, 10.0), (0.0, 0.0, 3.0, 10.0)],
+        [(1.0, 0.0, 2.0, 10.0), (0.5, 0.0, 149.0, 10.0), (2.0, 0.0, 3.0, 10.0),
+         (4.0, 0.0, 5.0, 10.0)]),
+    "very wide track": ([(-1e6, 0.0, 1e6, 10.0)] + BASE,
+                        [(0.0, 0.0, 10.0, 10.0), (-1e6, 0.0, 1e6, 9.0)]),
+    "boxes touching on an edge": (BASE, [(10.0, 0.0, 20.0, 10.0),
+                                         (0.0, 10.0, 10.0, 20.0),
+                                         (-10.0, 0.0, 0.0, 10.0),
+                                         (120.0, 0.0, 140.0, 20.0)]),
+    "duplicates tie": (BASE + BASE, BASE + BASE[:2]),
+    "nested boxes": (BASE, [(2.0, 2.0, 4.0, 4.0), (-5.0, -5.0, 15.0, 15.0),
+                            (35.0, 33.0, 45.0, 40.0)]),
+    "no tracks": ([], BASE),
+    "no detections": (BASE, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+@pytest.mark.parametrize("offset", [0.0, 1e15], ids=["at-0", "at-1e15"])
+def test_association_adversarial(case, offset):
+    """Offsetting every coordinate by 1e15 rounds them to multiples of
+    0.125: boxes merge, touch or collapse, and any arithmetic margin in the
+    candidate search would round with them."""
+    tracks, dets = ADVERSARIAL[case]
+    move = lambda boxes: [tuple(c + offset for c in b) for b in boxes]
+    assert_same_association(move(tracks), move(dets), 0.3)
+    assert_same_association(move(tracks), move(dets), 0.05)
+
+
+def test_association_at_large_coordinates():
+    rng = random.Random(15)
+    for _ in range(100):
+        tracks = random_boxes(rng, rng.randint(1, 12), span=40.0)
+        dets = jittered(rng, tracks) + random_boxes(rng, 3, span=40.0)
+        big = lambda boxes: [tuple(c + 1e15 for c in b) for b in boxes]
+        assert_same_association(big(tracks), big(dets), 0.1)
 
 
 @pytest.mark.parametrize("overrides", CONFIGS, ids=lambda c: str(c) or "default")
@@ -147,7 +232,7 @@ def test_area_clamp_on_one_row():
     """A box shrinking fast beside a steady one: the predicted area would go
     negative for the shrinking track only, so the clamp masks one row."""
     config = TrackerConfig()
-    batched, oracle = SortTracker(config), scalar.SortTracker(config)
+    tracker, oracle = SortTracker(config), scalar.SortTracker(config)
     clamped = []
     for f in range(8):
         s = max(60.0 - 12.0 * f, 1.0)
@@ -155,5 +240,5 @@ def test_area_clamp_on_one_row():
                 ((f, 1), (500.0, 500.0, 540.0, 530.0))]
         predicted = [scalar._F @ slot.state.x for slot in oracle.slots]
         clamped.append([bool(x[2] + x[6] <= 0) for x in predicted])
-        assert_same_step(batched, oracle, f, dets, f"frame {f}")
+        assert_same_step(tracker, oracle, f, dets, f"frame {f}")
     assert [True, False] in clamped
