@@ -1,6 +1,7 @@
 """Command-line interface: validate, explain, profile, run, and synth.
 
-Exit codes: 1 for parse/validation errors, 2 for planning errors, 3 for
+Exit codes: 1 for parse/validation errors and bad option values (an output
+path that cannot be made or written is one), 2 for planning errors, 3 for
 runtime errors.
 """
 
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -84,6 +86,16 @@ def _config(cls, **kwargs):
 
 def _planner_config(**kwargs) -> PlannerConfig:
     return _config(PlannerConfig, **kwargs)
+
+
+@contextmanager
+def _output_path(option: str):
+    """A path given to `option` that cannot be made or written exits 1 with
+    one line, as a bad option value does."""
+    try:
+        yield
+    except OSError as exc:
+        _fail(EXIT_VALIDATION, f"bad option: {option}: {exc}")
 
 
 @click.group()
@@ -183,7 +195,8 @@ def profile_cmd(program, query, trace, meta_path, manifest, canary_frames,
     }
     click.echo(json.dumps(out, sort_keys=True, indent=2))
     if save_path:
-        save_plan(selected, save_path)
+        with _output_path("--save-plan"):
+            save_plan(selected, save_path)
 
 
 @main.command()
@@ -238,7 +251,10 @@ def run(program, queries, trace, meta_path, manifest, batch_size,
         _fail(EXIT_PLAN, f"cannot load plan: {exc}")
     except PlanError as exc:
         _fail(EXIT_PLAN, f"planning failed: {exc}")
-    store = ResultStore(results_dir) if results_dir else None
+    store = None
+    if results_dir:
+        with _output_path("--results"):
+            store = ResultStore(results_dir)
     try:
         outcomes, stats = run_plans(
             vprog, dags, trace, registry, meta, exec_config, store
@@ -248,7 +264,8 @@ def run(program, queries, trace, meta_path, manifest, batch_size,
         _fail(EXIT_RUNTIME, f"execution failed: {exc}")
     text = "".join(serialize_outcome(o) for o in outcomes)
     if out_path:
-        Path(out_path).write_text(text)
+        with _output_path("--out"):
+            Path(out_path).write_text(text)
     else:
         click.echo(text, nl=False)
     click.echo(

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
 import os
+import sys
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -54,8 +56,8 @@ class ExecConfig:
     memo: bool = True
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if not 1 <= self.batch_size <= sys.maxsize:
+            raise ValueError(f"batch_size must be in [1, {sys.maxsize}]")
 
 
 @dataclass
@@ -162,9 +164,11 @@ class PropertyEngine:
         if track is None:
             # a type without windows keeps no objects; one with them keeps a
             # batch more, as a batch's later objects are appended before its
-            # earlier frames' windows are read
+            # earlier frames' windows are read (a deque's bound is at most
+            # sys.maxsize)
             reach = self.vprog.types[vobj].max_window
-            depth = reach + self.config.batch_size if reach else 0
+            depth = min(reach + self.config.batch_size, sys.maxsize) if reach \
+                else 0
             track = self.tracks[tracker, track_id] = Track.create(
                 track_id, vobj, depth)
         return track
@@ -485,15 +489,25 @@ def serialize_outcome(outcome: QueryOutcome) -> str:
     return json.dumps(outcome.to_json(), sort_keys=True, indent=2) + "\n"
 
 
+# Cache entries are written and read by this interpreter's `marshal`; the
+# tag goes into every key, so an entry another version wrote is never opened.
+ENTRY_FORMAT = "marshal{}-py{}.{}".format(marshal.version, *sys.version_info[:2])
+DIGEST_SIZE = 32  # bytes of the sha256 that heads an entry
+
+
 class ResultStore:
-    """Result cache.  An entry is keyed by the plan id and a digest of the
-    run's other inputs: the trace content, the video meta and the
-    registrations (see `Session.run`).  Entries are internal: each holds
-    its outcome's `to_json` as compact sorted-key JSON, which `json`'s C
-    encoder writes several times faster than the `indent=2` text of
-    `serialize_outcome`.  Result files are made from the decoded outcome by
-    `serialize_outcome`, so they stay `indent=2` and byte-stable whether or
-    not they were served from here."""
+    """Result cache.  An entry is keyed by the entry format, the plan id and
+    a digest of the run's other inputs: the trace content, the video meta
+    and the registrations (see `Session.run`).  Entries are internal: each
+    is the sha256 of its payload followed by the payload, the `marshal` of
+    its outcome's `to_json`, which loads several times faster than JSON.
+    Result files are made from the loaded outcome by `serialize_outcome`,
+    so they stay `indent=2` and byte-stable whether or not they were served
+    from here.
+
+    `marshal` is not safe against crafted data: the digest catches damage,
+    not an entry someone forged, so the store must be the user's own
+    directory."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -501,30 +515,39 @@ class ResultStore:
 
     @staticmethod
     def key(inputs_digest: str, plan_id: str) -> str:
-        return hashlib.sha256(f"{inputs_digest}:{plan_id}".encode()).hexdigest()
+        return hashlib.sha256(
+            f"{ENTRY_FORMAT}:{inputs_digest}:{plan_id}".encode()).hexdigest()
 
     def _path(self, inputs_digest: str, plan_id: str) -> Path:
-        return self.root / f"{self.key(inputs_digest, plan_id)}.json"
+        return self.root / f"{self.key(inputs_digest, plan_id)}.marshal"
 
     def get(self, inputs_digest: str, plan_id: str) -> Optional[QueryOutcome]:
         """The cached outcome of `plan_id`, or None on a miss.  An entry
-        that does not decode to an outcome (truncated, or JSON of another
-        shape) is a miss, so the result is recomputed and the entry
-        rewritten."""
+        whose payload does not match its digest, or does not load to an
+        outcome, is a miss, so the result is recomputed and the entry
+        rewritten.  The digest is checked first: `marshal.loads` of damaged
+        bytes can ask for gigabytes or give a different value."""
         try:
-            return QueryOutcome.from_json(
-                json.loads(self._path(inputs_digest, plan_id).read_text()))
-        except (FileNotFoundError, ValueError, KeyError, TypeError):
+            data = self._path(inputs_digest, plan_id).read_bytes()
+        except FileNotFoundError:
+            return None
+        payload = memoryview(data)[DIGEST_SIZE:]
+        if hashlib.sha256(payload).digest() != data[:DIGEST_SIZE]:
+            return None
+        try:
+            return QueryOutcome.from_json(marshal.loads(payload))
+        except (EOFError, ValueError, KeyError, TypeError):
             return None
 
     def put(self, inputs_digest: str, plan_id: str, outcome: QueryOutcome) -> None:
         """Write to a temporary file beside the entry, then rename it into
         place, so a reader never sees a partial entry."""
+        payload = marshal.dumps(outcome.to_json())
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(outcome.to_json(), sort_keys=True,
-                                    separators=(",", ":")))
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(hashlib.sha256(payload).digest())
+                fh.write(payload)
             os.replace(tmp, self._path(inputs_digest, plan_id))
         except BaseException:
             os.unlink(tmp)

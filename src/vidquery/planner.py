@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
@@ -178,8 +179,8 @@ class PlannerConfig:
     def __post_init__(self):
         if not 0.0 <= self.accuracy_target <= 1.0:
             raise ValueError("accuracy_target must be in [0, 1]")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if not 1 <= self.batch_size <= sys.maxsize:
+            raise ValueError(f"batch_size must be in [1, {sys.maxsize}]")
 
 
 @dataclass

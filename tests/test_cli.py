@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import marshal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from vidquery.cli import main
-from vidquery.executor import QueryOutcome, serialize_outcome
+from vidquery.executor import DIGEST_SIZE, QueryOutcome, serialize_outcome
 from vidquery.synth import WorldSpec, write_world
 
 from conftest import CAR_PROGRAM, car, meta_1000
@@ -263,8 +264,19 @@ query busy {{
         assert out.read_bytes() == plain.read_bytes()
         # rewritten in place, with no temporary file left behind
         assert list(cache.iterdir()) == [entry]
-        restored = QueryOutcome.from_json(json.loads(entry.read_bytes()))
+        data = entry.read_bytes()
+        payload = data[DIGEST_SIZE:]
+        assert data[:DIGEST_SIZE] == hashlib.sha256(payload).digest()
+        restored = QueryOutcome.from_json(marshal.loads(payload))
         assert serialize_outcome(restored).encode() == plain.read_bytes()
+
+    def test_largest_batch_size_runs(self, runner, workspace):
+        # a track read by a window keeps its reach plus a batch of objects
+        plain = runner.invoke(main, self.args(workspace))
+        result = runner.invoke(main, self.args(
+            workspace, "--batch-size", str(sys.maxsize)))
+        assert result.exit_code == 0, result.output
+        assert result.stdout == plain.stdout
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -272,6 +284,9 @@ query busy {{
     ("profile", "--batch-size", "0"),
     ("run", "--accuracy-target", "2"),
     ("profile", "--accuracy-target", "-1"),
+    # above sys.maxsize: rejected before anything is sized by it
+    ("run", "--batch-size", "100000000000000000000"),
+    ("profile", "--batch-size", "100000000000000000000"),
 ])
 def test_bad_option_value_exit_1(runner, workspace, command, flag, value):
     result = runner.invoke(main, [
@@ -282,6 +297,30 @@ def test_bad_option_value_exit_1(runner, workspace, command, flag, value):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)  # not a traceback
     assert result.stderr.startswith("bad option: ")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, flag, path, error", [
+    ("run", "--results", "a_file", "File exists"),
+    ("run", "--results", "a_file/cache", "Not a directory"),
+    ("run", "--out", "missing/results.json", "No such file or directory"),
+    ("run", "--out", ".", "Is a directory"),
+    ("profile", "--save-plan", "missing/plan.json",
+     "No such file or directory"),
+], ids=["results-file", "results-under-file", "out-missing-dir", "out-dir",
+        "save-plan-missing-dir"])
+def test_unusable_output_path_exit_1(runner, workspace, command, flag, path,
+                                     error):
+    (workspace["dir"] / "a_file").write_text("")
+    result = runner.invoke(main, [
+        command, "-p", workspace["program"], "-q", "reds",
+        "--trace", workspace["trace"], "--meta", workspace["meta"],
+        flag, str(workspace["dir"] / path),
+    ])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr.startswith(f"bad option: {flag}: ")
+    assert error in result.stderr
     assert result.stderr.count("\n") == 1
 
 

@@ -1,7 +1,11 @@
 """Execution semantics: laziness, memoization, warm-up windows, operator
 sharing, result caching, and byte-stable serialization."""
 
+import hashlib
 import json
+import marshal
+import random
+import struct
 from collections import Counter
 from dataclasses import replace
 
@@ -10,6 +14,7 @@ import pytest
 from vidquery.datamodel import UNDEFINED, VObjInstance
 from vidquery.dsl.ast import Compare, PropRef
 from vidquery.executor import (
+    DIGEST_SIZE,
     ExecConfig,
     ExecStats,
     PropertyEngine,
@@ -550,6 +555,133 @@ class TestResultStore:
         assert list(store.root.iterdir()) == [entry]
         assert entry.read_bytes() == written  # rewritten
 
+    def assert_each_is_a_miss(self, tmp_path, damage):
+        """Each entry in `damage(entry bytes)` makes the entry a miss: the
+        run recomputes the uncached result and rewrites the entry."""
+        paths, meta = red_world(tmp_path, frames=20)
+        vprog = make_program(REDS)
+        store = ResultStore(tmp_path / "cache")
+        cold, _s, _d = run_single(vprog, "reds", paths["trace"], meta,
+                                  result_store=store)
+        (entry,) = store.root.iterdir()
+        written = entry.read_bytes()
+        for damaged in damage(written):
+            assert damaged != written
+            entry.write_bytes(damaged)
+            out, stats, _dag = run_single(vprog, "reds", paths["trace"], meta,
+                                          result_store=store)
+            assert stats.total_op_invocations > 0, damaged  # recomputed
+            assert serialize_outcome(out) == serialize_outcome(cold)
+            assert list(store.root.iterdir()) == [entry]
+            assert entry.read_bytes() == written  # rewritten
+
+    def test_flipped_byte_is_a_miss(self, tmp_path):
+        # a digit flipped in an entry of JSON text still parses to an
+        # outcome; no payload with a flipped byte is ever loaded
+        def flipped(data):
+            size = len(data) - DIGEST_SIZE
+            for k in range(11):
+                at = DIGEST_SIZE + size * k // 11
+                yield data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+        self.assert_each_is_a_miss(tmp_path, flipped)
+
+    def test_huge_length_field_is_a_miss(self, tmp_path):
+        def huge(data):
+            # the length field of the `satisfied` list, which follows its key
+            at = data.index(b"satisfied") + len(b"satisfied")
+            assert data[at] & 0x7F == ord("[")
+            damaged = data[:at + 1] + struct.pack("<I", 2**31) + data[at + 5:]
+            payload = damaged[DIGEST_SIZE:]
+            return [damaged, hashlib.sha256(payload).digest() + payload]
+
+        self.assert_each_is_a_miss(tmp_path, huge)
+
+    def test_truncated_entry_is_a_miss(self, tmp_path):
+        self.assert_each_is_a_miss(
+            tmp_path, lambda data: [data[:k] for k in range(0, len(data), 97)])
+
+    @pytest.mark.parametrize("value", [
+        compile("print('loaded')", "<entry>", "exec"),
+        ["reds", [0, 1], []],
+        {"satisfied": 5},
+        {"query": "reds", "satisfied": (0, 1), "frames": []},
+    ], ids=["code", "list", "int-satisfied", "tuple-satisfied"])
+    def test_digest_checked_payload_of_another_shape_is_a_miss(
+            self, tmp_path, capsys, value):
+        payload = marshal.dumps(value)
+        entry = hashlib.sha256(payload).digest() + payload
+        self.assert_each_is_a_miss(tmp_path, lambda _data: [entry])
+        assert capsys.readouterr().out == ""  # the code was never run
+
+    def test_served_outcome_equals_uncached_on_random_outcomes(self,
+                                                               tmp_path):
+        rng = random.Random(20231)
+        store = ResultStore(tmp_path / "cache")
+        for i in range(200):
+            outcome = random_outcome(rng, depth=2)
+            store.put("inputs", f"plan{i}", outcome)
+            served = store.get("inputs", f"plan{i}")
+            assert serialize_outcome(served) == serialize_outcome(outcome)
+            # no tuple, set or non-string key that a JSON entry would have
+            # normalised
+            assert served.to_json() == json.loads(
+                json.dumps(outcome.to_json()))
+
+
+FLOATS = [0.0, -0.0, 1e-7, -1e-7, 0.1, 1e300, 5e-324, 2.5]
+SCALARS = FLOATS + [0, -1, 2**64 + 1, -(2**100), True, False, None, "", "red",
+                    "Ünïcødé", "车 🚗", 'quote " and \\ tab \t', "\u2028"]
+NAMES = ["reds", "", "qüery", "查询", "🚗 seq", "a.b", "0"]
+
+
+def random_json(rng, depth):
+    """A random value of JSON's own types: lists, objects with string keys,
+    strings, numbers, booleans and null."""
+    kind = rng.randrange(4 if depth > 0 else 1)
+    if kind == 0:
+        return rng.choice(SCALARS + [rng.uniform(-1e6, 1e6),
+                                     rng.randrange(-10**20, 10**20)])
+    if kind == 1:
+        return [random_json(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if kind == 2:
+        return {rng.choice(NAMES): random_json(rng, depth - 1)
+                for _ in range(rng.randrange(4))}
+    return [] if rng.random() < 0.5 else {}
+
+
+def random_outcome(rng, depth) -> QueryOutcome:
+    frames = sorted(rng.sample(range(10**6), rng.randrange(6)))
+    rows = [{"frame": f,
+             "objects": {rng.choice(NAMES): [
+                 {"node": [f, rng.randrange(50)],
+                  "track": rng.choice([None, rng.randrange(10**12)]),
+                  "bbox": [rng.choice(FLOATS), rng.uniform(0, 1e4),
+                           rng.uniform(0, 1e4), rng.uniform(0, 1e4)]}
+                 for _ in range(rng.randrange(3))]},
+             "outputs": {f"c.{rng.choice(NAMES)}": [random_json(rng, 2)]}}
+            for f in frames]
+    outcome = QueryOutcome(query=rng.choice(NAMES), satisfied=frames,
+                           rows=rows)
+    if rng.random() < 0.4:
+        outcome.video = {
+            "aggregate": "count_distinct", "binding": rng.choice(NAMES),
+            "value": rng.randrange(10**30),
+            "per_track": {str(t): {"true": rng.randrange(9),
+                                   "false": 0, "undefined": 2**63}
+                          for t in rng.sample(range(100), rng.randrange(3))}}
+    if rng.random() < 0.4:
+        outcome.duration_fires = [[rng.randrange(99), f] for f in frames]
+    if depth > 0 and rng.random() < 0.5:
+        first = random_outcome(rng, depth - 1)
+        then = random_outcome(rng, depth - 1)
+        outcome.temporal = {
+            "matched": bool(first.satisfied and then.satisfied),
+            "witnesses": [[e, s] for e in first.satisfied[:2]
+                          for s in then.satisfied[:2]],
+            "first": first.to_json(), "then": then.to_json()}
+    return outcome
+
 
 SHAPES = CAR_PROGRAM + """
 vobj Person {
@@ -595,8 +727,8 @@ temporal query nested {
 
 
 class TestCompactEntries:
-    """Entries are compact JSON; what is served from them is byte-for-byte
-    what the uncached run gives, for every shape of outcome."""
+    """Entries are digest-checked `marshal`; what is served from them is
+    byte-for-byte what the uncached run gives, for every shape of outcome."""
 
     QUERIES = ["reds", "right_movers", "speeds", "near", "held", "nested"]
 
@@ -639,21 +771,38 @@ class TestCompactEntries:
         entries = sorted(store.root.iterdir())
         assert len(entries) == len(self.QUERIES)
         for entry in entries:
-            text = entry.read_text()
-            obj = json.loads(text)
-            assert text == json.dumps(obj, sort_keys=True,
-                                      separators=(",", ":"))
+            data = entry.read_bytes()
+            payload = data[DIGEST_SIZE:]
+            assert data[:DIGEST_SIZE] == hashlib.sha256(payload).digest()
+            obj = marshal.loads(payload)
+            QueryOutcome.from_json(obj)
+            # only JSON's own types, as the uncached outcome holds
+            assert obj == json.loads(json.dumps(obj))
 
-    def test_indented_entry_is_still_a_hit(self, tmp_path):
+    def test_old_json_entry_is_a_miss(self, tmp_path, monkeypatch):
         uncached, _stats = self.run(tmp_path)
-        store = ResultStore(tmp_path / "cache")
-        self.run(tmp_path, store)
-        for entry in store.root.iterdir():  # the earlier `indent=2` form
-            outcome = QueryOutcome.from_json(json.loads(entry.read_text()))
-            entry.write_text(serialize_outcome(outcome))
-        served, stats = self.run(tmp_path, store)
-        assert stats.total_op_invocations == 0
+        puts = []
+        put = ResultStore.put
+
+        def recording_put(store, *args):
+            puts.append(args)
+            put(store, *args)
+
+        monkeypatch.setattr(ResultStore, "put", recording_put)
+        self.run(tmp_path, ResultStore(tmp_path / "cache"))
+        assert len(puts) == len(self.QUERIES)
+        # the earlier entries: compact JSON, keyed without the format tag
+        old = ResultStore(tmp_path / "old")
+        for inputs_digest, plan_id, outcome in puts:
+            key = hashlib.sha256(f"{inputs_digest}:{plan_id}".encode())
+            (old.root / f"{key.hexdigest()}.json").write_text(json.dumps(
+                outcome.to_json(), sort_keys=True, separators=(",", ":")))
+        served, stats = self.run(tmp_path, old)
+        assert stats.total_op_invocations > 0
         assert served == uncached
+        assert len(puts) == 2 * len(self.QUERIES)  # each one recomputed
+        assert sorted(p.suffix for p in old.root.iterdir()) == \
+            [".json"] * len(self.QUERIES) + [".marshal"] * len(self.QUERIES)
 
 
 class TestLinking:
