@@ -7,7 +7,10 @@ runtime errors.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import stat
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -98,6 +101,23 @@ def _output_path(option: str):
         _fail(EXIT_VALIDATION, f"bad option: {option}: {exc}")
 
 
+def _check_output_file(option: str, path: Optional[str]) -> None:
+    """Exit 1 at once, before any frame is read, when the file `option`
+    names is a directory or its directory is missing; the write itself still
+    reports any other error."""
+    if not path:
+        return
+    target = Path(path)
+    with _output_path(option):
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    path)
+        if not stat.S_ISDIR(os.stat(target.parent).st_mode):
+            raise NotADirectoryError(errno.ENOTDIR,
+                                     os.strerror(errno.ENOTDIR),
+                                     str(target.parent))
+
+
 @click.group()
 def main():
     """Declarative video-object queries over detection traces."""
@@ -163,6 +183,7 @@ def profile_cmd(program, query, trace, meta_path, manifest, canary_frames,
         canary_frames=canary_frames,
         batch_size=batch_size,
     )
+    _check_output_file("--save-plan", save_path)
     try:
         dags = enumerate_alternatives(vprog, query, registry, config, meta)
         reports = profile_plans(dags, trace, meta, vprog, registry, config)
@@ -239,6 +260,7 @@ def run(program, queries, trace, meta_path, manifest, batch_size,
     exec_config = _config(
         ExecConfig, batch_size=batch_size, lazy=not no_lazy, memo=not no_memo
     )
+    _check_output_file("--out", out_path)
     try:
         if plan_file:
             dags = [load_plan(plan_file, registry)]

@@ -39,7 +39,7 @@ def is_defined(value: Any) -> bool:
 NodeId = tuple[int, int]  # (frame_id, per-frame detection index)
 
 
-@dataclass
+@dataclass(slots=True)
 class VObjInstance:
     """One video object on one frame; `track` is the record of the track
     the tracker assigned it to."""
@@ -54,7 +54,7 @@ class VObjInstance:
     track: Optional["Track"] = field(default=None, repr=False, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Edge:
     """One instance of a spatial relation between two objects of a frame."""
 
@@ -64,7 +64,7 @@ class Edge:
     properties: dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameGraph:
     """The objects of one frame: one part per binding, each in node-id
     order, and the relation edges between them.  A branch has one part; the
@@ -80,7 +80,7 @@ class FrameGraph:
         return [n for part in self.parts for n in part]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Track:
     """Persistent identity of one video object across frames, as one tracker
     numbered it: the frames it is on, and its latest tracked objects, oldest

@@ -46,7 +46,7 @@ from .registry import (
     RegistryError,
     call_property_impl,
 )
-from .trace_io import TraceRecord, VideoMeta, batch as batch_records, open_trace
+from .trace_io import VideoMeta, batch as batch_records, open_trace
 
 
 @dataclass
@@ -557,14 +557,16 @@ class ResultStore:
 # --- session ----------------------------------------------------------------
 
 def trace_batches(trace_path, meta: Optional[VideoMeta], batch_size: int):
-    """The records of `trace_path` that a run under `meta` reads, in batches
-    of at most `batch_size`.  Reading stops right after the record of frame
-    `meta.frame_count - 1`, so no line after it is parsed; a trace with no
-    record of that frame is read up to its first record past it."""
+    """The initial frame states of the records of `trace_path` that a run
+    under `meta` reads, in batches of at most `batch_size`.  Reading stops
+    right after the record of frame `meta.frame_count - 1`, so no line after
+    it is parsed; a trace with no record of that frame is read up to its
+    first record past it.  No operator changes an input frame state, so
+    every session of a pass may be fed the same batch."""
     records = open_trace(trace_path, meta)
     if meta is not None:
         records = _before(records, meta.frame_count)
-    return batch_records(records, batch_size)
+    return batch_records(map(FrameState.fresh, records), batch_size)
 
 
 def _before(records, frame_count: int):
@@ -583,7 +585,7 @@ class Session:
     Structurally identical operators across the plans of one pass resolve
     to a single runtime instance; each batch, an instance runs once and its
     output batch is reused by every consumer.  A pass `start`s its plans,
-    `feed`s them every batch of records in frame order, and `finish`es;
+    `feed`s them every batch of frame states in frame order, and `finish`es;
     `run` drives one over a trace file.  Each pass builds its own runtime
     operators and property engine (`engine` is the last pass's), so no
     per-track state outlives it; `stats` adds up over passes.
@@ -656,9 +658,9 @@ class Session:
         self._dags = dags
         self._schedule, self._plan_ops = self._compile(dags)
 
-    def feed(self, records: list[TraceRecord]) -> None:
-        """Run every scheduled operator once over one batch of records."""
-        base = [FrameState.fresh(r) for r in records]
+    def feed(self, base: Batch) -> None:
+        """Run every scheduled operator once over one batch of initial frame
+        states (`trace_batches`)."""
         out: dict[str, Batch] = {}
         for sig, (rt, input_sigs) in self._schedule.items():
             if rt is None:
@@ -698,9 +700,9 @@ class Session:
 
         self.start([dags[i] for i in pending])
         if pending:
-            for records in trace_batches(trace_path, self.meta,
-                                         self.config.batch_size):
-                self.feed(records)
+            for base in trace_batches(trace_path, self.meta,
+                                      self.config.batch_size):
+                self.feed(base)
         for i, outcome in zip(pending, self.finish()):
             outcomes[i] = outcome
             if result_store is not None:

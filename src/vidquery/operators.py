@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Optional
 
 from .datamodel import Edge, FrameGraph, Track, VObjInstance
@@ -26,7 +26,7 @@ from .trace_io import TraceRecord
 from .tracker import SortTracker, TrackerConfig
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameState:
     """One frame flowing through a pipeline branch."""
 
@@ -36,7 +36,7 @@ class FrameState:
 
     @classmethod
     def fresh(cls, record: TraceRecord) -> "FrameState":
-        return cls(frame_id=record.frame_id, record=record, graph=FrameGraph())
+        return cls(record.frame_id, record, FrameGraph())
 
 
 Batch = list[FrameState]
@@ -89,6 +89,15 @@ def _finite(value) -> bool:
             and math.isfinite(value))
 
 
+def _check_settings(owner: str, checks) -> None:
+    """Raise `ConfigurationError` naming the first (bad, what) pair that is
+    bad; operators check their settings at construction, so a bad one fails
+    before any frame is read."""
+    for bad, what in checks:
+        if bad:
+            raise ConfigurationError(f"{owner}: bad {what}")
+
+
 class FrameFilterOp(RuntimeOp):
     """Drops frames by a channel predicate: in `threshold` mode, a
     comparison of the channel's value with the threshold; in
@@ -108,7 +117,7 @@ class FrameFilterOp(RuntimeOp):
         window = params.get("window", 1)
         self.cost = params.get("cost_units", GEOMETRIC_FN_COST)
         literals = self.threshold if self.op == "in" else [self.threshold]
-        for bad, what in (
+        _check_settings(f"frame filter {op_id}", (
             (mode not in ("threshold", "similar_to_prev"), f"mode {mode!r}"),
             (self.op not in ("==", "!=", "in", *_ORDERED), f"op {self.op!r}"),
             (not isinstance(literals, (list, tuple))
@@ -116,9 +125,7 @@ class FrameFilterOp(RuntimeOp):
              f"threshold {self.threshold!r}"),
             (not _finite(self.tolerance), f"tolerance {self.tolerance!r}"),
             (type(window) is not int or window < 1, f"window {window!r}"),
-        ):
-            if bad:
-                raise ConfigurationError(f"frame filter {op_id}: bad {what}")
+        ))
         # only `similar_to_prev` reads back the values it has seen
         self._history = deque(maxlen=window) \
             if mode == "similar_to_prev" else None
@@ -145,12 +152,20 @@ class FrameFilterOp(RuntimeOp):
 
 
 class ClassifierOp(RuntimeOp):
-    """Per-frame binary presence gate backed by a registered classifier."""
+    """Per-frame binary presence gate backed by a registered classifier,
+    whose `target_class` (a string) and `requires_attrs` (an object) are
+    checked here."""
 
     kind = "classifier"
 
     def __init__(self, op_id: str, params: dict, reg: Registration):
         super().__init__(op_id, params)
+        target = reg.params.get("target_class")
+        required = reg.params.get("requires_attrs", {})
+        _check_settings(f"classifier {reg.name}", (
+            (not isinstance(target, str), f"target_class {target!r}"),
+            (not isinstance(required, dict), f"requires_attrs {required!r}"),
+        ))
         self.reg = reg
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
@@ -164,13 +179,29 @@ class ClassifierOp(RuntimeOp):
 
 class DetectorOp(RuntimeOp):
     """Starts a branch: one part with a node per emitted detection, in
-    trace-index order; node ids are trace indices."""
+    trace-index order; node ids are trace indices.  The detector's
+    `classes` (a list of strings), `score_threshold` (a finite number) and
+    `requires_attrs` (an object) are checked here and kept in the form
+    `apply_detector` compares them in."""
 
     kind = "detector"
 
     def __init__(self, op_id: str, params: dict, reg: Registration):
         super().__init__(op_id, params)
-        self.reg = reg
+        classes = reg.params.get("classes", [])
+        threshold = reg.params.get("score_threshold", 0.0)
+        required = reg.params.get("requires_attrs", {})
+        _check_settings(f"detector {reg.name}", (
+            (not isinstance(classes, (list, tuple))
+             or not all(isinstance(c, str) for c in classes),
+             f"classes {classes!r}"),
+            (not _finite(threshold), f"score_threshold {threshold!r}"),
+            (not isinstance(required, dict), f"requires_attrs {required!r}"),
+        ))
+        self.reg = replace(reg, params={
+            **reg.params, "classes": frozenset(classes),
+            "score_threshold": float(threshold), "requires_attrs": required,
+        })
         self.vobj = params["vobj"]
 
     def process(self, engine, inputs: list[Batch]) -> Batch:

@@ -630,8 +630,8 @@ def profile(
 ) -> list[ProfileReport]:
     """Run every candidate once on the canary and score it against the
     labels of the reference, `dags[0]`.  The canary is read once: each batch
-    of records goes to every candidate's own session in turn, so each
-    report counts exactly its candidate's work."""
+    of initial frame states is built once and goes to every candidate's own
+    session in turn, so each report counts exactly its candidate's work."""
     from .executor import ExecConfig, Session, trace_batches
 
     frame_budget = config.canary_frames or meta.frame_count
@@ -644,10 +644,10 @@ def profile(
                 for _dag in dags]
     for session, dag in zip(sessions, dags):
         session.start([dag])
-    for records in trace_batches(canary_path, canary_meta,
-                                 exec_config.batch_size):
+    for base in trace_batches(canary_path, canary_meta,
+                              exec_config.batch_size):
         for session in sessions:
-            session.feed(records)
+            session.feed(base)
     labels = [session.finish()[0].labels(canary_meta.frame_count)
               for session in sessions]
     return [

@@ -155,7 +155,7 @@ class Registry:
 
 # --- property function implementations -------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class PropContext:
     """What a property function may read."""
 
@@ -275,12 +275,14 @@ def apply_detector(
 ) -> list[tuple[int, Detection]]:
     """Emit (trace index, detection) pairs this detector produces on a frame.
 
+    The settings are read as they are: `DetectorOp` checks them once and
+    gives `classes` as a frozenset and `score_threshold` as a float.
     Synthetic error profiles drop planted detections (miss) per a seeded,
     reproducible draw keyed by frame and detection index.
     """
-    classes = set(reg.params.get("classes", []))
-    threshold = float(reg.params.get("score_threshold", 0.0))
-    required = reg.params.get("requires_attrs", {})
+    classes = reg.params.get("classes", ())
+    threshold = reg.params.get("score_threshold", 0.0)
+    required = reg.params.get("requires_attrs")
     profile = reg.error_profile
     out = []
     for idx, det in enumerate(record.detections):
@@ -288,7 +290,7 @@ def apply_detector(
             continue
         if det.score < threshold:
             continue
-        if not _attrs_match(det, required):
+        if required and not _attrs_match(det, required):
             continue
         if profile and seeded_flip(
             profile.seed, reg.name, "miss", record.frame_id, idx,

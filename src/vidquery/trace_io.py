@@ -54,7 +54,7 @@ class VideoMeta:
             raise ValueError("px_per_m must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Detection:
     class_name: str
     bbox: tuple[float, float, float, float]
@@ -70,7 +70,7 @@ class Detection:
             raise ValueError(f"score {self.score} outside [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceRecord:
     frame_id: int
     detections: tuple[Detection, ...] = ()
@@ -82,21 +82,22 @@ class TraceRecord:
                 raise ValueError(f"non-finite channel {name}={value}")
 
 
-def _detection_from_obj(obj: dict) -> Detection:
-    return Detection(
-        class_name=obj["class"],
-        bbox=tuple(float(v) for v in obj["bbox"]),
-        score=float(obj.get("score", 1.0)),
-        attrs=dict(obj.get("attrs", {})),
-    )
-
-
 def record_from_json(obj: dict) -> TraceRecord:
-    return TraceRecord(
-        frame_id=int(obj["frame"]),
-        detections=tuple(_detection_from_obj(d) for d in obj.get("dets", [])),
-        channels={k: float(v) for k, v in obj.get("channels", {}).items()},
-    )
+    """The record of one decoded trace line.  A field of the wrong type or
+    value raises `KeyError`, `TypeError`, `ValueError` or `OverflowError`;
+    fields are read in order (frame, then each detection's class, bbox,
+    score and attrs, then channels), so the first bad one is named."""
+    frame_id = int(obj["frame"])
+    detections = tuple([
+        Detection(d["class"], tuple(map(float, d["bbox"])),
+                  float(d.get("score", 1.0)), dict(d.get("attrs", {})))
+        for d in obj.get("dets", [])
+    ])
+    channels = obj.get("channels", {})
+    if not isinstance(channels, dict):
+        raise TypeError(f"channels {channels!r} is not an object")
+    return TraceRecord(frame_id, detections,
+                       {k: float(v) for k, v in channels.items()})
 
 
 def record_to_json(rec: TraceRecord) -> dict:
@@ -115,10 +116,17 @@ def record_to_json(rec: TraceRecord) -> dict:
     }
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+_skip_ws = json.decoder.WHITESPACE.match
+_BOM = "\ufeff"
+
+
 def open_trace(path, meta: Optional[VideoMeta] = None) -> Iterator[TraceRecord]:
     """Stream records from a trace file in strictly increasing frame order.
 
     With `meta` given, detection boxes are checked against the resolution.
+    A line is rejected as `json.loads` would reject it, trailing data
+    included.
     """
     path = Path(path)
     prev = -1
@@ -128,8 +136,20 @@ def open_trace(path, meta: Optional[VideoMeta] = None) -> Iterator[TraceRecord]:
             if not line:
                 continue
             try:
-                rec = record_from_json(json.loads(line))
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+                if line[0] == _BOM:
+                    raise json.JSONDecodeError(
+                        "Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                        line, 0)
+                obj, end = _raw_decode(line)
+                if end != len(line):
+                    raise json.JSONDecodeError(
+                        "Extra data", line, _skip_ws(line, end).end())
+                rec = record_from_json(obj)
+            except (KeyError, ValueError, TypeError, OverflowError,
+                    RecursionError) as exc:
+                # JSONDecodeError is a ValueError; an infinite frame id or
+                # an integer too large for a float is an OverflowError, and
+                # JSON nested past the recursion limit a RecursionError
                 raise TraceParseError(path, line_no, f"bad record: {exc}") from exc
             if rec.frame_id <= prev:
                 raise TraceOrderError(path, line_no, rec.frame_id, prev)

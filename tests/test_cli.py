@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from vidquery import executor
 from vidquery.cli import main
 from vidquery.executor import DIGEST_SIZE, QueryOutcome, serialize_outcome
 from vidquery.synth import WorldSpec, write_world
@@ -192,6 +193,33 @@ class TestRun:
         assert result.stderr.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, named", [
+        ('{"frame": 0, "channels": null}', "channels None is not an object"),
+        ('{"frame": 0, "channels": [["m", 1]]}',
+         "channels [['m', 1]] is not an object"),
+        ('{"frame": 0, "channels": "m"}', "channels 'm' is not an object"),
+        ('{"frame": Infinity}', "cannot convert float infinity to integer"),
+        ('{"frame": 1e400}', "cannot convert float infinity to integer"),
+        ('{"frame": 0, "dets": [{"class": "car", "bbox": [' + "9" * 400
+         + ', 0, 1, 1]}]}', "int too large to convert to float"),
+        ('{"frame": 0, "x": ' + "[" * 5000 + "]" * 5000 + "}",
+         "maximum recursion depth exceeded"),
+    ], ids=["channels-null", "channels-list", "channels-string",
+            "frame-infinity", "frame-1e400", "bbox-big-int",
+            "deep-nesting"])
+    def test_malformed_line_exit_3(self, runner, workspace, line, named):
+        lines = open(workspace["trace"]).read().splitlines()
+        lines[1] = line
+        with open(workspace["trace"], "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        result = runner.invoke(main, self.args(workspace))
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.stderr.startswith(
+            f"execution failed: {workspace['trace']}:2: bad record: ")
+        assert named in result.stderr
+        assert result.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("constraint", [
         's.motion_score == "x"',
         's.motion_score in [0.5, "x"]',
@@ -305,12 +333,22 @@ def test_bad_option_value_exit_1(runner, workspace, command, flag, value):
     ("run", "--results", "a_file/cache", "Not a directory"),
     ("run", "--out", "missing/results.json", "No such file or directory"),
     ("run", "--out", ".", "Is a directory"),
+    ("run", "--out", "a_file/results.json", "Not a directory"),
     ("profile", "--save-plan", "missing/plan.json",
      "No such file or directory"),
+    ("profile", "--save-plan", ".", "Is a directory"),
 ], ids=["results-file", "results-under-file", "out-missing-dir", "out-dir",
-        "save-plan-missing-dir"])
-def test_unusable_output_path_exit_1(runner, workspace, command, flag, path,
-                                     error):
+        "out-under-file", "save-plan-missing-dir", "save-plan-dir"])
+def test_unusable_output_path_exit_1(runner, workspace, monkeypatch, command,
+                                     flag, path, error):
+    opened = []
+    real = executor.open_trace
+
+    def counting(trace, meta=None):
+        opened.append(trace)
+        return real(trace, meta)
+
+    monkeypatch.setattr(executor, "open_trace", counting)
     (workspace["dir"] / "a_file").write_text("")
     result = runner.invoke(main, [
         command, "-p", workspace["program"], "-q", "reds",
@@ -322,6 +360,7 @@ def test_unusable_output_path_exit_1(runner, workspace, command, flag, path,
     assert result.stderr.startswith(f"bad option: {flag}: ")
     assert error in result.stderr
     assert result.stderr.count("\n") == 1
+    assert opened == []  # found before any frame is read
 
 
 @pytest.mark.parametrize("manifest, named", [
@@ -450,6 +489,12 @@ query greens {
 GATE = {"name": "busy", "kind": "frame_filter", "auto": True,
         "channel": "motion_score", "op": ">=", "threshold": 1}
 
+# a manifest detector is the one the program's Car names (see below)
+MY_CAR = {"name": "my_car", "kind": "detector", "classes": ["car"]}
+# a zero-error classifier of Car gates its detector
+HAS_CAR = {"name": "has_car", "kind": "classifier", "vobj": "Car",
+           "target_class": "car"}
+
 
 @pytest.mark.parametrize("command, flags, prefix", [
     ("run", [], "execution failed: "),
@@ -465,12 +510,32 @@ GATE = {"name": "busy", "kind": "frame_filter", "auto": True,
     (PROGRAM, "reds", dict(GATE, op="~"), "bad op '~'"),
     (PROGRAM, "reds", dict(GATE, threshold="high"), "bad threshold 'high'"),
     (PROGRAM, "reds", dict(GATE, mode="bogus"), "bad mode 'bogus'"),
-], ids=["impl", "gate-op", "gate-threshold", "gate-mode"])
+    (PROGRAM, "reds", dict(MY_CAR, score_threshold="high"),
+     "detector my_car: bad score_threshold 'high'"),
+    (PROGRAM, "reds", dict(MY_CAR, score_threshold=float("nan")),
+     "detector my_car: bad score_threshold nan"),
+    (PROGRAM, "reds", dict(MY_CAR, classes=5),
+     "detector my_car: bad classes 5"),
+    (PROGRAM, "reds", dict(MY_CAR, classes="car"),
+     "detector my_car: bad classes 'car'"),
+    (PROGRAM, "reds", dict(MY_CAR, requires_attrs=["x"]),
+     "detector my_car: bad requires_attrs ['x']"),
+    (PROGRAM, "reds", dict(HAS_CAR, target_class=5),
+     "classifier has_car: bad target_class 5"),
+    (PROGRAM, "reds", dict(HAS_CAR, requires_attrs=["x"]),
+     "classifier has_car: bad requires_attrs ['x']"),
+], ids=["impl", "gate-op", "gate-threshold", "gate-mode",
+        "detector-threshold", "detector-threshold-nan", "detector-classes",
+        "detector-classes-string", "detector-attrs", "classifier-target",
+        "classifier-attrs"])
 def test_bad_registration_exit_3_before_any_frame(
         runner, workspace, command, flags, prefix, frames, source, query,
         registration, named):
     ws = workspace["dir"]
     program = ws / "bad.vq"
+    if registration["kind"] == "detector":
+        source = source.replace('detector: "general_car"',
+                                f'detector: "{registration["name"]}"')
     program.write_text(source)
     manifest = ws / "bad.json"
     manifest.write_text(json.dumps({"registrations": [registration]}))

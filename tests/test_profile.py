@@ -2,8 +2,11 @@
 each report equals the one a solo `Session.run` of its candidate gives on
 the canary-bounded video."""
 
+import json
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
+
+import pytest
 
 from vidquery import executor
 from vidquery.executor import ExecConfig, Session
@@ -114,6 +117,29 @@ def test_reports_equal_solo_sessions_of_each_candidate(tmp_path):
                 f"seed {seed}, canary_frames {canary_frames}"
             missed += sum(1 for r in reports if r.f1 < 1.0)
     assert missed  # the seeded misses make some candidate inexact
+
+
+def _report_bytes(report: ProfileReport) -> bytes:
+    return json.dumps(asdict(report), sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("batch_size", [1, 4, 16, 100])
+def test_shared_frame_states_leak_nothing_between_candidates(tmp_path,
+                                                             batch_size):
+    """Every candidate's session reads the same initial frame states of a
+    batch; each report is byte for byte the one a solo session of its
+    candidate gives, whatever the batch size."""
+    vprog = make_program(PROGRAM)
+    for seed in range(3):
+        meta, trace = _world(seed, tmp_path)
+        registry = _registry(seed)
+        config = PlannerConfig(batch_size=batch_size)
+        dags = enumerate_alternatives(vprog, "gated_reds", registry, config,
+                                      meta)
+        shared = profile(dags, trace, meta, vprog, registry, config)
+        solo = _solo_reports(dags, trace, meta, vprog, registry, config)
+        assert [_report_bytes(r) for r in shared] == \
+            [_report_bytes(r) for r in solo], f"seed {seed}"
 
 
 def test_profile_opens_the_canary_once(tmp_path, monkeypatch):

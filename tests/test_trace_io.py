@@ -102,6 +102,35 @@ def test_non_finite_channel_line_is_parse_error(tmp_path, bad):
         list(open_trace(path))
 
 
+@pytest.mark.parametrize("line, named", [
+    ('{"frame": 1, "channels": null}', "channels None is not an object"),
+    ('{"frame": 1, "channels": [["m", 0.5]]}',
+     "channels [['m', 0.5]] is not an object"),
+    ('{"frame": 1, "channels": "m"}', "channels 'm' is not an object"),
+    ('{"frame": Infinity}', "cannot convert float infinity to integer"),
+    ('{"frame": -Infinity}', "cannot convert float infinity to integer"),
+    ('{"frame": 1e400}', "cannot convert float infinity to integer"),
+    ('{"frame": 1, "dets": [{"class": "car", "bbox": [0, 0, 1, 1], '
+     '"score": ' + "9" * 400 + '}]}', "int too large to convert to float"),
+    ('{"frame": 1, "channels": {"m": -' + "9" * 400 + '}}',
+     "int too large to convert to float"),
+    ('{"frame": 1, "x": ' + "[" * 5000 + "]" * 5000 + "}",
+     "maximum recursion depth exceeded"),
+], ids=["channels-null", "channels-list", "channels-string", "frame-inf",
+        "frame-minus-inf", "frame-1e400", "score-big-int", "channel-big-int",
+        "deep-nesting"])
+def test_line_that_crashed_the_parser_is_parse_error(tmp_path, line, named):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"frame": 0}\n' + line + "\n")
+    records = open_trace(path)
+    assert next(records).frame_id == 0
+    with pytest.raises(TraceParseError) as exc:
+        next(records)
+    assert exc.value.line_no == 2
+    assert str(exc.value).startswith(f"{path}:2: bad record: ")
+    assert named in str(exc.value)
+
+
 def test_score_range_rejected():
     with pytest.raises(ValueError):
         Detection(class_name="car", bbox=(0, 0, 1, 1), score=1.5)
