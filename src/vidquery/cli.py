@@ -75,7 +75,9 @@ def _load_meta(path: Optional[str]):
         return None
     try:
         return load_meta(path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, TypeError, OverflowError) as exc:
+        # JSONDecodeError is a ValueError; a null or a list where a number
+        # belongs is a TypeError, and an infinite width an OverflowError
         _fail(EXIT_VALIDATION, f"bad meta file: {exc}")
 
 

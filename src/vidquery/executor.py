@@ -39,7 +39,6 @@ from .operators import (
 )
 from .planner import PlanDag, PlanOp, decode_expr
 from .registry import (
-    RELATION_IMPLS,
     PropContext,
     Registration,
     Registry,
@@ -217,12 +216,6 @@ class PropertyEngine:
             self.memo[memo_key] = value
         return value
 
-    def project(self, node: VObjInstance, prop: str) -> None:
-        """Projector entry point: with lazy evaluation on, every property,
-        a window's dependency too, waits for demand."""
-        if not self.config.lazy:
-            self.get(node, prop)
-
     # -- predicate evaluation --
 
     def _resolve(self, ref, env: dict, edge) -> Any:
@@ -363,71 +356,43 @@ class FusedOp(RuntimeOp):
 
 # --- runtime op construction ------------------------------------------------
 
+OPERATOR_CLASSES: dict[str, type[RuntimeOp]] = {cls.kind: cls for cls in (
+    FrameFilterOp, ClassifierOp, DetectorOp, TrackerOp, ProjectorOp,
+    VObjFilterOp, JoinOp, RelationProjectorOp, RelationFilterOp, OutputOp,
+    AggregateOp, FusedOp,
+)}
+
+
 def build_runtime_op(plan_op: PlanOp, registry: Registry) -> RuntimeOp:
-    kind, params, op_id = plan_op.kind, plan_op.params, plan_op.op_id
-    if kind == "frame_filter":
-        return FrameFilterOp(op_id, params)
-    if kind == "classifier":
-        reg = registry.try_resolve("classifier", params["classifier"])
+    """The runtime operator of `plan_op`: its class by kind, its predicate
+    decoded and its registration resolved here, and the rest of its settings
+    checked by the class.  PlanLinkError if the plan does not link."""
+    op_id, kind, params = plan_op.op_id, plan_op.kind, plan_op.params
+    cls = OPERATOR_CLASSES.get(kind)
+    if cls is None:
+        raise PlanLinkError(f"{op_id}: unknown operator kind {kind!r}")
+    if "predicate" in params:
+        params = {**params, "predicate": decode_expr(params["predicate"])}
+    if kind == "fused":  # each step runs under the fused op's id
+        return cls(op_id, params, [
+            build_runtime_op(PlanOp(op_id, s["kind"], s["params"]), registry)
+            for s in params["steps"]])
+    if kind in ("classifier", "detector"):
+        reg = registry.try_resolve(kind, params[kind])
         if reg is None:
             raise PlanLinkError(
-                f"{op_id}: classifier {params['classifier']!r} not registered"
-            )
-        return ClassifierOp(op_id, params, reg)
-    if kind == "detector":
-        reg = registry.try_resolve("detector", params["detector"])
-        if reg is None:
-            raise PlanLinkError(
-                f"{op_id}: detector {params['detector']!r} not registered"
-            )
-        return DetectorOp(op_id, params, reg)
-    if kind == "tracker":
-        return TrackerOp(op_id, params)
-    if kind == "projector":
-        return ProjectorOp(op_id, params)
-    if kind == "vobj_filter":
-        op = VObjFilterOp(op_id, params)
-        op.predicate = decode_expr(op.predicate)
-        return op
-    if kind == "join":
-        return JoinOp(op_id, params)
-    if kind == "relation_projector":
-        for impl in params["props"].values():
-            if impl not in RELATION_IMPLS:
-                raise PlanLinkError(
-                    f"{op_id}: unknown relation implementation {impl!r}"
-                )
-        return RelationProjectorOp(op_id, params)
-    if kind == "relation_filter":
-        op = RelationFilterOp(op_id, params)
-        op.predicate = decode_expr(op.predicate)
-        return op
-    if kind == "output":
-        return OutputOp(op_id, params)
-    if kind == "aggregate":
-        op = AggregateOp(op_id, params)
-        op.predicate = decode_expr(op.predicate)
-        return op
-    if kind == "fused":
-        steps = [
-            build_runtime_op(PlanOp.from_json(s), registry)
-            for s in params["steps"]
-        ]
-        return FusedOp(op_id, params, steps)
-    raise PlanLinkError(f"unknown operator kind {kind!r}")
+                f"{op_id}: {kind} {params[kind]!r} not registered")
+        return cls(op_id, params, reg)
+    return cls(op_id, params)
 
 
 def op_signature(plan_op: PlanOp, input_sigs: list[str]) -> str:
-    """Structural identity used for cross-query operator sharing.  Op ids,
-    also those of a fused op's steps and their chain-internal inputs, are
-    deliberately excluded so identical stages in different plans unify."""
-    params = plan_op.params
-    if plan_op.kind == "fused":
-        params = dict(params, steps=[
-            {"kind": s["kind"], "params": s["params"]} for s in params["steps"]
-        ])
+    """Structural identity used for cross-query operator sharing: the kind,
+    params and input signatures.  Op ids are deliberately excluded so
+    identical stages in different plans unify; a fused op's steps hold no
+    ids either."""
     payload = json.dumps(
-        {"kind": plan_op.kind, "params": params, "inputs": input_sigs},
+        {"kind": plan_op.kind, "params": plan_op.params, "inputs": input_sigs},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()

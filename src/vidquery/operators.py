@@ -16,6 +16,7 @@ from typing import Any, Iterable, Optional
 from .datamodel import Edge, FrameGraph, Track, VObjInstance
 from .registry import (
     GEOMETRIC_FN_COST,
+    RELATION_IMPLS,
     ConfigurationError,
     Registration,
     apply_detector,
@@ -281,10 +282,11 @@ class ProjectorOp(RuntimeOp):
         self.prop = params["prop"]
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
-        for fs in inputs[0]:
-            (part,) = fs.graph.parts
-            for node in part:
-                engine.project(node, self.prop)
+        if not engine.config.lazy:
+            for fs in inputs[0]:
+                (part,) = fs.graph.parts
+                for node in part:
+                    engine.get(node, self.prop)
         return inputs[0]
 
 
@@ -347,6 +349,10 @@ class RelationProjectorOp(RuntimeOp):
         super().__init__(op_id, params)
         self.relation = params["relation"]
         self.props = params["props"]  # {prop_name: impl_name}
+        for impl in self.props.values():
+            if impl not in RELATION_IMPLS:
+                raise PlanLinkError(
+                    f"{op_id}: unknown relation implementation {impl!r}")
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         out = []

@@ -18,7 +18,7 @@ from .registry import Registration, Registry, RegistryError
 from .trace_io import VideoMeta
 from .tracker import TrackerConfig
 
-PLAN_VERSION = 4
+PLAN_VERSION = 5
 MAX_ALTERNATIVES = 32  # candidates `enumerate_alternatives` returns at most
 
 
@@ -434,19 +434,19 @@ def _build(
                     "predicate": encode_expr(pred),
                 },
             ))
-        for step in steps:
-            step.inputs = [prev]
-            prev = step.op_id
         if config.enable_fusion and len(steps) > 1:
+            # a step is what it runs: its id and input are the chain's
             prev = dag.add(PlanOp(
                 op_id=f"fused:{steps[0].op_id}",
                 kind="fused",
-                params={"steps": [s.to_json() for s in steps]},
-                inputs=list(steps[0].inputs),
+                params={"steps": [{"kind": s.kind, "params": s.params}
+                                  for s in steps]},
+                inputs=[prev],
             )).op_id
         else:
             for step in steps:
-                dag.add(step)
+                step.inputs = [prev]
+                prev = dag.add(step).op_id
         branch_tails.append(prev)
 
     if not branch_tails:
@@ -697,17 +697,11 @@ def load_plan(path, registry: Optional[Registry] = None) -> PlanDag:
     dag = PlanDag.from_json(obj)
     if registry is not None:
         for op in dag.ops.values():
-            if op.kind == "detector":
-                name = op.params["detector"]
-                if registry.try_resolve("detector", name) is None:
+            if op.kind in ("detector", "classifier"):
+                name = op.params[op.kind]
+                if registry.try_resolve(op.kind, name) is None:
                     raise PlanLoadError(
-                        f"plan references unregistered detector {name!r}"
-                    )
-            elif op.kind == "classifier":
-                name = op.params["classifier"]
-                if registry.try_resolve("classifier", name) is None:
-                    raise PlanLoadError(
-                        f"plan references unregistered classifier {name!r}"
+                        f"plan references unregistered {op.kind} {name!r}"
                     )
     return dag
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Optional
@@ -44,14 +45,16 @@ class VideoMeta:
     px_per_m: Optional[float] = None
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
+        # the upper bounds reject inf; nan fails every comparison
+        if not 0 < self.fps < _INF:
+            raise ValueError(f"fps {self.fps} is not positive and finite")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("resolution must be positive")
         if self.frame_count < 0:
             raise ValueError("frame_count must be non-negative")
-        if self.px_per_m is not None and self.px_per_m <= 0:
-            raise ValueError("px_per_m must be positive")
+        if self.px_per_m is not None and not 0 < self.px_per_m < _INF:
+            raise ValueError(
+                f"px_per_m {self.px_per_m} is not positive and finite")
 
 
 @dataclass(slots=True)
@@ -130,38 +133,61 @@ def open_trace(path, meta: Optional[VideoMeta] = None) -> Iterator[TraceRecord]:
     """
     path = Path(path)
     prev = -1
-    with path.open() as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                if line[0] == _BOM:
-                    raise json.JSONDecodeError(
-                        "Unexpected UTF-8 BOM (decode using utf-8-sig)",
-                        line, 0)
-                obj, end = _raw_decode(line)
-                if end != len(line):
-                    raise json.JSONDecodeError(
-                        "Extra data", line, _skip_ws(line, end).end())
-                rec = record_from_json(obj)
-            except (KeyError, ValueError, TypeError, OverflowError,
-                    RecursionError) as exc:
-                # JSONDecodeError is a ValueError; an infinite frame id or
-                # an integer too large for a float is an OverflowError, and
-                # JSON nested past the recursion limit a RecursionError
-                raise TraceParseError(path, line_no, f"bad record: {exc}") from exc
-            if rec.frame_id <= prev:
-                raise TraceOrderError(path, line_no, rec.frame_id, prev)
-            prev = rec.frame_id
-            if meta is not None:
-                for d in rec.detections:
-                    x1, y1, x2, y2 = d.bbox
-                    if x1 < 0 or y1 < 0 or x2 > meta.width or y2 > meta.height:
-                        raise TraceParseError(
-                            path, line_no, f"bbox {d.bbox} outside resolution"
-                        )
-            yield rec
+    with path.open(encoding="utf-8") as fh:
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    if line[0] == _BOM:
+                        raise json.JSONDecodeError(
+                            "Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                            line, 0)
+                    obj, end = _raw_decode(line)
+                    if end != len(line):
+                        raise json.JSONDecodeError(
+                            "Extra data", line, _skip_ws(line, end).end())
+                    rec = record_from_json(obj)
+                except (KeyError, ValueError, TypeError, OverflowError,
+                        RecursionError) as exc:
+                    # JSONDecodeError is a ValueError; an infinite frame id
+                    # or an integer too large for a float is an
+                    # OverflowError, and JSON nested past the recursion
+                    # limit a RecursionError
+                    raise TraceParseError(
+                        path, line_no, f"bad record: {exc}") from exc
+                if rec.frame_id <= prev:
+                    raise TraceOrderError(path, line_no, rec.frame_id, prev)
+                prev = rec.frame_id
+                if meta is not None:
+                    for d in rec.detections:
+                        x1, y1, x2, y2 = d.bbox
+                        if (x1 < 0 or y1 < 0 or x2 > meta.width
+                                or y2 > meta.height):
+                            raise TraceParseError(
+                                path, line_no,
+                                f"bbox {d.bbox} outside resolution")
+                yield rec
+        except UnicodeDecodeError as exc:
+            # raised by the read of a whole chunk of lines, so the line is
+            # found on a second read that decodes every line
+            raise TraceParseError(
+                path, _first_undecodable_line(path),
+                f"bad record: not UTF-8 ({exc.reason})") from exc
+
+
+# a byte that is not UTF-8, as `errors="surrogateescape"` decodes it
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _first_undecodable_line(path: Path) -> int:
+    """The number of the first line of `path` holding a byte that is not
+    UTF-8.  Lines split as in `open_trace`: both read in universal-newline
+    text mode."""
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+        return next((line_no for line_no, line in enumerate(fh, start=1)
+                     if _ESCAPED_BYTE.search(line)), 0)
 
 
 def write_trace(records: Iterable[TraceRecord], path) -> None:

@@ -30,15 +30,14 @@ Box = tuple[float, float, float, float]
 class TrackerConfig:
     iou_threshold: float = 0.3
     max_age: int = 30
-    min_hits: int = 1
     process_noise: float = 1.0
     measurement_noise: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.iou_threshold < 1.0:
             raise ValueError("iou_threshold must be in (0, 1)")
-        if self.max_age < 1 or self.min_hits < 1:
-            raise ValueError("max_age and min_hits must be positive")
+        if self.max_age < 1:
+            raise ValueError("max_age must be positive")
         if self.process_noise <= 0 or self.measurement_noise <= 0:
             raise ValueError("noise scales must be positive")
 
@@ -46,7 +45,6 @@ class TrackerConfig:
         return {
             "iou_threshold": self.iou_threshold,
             "max_age": self.max_age,
-            "min_hits": self.min_hits,
             "process_noise": self.process_noise,
             "measurement_noise": self.measurement_noise,
         }
@@ -170,7 +168,6 @@ class _TrackSlot:
     p: list[float]
     c: list[float]
     v: list[float]
-    hits: int = 1
     time_since_update: int = 0
 
     @classmethod
@@ -253,7 +250,6 @@ class SortTracker:
             slot = slots[ti]
             node_id, box = detections[di]
             slot.update(box, model)
-            slot.hits += 1
             slot.time_since_update = 0
             assignments.append((node_id, slot.track_id))
         for di in unmatched_d:

@@ -16,6 +16,7 @@ import numpy as np
 from vidquery.tracker import TrackerConfig
 
 Box = tuple[float, float, float, float]
+MIN_HITS = 1  # the removed `TrackerConfig.min_hits` default; gates motion edges only
 
 
 def iou(a: Box, b: Box) -> float:
@@ -169,7 +170,7 @@ class SortTracker:
             slot.state = update(slot.state, box, cfg)
             slot.hits += 1
             slot.time_since_update = 0
-            if slot.last_frame == frame_id - 1 and slot.hits > cfg.min_hits:
+            if slot.last_frame == frame_id - 1 and slot.hits > MIN_HITS:
                 motion_edges.append((slot.last_node, node_id))
             slot.last_frame = frame_id
             slot.last_node = node_id

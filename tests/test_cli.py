@@ -220,6 +220,18 @@ class TestRun:
         assert named in result.stderr
         assert result.stderr.count("\n") == 1
 
+    def test_line_that_is_not_utf8_exit_3(self, runner, workspace):
+        lines = open(workspace["trace"], "rb").read().splitlines()
+        lines[1] = lines[1][:-1] + b', "x": "\xff"}'
+        with open(workspace["trace"], "wb") as fh:
+            fh.write(b"\n".join(lines) + b"\n")
+        result = runner.invoke(main, self.args(workspace))
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.stderr == (
+            f"execution failed: {workspace['trace']}:2: bad record: "
+            f"not UTF-8 (invalid start byte)\n")
+
     @pytest.mark.parametrize("constraint", [
         's.motion_score == "x"',
         's.motion_score in [0.5, "x"]',
@@ -363,6 +375,30 @@ def test_unusable_output_path_exit_1(runner, workspace, monkeypatch, command,
     assert opened == []  # found before any frame is read
 
 
+META_FIELDS = '"width": 1000, "height": 1000, "frames": 20'
+
+
+@pytest.mark.parametrize("meta, named", [
+    ('{"fps": null, ' + META_FIELDS + "}", "must be a string or a real number"),
+    ("[30, 1000, 1000, 20]", "list indices must be integers"),
+    ('{"fps": 30, "width": Infinity, "height": 1000, "frames": 20}',
+     "cannot convert float infinity to integer"),
+    ('{"fps": NaN, ' + META_FIELDS + "}", "fps nan is not positive and finite"),
+    ('{"fps": 30, "px_per_m": Infinity, ' + META_FIELDS + "}",
+     "px_per_m inf is not positive and finite"),
+], ids=["fps-null", "list", "width-infinity", "fps-nan", "px-per-m-infinity"])
+def test_bad_meta_file_exit_1(runner, workspace, meta, named):
+    path = workspace["dir"] / "bad-meta.json"
+    path.write_text(meta)
+    result = runner.invoke(main, TestRun().args({**workspace,
+                                                 "meta": str(path)}))
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr.startswith("bad meta file: ")
+    assert named in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("manifest, named", [
     ([{"name": "d", "kind": "detector"}], "the manifest is not a JSON object"),
     ({"registrations": {"name": "d", "kind": "detector"}},
@@ -473,6 +509,43 @@ def test_saved_plan_the_program_lacks_exit_3(runner, workspace, source, named):
     assert result.stderr.startswith("execution failed: ")
     assert named in result.stderr
     assert result.stderr.count("\n") == 1
+
+
+def _set_output_kind(plan):
+    next(o for o in plan["ops"] if o["kind"] == "output")["kind"] = "nosuch"
+
+
+def _set_step_kind(plan):
+    fused = next(o for o in plan["ops"] if o["kind"] == "fused")
+    fused["params"]["steps"][-1]["kind"] = "nosuch"
+
+
+@pytest.mark.parametrize("edit, code, message", [
+    (lambda plan: plan.update(version=4), 2,
+     "cannot load plan: plan version 4 unsupported (expected 5)"),
+    (_set_output_kind, 3,
+     "execution failed: output:reds: unknown operator kind 'nosuch'"),
+    (_set_step_kind, 3,
+     "execution failed: fused:proj:c.color: unknown operator kind 'nosuch'"),
+], ids=["version-4", "unknown-kind", "unknown-step-kind"])
+def test_edited_plan_file(runner, workspace, edit, code, message):
+    plan = workspace["dir"] / "plan.json"
+    result = runner.invoke(main, [
+        "profile", "-p", workspace["program"], "-q", "reds",
+        "--trace", workspace["trace"], "--meta", workspace["meta"],
+        "--save-plan", str(plan),
+    ])
+    assert result.exit_code == 0, result.output
+    obj = json.loads(plan.read_text())
+    edit(obj)
+    plan.write_text(json.dumps(obj))
+    result = runner.invoke(main, [
+        "run", "-p", workspace["program"], "--plan-file", str(plan),
+        "--trace", workspace["trace"], "--meta", workspace["meta"],
+    ])
+    assert result.exit_code == code
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr == message + "\n"
 
 
 MINE_PROGRAM = PROGRAM.replace(

@@ -2,12 +2,14 @@
 sharing, result caching, and byte-stable serialization."""
 
 import hashlib
+import importlib.util
 import json
 import marshal
 import random
 import struct
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -15,18 +17,20 @@ from vidquery.datamodel import UNDEFINED, VObjInstance
 from vidquery.dsl.ast import Compare, PropRef
 from vidquery.executor import (
     DIGEST_SIZE,
+    OPERATOR_CLASSES,
     ExecConfig,
     ExecStats,
     PropertyEngine,
     QueryOutcome,
     ResultStore,
     Session,
+    build_runtime_op,
     run_plans,
     serialize_outcome,
     trace_batches,
 )
 from vidquery.operators import compare
-from vidquery.planner import PlannerConfig, plan_query
+from vidquery.planner import PlannerConfig, PlanOp, plan_query
 from vidquery.registry import Registration, Registry, load_manifest
 from vidquery.synth import ObjectScript, WorldSpec, write_world
 from vidquery.trace_io import Detection, TraceParseError, TraceRecord, write_trace
@@ -848,6 +852,59 @@ class TestLinking:
             assert resolved == Counter(["attr:color", "center", "direction",
                                         "speed", "attr:role"])
             resolved.clear()
+
+
+class TestLinkTable:
+    """Every operator kind a plan holds links through one table, a fused
+    op's steps too."""
+
+    PROGRAM = SHAPES + """
+    query moving_reds { bind s: Scene bind c: Car
+      frame_constraint: s.motion_score > 0.1 & c.color == "red" }
+    """
+    UNLINKED = {"reader", "duration", "temporal"}  # no runtime op of their own
+
+    def test_every_planned_kind_links(self):
+        vprog = make_program(self.PROGRAM)
+        registry = frozen_registry([
+            Registration(name="has_car", kind="classifier", cost_units=1.0,
+                         params={"vobj": "Car", "target_class": "car"}),
+            Registration(name="moving", kind="frame_filter", cost_units=0.5,
+                         params={"auto": True, "channel": "motion_score",
+                                 "op": ">=", "threshold": 0.2}),
+        ])
+        kinds = set()
+        for query in vprog.query_order:
+            for pullup in (True, False):
+                for fusion in (True, False):
+                    config = PlannerConfig(enable_pullup=pullup,
+                                           enable_fusion=fusion)
+                    dag = plan_query(vprog, query, registry, config,
+                                     meta_1000(20))
+                    for pop in dag.ops.values():
+                        kinds.add(pop.kind)
+                        if pop.kind in self.UNLINKED:
+                            continue
+                        rt = build_runtime_op(pop, registry)
+                        steps = [(pop, rt)]
+                        if pop.kind == "fused":
+                            steps += zip([PlanOp(pop.op_id, **s) for s in
+                                          pop.params["steps"]], rt.steps,
+                                         strict=True)
+                        for step, op in steps:
+                            kinds.add(step.kind)
+                            assert type(op) is OPERATOR_CLASSES[step.kind]
+                            assert not isinstance(
+                                getattr(op, "predicate", None), dict)
+        assert kinds == set(OPERATOR_CLASSES) | self.UNLINKED
+
+    def test_the_benchmark_tracer_wraps_every_linked_class(self):
+        """A kind the tracer does not list would run untraced, silently."""
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        assert tracing.OPERATOR_CLASSES == OPERATOR_CLASSES
 
 
 class TestNestedQueries:

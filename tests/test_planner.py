@@ -334,11 +334,16 @@ class TestFusion:
                          PlannerConfig(enable_pullup=False))
         fused = [o for o in dag.ops.values() if o.kind == "fused"]
         assert len(fused) == 1
-        steps = [s["op_id"] for s in fused[0].params["steps"]]
-        assert steps == ["proj:c.color", "filter:c"]
+        steps = fused[0].params["steps"]
+        # a step holds only what runs: its id and input are the chain's
+        assert [set(s) for s in steps] == [{"kind", "params"}] * 2
+        assert [(s["kind"], s["params"].get("prop")) for s in steps] == [
+            ("projector", "color"), ("vobj_filter", None),
+        ]
         assert fused[0].inputs == ["tracker:c"]
         assert dag.ops["output:reds"].inputs == [fused[0].op_id]
-        assert all(s not in dag.ops for s in steps)
+        assert not [o for o in dag.ops.values()
+                    if o.kind in ("projector", "vobj_filter")]
 
     def test_single_op_chain_untouched(self):
         # red_car guarantees the colour, so the branch keeps one projector
@@ -365,12 +370,9 @@ class TestFusion:
         dag = plan_query(vprog, "reds", frozen_registry(), PlannerConfig())
         fused = dag.ops["fused:proj:c.color"]
         steps = fused.params["steps"]
-        assert [s["op_id"] for s in steps] == [
-            "proj:c.color", "filter:c", "proj:c.center", "proj:c.direction",
-        ]
-        # each step reads the one before it, the first the tracker
-        assert [s["inputs"] for s in steps] == [
-            ["tracker:c"], ["proj:c.color"], ["filter:c"], ["proj:c.center"],
+        assert [(s["kind"], s["params"].get("prop")) for s in steps] == [
+            ("projector", "color"), ("vobj_filter", None),
+            ("projector", "center"), ("projector", "direction"),
         ]
         assert fused.inputs == ["tracker:c"]
         assert dag.ops["output:reds"].inputs == ["fused:proj:c.color"]
@@ -517,8 +519,9 @@ class TestPersistence:
         obj = dag.to_json()
         path = tmp_path / "plan.json"
         # version 2 plans found objects by class name, not per binding;
-        # version 3 duration and temporal ops did not name their query
-        for version in (2, 3, 99):
+        # version 3 duration and temporal ops did not name their query;
+        # version 4 fused steps held ids and inputs, tracker configs min_hits
+        for version in (2, 3, 4, 99):
             obj["version"] = version
             path.write_text(json.dumps(obj))
             with pytest.raises(PlanLoadError):

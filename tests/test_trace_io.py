@@ -131,6 +131,19 @@ def test_line_that_crashed_the_parser_is_parse_error(tmp_path, line, named):
     assert named in str(exc.value)
 
 
+@pytest.mark.parametrize("before", [
+    b'{"frame": 0}\r{"frame": 1}\r\n',  # lone and paired carriage returns
+    b'{"frame": 0}\n' + b" " * 9000 + b"\n",  # the bad byte past 8 KB
+], ids=["carriage-returns", "later-chunk"])
+def test_line_that_is_not_utf8_is_parse_error(tmp_path, before):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(before + b'{"frame": 2, "x": "\xff"}\n{"frame": 3}\n')
+    with pytest.raises(TraceParseError) as exc:
+        list(open_trace(path))
+    assert exc.value.line_no == 3
+    assert str(exc.value) == f"{path}:3: bad record: not UTF-8 (invalid start byte)"
+
+
 def test_score_range_rejected():
     with pytest.raises(ValueError):
         Detection(class_name="car", bbox=(0, 0, 1, 1), score=1.5)
@@ -204,3 +217,8 @@ def test_meta_validation():
         VideoMeta(fps=10, width=0, height=10, frame_count=1)
     with pytest.raises(ValueError):
         VideoMeta(fps=10, width=10, height=10, frame_count=1, px_per_m=-1)
+    for bad in (math.nan, math.inf):  # a NaN fps makes every speed NaN
+        with pytest.raises(ValueError, match="not positive and finite"):
+            VideoMeta(fps=bad, width=10, height=10, frame_count=1)
+        with pytest.raises(ValueError, match="not positive and finite"):
+            VideoMeta(fps=10, width=10, height=10, frame_count=1, px_per_m=bad)

