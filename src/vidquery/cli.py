@@ -230,7 +230,6 @@ def profile_cmd(program, query, trace, meta_path, manifest, canary_frames,
 @click.option("--meta", "meta_path", required=True)
 @click.option("--registry", "manifest", default=None)
 @click.option("--batch-size", default=16, show_default=True)
-@click.option("--accuracy-target", default=0.9, show_default=True)
 @click.option("--plan-file", default=None,
               help="Execute a saved plan instead of planning.")
 @click.option("--results", "results_dir", default=None,
@@ -243,7 +242,7 @@ def profile_cmd(program, query, trace, meta_path, manifest, canary_frames,
 @click.option("--no-pullup", is_flag=True)
 @click.option("--no-fusion", is_flag=True)
 def run(program, queries, trace, meta_path, manifest, batch_size,
-        accuracy_target, plan_file, results_dir, out_path,
+        plan_file, results_dir, out_path,
         no_memo, no_lazy, no_pullup, no_fusion):
     """Plan and execute queries over a trace."""
     vprog = _load_program(program)
@@ -254,10 +253,7 @@ def run(program, queries, trace, meta_path, manifest, batch_size,
         if name not in vprog.queries:
             _fail(EXIT_VALIDATION, f"unknown query {name!r}")
     config = _planner_config(
-        accuracy_target=accuracy_target,
-        enable_pullup=not no_pullup,
-        enable_fusion=not no_fusion,
-        batch_size=batch_size,
+        enable_pullup=not no_pullup, enable_fusion=not no_fusion
     )
     exec_config = _config(
         ExecConfig, batch_size=batch_size, lazy=not no_lazy, memo=not no_memo

@@ -83,9 +83,9 @@ class FrameGraph:
 @dataclass(eq=False, slots=True)
 class Track:
     """Persistent identity of one video object across frames, as one tracker
-    numbered it: the frames it is on, and its latest tracked objects, oldest
-    first.  Compared and hashed by identity, so the record itself keys
-    per-track memo entries.
+    numbered it: the frame it was born on, and its latest tracked objects,
+    oldest first.  Compared and hashed by identity, so the record itself
+    keys per-track memo entries.
 
     `objects` is bounded; an append beyond the bound evicts the oldest.
     """
@@ -93,7 +93,7 @@ class Track:
     track_id: int
     class_name: str
     objects: deque = field(default_factory=deque)
-    frames: set[int] = field(default_factory=set)
+    first_frame: Optional[int] = None  # set by the tracker op at birth
 
     @classmethod
     def create(cls, track_id: int, class_name: str, depth: int) -> "Track":

@@ -37,7 +37,7 @@ from .operators import (
     eval_duration,
     eval_temporal,
 )
-from .planner import PlanDag, PlanOp, decode_expr
+from .planner import PlanDag, PlanLoadError, PlanOp, decode_expr
 from .registry import (
     PropContext,
     Registration,
@@ -262,8 +262,10 @@ class PropertyEngine:
 # --- sink-side runtime operators -------------------------------------------
 
 class OutputOp(RuntimeOp):
-    """Collects satisfied frames, per-frame result rows, and per-track
-    satisfaction sets for the downstream evaluators."""
+    """Collects one result row per satisfied frame, in frame order (batches
+    arrive in frame order and the join emits sorted frames): the one record
+    of what the query kept.  Also keeps the record of each track of the
+    first binding, by id, for a duration over the query."""
 
     kind = "output"
 
@@ -273,9 +275,8 @@ class OutputOp(RuntimeOp):
         self.bindings = params["bindings"]  # one name per part
         self.frame_output = params.get("frame_output", [])
         self.relation = params.get("relation")
-        self.satisfied: set[int] = set()
         self.rows: list[dict] = []
-        self.track_sat: dict[str, dict[Track, set[int]]] = {}
+        self.tracks: dict[int, Track] = {}
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         for fs in inputs[0]:
@@ -285,7 +286,6 @@ class OutputOp(RuntimeOp):
                 ok = any(e.relation == self.relation for e in fs.graph.edges)
             if not ok:
                 continue
-            self.satisfied.add(fs.frame_id)
             row: dict[str, Any] = {"frame": fs.frame_id, "objects": {}}
             for b, nodes in parts.items():
                 row["objects"][b] = [
@@ -296,10 +296,9 @@ class OutputOp(RuntimeOp):
                     }
                     for n in nodes
                 ]
-                sat = self.track_sat.setdefault(b, {})
-                for n in nodes:
-                    if n.track is not None:
-                        sat.setdefault(n.track, set()).add(fs.frame_id)
+            for n in fs.graph.parts[0]:
+                if n.track is not None:
+                    self.tracks[n.track_id] = n.track
             outputs = {}
             for ref in self.frame_output:
                 b, prop = ref["binding"], ref["prop"]
@@ -312,9 +311,13 @@ class OutputOp(RuntimeOp):
         return inputs[0]
 
 
+_VERDICT_SLOT = {True: 0, False: 1, None: 2}
+
+
 class AggregateOp(RuntimeOp):
-    """Streams per-track three-valued verdicts of the video constraint over
-    the objects of its binding's part."""
+    """Counts per-track three-valued verdicts of the video constraint over
+    the objects of its binding's part: [true, false, undefined] by track
+    id."""
 
     kind = "aggregate"
 
@@ -324,7 +327,7 @@ class AggregateOp(RuntimeOp):
         self.binding = params["binding"]
         self.part = params["part"]
         self.predicate = params.get("predicate")
-        self.per_track: dict[int, list] = {}
+        self.per_track: dict[int, list[int]] = {}
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         for fs in inputs[0]:
@@ -334,7 +337,8 @@ class AggregateOp(RuntimeOp):
                 verdict = engine.verdict(
                     self.predicate, {self.binding: node}
                 )
-                self.per_track.setdefault(node.track_id, []).append(verdict)
+                self.per_track.setdefault(node.track_id, [0, 0, 0])[
+                    _VERDICT_SLOT[verdict]] += 1
         return inputs[0]
 
 
@@ -366,24 +370,34 @@ OPERATOR_CLASSES: dict[str, type[RuntimeOp]] = {cls.kind: cls for cls in (
 def build_runtime_op(plan_op: PlanOp, registry: Registry) -> RuntimeOp:
     """The runtime operator of `plan_op`: its class by kind, its predicate
     decoded and its registration resolved here, and the rest of its settings
-    checked by the class.  PlanLinkError if the plan does not link."""
+    checked by the class.  PlanLinkError, naming the op, if the plan does
+    not link: an unknown kind, a bad predicate encoding, a missing param or
+    a param of the wrong type or value."""
     op_id, kind, params = plan_op.op_id, plan_op.kind, plan_op.params
     cls = OPERATOR_CLASSES.get(kind)
     if cls is None:
         raise PlanLinkError(f"{op_id}: unknown operator kind {kind!r}")
-    if "predicate" in params:
-        params = {**params, "predicate": decode_expr(params["predicate"])}
-    if kind == "fused":  # each step runs under the fused op's id
-        return cls(op_id, params, [
-            build_runtime_op(PlanOp(op_id, s["kind"], s["params"]), registry)
-            for s in params["steps"]])
-    if kind in ("classifier", "detector"):
-        reg = registry.try_resolve(kind, params[kind])
-        if reg is None:
-            raise PlanLinkError(
-                f"{op_id}: {kind} {params[kind]!r} not registered")
-        return cls(op_id, params, reg)
-    return cls(op_id, params)
+    try:
+        if "predicate" in params:
+            params = {**params, "predicate": decode_expr(params["predicate"])}
+        if kind == "fused":  # each step runs under the fused op's id
+            return cls(op_id, params, [
+                build_runtime_op(PlanOp(op_id, s["kind"], s["params"]),
+                                 registry)
+                for s in params["steps"]])
+        if kind in ("classifier", "detector"):
+            reg = registry.try_resolve(kind, params[kind])
+            if reg is None:
+                raise PlanLinkError(
+                    f"{op_id}: {kind} {params[kind]!r} not registered")
+            return cls(op_id, params, reg)
+        return cls(op_id, params)
+    except PlanLoadError as exc:
+        raise PlanLinkError(f"{op_id}: {exc}") from exc
+    except KeyError as exc:
+        raise PlanLinkError(f"{op_id}: missing param {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise PlanLinkError(f"{op_id}: bad params: {exc}") from exc
 
 
 def op_signature(plan_op: PlanOp, input_sigs: list[str]) -> str:
@@ -682,8 +696,8 @@ class Session:
             assert isinstance(rt, OutputOp)
             return QueryOutcome(
                 query=rt.query,
-                satisfied=sorted(rt.satisfied),
-                rows=sorted(rt.rows, key=lambda r: r["frame"]),
+                satisfied=[r["frame"] for r in rt.rows],
+                rows=rt.rows,
             )
         if pop.kind == "aggregate":
             rt = ops[op_id]
@@ -691,12 +705,8 @@ class Session:
             base = self._finalize(dag, ops, pop.inputs[0])
             value = count_distinct_tracks(rt.per_track)
             per_track = {
-                str(t): {
-                    "true": sum(1 for v in vs if v is True),
-                    "false": sum(1 for v in vs if v is False),
-                    "undefined": sum(1 for v in vs if v is None),
-                }
-                for t, vs in sorted(rt.per_track.items())
+                str(t): dict(zip(("true", "false", "undefined"), counts))
+                for t, counts in sorted(rt.per_track.items())
             }
             base.video = {
                 "aggregate": rt.agg_kind,
@@ -707,19 +717,31 @@ class Session:
             return base
         if pop.kind == "duration":
             base = self._finalize(dag, ops, pop.inputs[0])
-            out_op = self._sink_output(dag, ops, pop.inputs[0])
-            sat = out_op.track_sat.get(out_op.bindings[0], {})
+            # the base is a basic or spatial query: its sink is its output
+            # op, or an aggregate over that
+            out_id = pop.inputs[0]
+            if dag.ops[out_id].kind == "aggregate":
+                out_id = dag.ops[out_id].inputs[0]
+            out_op = ops[out_id]
+            assert isinstance(out_op, OutputOp)
+            first = out_op.bindings[0]
+            satisfied: dict[int, set[int]] = {}
+            for row in base.rows:
+                for obj in row["objects"][first]:
+                    if obj["track"] is not None:
+                        satisfied.setdefault(obj["track"], set()).add(
+                            row["frame"])
             fires = eval_duration(
-                {t.track_id: frames for t, frames in sat.items()},
-                {t.track_id: t.frames for t in sat},
+                satisfied,
+                {t: out_op.tracks[t].first_frame for t in satisfied},
                 min_frames=pop.params["min_frames"],
                 gap_tolerance=pop.params.get("gap_tolerance", 0),
             )
             base.query = pop.params["query"]
             base.duration_fires = [list(p) for p in sorted(fires)]
-            fire_frames = sorted({f for _t, f in fires})
-            base.satisfied = fire_frames
-            base.rows = [r for r in base.rows if r["frame"] in set(fire_frames)]
+            base.satisfied = sorted({f for _t, f in fires})
+            kept = set(base.satisfied)
+            base.rows = [r for r in base.rows if r["frame"] in kept]
             return base
         if pop.kind == "temporal":
             first = self._finalize(dag, ops, pop.inputs[0])
@@ -739,15 +761,6 @@ class Session:
                 },
             )
         raise InternalError(f"{op_id}: kind {pop.kind!r} is not a sink")
-
-    def _sink_output(self, dag: PlanDag, ops: dict[str, RuntimeOp],
-                     op_id: str) -> OutputOp:
-        pop = dag.ops[op_id]
-        if pop.kind == "output":
-            rt = ops[op_id]
-            assert isinstance(rt, OutputOp)
-            return rt
-        return self._sink_output(dag, ops, pop.inputs[0])
 
 
 def run_plans(

@@ -52,13 +52,14 @@ class InternalError(Exception):
 
 
 class RuntimeOp:
-    """Base runtime operator; subclasses hold per-run iterator state."""
+    """Base runtime operator, built from a plan op's id and params; each
+    subclass reads the params it needs at construction and holds per-run
+    iterator state."""
 
     kind = "op"
 
     def __init__(self, op_id: str, params: dict):
         self.op_id = op_id
-        self.params = params
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         """One batch per input in, one batch out.  `engine` is the pass's
@@ -225,8 +226,8 @@ class DetectorOp(RuntimeOp):
 
 class TrackerOp(RuntimeOp):
     """Assigns persistent track ids, gives each tracked node its track's
-    record (`VObjInstance.track`) and appends the node to the record's
-    latest objects."""
+    record (`VObjInstance.track`), appends the node to the record's latest
+    objects and sets a new track's birth frame."""
 
     kind = "tracker"
 
@@ -263,8 +264,9 @@ class TrackerOp(RuntimeOp):
                 node.track_id = track_id
                 node.track = self._held[track_id] = \
                     engine.track(self, self.vobj, track_id)
-                node.track.frames.add(fs.frame_id)
                 node.track.objects.append(node)
+            for track_id in result.new_tracks:
+                self._held[track_id].first_frame = fs.frame_id
             out.append(FrameState(fs.frame_id, fs.record, FrameGraph([nodes])))
         return out
 
@@ -405,37 +407,29 @@ class RelationFilterOp(RuntimeOp):
 
 def eval_duration(
     satisfied: dict[int, set[int]],
-    present: dict[int, set[int]],
+    first_frame: dict[int, int],
     min_frames: int,
     gap_tolerance: int = 0,
 ) -> set[tuple[int, int]]:
-    """Firing set of (track_id, frame_id).
+    """Firing set of (track_id, frame_id), from the frames on which the base
+    held for each track and the frame each track was born on.
 
-    (t, f) fires iff the base held for t over [f - d + 1, f] with at most
-    `gap_tolerance` violating frames (absent or unsatisfied), and the base
-    holds for t at f itself.
+    (t, f) fires iff the base holds for t at f, and over [f - d + 1, f],
+    which starts no earlier than t's birth, it failed to hold (t absent or
+    unsatisfied) on at most `gap_tolerance` frames.
     """
     if min_frames < 1:
         raise ValueError("min_frames must be >= 1")
     fires = set()
     for track_id, sat in satisfied.items():
-        pres = present.get(track_id, set())
-        if not pres:
-            continue
-        lo, hi = min(pres), max(pres)
-        # prefix counts of violating frames over the track's span
-        span = hi - lo + 1
-        bad = [0] * (span + 1)
-        for i, f in enumerate(range(lo, hi + 1)):
-            bad[i + 1] = bad[i] + (0 if (f in pres and f in sat) else 1)
-        for f in range(lo + min_frames - 1, hi + 1):
-            if f not in sat:
-                continue
+        frames = sorted(sat)
+        lo = first_frame[track_id]
+        i = 0  # frames[i:j + 1] are the satisfied frames of f's window
+        for j, f in enumerate(frames):
             start = f - min_frames + 1
-            if start < lo:
-                continue
-            violations = bad[f - lo + 1] - bad[start - lo]
-            if violations <= gap_tolerance:
+            while frames[i] < start:
+                i += 1
+            if start >= lo and min_frames - (j - i + 1) <= gap_tolerance:
                 fires.add((track_id, f))
     return fires
 
@@ -468,12 +462,9 @@ def eval_temporal(
     return bool(witnesses), sorted(witnesses)
 
 
-def count_distinct_tracks(per_track: dict[int, list]) -> int:
-    """Count tracks whose per-frame evaluations contain no False and at
-    least one True (Undefined warm-up frames are skipped)."""
-    count = 0
-    for _track, values in sorted(per_track.items()):
-        decided = [v for v in values if v is not None]
-        if decided and all(decided):
-            count += 1
-    return count
+def count_distinct_tracks(per_track: dict[int, list[int]]) -> int:
+    """Count tracks whose per-frame verdict counts, [true, false,
+    undefined], hold no False and at least one True (Undefined warm-up
+    frames are skipped)."""
+    return sum(1 for true, false, _undefined in per_track.values()
+               if true and not false)

@@ -33,17 +33,21 @@ class ConfigurationError(Exception):
     """A component needs configuration (e.g. calibration) that is absent."""
 
 
+def seeded_unit(seed, *key) -> float:
+    """Deterministic uniform draw in [0, 1) keyed by (seed, *key)."""
+    digest = hashlib.sha256(
+        ":".join(str(k) for k in (seed, *key)).encode()
+    ).digest()
+    return int.from_bytes(digest[:8], "big") / 2.0**64
+
+
 def seeded_flip(seed, *key, rate: float) -> bool:
     """Deterministic Bernoulli draw keyed by (seed, *key)."""
     if rate <= 0.0:
         return False
     if rate >= 1.0:
         return True
-    digest = hashlib.sha256(
-        ":".join(str(k) for k in (seed, *key)).encode()
-    ).digest()
-    u = int.from_bytes(digest[:8], "big") / 2.0**64
-    return u < rate
+    return seeded_unit(seed, *key) < rate
 
 
 @dataclass(frozen=True)

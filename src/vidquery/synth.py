@@ -7,12 +7,12 @@ directly from object scripts, never from the query engine.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
+from .registry import seeded_unit
 from .trace_io import (
     Detection,
     GroundTruthEntry,
@@ -22,14 +22,6 @@ from .trace_io import (
     write_meta,
     write_trace,
 )
-
-
-def _unit(seed: int, *key) -> float:
-    """Deterministic uniform draw in [0, 1) keyed by (seed, *key)."""
-    digest = hashlib.sha256(
-        ":".join(str(k) for k in (seed, *key)).encode()
-    ).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0**64
 
 
 @dataclass
@@ -147,8 +139,8 @@ class WorldSpec:
 def _noisy_center(world: WorldSpec, obj: ObjectScript, frame: int):
     cx, cy = obj.center(frame)
     if obj.jitter > 0.0:
-        cx += (_unit(world.seed, obj.label, frame, "x") - 0.5) * 2 * obj.jitter
-        cy += (_unit(world.seed, obj.label, frame, "y") - 0.5) * 2 * obj.jitter
+        cx += (seeded_unit(world.seed, obj.label, frame, "x") - 0.5) * 2 * obj.jitter
+        cy += (seeded_unit(world.seed, obj.label, frame, "y") - 0.5) * 2 * obj.jitter
     return cx, cy
 
 

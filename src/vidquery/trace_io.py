@@ -217,48 +217,6 @@ class GroundTruthEntry:
     objects: list[dict] = field(default_factory=list)
 
 
-class GroundTruth:
-    """Per-frame labels and/or true object identities."""
-
-    def __init__(self, entries: Iterable[GroundTruthEntry]):
-        self.entries: dict[int, GroundTruthEntry] = {}
-        for e in entries:
-            if e.frame_id in self.entries:
-                raise TraceError(f"duplicate ground-truth frame {e.frame_id}")
-            self.entries[e.frame_id] = e
-
-    def lookup(self, frame_id: int) -> Optional[bool]:
-        """The frame's label, or None when the frame is unlabeled."""
-        entry = self.entries.get(frame_id)
-        return None if entry is None else entry.label
-
-    def objects(self, frame_id: int) -> list[dict]:
-        entry = self.entries.get(frame_id)
-        return [] if entry is None else entry.objects
-
-
-def load_ground_truth(path) -> GroundTruth:
-    path = Path(path)
-    entries = []
-    with path.open() as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                entries.append(
-                    GroundTruthEntry(
-                        frame_id=int(obj["frame"]),
-                        label=obj.get("label"),
-                        objects=list(obj.get("objects", [])),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-                raise TraceParseError(path, line_no, f"bad label record: {exc}") from exc
-    return GroundTruth(entries)
-
-
 def write_ground_truth(entries: Iterable[GroundTruthEntry], path) -> None:
     with Path(path).open("w") as fh:
         for e in entries:

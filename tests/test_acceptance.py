@@ -424,9 +424,9 @@ def test_criterion_09_tracker_quality(tmp_path):
 def test_criterion_10_duration_and_temporal_evaluators(tmp_path):
     # duration fires exactly on {start+d-1 .. last} of a run of length >= d
     sat = {1: set(range(10, 21))}
-    pres = {1: set(range(0, 30))}
-    assert eval_duration(sat, pres, 4) == {(1, f) for f in range(13, 21)}
-    assert eval_duration({1: set(range(10, 13))}, pres, 4) == set()  # too short
+    born = {1: 0}
+    assert eval_duration(sat, born, 4) == {(1, f) for f in range(13, 21)}
+    assert eval_duration({1: set(range(10, 13))}, born, 4) == set()  # too short
 
     # temporal: true iff the witness interval is within the window
     assert eval_temporal({0, 1, 2}, {5}, 3) == (True, [(2, 5)])

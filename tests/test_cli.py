@@ -322,7 +322,6 @@ query busy {{
 @pytest.mark.parametrize("command, flag, value", [
     ("run", "--batch-size", "0"),
     ("profile", "--batch-size", "0"),
-    ("run", "--accuracy-target", "2"),
     ("profile", "--accuracy-target", "-1"),
     # above sys.maxsize: rejected before anything is sized by it
     ("run", "--batch-size", "100000000000000000000"),
@@ -520,6 +519,24 @@ def _set_step_kind(plan):
     fused["params"]["steps"][-1]["kind"] = "nosuch"
 
 
+def _step(plan, kind):
+    fused = next(o for o in plan["ops"] if o["kind"] == "fused")
+    return next(s for s in fused["params"]["steps"] if s["kind"] == kind)
+
+
+def _set_predicate(plan):
+    _step(plan, "vobj_filter")["params"]["predicate"] = {"bogus": 1}
+
+
+def _drop_prop(plan):
+    del _step(plan, "projector")["params"]["prop"]
+
+
+def _set_max_age(plan):
+    tracker = next(o for o in plan["ops"] if o["kind"] == "tracker")
+    tracker["params"]["config"]["max_age"] = 0
+
+
 @pytest.mark.parametrize("edit, code, message", [
     (lambda plan: plan.update(version=4), 2,
      "cannot load plan: plan version 4 unsupported (expected 5)"),
@@ -527,7 +544,19 @@ def _set_step_kind(plan):
      "execution failed: output:reds: unknown operator kind 'nosuch'"),
     (_set_step_kind, 3,
      "execution failed: fused:proj:c.color: unknown operator kind 'nosuch'"),
-], ids=["version-4", "unknown-kind", "unknown-step-kind"])
+    (_set_predicate, 3,
+     "execution failed: fused:proj:c.color: "
+     "bad expression encoding: {'bogus': 1}"),
+    (_drop_prop, 3,
+     "execution failed: fused:proj:c.color: missing param 'prop'"),
+    (lambda plan: _step(plan, "vobj_filter")["params"].update(
+        predicate={"cmp": 5}), 3,
+     "execution failed: fused:proj:c.color: "
+     "bad params: 'int' object is not subscriptable"),
+    (_set_max_age, 3,
+     "execution failed: tracker:c: bad params: max_age must be positive"),
+], ids=["version-4", "unknown-kind", "unknown-step-kind", "bad-predicate",
+        "missing-param", "predicate-not-an-object", "bad-tracker-config"])
 def test_edited_plan_file(runner, workspace, edit, code, message):
     plan = workspace["dir"] / "plan.json"
     result = runner.invoke(main, [

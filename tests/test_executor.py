@@ -414,6 +414,41 @@ class TestAggregate:
         assert all(v["undefined"] == 4 for v in per.values())
 
 
+class TestDuration:
+    PROGRAM = CAR_PROGRAM + """
+    query movers { bind c: Car frame_constraint: c.direction == "right" }
+    duration query held { base: movers min_frames: 3 gap_tolerance: 1 }
+    duration query strict { base: movers min_frames: 3 }
+    """
+
+    def test_a_window_may_start_before_the_first_satisfied_frame(self,
+                                                                 tmp_path):
+        # the car is tracked from frame 0, but `direction` fills its window
+        # of 5 only on frame 4; the window [3, 5] starts after the track's
+        # birth and misses one satisfied frame, so `held` fires on frame 5,
+        # which it would not if the track began where the base first held
+        paths, meta = red_world(tmp_path, frames=12)
+        vprog = make_program(self.PROGRAM)
+        satisfied = {
+            q: run_single(vprog, q, paths["trace"], meta)[0].satisfied
+            for q in ("movers", "held", "strict")}
+        assert satisfied == {"movers": list(range(4, 12)),
+                             "held": list(range(5, 12)),
+                             "strict": list(range(6, 12))}
+
+    def test_rows_are_the_fired_frames_of_the_base(self, tmp_path):
+        paths, meta = red_world(tmp_path, frames=12)
+        vprog = make_program(self.PROGRAM)
+        session = Session(vprog, frozen_registry(), meta)
+        dags = [plan_query(vprog, q, frozen_registry(), PlannerConfig(), meta)
+                for q in ("movers", "held")]
+        base, held = session.run(dags, paths["trace"])
+        assert [r["frame"] for r in base.rows] == base.satisfied
+        assert held.rows == [r for r in base.rows if r["frame"] >= 5]
+        (track,) = {t for t, _f in held.duration_fires}
+        assert held.duration_fires == [[track, f] for f in range(5, 12)]
+
+
 class TestOperatorSharing:
     def test_shared_detector_runs_once(self, tmp_path):
         paths, meta = red_world(tmp_path, frames=20)

@@ -157,9 +157,22 @@ class TestTrackerOp:
         track = n0.track
         assert n1.track is track
         assert (track.track_id, track.class_name) == (t0, "Car")
-        assert track.frames == {0, 1}
+        assert track.first_frame == 0
         assert list(track.objects) == [n0, n1]  # the tracked copies, in order
         assert list(engine.tracks) == [(op, t0)]
+
+    def test_a_track_keeps_the_frame_it_was_born_on(self):
+        op = TrackerOp("t", {"vobj": "Car"})
+        engine = FakeEngine()
+        far = (500.0, 500.0, 510.0, 510.0)
+        # the first car is on frames 0-4, a second one appears on frame 3
+        batch = [state_with_nodes(f, node((f, 0)),
+                                  *([node((f, 1), bbox=far)] if f >= 3 else []))
+                 for f in range(5)]
+        out = op.process(engine, [batch])
+        first, second = out[4].graph.parts[0]
+        assert first.track is not second.track
+        assert (first.track.first_frame, second.track.first_frame) == (0, 3)
 
     def test_retired_track_lets_its_objects_go_one_batch_later(self):
         config = TrackerConfig(max_age=1).to_json()
@@ -170,7 +183,7 @@ class TestTrackerOp:
         batch += [state_with_nodes(f) for f in range(3, 16)]
         out = op.process(engine, [batch])
         track = out[0].graph.parts[0][0].track
-        assert track.frames == {0, 1, 2}
+        assert track.first_frame == 0
         assert op.tracker.slots == []
         # the batch that retired it may still read its windows
         assert [n.frame_id for n in track.objects] == [0, 1, 2]
@@ -277,22 +290,15 @@ class TestRelationOps:
         assert out[0].graph.edges == [unrelated]
 
 
-def brute_duration(satisfied, present, min_frames, gap_tolerance):
+def brute_duration(satisfied, first_frame, min_frames, gap_tolerance):
     """Window-scan oracle for eval_duration."""
     fires = set()
     for t, sat in satisfied.items():
-        pres = present.get(t, set())
-        if not pres:
-            continue
-        lo = min(pres)
         for f in sat:
             start = f - min_frames + 1
-            if start < lo:
+            if start < first_frame[t]:
                 continue
-            bad = sum(
-                1 for g in range(start, f + 1)
-                if g not in pres or g not in sat
-            )
+            bad = sum(1 for g in range(start, f + 1) if g not in sat)
             if bad <= gap_tolerance:
                 fires.add((t, f))
     return fires
@@ -301,20 +307,21 @@ def brute_duration(satisfied, present, min_frames, gap_tolerance):
 class TestEvalDuration:
     def test_simple_run(self):
         sat = {1: {2, 3, 4, 5}}
-        pres = {1: set(range(10))}
-        assert eval_duration(sat, pres, 3) == {(1, 4), (1, 5)}
+        assert eval_duration(sat, {1: 0}, 3) == {(1, 4), (1, 5)}
 
     def test_gap_tolerance(self):
         sat = {1: {0, 1, 3, 4}}
-        pres = {1: set(range(5))}
-        assert eval_duration(sat, pres, 4) == set()
+        assert eval_duration(sat, {1: 0}, 4) == set()
         # [0..3] has one violation (frame 2); [1..4] likewise
-        assert eval_duration(sat, pres, 4, gap_tolerance=1) == {(1, 3), (1, 4)}
+        assert eval_duration(sat, {1: 0}, 4, gap_tolerance=1) == \
+            {(1, 3), (1, 4)}
 
     def test_window_cannot_precede_track(self):
         sat = {1: {5, 6}}
-        pres = {1: {5, 6}}
-        assert eval_duration(sat, pres, 3) == set()
+        assert eval_duration(sat, {1: 5}, 3) == set()
+        assert eval_duration(sat, {1: 5}, 3, gap_tolerance=1) == set()
+        # born a frame earlier, the window fits and frame 4 is its one gap
+        assert eval_duration(sat, {1: 4}, 3, gap_tolerance=1) == {(1, 6)}
 
     def test_min_frames_validated(self):
         with pytest.raises(ValueError):
@@ -323,16 +330,16 @@ class TestEvalDuration:
     def test_randomized_against_oracle(self):
         rng = random.Random(2024)
         for _ in range(150):
-            present = {}
+            first_frame = {}
             satisfied = {}
             for t in range(rng.randint(1, 3)):
-                pres = {f for f in range(20) if rng.random() < 0.8}
-                present[t] = pres
-                satisfied[t] = {f for f in pres if rng.random() < 0.6}
+                first_frame[t] = born = rng.randrange(10)
+                satisfied[t] = {f for f in range(born, 20)
+                                if rng.random() < 0.5}
             d = rng.randint(1, 6)
             g = rng.randint(0, 2)
-            assert eval_duration(satisfied, present, d, g) == \
-                brute_duration(satisfied, present, d, g)
+            assert eval_duration(satisfied, first_frame, d, g) == \
+                brute_duration(satisfied, first_frame, d, g)
 
 
 class TestEvalTemporal:
@@ -367,11 +374,11 @@ class TestEvalTemporal:
 
 class TestCountDistinctTracks:
     def test_undefined_skipped(self):
-        per_track = {
-            1: [None, None, True, True],   # warm-up then true -> counts
-            2: [None, True, False],        # a False disqualifies
-            3: [None, None],               # never decided -> not counted
-            4: [True],
+        per_track = {  # [true, false, undefined] verdict counts
+            1: [2, 0, 2],  # warm-up then true -> counts
+            2: [1, 1, 1],  # a False disqualifies
+            3: [0, 0, 2],  # never decided -> not counted
+            4: [1, 0, 0],
         }
         assert count_distinct_tracks(per_track) == 2
 

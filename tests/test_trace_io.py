@@ -7,7 +7,6 @@ import pytest
 
 from vidquery.trace_io import (
     Detection,
-    GroundTruth,
     GroundTruthEntry,
     TraceError,
     TraceOrderError,
@@ -15,7 +14,6 @@ from vidquery.trace_io import (
     TraceRecord,
     VideoMeta,
     batch,
-    load_ground_truth,
     load_meta,
     open_trace,
     write_ground_truth,
@@ -177,15 +175,9 @@ def test_batch_size_validated():
         list(batch(iter([]), 0))
 
 
-def test_ground_truth_duplicate_frame():
-    with pytest.raises(TraceError):
-        GroundTruth([
-            GroundTruthEntry(frame_id=1, label=True),
-            GroundTruthEntry(frame_id=1, label=False),
-        ])
-
-
-def test_ground_truth_lookup(tmp_path):
+def test_write_ground_truth(tmp_path):
+    # one sorted-key JSON object a line; an unset label or empty object list
+    # is left out, so an unlabeled frame is distinct from a False one
     path = tmp_path / "gt.jsonl"
     write_ground_truth(
         [
@@ -195,11 +187,11 @@ def test_ground_truth_lookup(tmp_path):
         ],
         path,
     )
-    gt = load_ground_truth(path)
-    assert gt.lookup(0) is True
-    assert gt.lookup(1) is False
-    assert gt.lookup(99) is None  # unlabeled, distinct from False
-    assert gt.objects(2) == [{"label": 4}]
+    assert path.read_text().splitlines() == [
+        '{"frame": 0, "label": true}',
+        '{"frame": 1, "label": false}',
+        '{"frame": 2, "objects": [{"label": 4}]}',
+    ]
 
 
 def test_meta_round_trip(tmp_path):
