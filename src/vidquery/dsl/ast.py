@@ -24,10 +24,15 @@ class PropRef:
     args: Optional[tuple[str, str]] = None
 
 
+# the ordered comparisons hold for numbers only
+ORDERED_OPS = ("<", "<=", ">", ">=")
+COMPARISON_OPS = ("==", "!=", "in", *ORDERED_OPS)
+
+
 @dataclass(frozen=True)
 class Compare:
     ref: PropRef
-    op: str  # == != < <= > >= in
+    op: str  # one of COMPARISON_OPS
     literal: Any  # str | float | tuple of those (for `in`)
 
 

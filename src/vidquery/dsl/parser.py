@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .ast import (
+    COMPARISON_OPS,
     And,
     Compare,
     DurationDecl,
@@ -408,7 +409,7 @@ class _Parser:
             self.expect("op", "]")
             return Compare(ref=ref, op="in", literal=tuple(values))
         op_tok = self.expect("op")
-        if op_tok.text not in ("==", "!=", "<", "<=", ">", ">="):
+        if op_tok.text not in COMPARISON_OPS:
             self.error(f"expected a comparison operator, found {op_tok.text!r}", op_tok)
         return Compare(ref=ref, op=op_tok.text, literal=self.parse_literal())
 

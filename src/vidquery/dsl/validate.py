@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .ast import (
+    ORDERED_OPS,
     And,
     Compare,
     DurationDecl,
@@ -239,7 +240,7 @@ def _check_pred(
     # literal typing: ordered comparisons and scene channels take numbers
     def check_ops(e):
         if isinstance(e, Compare):
-            if e.op in ("<", "<=", ">", ">=") and not _lit_is_numeric(e.literal):
+            if e.op in ORDERED_OPS and not _lit_is_numeric(e.literal):
                 diags.append(Diagnostic(
                     f"{owner}: ordered comparison needs a numeric literal, "
                     f"got {e.literal!r}", 0, 0, file))

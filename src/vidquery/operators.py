@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Optional
 
 from .datamodel import Edge, FrameGraph, Track, VObjInstance
+from .dsl.ast import COMPARISON_OPS
 from .registry import (
     GEOMETRIC_FN_COST,
     RELATION_IMPLS,
@@ -121,7 +123,7 @@ class FrameFilterOp(RuntimeOp):
         literals = self.threshold if self.op == "in" else [self.threshold]
         _check_settings(f"frame filter {op_id}", (
             (mode not in ("threshold", "similar_to_prev"), f"mode {mode!r}"),
-            (self.op not in ("==", "!=", "in", *_ORDERED), f"op {self.op!r}"),
+            (self.op not in COMPARISON_OPS, f"op {self.op!r}"),
             (not isinstance(literals, (list, tuple))
              or not all(map(_finite, literals)),
              f"threshold {self.threshold!r}"),
@@ -450,16 +452,15 @@ def eval_temporal(
 ) -> tuple[bool, list[tuple[int, int]]]:
     """Sequential composition: true iff some maximal run of the first event
     ends at most `max_interval` frames before some run of the second starts.
+    Witnesses are the sorted (end, start) pairs that show it.
     """
-    ends = [last for _first, last in _runs(occ1)]
-    starts = [first for first, _last in _runs(occ2)]
-    witnesses = [
-        (e, s)
-        for e in ends
-        for s in starts
-        if e < s and (s - e) <= max_interval
-    ]
-    return bool(witnesses), sorted(witnesses)
+    starts = [first for first, _last in _runs(occ2)]  # sorted
+    witnesses = []
+    for _first, e in _runs(occ1):  # ends ascending
+        lo = bisect_right(starts, e)
+        hi = bisect_right(starts, e + max_interval, lo)
+        witnesses.extend((e, s) for s in starts[lo:hi])
+    return bool(witnesses), witnesses
 
 
 def count_distinct_tracks(per_track: dict[int, list[int]]) -> int:

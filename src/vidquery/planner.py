@@ -11,8 +11,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
-from .dsl.ast import (And, Compare, Not, Or, PropRef, conjoin, conjuncts,
-                       ref_bindings, walk_refs)
+from .dsl.ast import (COMPARISON_OPS, ORDERED_OPS, And, Compare, Not, Or,
+                       PropRef, conjoin, conjuncts, ref_bindings, walk_refs)
 from .dsl.validate import SCENE_TYPE, FlatQuery, FlatVObjType, ValidatedProgram
 from .registry import Registration, Registry, RegistryError
 from .trace_io import VideoMeta
@@ -60,17 +60,27 @@ def encode_expr(expr) -> Any:
 
 
 def decode_expr(obj):
+    """The expression `encode_expr` encoded.  PlanLoadError for an unknown
+    encoding or comparison operator, an ordered comparison with a literal
+    that is no number, or `in` without a list."""
     if obj is None:
         return None
     if "cmp" in obj:
         c = obj["cmp"]
-        lit = tuple(c["literal"]) if isinstance(c["literal"], list) else c["literal"]
+        op, lit = c["op"], c["literal"]
+        if op not in COMPARISON_OPS:
+            raise PlanLoadError(f"unknown comparison operator {op!r}")
+        if op in ORDERED_OPS and (not isinstance(lit, (int, float))
+                                  or isinstance(lit, bool)):
+            raise PlanLoadError(f"{op!r} needs a number, got {lit!r}")
+        if op == "in" and not isinstance(lit, list):
+            raise PlanLoadError(f"'in' needs a list, got {lit!r}")
         return Compare(
             ref=PropRef(
                 binding=c["binding"], prop=c["prop"], relation=c["relation"],
                 args=tuple(c["args"]) if c["args"] else None,
             ),
-            op=c["op"], literal=lit,
+            op=op, literal=tuple(lit) if isinstance(lit, list) else lit,
         )
     if "and" in obj:
         return And(tuple(decode_expr(i) for i in obj["and"]))

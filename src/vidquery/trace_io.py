@@ -10,9 +10,12 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Optional
+
+from orjson import loads as _loads
 
 
 _INF = math.inf
@@ -122,17 +125,93 @@ def record_to_json(rec: TraceRecord) -> dict:
 _raw_decode = json.JSONDecoder().raw_decode
 _skip_ws = json.decoder.WHITESPACE.match
 _BOM = "\ufeff"
+# JSONDecodeError is a ValueError; an infinite frame id or an integer too
+# large for a float is an OverflowError, and JSON nested past the recursion
+# limit a RecursionError
+_RECORD_ERRORS = (KeyError, ValueError, TypeError, OverflowError,
+                  RecursionError)
+# orjson reads an integer outside [-2**63, 2**64) as a float, json as an int
+_BIG = 2.0 ** 63
+
+
+def _json_record(line: str) -> TraceRecord:
+    """The record of a stripped line, decoded as `json.loads` decodes it,
+    trailing data and a byte-order mark rejected."""
+    if line[0] == _BOM:
+        raise json.JSONDecodeError(
+            "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    obj, end = _raw_decode(line)
+    if end != len(line):
+        raise json.JSONDecodeError(
+            "Extra data", line, _skip_ws(line, end).end())
+    return record_from_json(obj)
+
+
+def _exact(value) -> bool:
+    """False if `value` holds, at any depth, a float of magnitude 2**63 or
+    more, which orjson may have read where json reads an integer."""
+    cls = value.__class__
+    if cls is float:
+        return -_BIG < value < _BIG
+    if cls is dict:
+        value = value.values()  # keys are strings
+    elif cls is not list:
+        return True
+    for item in value:
+        if item.__class__ is not str and not _exact(item):
+            return False
+    return True
+
+
+def _read_alike(obj: dict) -> bool:
+    """True if json reads alike each value of orjson's reading `obj` that
+    `record_from_json` keeps as read: the frame id, each class and attrs."""
+    if not _exact(obj["frame"]):
+        return False
+    for d in obj.get("dets", ()):
+        cls, attrs = d["class"], d.get("attrs", ())
+        if cls.__class__ is not str and not _exact(cls):
+            return False
+        if attrs.__class__ is dict:
+            attrs = attrs.values()  # else a list of pairs, or a string
+        for value in attrs:
+            if value.__class__ is not str and not _exact(value):
+                return False
+    return True
+
+
+def _record(line: str, deep: int) -> TraceRecord:
+    """The record of a stripped line, as `_json_record` gives it, decoded
+    by orjson where json would read it alike.  json reads the line when it
+    may nest `deep` levels (orjson has no depth limit), when orjson refuses
+    it (NaN, Infinity, a number past float range, an escaped lone
+    surrogate, malformed JSON), when the record is bad, so that every error
+    is json's, and when `_read_alike` fails.  Fields read through `float()`
+    are the same either way."""
+    # nesting d levels takes 2d characters
+    if len(line) < 2 * deep or line.count("{") + line.count("[") < deep:
+        try:
+            obj = _loads(line)
+            rec = record_from_json(obj)
+            if _read_alike(obj):
+                return rec
+        except _RECORD_ERRORS:
+            pass
+    return _json_record(line)
 
 
 def open_trace(path, meta: Optional[VideoMeta] = None) -> Iterator[TraceRecord]:
     """Stream records from a trace file in strictly increasing frame order.
 
     With `meta` given, detection boxes are checked against the resolution.
-    A line is rejected as `json.loads` would reject it, trailing data
-    included.
+    Every record, and every error with its message, is what `json.loads`
+    and `record_from_json` give, trailing data rejected.
     """
     path = Path(path)
     prev = -1
+    # json raises RecursionError at a nesting of the recursion limit less
+    # the caller's stack depth, taken to be under half the limit
+    deep = sys.getrecursionlimit() // 2
     with path.open(encoding="utf-8") as fh:
         try:
             for line_no, line in enumerate(fh, start=1):
@@ -140,21 +219,8 @@ def open_trace(path, meta: Optional[VideoMeta] = None) -> Iterator[TraceRecord]:
                 if not line:
                     continue
                 try:
-                    if line[0] == _BOM:
-                        raise json.JSONDecodeError(
-                            "Unexpected UTF-8 BOM (decode using utf-8-sig)",
-                            line, 0)
-                    obj, end = _raw_decode(line)
-                    if end != len(line):
-                        raise json.JSONDecodeError(
-                            "Extra data", line, _skip_ws(line, end).end())
-                    rec = record_from_json(obj)
-                except (KeyError, ValueError, TypeError, OverflowError,
-                        RecursionError) as exc:
-                    # JSONDecodeError is a ValueError; an infinite frame id
-                    # or an integer too large for a float is an
-                    # OverflowError, and JSON nested past the recursion
-                    # limit a RecursionError
+                    rec = _record(line, deep)
+                except _RECORD_ERRORS as exc:
                     raise TraceParseError(
                         path, line_no, f"bad record: {exc}") from exc
                 if rec.frame_id <= prev:

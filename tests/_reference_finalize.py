@@ -1,16 +1,20 @@
-"""Frozen finalize evaluators: the references for the engine's duration and
-count_distinct evaluators.
+"""Frozen finalize evaluators: the references for the engine's duration,
+temporal and count_distinct evaluators.
 
 These are `eval_duration` and `count_distinct_tracks` as `vidquery.operators`
 had them while each track kept the set of frames it was on and each
 aggregate kept every verdict: a duration read a track's present frames
-beside its satisfied ones, and a count read per-track verdict lists.  They
-are kept unchanged so tests can require the engine's versions, which read a
-track's birth frame and per-track verdict counts, to give the same answers.
-Do not edit them to follow the engine.
+beside its satisfied ones, and a count read per-track verdict lists.
+`eval_temporal` is the version that paired every run end with every run
+start.  They are kept unchanged so tests can require the engine's versions,
+which read a track's birth frame and per-track verdict counts and bisect the
+run starts, to give the same answers.  Do not edit them to follow the
+engine.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 
 def eval_duration(
@@ -59,3 +63,31 @@ def count_distinct_tracks(per_track: dict[int, list]) -> int:
         if decided and all(decided):
             count += 1
     return count
+
+
+def _runs(frames: Iterable[int]) -> list[tuple[int, int]]:
+    """Maximal runs of consecutive frames as (first, last)."""
+    out = []
+    for f in sorted(frames):
+        if out and f == out[-1][1] + 1:
+            out[-1] = (out[-1][0], f)
+        else:
+            out.append((f, f))
+    return out
+
+
+def eval_temporal(
+    occ1: Iterable[int], occ2: Iterable[int], max_interval: int
+) -> tuple[bool, list[tuple[int, int]]]:
+    """Sequential composition: true iff some maximal run of the first event
+    ends at most `max_interval` frames before some run of the second starts.
+    """
+    ends = [last for _first, last in _runs(occ1)]
+    starts = [first for first, _last in _runs(occ2)]
+    witnesses = [
+        (e, s)
+        for e in ends
+        for s in starts
+        if e < s and (s - e) <= max_interval
+    ]
+    return bool(witnesses), sorted(witnesses)

@@ -528,6 +528,12 @@ def _set_predicate(plan):
     _step(plan, "vobj_filter")["params"]["predicate"] = {"bogus": 1}
 
 
+def _set_comparison(**cmp):
+    def edit(plan):
+        _step(plan, "vobj_filter")["params"]["predicate"]["cmp"].update(cmp)
+    return edit
+
+
 def _drop_prop(plan):
     del _step(plan, "projector")["params"]["prop"]
 
@@ -555,8 +561,22 @@ def _set_max_age(plan):
      "bad params: 'int' object is not subscriptable"),
     (_set_max_age, 3,
      "execution failed: tracker:c: bad params: max_age must be positive"),
+    (_set_comparison(op="~"), 3,
+     "execution failed: fused:proj:c.color: "
+     "unknown comparison operator '~'"),
+    (_set_comparison(prop="speed", op="~", literal=5), 3,
+     "execution failed: fused:proj:c.color: "
+     "unknown comparison operator '~'"),
+    (_set_comparison(op="<"), 3,
+     "execution failed: fused:proj:c.color: '<' needs a number, got 'red'"),
+    (_set_comparison(prop="speed", op=">=", literal=True), 3,
+     "execution failed: fused:proj:c.color: '>=' needs a number, got True"),
+    (_set_comparison(op="in"), 3,
+     "execution failed: fused:proj:c.color: 'in' needs a list, got 'red'"),
 ], ids=["version-4", "unknown-kind", "unknown-step-kind", "bad-predicate",
-        "missing-param", "predicate-not-an-object", "bad-tracker-config"])
+        "missing-param", "predicate-not-an-object", "bad-tracker-config",
+        "bad-op-string-prop", "bad-op-numeric-prop", "ordered-op-string",
+        "ordered-op-bool", "in-without-list"])
 def test_edited_plan_file(runner, workspace, edit, code, message):
     plan = workspace["dir"] / "plan.json"
     result = runner.invoke(main, [
