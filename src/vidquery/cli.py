@@ -302,7 +302,8 @@ def synth(world, out_dir):
     """Render a scripted world into trace, meta, and ground-truth files."""
     try:
         spec = load_world(world)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, TypeError, OverflowError) as exc:
+        # as for a meta file; JSONDecodeError is a ValueError
         _fail(EXIT_VALIDATION, f"bad world file: {exc}")
     paths = write_world(spec, out_dir)
     for name, path in sorted(paths.items()):

@@ -297,21 +297,12 @@ def _flatten_query(
     return FlatQuery(
         name=decl.name,
         kind="basic",
-        bindings=sorted(bindings.items(), key=lambda kv: _binding_rank(decl, chain, queries, kv[0])),
+        bindings=list(bindings.items()),  # root's first, as declared
         frame_pred=conjoin(frame_parts),
         video_pred=conjoin(video_parts),
         frame_output=frame_output,
         video_output=video_output,
     )
-
-
-def _binding_rank(decl, chain, queries, bname) -> tuple:
-    # preserve declaration order: ancestors first, then own additions
-    for depth, qname in enumerate(reversed(chain)):
-        for idx, (name, _t) in enumerate(queries[qname].bindings):
-            if name == bname:
-                return (depth, idx)
-    return (len(chain), 0)
 
 
 def validate(program: Program, file: str = "<source>") -> ValidatedProgram:

@@ -6,10 +6,12 @@ from __future__ import annotations
 import hashlib
 import json
 import marshal
+import math
 import os
 import sys
 import tempfile
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
@@ -45,7 +47,7 @@ from .registry import (
     RegistryError,
     call_property_impl,
 )
-from .trace_io import VideoMeta, batch as batch_records, open_trace
+from .trace_io import VideoMeta, open_trace
 
 
 @dataclass
@@ -62,7 +64,7 @@ class ExecConfig:
 @dataclass
 class ExecStats:
     """Counted work: component calls, property-function entries, cost units,
-    and operator invocations."""
+    and operator invocations by signature (`op_signature`)."""
 
     cost_units: float = 0.0
     component_calls: Counter = field(default_factory=Counter)
@@ -83,8 +85,8 @@ class ExecStats:
         self.component_costs[name] = self.component_costs.get(name, 0.0) + cost
         self.cost_units += cost
 
-    def count_op(self, op_id: str) -> None:
-        self.op_invocations[op_id] += 1
+    def count_op(self, sig: str) -> None:
+        self.op_invocations[sig] += 1
 
     @property
     def total_op_invocations(self) -> int:
@@ -535,6 +537,9 @@ class ResultStore:
 
 # --- session ----------------------------------------------------------------
 
+TRACE_CHUNK = 8 << 20  # bytes of the trace hashed at a time for the cache key
+
+
 def trace_batches(trace_path, meta: Optional[VideoMeta], batch_size: int):
     """The initial frame states of the records of `trace_path` that a run
     under `meta` reads, in batches of at most `batch_size`.  Reading stops
@@ -542,20 +547,20 @@ def trace_batches(trace_path, meta: Optional[VideoMeta], batch_size: int):
     it is parsed; a trace with no record of that frame is read up to its
     first record past it.  No operator changes an input frame state, so
     every session of a pass may be fed the same batch."""
-    records = open_trace(trace_path, meta)
-    if meta is not None:
-        records = _before(records, meta.frame_count)
-    return batch_records(map(FrameState.fresh, records), batch_size)
-
-
-def _before(records, frame_count: int):
-    """`records` up to frame `frame_count - 1`, read no further than needed."""
-    for rec in records:
-        if rec.frame_id >= frame_count:
-            return
-        yield rec
-        if rec.frame_id == frame_count - 1:
-            return
+    last = math.inf if meta is None else meta.frame_count - 1
+    current: Batch = []
+    with closing(open_trace(trace_path, meta)) as records:
+        for rec in records:
+            if rec.frame_id > last:
+                break
+            current.append(FrameState.fresh(rec))
+            if rec.frame_id == last:
+                break
+            if len(current) == batch_size:
+                yield current
+                current = []
+    if current:
+        yield current
 
 
 class Session:
@@ -645,7 +650,7 @@ class Session:
             if rt is None:
                 out[sig] = base
                 continue
-            self.stats.count_op(rt.op_id)
+            self.stats.count_op(sig)
             out[sig] = rt.process(self.engine, [out[s] for s in input_sigs])
 
     def finish(self) -> list[QueryOutcome]:
@@ -666,9 +671,14 @@ class Session:
         outcomes: list[Optional[QueryOutcome]] = [None] * len(dags)
         inputs_digest = None
         if result_store is not None:
-            inputs_digest = self._inputs_digest(
-                hashlib.sha256(trace_path.read_bytes()).hexdigest()
-            )
+            with trace_path.open("rb") as fh:
+                # a read allocates all it asks for: ask for no more than the
+                # file holds
+                size = min(os.fstat(fh.fileno()).st_size, TRACE_CHUNK)
+                digest = hashlib.sha256(fh.read(size))
+                while chunk := fh.read(size):
+                    digest.update(chunk)
+            inputs_digest = self._inputs_digest(digest.hexdigest())
         pending = []
         for i, dag in enumerate(dags):
             if result_store is not None:

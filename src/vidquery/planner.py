@@ -369,7 +369,8 @@ def _build(
         out_refs_by_binding.setdefault(ref.binding, []).append(ref)
 
     # the video constraint and the relation predicate read object properties
-    # after the filters; project them too, so stateful windows fill
+    # after the filters; project them too, so they are evaluated eagerly when
+    # laziness is off and `tracker_needed` sees the stateful or intrinsic ones
     late_refs_by_binding: dict[str, set[str]] = {}
     for expr in (fq.video_pred, fq.relation_pred):
         for ref in walk_refs(expr):

@@ -18,6 +18,8 @@ from .trace_io import (
     GroundTruthEntry,
     TraceRecord,
     VideoMeta,
+    meta_from_json,
+    meta_to_json,
     write_ground_truth,
     write_meta,
     write_trace,
@@ -67,13 +69,7 @@ class WorldSpec:
 
     def to_json(self) -> dict:
         return {
-            "meta": {
-                "fps": self.meta.fps,
-                "width": self.meta.width,
-                "height": self.meta.height,
-                "frames": self.meta.frame_count,
-                "px_per_m": self.meta.px_per_m,
-            },
+            "meta": meta_to_json(self.meta),
             "seed": self.seed,
             "channels": self.channels,
             "objects": [
@@ -100,14 +96,10 @@ class WorldSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WorldSpec":
-        m = obj["meta"]
-        meta = VideoMeta(
-            fps=float(m["fps"]),
-            width=int(m["width"]),
-            height=int(m["height"]),
-            frame_count=int(m["frames"]),
-            px_per_m=m.get("px_per_m"),
-        )
+        """The world whose `to_json` is `obj`.  A field of the wrong type or
+        value raises `KeyError`, `TypeError`, `ValueError` or
+        `OverflowError`."""
+        meta = meta_from_json(obj["meta"])
         objects = [
             ObjectScript(
                 label=int(o["label"]),
@@ -128,10 +120,13 @@ class WorldSpec:
             )
             for o in obj.get("objects", [])
         ]
+        channels = obj.get("channels", {})
+        if not isinstance(channels, dict):
+            raise TypeError(f"channels {channels!r} is not an object")
         return cls(
             meta=meta,
             objects=objects,
-            channels={k: list(v) for k, v in obj.get("channels", {}).items()},
+            channels={k: list(v) for k, v in channels.items()},
             seed=int(obj.get("seed", 0)),
         )
 

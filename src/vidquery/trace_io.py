@@ -88,6 +88,12 @@ class TraceRecord:
                 raise ValueError(f"non-finite channel {name}={value}")
 
 
+def _class_name(cls):
+    if cls.__class__ is not str:
+        raise TypeError(f"class {cls!r} is not a string")
+    return cls
+
+
 def record_from_json(obj: dict) -> TraceRecord:
     """The record of one decoded trace line.  A field of the wrong type or
     value raises `KeyError`, `TypeError`, `ValueError` or `OverflowError`;
@@ -95,7 +101,7 @@ def record_from_json(obj: dict) -> TraceRecord:
     score and attrs, then channels), so the first bad one is named."""
     frame_id = int(obj["frame"])
     detections = tuple([
-        Detection(d["class"], tuple(map(float, d["bbox"])),
+        Detection(_class_name(d["class"]), tuple(map(float, d["bbox"])),
                   float(d.get("score", 1.0)), dict(d.get("attrs", {})))
         for d in obj.get("dets", [])
     ])
@@ -122,9 +128,6 @@ def record_to_json(rec: TraceRecord) -> dict:
     }
 
 
-_raw_decode = json.JSONDecoder().raw_decode
-_skip_ws = json.decoder.WHITESPACE.match
-_BOM = "\ufeff"
 # JSONDecodeError is a ValueError; an infinite frame id or an integer too
 # large for a float is an OverflowError, and JSON nested past the recursion
 # limit a RecursionError
@@ -132,19 +135,6 @@ _RECORD_ERRORS = (KeyError, ValueError, TypeError, OverflowError,
                   RecursionError)
 # orjson reads an integer outside [-2**63, 2**64) as a float, json as an int
 _BIG = 2.0 ** 63
-
-
-def _json_record(line: str) -> TraceRecord:
-    """The record of a stripped line, decoded as `json.loads` decodes it,
-    trailing data and a byte-order mark rejected."""
-    if line[0] == _BOM:
-        raise json.JSONDecodeError(
-            "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-    obj, end = _raw_decode(line)
-    if end != len(line):
-        raise json.JSONDecodeError(
-            "Extra data", line, _skip_ws(line, end).end())
-    return record_from_json(obj)
 
 
 def _exact(value) -> bool:
@@ -165,13 +155,12 @@ def _exact(value) -> bool:
 
 def _read_alike(obj: dict) -> bool:
     """True if json reads alike each value of orjson's reading `obj` that
-    `record_from_json` keeps as read: the frame id, each class and attrs."""
+    `record_from_json` keeps as read: the frame id and attrs (a class is a
+    string)."""
     if not _exact(obj["frame"]):
         return False
     for d in obj.get("dets", ()):
-        cls, attrs = d["class"], d.get("attrs", ())
-        if cls.__class__ is not str and not _exact(cls):
-            return False
+        attrs = d.get("attrs", ())
         if attrs.__class__ is dict:
             attrs = attrs.values()  # else a list of pairs, or a string
         for value in attrs:
@@ -181,13 +170,13 @@ def _read_alike(obj: dict) -> bool:
 
 
 def _record(line: str, deep: int) -> TraceRecord:
-    """The record of a stripped line, as `_json_record` gives it, decoded
-    by orjson where json would read it alike.  json reads the line when it
-    may nest `deep` levels (orjson has no depth limit), when orjson refuses
-    it (NaN, Infinity, a number past float range, an escaped lone
-    surrogate, malformed JSON), when the record is bad, so that every error
-    is json's, and when `_read_alike` fails.  Fields read through `float()`
-    are the same either way."""
+    """The record of a stripped line, as `json.loads` and `record_from_json`
+    give it, decoded by orjson where json would read it alike.  json reads
+    the line when it may nest `deep` levels (orjson has no depth limit),
+    when orjson refuses it (NaN, Infinity, a number past float range, an
+    escaped lone surrogate, malformed JSON), when the record is bad, so
+    that every error is json's, and when `_read_alike` fails.  Fields read
+    through `float()` are the same either way."""
     # nesting d levels takes 2d characters
     if len(line) < 2 * deep or line.count("{") + line.count("[") < deep:
         try:
@@ -197,7 +186,7 @@ def _record(line: str, deep: int) -> TraceRecord:
                 return rec
         except _RECORD_ERRORS:
             pass
-    return _json_record(line)
+    return record_from_json(json.loads(line))
 
 
 def open_trace(path, meta: Optional[VideoMeta] = None) -> Iterator[TraceRecord]:
@@ -262,20 +251,6 @@ def write_trace(records: Iterable[TraceRecord], path) -> None:
             fh.write(json.dumps(record_to_json(rec), sort_keys=True) + "\n")
 
 
-def batch(stream: Iterable[TraceRecord], batch_size: int) -> Iterator[list[TraceRecord]]:
-    """Partition a record stream into batches of at most `batch_size` frames."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    current: list[TraceRecord] = []
-    for rec in stream:
-        current.append(rec)
-        if len(current) == batch_size:
-            yield current
-            current = []
-    if current:
-        yield current
-
-
 @dataclass
 class GroundTruthEntry:
     frame_id: int
@@ -294,9 +269,9 @@ def write_ground_truth(entries: Iterable[GroundTruthEntry], path) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def load_meta(path) -> VideoMeta:
-    with Path(path).open() as fh:
-        obj = json.load(fh)
+def meta_from_json(obj: dict) -> VideoMeta:
+    """The video meta of a decoded meta block.  A field of the wrong type or
+    value raises `KeyError`, `TypeError`, `ValueError` or `OverflowError`."""
     return VideoMeta(
         fps=float(obj["fps"]),
         width=int(obj["width"]),
@@ -306,7 +281,7 @@ def load_meta(path) -> VideoMeta:
     )
 
 
-def write_meta(meta: VideoMeta, path) -> None:
+def meta_to_json(meta: VideoMeta) -> dict:
     obj: dict[str, Any] = {
         "fps": meta.fps,
         "width": meta.width,
@@ -315,4 +290,13 @@ def write_meta(meta: VideoMeta, path) -> None:
     }
     if meta.px_per_m is not None:
         obj["px_per_m"] = meta.px_per_m
-    Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n")
+    return obj
+
+
+def load_meta(path) -> VideoMeta:
+    with Path(path).open() as fh:
+        return meta_from_json(json.load(fh))
+
+
+def write_meta(meta: VideoMeta, path) -> None:
+    Path(path).write_text(json.dumps(meta_to_json(meta), sort_keys=True) + "\n")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vidquery.dsl import parse, validate
-from vidquery.executor import ExecConfig, Session
+from vidquery.executor import ExecConfig, Session, op_signature
 from vidquery.planner import PlannerConfig, plan_query
 from vidquery.registry import (
     ErrorProfile,
@@ -30,6 +30,16 @@ def pytest_runtest_logreport(report):
 
 def make_program(src: str, file: str = "test.vq"):
     return validate(parse(src, file=file), file=file)
+
+
+def op_signatures(dag) -> dict[str, str]:
+    """Each op id of `dag` -> its `op_signature`, the key of the op's
+    `ExecStats.op_invocations` count."""
+    sigs: dict[str, str] = {}
+    for op_id in dag.topo_order():
+        pop = dag.ops[op_id]
+        sigs[op_id] = op_signature(pop, [sigs[i] for i in pop.inputs])
+    return sigs
 
 
 def frozen_registry(extra: list[Registration] = ()) -> Registry:

@@ -204,9 +204,16 @@ class TestRun:
          + ', 0, 1, 1]}]}', "int too large to convert to float"),
         ('{"frame": 0, "x": ' + "[" * 5000 + "]" * 5000 + "}",
          "maximum recursion depth exceeded"),
+        ('{"frame": 1, "dets": [{"class": ["car"], "bbox": [0, 0, 1, 1]}]}',
+         "class ['car'] is not a string"),
+        ('{"frame": 1, "dets": [{"class": {"a": 1}, "bbox": [0, 0, 1, 1]}]}',
+         "class {'a': 1} is not a string"),
+        ('{"frame": 1, "dets": [{"class": ' + str(2 ** 64)
+         + ', "bbox": [0, 0, 1, 1]}]}',
+         f"class {2 ** 64} is not a string"),  # json's reading, an int
     ], ids=["channels-null", "channels-list", "channels-string",
             "frame-infinity", "frame-1e400", "bbox-big-int",
-            "deep-nesting"])
+            "deep-nesting", "class-list", "class-object", "class-number"])
     def test_malformed_line_exit_3(self, runner, workspace, line, named):
         lines = open(workspace["trace"]).read().splitlines()
         lines[1] = line
@@ -775,6 +782,29 @@ class TestSynth:
         # rendered trace matches the fixture rendered from the same world
         assert (out_dir / "trace.jsonl").read_bytes() == \
             (workspace["dir"] / "w" / "trace.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda w: w["meta"].update(fps=None),
+         "must be a string or a real number"),
+        (lambda w: w["objects"][0].update(velocity=None),
+         "'NoneType' object is not iterable"),
+        (lambda w: [w], "list indices must be integers"),
+        (lambda w: w.update(channels=[]), "channels [] is not an object"),
+    ], ids=["fps-null", "velocity-null", "list", "channels-list"])
+    def test_world_of_the_wrong_shape_exit_1(self, runner, workspace, edit,
+                                             named):
+        world = json.loads(Path(workspace["world"]).read_text())
+        world = edit(world) or world
+        bad = workspace["dir"] / "bad-world.json"
+        bad.write_text(json.dumps(world))
+        result = runner.invoke(main, [
+            "synth", "-w", str(bad), "-o", str(workspace["dir"] / "out"),
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.stderr.startswith("bad world file: ")
+        assert named in result.stderr
+        assert result.stderr.count("\n") == 1
 
     def test_bad_world_exit_1(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

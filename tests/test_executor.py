@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from vidquery import executor
 from vidquery.datamodel import UNDEFINED, VObjInstance
 from vidquery.dsl.ast import Compare, PropRef
 from vidquery.executor import (
@@ -33,7 +34,8 @@ from vidquery.operators import compare
 from vidquery.planner import PlannerConfig, PlanOp, plan_query
 from vidquery.registry import Registration, Registry, load_manifest
 from vidquery.synth import ObjectScript, WorldSpec, write_world
-from vidquery.trace_io import Detection, TraceParseError, TraceRecord, write_trace
+from vidquery.trace_io import (Detection, TraceParseError, TraceRecord,
+                               open_trace, write_trace)
 from vidquery.tracker import TrackerConfig
 
 from conftest import (
@@ -493,6 +495,24 @@ class TestResultStore:
         )
         assert stats2.total_op_invocations == 0
         assert serialize_outcome(out1) == serialize_outcome(out2)
+
+    @pytest.mark.parametrize("chunks", [5.5, 1])  # trace size / chunk size
+    def test_trace_hashed_in_chunks_keys_as_hashed_whole(self, tmp_path,
+                                                          monkeypatch, chunks):
+        paths, meta = red_world(tmp_path, frames=20)
+        trace = Path(paths["trace"])
+        monkeypatch.setattr(executor, "TRACE_CHUNK",
+                            int(trace.stat().st_size / chunks))
+        vprog = make_program(REDS)
+        store = ResultStore(tmp_path / "cache")
+        session = Session(vprog, frozen_registry(), meta)
+        dag = plan_query(vprog, "reds", session.registry, PlannerConfig(),
+                         meta)
+        session.run([dag], trace, result_store=store)
+        whole = session._inputs_digest(
+            hashlib.sha256(trace.read_bytes()).hexdigest())
+        assert [e.name for e in store.root.iterdir()] == [
+            f"{ResultStore.key(whole, dag.plan_id)}.marshal"]
 
     def test_different_trace_misses(self, tmp_path):
         paths, meta = red_world(tmp_path, frames=20)
@@ -989,6 +1009,33 @@ class TestTraceBatches:
                 list(batches)
         else:
             assert [r.frame_id for b in batches for r in b] == frames
+
+    def test_partition_without_meta(self, tmp_path):
+        # with no meta every record is read, frame ids past 2**63 too
+        frames = [2 ** 63 - 3 + i for i in range(7)]
+        trace = tmp_path / "trace.jsonl"
+        write_trace([TraceRecord(f) for f in frames], trace)
+        batches = list(trace_batches(trace, None, batch_size=3))
+        assert [len(b) for b in batches] == [3, 3, 1]
+        assert [fs.frame_id for b in batches for fs in b] == frames
+
+    def test_trace_is_closed_when_reading_stops(self, tmp_path, monkeypatch):
+        trace = tmp_path / "trace.jsonl"
+        write_trace([TraceRecord(f) for f in range(10)], trace)
+        opened = []
+
+        def kept_open_trace(path, meta=None):
+            opened.append(open_trace(path, meta))
+            return opened[-1]
+
+        monkeypatch.setattr(executor, "open_trace", kept_open_trace)
+        batches = list(trace_batches(trace, meta_1000(4), batch_size=2))
+        assert [[fs.frame_id for fs in b] for b in batches] == [[0, 1], [2, 3]]
+        assert opened[0].gi_frame is None  # closed, though still referenced
+        batches = trace_batches(trace, None, batch_size=2)
+        next(batches)
+        batches.close()  # a consumer that stops early
+        assert opened[1].gi_frame is None
 
 
 class TestSerialization:

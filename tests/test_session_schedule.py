@@ -10,7 +10,8 @@ from vidquery.executor import ExecConfig, Session, serialize_outcome
 from vidquery.planner import PlannerConfig, plan_query
 from vidquery.synth import ObjectScript, WorldSpec, write_world
 
-from conftest import CAR_PROGRAM, car, frozen_registry, make_program, meta_1000
+from conftest import (CAR_PROGRAM, car, frozen_registry, make_program,
+                      meta_1000, op_signatures)
 
 PROGRAM = CAR_PROGRAM + """
 vobj Person {
@@ -110,13 +111,15 @@ def test_shared_session_pinned_and_equal_to_solo(tmp_path):
         (solo,), _ = _run(vprog, registry, [dag], paths, meta)
         assert serialize_outcome(solo) == shared[dag.query]
 
-    # every distinct operator of this session has its own op id (hence the
-    # binding `b` in blue_speeds), so each count is that operator's alone
+    # every scheduled operator runs once a batch; duration and temporal
+    # stages are evaluated at the end, never scheduled
     batches = math.ceil(FRAMES / BATCH)
     assert stats.op_invocations
     assert set(stats.op_invocations.values()) == {batches}
-    assert not [op_id for op_id in stats.op_invocations
-                if op_id.startswith(("duration:", "temporal:"))]
+    finalized = {sig for dag in dags
+                 for op_id, sig in op_signatures(dag).items()
+                 if dag.ops[op_id].kind in ("duration", "temporal")}
+    assert not finalized & set(stats.op_invocations)
 
 
 def test_duration_query_reuses_its_base_plan(tmp_path):
@@ -133,8 +136,39 @@ def test_duration_query_reuses_its_base_plan(tmp_path):
 
     outcomes, stats = _run(vprog, registry, [reds, held], paths, world.meta)
     assert set(stats.op_invocations) == {
-        op_id for op_id, pop in reds.ops.items() if pop.kind != "reader"
+        sig for op_id, sig in op_signatures(reds).items()
+        if reds.ops[op_id].kind != "reader"
     }
     assert set(stats.op_invocations.values()) == {math.ceil(FRAMES / BATCH)}
     assert [hashlib.sha256(serialize_outcome(o).encode()).hexdigest()
             for o in outcomes] == [GOLDEN["reds"], GOLDEN["held"]]
+
+
+def test_operators_sharing_an_op_id_count_apart(tmp_path):
+    """Two queries that bind `c: Car` with different filters each have a
+    `fused:proj:c.color`, two operators under one op id: each operator is
+    counted once a batch, under its own signature."""
+    world = _world(SEED)
+    paths = write_world(world, tmp_path / "w")
+    vprog = make_program(CAR_PROGRAM + """
+query red_cars {
+  bind c: Car
+  frame_constraint: c.color == "red"
+}
+query blue_right {
+  bind c: Car
+  frame_constraint: c.color == "blue" & c.direction == "right"
+}
+""")
+    registry = frozen_registry()
+    dags = [plan_query(vprog, q, registry, PlannerConfig(), world.meta)
+            for q in ("red_cars", "blue_right")]
+    sigs = [op_signatures(dag) for dag in dags]
+    assert sigs[0]["fused:proj:c.color"] != sigs[1]["fused:proj:c.color"]
+
+    _outcomes, stats = _run(vprog, registry, dags, paths, world.meta)
+    assert set(stats.op_invocations) == {
+        sig for dag, dag_sigs in zip(dags, sigs)
+        for op_id, sig in dag_sigs.items() if dag.ops[op_id].kind != "reader"
+    }
+    assert set(stats.op_invocations.values()) == {math.ceil(FRAMES / BATCH)}

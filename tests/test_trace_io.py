@@ -1,4 +1,4 @@
-"""Trace file parsing, ordering, batching, and sidecar formats."""
+"""Trace file parsing, ordering, and sidecar formats."""
 
 import json
 import math
@@ -13,7 +13,6 @@ from vidquery.trace_io import (
     TraceParseError,
     TraceRecord,
     VideoMeta,
-    batch,
     load_meta,
     open_trace,
     write_ground_truth,
@@ -160,19 +159,6 @@ def test_missing_frames_are_not_errors(tmp_path):
     path = tmp_path / "t.jsonl"
     write_trace([rec(0), rec(5)], path)
     assert [r.frame_id for r in open_trace(path)] == [0, 5]
-
-
-def test_batching_partition():
-    records = [rec(i) for i in range(7)]
-    sizes = [len(b) for b in batch(iter(records), 3)]
-    assert sizes == [3, 3, 1]
-    flat = [r.frame_id for b in batch(iter(records), 3) for r in b]
-    assert flat == list(range(7))
-
-
-def test_batch_size_validated():
-    with pytest.raises(ValueError):
-        list(batch(iter([]), 0))
 
 
 def test_write_ground_truth(tmp_path):

@@ -12,7 +12,8 @@ from vidquery.executor import Session, serialize_outcome
 from vidquery.planner import PlannerConfig, plan_query
 from vidquery.synth import WorldSpec, write_world
 
-from conftest import CAR_PROGRAM, car, frozen_registry, make_program, meta_1000
+from conftest import (CAR_PROGRAM, car, frozen_registry, make_program,
+                      meta_1000, op_signatures)
 
 GATED_PROGRAM = CAR_PROGRAM + """
 query reds {
@@ -82,7 +83,8 @@ def test_second_run_of_a_session_repeats_the_first(tmp_path):
     )
     assert first == second
     assert len(json.loads(first)["frames"]) == 10  # frames 0-9, once each
-    assert session.stats.op_invocations[dag.sink] == 2 * 2  # 2 batches a run
+    sink = op_signatures(dag)[dag.sink]
+    assert session.stats.op_invocations[sink] == 2 * 2  # 2 batches a run
 
 
 COLORS = ["red", "blue", "green"]
