@@ -598,7 +598,9 @@ class Session:
         each signature built once (a reader has no runtime op).  Duration
         and temporal stages stay out of it; `_finalize` evaluates them.  Also
         returns each plan's op id -> runtime op map, and links each detected
-        type's properties into the engine."""
+        type's properties into the engine.  A tracker owns its input
+        (`TrackerOp.owns_input`) when that is a detector's batch that no
+        other scheduled operator reads."""
         schedule: dict[str, tuple[Optional[RuntimeOp], list[str]]] = {}
         plan_ops = []
         for dag in dags:
@@ -618,6 +620,11 @@ class Session:
                     schedule[sig] = (rt, input_sigs)
                 ops[op_id] = schedule[sig][0]
             plan_ops.append(ops)
+        readers = Counter(s for _rt, ins in schedule.values() for s in ins)
+        for rt, ins in schedule.values():
+            if isinstance(rt, TrackerOp):
+                rt.owns_input = readers[ins[0]] == 1 and \
+                    isinstance(schedule[ins[0]][0], DetectorOp)
         return schedule, plan_ops
 
     def _inputs_digest(self, trace_digest: str) -> str:

@@ -7,7 +7,6 @@ Operators are deterministic given input and seed.
 
 from __future__ import annotations
 
-import math
 import operator
 from bisect import bisect_right
 from collections import deque
@@ -23,6 +22,7 @@ from .registry import (
     Registration,
     apply_detector,
     classify_frame,
+    finite_number,
     relation_value,
 )
 from .trace_io import TraceRecord
@@ -88,9 +88,9 @@ def compare(value, op: str, literal) -> bool:
     return _ORDERED[op](value, literal)
 
 
-def _finite(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+# `compare` of a float against a frame filter's threshold, by op
+_LINKED = {**_ORDERED, "==": operator.eq, "!=": operator.ne,
+           "in": lambda value, literal: value in literal}
 
 
 def _check_settings(owner: str, checks) -> None:
@@ -107,7 +107,8 @@ class FrameFilterOp(RuntimeOp):
     comparison of the channel's value with the threshold; in
     `similar_to_prev` mode, a difference above the tolerance from each of
     the last `window` values.  Every setting is checked here, so a bad one
-    fails before any frame is read."""
+    fails before any frame is read, and the mode's loop and the comparison
+    are picked here too, so a frame only looks them up."""
 
     kind = "frame_filter"
 
@@ -125,31 +126,57 @@ class FrameFilterOp(RuntimeOp):
             (mode not in ("threshold", "similar_to_prev"), f"mode {mode!r}"),
             (self.op not in COMPARISON_OPS, f"op {self.op!r}"),
             (not isinstance(literals, (list, tuple))
-             or not all(map(_finite, literals)),
+             or not all(map(finite_number, literals)),
              f"threshold {self.threshold!r}"),
-            (not _finite(self.tolerance), f"tolerance {self.tolerance!r}"),
+            (not finite_number(self.tolerance),
+             f"tolerance {self.tolerance!r}"),
             (type(window) is not int or window < 1, f"window {window!r}"),
         ))
-        # only `similar_to_prev` reads back the values it has seen
-        self._history = deque(maxlen=window) \
-            if mode == "similar_to_prev" else None
+        if mode == "threshold":
+            self._frames = self._threshold_frames
+            self._test = _LINKED[self.op]
+        else:  # only `similar_to_prev` reads back the values it has seen
+            self._frames = self._similar_frames
+            self._history = deque(maxlen=window)
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
+        return self._frames(engine.stats.add_cost, inputs[0])
+
+    def _missing(self, fs: FrameState) -> ConfigurationError:
+        return ConfigurationError(
+            f"frame filter {self.op_id}: channel {self.channel!r} "
+            f"missing on frame {fs.frame_id}")
+
+    def _threshold_frames(self, add_cost, batch: Batch) -> Batch:
+        # a float, what a trace holds, takes the linked test; any other
+        # value takes `compare`, which decides alike for a float
+        channel, op, threshold = self.channel, self.op, self.threshold
+        test, cost = self._test, self.cost
         out = []
-        for fs in inputs[0]:
-            if self.channel not in fs.record.channels:
-                raise ConfigurationError(
-                    f"frame filter {self.op_id}: channel {self.channel!r} "
-                    f"missing on frame {fs.frame_id}"
-                )
-            value = fs.record.channels[self.channel]
-            if self._history is None:
-                keep = compare(value, self.op, self.threshold)
-            else:
-                keep = all(abs(value - prev) > self.tolerance
-                           for prev in self._history)
-                self._history.append(value)
-            engine.stats.add_cost(self.cost)
+        for fs in batch:
+            try:
+                value = fs.record.channels[channel]
+            except KeyError:
+                raise self._missing(fs) from None
+            keep = test(value, threshold) if value.__class__ is float \
+                else compare(value, op, threshold)
+            add_cost(cost)
+            if keep:
+                out.append(fs)
+        return out
+
+    def _similar_frames(self, add_cost, batch: Batch) -> Batch:
+        channel, tolerance, cost = self.channel, self.tolerance, self.cost
+        history = self._history
+        out = []
+        for fs in batch:
+            try:
+                value = fs.record.channels[channel]
+            except KeyError:
+                raise self._missing(fs) from None
+            keep = all(abs(value - prev) > tolerance for prev in history)
+            history.append(value)
+            add_cost(cost)
             if keep:
                 out.append(fs)
         return out
@@ -199,7 +226,7 @@ class DetectorOp(RuntimeOp):
             (not isinstance(classes, (list, tuple))
              or not all(isinstance(c, str) for c in classes),
              f"classes {classes!r}"),
-            (not _finite(threshold), f"score_threshold {threshold!r}"),
+            (not finite_number(threshold), f"score_threshold {threshold!r}"),
             (not isinstance(required, dict), f"requires_attrs {required!r}"),
         ))
         self.reg = replace(reg, params={
@@ -229,7 +256,12 @@ class DetectorOp(RuntimeOp):
 class TrackerOp(RuntimeOp):
     """Assigns persistent track ids, gives each tracked node its track's
     record (`VObjInstance.track`), appends the node to the record's latest
-    objects and sets a new track's birth frame."""
+    objects and sets a new track's birth frame.
+
+    A tracker that `owns_input` sets ids on its input's nodes and passes its
+    input's frame states on; `Session` grants that when the input is a
+    detector's batch that no other operator reads.  Otherwise it copies the
+    nodes, so sibling readers of its input never see its id assignments."""
 
     kind = "tracker"
 
@@ -239,37 +271,41 @@ class TrackerOp(RuntimeOp):
         config = TrackerConfig.from_json(params["config"]) if "config" in params \
             else TrackerConfig()
         self.tracker = SortTracker(config)
+        self.owns_input = False
         self._held: dict[int, Track] = {}  # records of live tracks, by id
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         # a track retired during the last batch stayed readable until that
         # batch ended; its record lets its objects go now
+        held = self._held
         live = {slot.track_id for slot in self.tracker.slots}
-        for track_id in [t for t in self._held if t not in live]:
-            self._held.pop(track_id).objects.clear()
-        out = []
+        for track_id in [t for t in held if t not in live]:
+            held.pop(track_id).objects.clear()
+        owns, step = self.owns_input, self.tracker.step
+        out = inputs[0] if owns else []
         for fs in inputs[0]:
-            # copy nodes so sibling consumers of the upstream batch never see
-            # this tracker's id assignments
             (part,) = fs.graph.parts
-            nodes = [
-                VObjInstance(n.node_id, n.class_name, n.frame_id, n.bbox,
-                             n.attrs, n.track_id, dict(n.properties), n.track)
-                for n in part
-            ]
-            by_id = {n.node_id: n for n in nodes}
-            result = self.tracker.step(
-                fs.frame_id, [(n.node_id, n.bbox) for n in nodes]
-            )
+            if not owns:
+                part = [
+                    VObjInstance(n.node_id, n.class_name, n.frame_id, n.bbox,
+                                 n.attrs, n.track_id, dict(n.properties),
+                                 n.track)
+                    for n in part
+                ]
+                out.append(FrameState(fs.frame_id, fs.record,
+                                      FrameGraph([part])))
+            by_id = {n.node_id: n for n in part}
+            result = step(fs.frame_id, [(n.node_id, n.bbox) for n in part])
             for node_id, track_id in result.assignments:
+                track = held.get(track_id)
+                if track is None:  # born on this frame
+                    track = held[track_id] = engine.track(
+                        self, self.vobj, track_id)
+                    track.first_frame = fs.frame_id
                 node = by_id[node_id]
                 node.track_id = track_id
-                node.track = self._held[track_id] = \
-                    engine.track(self, self.vobj, track_id)
-                node.track.objects.append(node)
-            for track_id in result.new_tracks:
-                self._held[track_id].first_frame = fs.frame_id
-            out.append(FrameState(fs.frame_id, fs.record, FrameGraph([nodes])))
+                node.track = track
+                track.objects.append(node)
         return out
 
 

@@ -33,6 +33,12 @@ class ConfigurationError(Exception):
     """A component needs configuration (e.g. calibration) that is absent."""
 
 
+def finite_number(value) -> bool:
+    """True for a finite int or float; a bool is not a number here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def seeded_unit(seed, *key) -> float:
     """Deterministic uniform draw in [0, 1) keyed by (seed, *key)."""
     digest = hashlib.sha256(

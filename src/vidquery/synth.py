@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Optional
 
-from .registry import seeded_unit
+from .registry import finite_number, seeded_unit
 from .trace_io import (
     Detection,
     GroundTruthEntry,
@@ -106,15 +106,16 @@ class WorldSpec:
                 class_name=o["class"],
                 start_frame=int(o["start_frame"]),
                 end_frame=int(o["end_frame"]),
-                start_center=tuple(o["start_center"]),
-                velocity=tuple(o.get("velocity", (0.0, 0.0))),
-                size=tuple(o.get("size", (40.0, 40.0))),
+                start_center=_pair("start_center", o["start_center"]),
+                velocity=_pair("velocity", o.get("velocity", (0.0, 0.0))),
+                size=_pair("size", o.get("size", (40.0, 40.0))),
                 attrs=dict(o.get("attrs", {})),
                 score=float(o.get("score", 0.95)),
                 jitter=float(o.get("jitter", 0.0)),
                 turn_frame=o.get("turn_frame"),
                 turn_velocity=(
-                    tuple(o["turn_velocity"]) if o.get("turn_velocity") else None
+                    _pair("turn_velocity", o["turn_velocity"])
+                    if o.get("turn_velocity") else None
                 ),
                 dropout_frames=frozenset(o.get("dropout_frames", [])),
             )
@@ -126,9 +127,27 @@ class WorldSpec:
         return cls(
             meta=meta,
             objects=objects,
-            channels={k: list(v) for k, v in channels.items()},
+            channels={k: _numbers(f"channel {k!r}", v)
+                      for k, v in channels.items()},
             seed=int(obj.get("seed", 0)),
         )
+
+
+def _pair(what: str, values) -> tuple:
+    """`values` as a tuple, or ValueError unless it is two finite numbers
+    (a bool is not a number here)."""
+    pair = tuple(values)
+    if len(pair) != 2 or not all(map(finite_number, pair)):
+        raise ValueError(f"{what} {values!r} is not a pair of finite numbers")
+    return pair
+
+
+def _numbers(what: str, values) -> list:
+    """`values` as a list, or ValueError unless each is a finite number."""
+    out = list(values)
+    if not all(map(finite_number, out)):
+        raise ValueError(f"{what} {values!r} is not a list of finite numbers")
+    return out
 
 
 def _noisy_center(world: WorldSpec, obj: ObjectScript, frame: int):

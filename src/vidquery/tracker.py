@@ -178,40 +178,61 @@ class _TrackSlot:
     def predict(self, model: _Model) -> Box:
         """Advance the mean by its velocity, grow the covariance by process
         noise, and return the predicted box."""
-        x, p, c, v = self.x, self.p, self.c, self.v
-        q_p, q_v = model.q_p, model.q_v
-        for j in 0, 1, 2:
-            x[j] += x[j + 4]
-            p[j] = ((p[j] + c[j]) + (c[j] + v[j])) + q_p[j]
-            c[j] = c[j] + v[j]
-            v[j] = v[j] + q_v[j]
-        p[3] = p[3] + q_p[3]
-        if x[2] + x[6] <= 0:  # keep predicted area positive
+        x = self.x
+        c0, c1, c2 = self.c
+        v0, v1, v2 = self.v
+        p0, p1, p2, p3 = self.p
+        qp0, qp1, qp2, qp3 = model.q_p
+        qv0, qv1, qv2 = model.q_v
+        x[0] += x[4]
+        x[1] += x[5]
+        area = x[2] = x[2] + x[6]
+        cv0, cv1, cv2 = c0 + v0, c1 + v1, c2 + v2
+        self.p = [((p0 + c0) + cv0) + qp0, ((p1 + c1) + cv1) + qp1,
+                  ((p2 + c2) + cv2) + qp2, p3 + qp3]
+        self.c = [cv0, cv1, cv2]
+        self.v = [v0 + qv0, v1 + qv1, v2 + qv2]
+        if area + x[6] <= 0:  # keep predicted area positive
             x[6] = 0.0
-            x[2] = 1e-6 if x[2] < 1e-6 else x[2]
+            x[2] = 1e-6 if area < 1e-6 else area
         return _x_to_box(x)
 
     def update(self, box: Box, model: _Model) -> None:
         """Correct the state by the matched box.  The innovation covariance
         is diagonal, so the gain of axis j is (p[j], c[j]) times the
-        reciprocal of p[j] + r[j], taken first as the dense filter's `inv`."""
-        x, p, c, v = self.x, self.p, self.c, self.v
-        z, r = _box_to_z(box), model.r
-        for j in 0, 1, 2:
-            pj, cj = p[j], c[j]
-            inv = 1.0 / (pj + r[j])
-            kp, kv = pj * inv, cj * inv
-            y = z[j] - x[j]
-            x[j] += kp * y
-            x[j + 4] += kv * y
-            p[j] = (1.0 - kp) * pj
-            # the dense filter averages P with its transpose; of the block,
-            # only its two cross terms can differ, in the last bit
-            c[j] = ((1.0 - kp) * cj + ((-kv) * pj + cj)) / 2.0
-            v[j] = (-kv) * cj + v[j]
-        ka = p[3] * (1.0 / (p[3] + r[3]))
-        x[3] += ka * (z[3] - x[3])
-        p[3] = (1.0 - ka) * p[3]
+        reciprocal of p[j] + r[j], taken first as the dense filter's `inv`.
+        The dense filter averages P with its transpose; of each block, only
+        its two cross terms can differ, in the last bit, hence c's mean."""
+        x = self.x
+        p0, p1, p2, p3 = self.p
+        c0, c1, c2 = self.c
+        v0, v1, v2 = self.v
+        r0, r1, r2, r3 = model.r
+        z0, z1, z2, z3 = _box_to_z(box)
+        y0, y1, y2 = z0 - x[0], z1 - x[1], z2 - x[2]
+        inv = 1.0 / (p0 + r0)
+        kp, kv = p0 * inv, c0 * inv
+        x[0] += kp * y0
+        x[4] += kv * y0
+        g = 1.0 - kp
+        p0, c0, v0 = g * p0, (g * c0 + (-kv * p0 + c0)) / 2.0, -kv * c0 + v0
+        inv = 1.0 / (p1 + r1)
+        kp, kv = p1 * inv, c1 * inv
+        x[1] += kp * y1
+        x[5] += kv * y1
+        g = 1.0 - kp
+        p1, c1, v1 = g * p1, (g * c1 + (-kv * p1 + c1)) / 2.0, -kv * c1 + v1
+        inv = 1.0 / (p2 + r2)
+        kp, kv = p2 * inv, c2 * inv
+        x[2] += kp * y2
+        x[6] += kv * y2
+        g = 1.0 - kp
+        p2, c2, v2 = g * p2, (g * c2 + (-kv * p2 + c2)) / 2.0, -kv * c2 + v2
+        ka = p3 * (1.0 / (p3 + r3))
+        x[3] += ka * (z3 - x[3])
+        self.p = [p0, p1, p2, (1.0 - ka) * p3]
+        self.c = [c0, c1, c2]
+        self.v = [v0, v1, v2]
 
 
 @dataclass

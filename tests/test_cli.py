@@ -790,7 +790,12 @@ class TestSynth:
          "'NoneType' object is not iterable"),
         (lambda w: [w], "list indices must be integers"),
         (lambda w: w.update(channels=[]), "channels [] is not an object"),
-    ], ids=["fps-null", "velocity-null", "list", "channels-list"])
+        (lambda w: w["objects"][0].update(start_center=[1]),
+         "start_center [1] is not a pair of finite numbers"),
+        (lambda w: w.update(channels={"g": "ab"}),
+         "channel 'g' 'ab' is not a list of finite numbers"),
+    ], ids=["fps-null", "velocity-null", "list", "channels-list",
+            "start-center-single", "channel-string"])
     def test_world_of_the_wrong_shape_exit_1(self, runner, workspace, edit,
                                              named):
         world = json.loads(Path(workspace["world"]).read_text())

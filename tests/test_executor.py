@@ -481,6 +481,77 @@ class TestOperatorSharing:
             s2.component_calls["general_car"] == 40
 
 
+class TestTrackerOwnership:
+    """A tracker sets ids on its detector's nodes in place only when no
+    other operator reads that detector's batch."""
+
+    @pytest.mark.parametrize("batch", [1, 3, 16, 64])
+    def test_a_detector_shared_with_an_untracked_query(self, tmp_path,
+                                                       batch):
+        trace, meta = moving_car_trace(tmp_path, 20)
+        vprog = make_program(MOVING + """
+        query anywhere { bind c: Car frame_constraint: c.center != 0 }
+        """)
+        registry = frozen_registry()
+        config = ExecConfig(batch_size=batch)
+        # the tracked query comes first, so its tracker has run on a batch
+        # before the untracked query reads that batch's detections
+        dags = [plan_query(vprog, q, registry,
+                           PlannerConfig(batch_size=batch), meta)
+                for q in ("moving_right", "anywhere")]
+        shared, stats = run_plans(vprog, dags, trace, registry, meta, config)
+        assert stats.component_calls["general_car"] == 20  # one detector
+        for dag, outcome in zip(dags, shared):
+            (solo,), _s = run_plans(vprog, [dag], trace, registry, meta,
+                                    config)
+            assert serialize_outcome(outcome) == serialize_outcome(solo)
+        assert shared[0].satisfied == list(range(2, 20))
+        untracked = [obj for row in shared[1].rows
+                     for objs in row["objects"].values() for obj in objs]
+        assert len(untracked) == 20
+        assert all(obj["track"] is None for obj in untracked)
+
+    def test_the_sole_reader_of_a_detector_copies_nothing(self, tmp_path):
+        trace, meta = moving_car_trace(tmp_path, 6)
+        vprog = make_program(MOVING)
+        registry = frozen_registry()
+        dag = plan_query(vprog, "moving_right", registry, PlannerConfig(),
+                         meta)
+        session = Session(vprog, registry, meta)
+        session.start([dag])
+        seen = {}  # kind -> (frame states, their nodes) per call
+
+        def recording(rt):
+            process = rt.process
+
+            def record(engine, inputs):
+                out = process(engine, inputs)
+                seen.setdefault(rt.kind, []).append(
+                    (list(out), [list(fs.graph.nodes) for fs in out]))
+                return out
+            return record
+
+        trackers = []
+        for rt, _inputs in session._schedule.values():
+            if rt is not None and rt.kind in ("detector", "tracker"):
+                rt.process = recording(rt)
+                if rt.kind == "tracker":
+                    trackers.append(rt)
+        for base in trace_batches(trace, meta, 16):
+            session.feed(base)
+        (outcome,) = session.finish()
+        assert outcome.satisfied == list(range(2, 6))
+        assert [t.owns_input for t in trackers] == [True]
+        ((detected, detected_nodes),) = seen["detector"]
+        ((tracked, tracked_nodes),) = seen["tracker"]
+        assert len(tracked) == 6
+        assert all(a is b for a, b in zip(tracked, detected, strict=True))
+        nodes = [(a, b) for fa, fb in zip(tracked_nodes, detected_nodes)
+                 for a, b in zip(fa, fb, strict=True)]
+        assert len(nodes) == 6 and all(a is b for a, b in nodes)
+        assert all(a.track_id is not None for a, _b in nodes)
+
+
 class TestResultStore:
     def test_cached_rerun_invokes_nothing(self, tmp_path):
         paths, meta = red_world(tmp_path, frames=20)

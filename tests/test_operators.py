@@ -2,12 +2,15 @@
 checked against brute-force oracles."""
 
 import random
+import struct
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import pytest
 
 from vidquery.datamodel import Edge, FrameGraph, Track, VObjInstance
+from vidquery.dsl.ast import COMPARISON_OPS
 from vidquery.operators import (
     DetectorOp,
     FrameFilterOp,
@@ -17,6 +20,7 @@ from vidquery.operators import (
     RelationProjectorOp,
     TrackerOp,
     VObjFilterOp,
+    compare,
     count_distinct_tracks,
     eval_duration,
     eval_temporal,
@@ -113,6 +117,74 @@ class TestFrameFilterOp:
     def test_bad_setting_fails_at_construction(self, setting):
         with pytest.raises(ConfigurationError):
             FrameFilterOp("f", {"channel": "m", **setting})
+
+
+def reference_frame_filter(params, batches):
+    """The frames a frame filter keeps and the cost it counts, deciding each
+    frame with `compare` and adding the cost on every frame in order."""
+    channel, mode = params["channel"], params.get("mode", "threshold")
+    op, threshold = params.get("op", ">="), params.get("threshold", 0.0)
+    history = deque(maxlen=params.get("window", 1))
+    stats, kept = ExecStats(), []
+    for batch in batches:
+        for fs in batch:
+            value = fs.record.channels[channel]
+            if mode == "threshold":
+                keep = compare(value, op, threshold)
+            else:
+                keep = all(abs(value - prev) > params["tolerance"]
+                           for prev in history)
+                history.append(value)
+            stats.add_cost(params.get("cost_units", 0.1))
+            if keep:
+                kept.append(fs.frame_id)
+    return kept, stats.cost_units
+
+
+class TestLinkedFrameFilter:
+    """The frame filter decides every frame as `compare` does, whatever
+    number the channel holds, and adds its cost in the same order."""
+
+    VALUES = (-2, -1, 0, 1, 2, 3, -1.5, -0.5, 0.0, 0.5, 1.0, 2.5, 1e-300,
+              True, False)
+
+    def batches(self, rng):
+        values = [rng.choice(self.VALUES) for _ in range(60)]
+        states = [FrameState.fresh(record(f, channels={"m": v}))
+                  for f, v in enumerate(values)]
+        cuts = sorted(rng.sample(range(1, 60), 4))
+        return [states[a:b] for a, b in zip([0, *cuts], [*cuts, 60])]
+
+    def check(self, params, batches):
+        op = FrameFilterOp("f", params)
+        engine = FakeEngine()
+        kept = [fs.frame_id for batch in batches
+                for fs in op.process(engine, [batch])]
+        want, cost = reference_frame_filter(params, batches)
+        assert kept == want
+        assert struct.pack("<d", engine.stats.cost_units) == \
+            struct.pack("<d", cost)
+
+    @pytest.mark.parametrize("op", COMPARISON_OPS)
+    def test_threshold_keeps_what_compare_keeps(self, op):
+        rng = random.Random(f"frame filter {op}")
+        for number in (int, float):
+            for _ in range(20):
+                literals = [number(rng.choice(self.VALUES[:6]))
+                            for _ in range(rng.randint(1, 3))]
+                threshold = literals if op == "in" else literals[0]
+                self.check({"channel": "m", "op": op, "threshold": threshold,
+                            "cost_units": rng.choice((0.1, 0.3, 7))},
+                           self.batches(rng))
+
+    def test_similar_to_prev_keeps_what_the_reference_keeps(self):
+        rng = random.Random("frame filter similar_to_prev")
+        for _ in range(40):
+            self.check({"channel": "m", "mode": "similar_to_prev",
+                        "tolerance": rng.choice((0, 0.5, 1, 1.5)),
+                        "window": rng.randint(1, 4),
+                        "cost_units": rng.choice((0.1, 0.3, 7))},
+                       self.batches(rng))
 
 
 class TestDetectorOp:

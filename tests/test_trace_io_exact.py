@@ -106,6 +106,17 @@ def _nesting_cases():
             attrs='{"k": ' + '{"k": ' * depth + "1" + "}" * depth + "}")])]
 
 
+def _bracket_string_cases():
+    # brackets in strings do not nest, an escaped quote does not end a
+    # string, and an escaped backslash does not escape the quote after it
+    brackets = "[{" * 600
+    yield "brackets in strings", [_line(dets=[_det(
+        attrs=f'{{"k": "{brackets}", "q\\"{brackets}": "\\"]}}"}}')])]
+    nested = "[" * 1000 + "]" * 1000
+    yield "1000 deep between escaped backslashes", [_line(
+        extra=f', "note": "\\\\", "deep": {nested}, "more": "\\\\"')]
+
+
 def _wide_cases():
     dets = [_det(bbox=f"[{i}, {i}, {i + 20.5}, {i + 1e-9}]",
                  attrs=f'{{"i": {i}, "color": "red"}}') for i in range(400)]
@@ -114,7 +125,8 @@ def _wide_cases():
 
 CASES = dict(case for cases in (
     _big_int_cases(), _non_finite_cases(), _string_cases(),
-    _duplicate_key_cases(), _nesting_cases(), _wide_cases(),
+    _duplicate_key_cases(), _nesting_cases(), _bracket_string_cases(),
+    _wide_cases(),
 ) for case in cases)
 
 
@@ -195,7 +207,9 @@ def test_cases_reach_every_ending(tmp_path):
     only_json = {name for name, lines in CASES.items()
                  if not all(map(_orjson_reads_alike, lines))}
     for name in (f"frame {2 ** 64}", f"attrs pairs {2 ** 64}",
-                 "ignored 1000 deep", "class \"\\ud800\"", "frame NaN"):
+                 "ignored 1000 deep",
+                 "1000 deep between escaped backslashes",
+                 "class \"\\ud800\"", "frame NaN"):
         assert name in only_json, name
 
 
