@@ -49,16 +49,15 @@ class VObjInstance:
     frame_id: int
     bbox: tuple[float, float, float, float]
     attrs: dict[str, Any] = field(default_factory=dict)
-    track_id: Optional[int] = None
     properties: dict[str, Any] = field(default_factory=dict)
     track: Optional["Track"] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(slots=True)
 class Edge:
-    """One instance of a spatial relation between two objects of a frame."""
+    """One pair of objects of a frame under the query's spatial relation (a
+    frame graph holds one relation: a spatial plan projects one)."""
 
-    relation: str
     a: VObjInstance
     b: VObjInstance
     properties: dict[str, Any] = field(default_factory=dict)
@@ -91,14 +90,13 @@ class Track:
     """
 
     track_id: int
-    class_name: str
     objects: deque = field(default_factory=deque)
     first_frame: Optional[int] = None  # set by the tracker op at birth
 
     @classmethod
-    def create(cls, track_id: int, class_name: str, depth: int) -> "Track":
+    def create(cls, track_id: int, depth: int) -> "Track":
         """A record that keeps the track's `depth` latest objects."""
-        return cls(track_id, class_name, deque(maxlen=depth))
+        return cls(track_id, deque(maxlen=depth))
 
 
 def window(track: Track, k: int, end_frame: int) -> Any:

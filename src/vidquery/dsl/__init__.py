@@ -15,8 +15,6 @@ from .ast import (
     TemporalDecl,
     VObjTypeDecl,
     conjuncts,
-    dump_ast,
-    serialize_program,
     walk_refs,
 )
 from .parser import DslSyntaxError, parse
@@ -50,9 +48,7 @@ __all__ = [
     "ValidatedProgram",
     "ValidationError",
     "conjuncts",
-    "dump_ast",
     "parse",
-    "serialize_program",
     "validate",
     "walk_refs",
 ]

@@ -1,4 +1,4 @@
-"""AST node types for the query language, plus serialization helpers."""
+"""AST node types for the query language."""
 
 from __future__ import annotations
 
@@ -189,169 +189,3 @@ class Program:
     def queries(self) -> dict[str, QueryDecl]:
         return {d.name: d for d in self.decls if isinstance(d, QueryDecl)}
 
-
-# --- serialization ---------------------------------------------------------
-
-def _lit_text(value) -> str:
-    if isinstance(value, str):
-        return '"' + value.replace('"', '\\"') + '"'
-    if isinstance(value, tuple):
-        return "[" + ", ".join(_lit_text(v) for v in value) + "]"
-    return repr(value)
-
-
-def expr_text(expr) -> str:
-    if isinstance(expr, Compare):
-        r = expr.ref
-        if r.relation:
-            target = f"{r.relation}({r.args[0]}, {r.args[1]}).{r.prop}"
-        else:
-            target = f"{r.binding}.{r.prop}"
-        return f"{target} {expr.op} {_lit_text(expr.literal)}"
-    if isinstance(expr, And):
-        return "(" + " & ".join(expr_text(i) for i in expr.items) + ")"
-    if isinstance(expr, Or):
-        return "(" + " | ".join(expr_text(i) for i in expr.items) + ")"
-    if isinstance(expr, Not):
-        return "!" + expr_text(expr.item)
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-def _prop_text(p: PropertyDef) -> str:
-    args = [f'impl="{p.impl}"']
-    if p.deps:
-        args.append("deps=[" + ", ".join(p.deps) + "]")
-    if p.kind == "stateful":
-        args.append(f"window={p.window}")
-    suffix = " intrinsic" if p.intrinsic else ""
-    return f"  property {p.name}: {p.kind}({', '.join(args)}){suffix}"
-
-
-def serialize_program(program: Program) -> str:
-    """Canonical source text; parse(serialize(parse(s))) equals parse(s)."""
-    out = []
-    for d in program.decls:
-        if isinstance(d, VObjTypeDecl):
-            head = f"vobj {d.name}"
-            if d.parent:
-                head += f" extends {d.parent}"
-            out.append(head + " {")
-            if d.detector:
-                out.append(f'  detector: "{d.detector}"')
-            out.extend(_prop_text(p) for p in d.properties)
-            out.append("}")
-        elif isinstance(d, RelationDecl):
-            out.append(f"relation {d.name}({', '.join(d.participants)}) {{")
-            out.extend(_prop_text(p) for p in d.properties)
-            out.append("}")
-        elif isinstance(d, QueryDecl):
-            head = f"query {d.name}"
-            if d.parent:
-                head += f" extends {d.parent}"
-            out.append(head + " {")
-            for name, typ in d.bindings:
-                out.append(f"  bind {name}: {typ}")
-            if d.frame_constraint is not None:
-                out.append(f"  frame_constraint: {expr_text(d.frame_constraint)}")
-            if d.frame_output:
-                refs = ", ".join(f"{r.binding}.{r.prop}" for r in d.frame_output)
-                out.append(f"  frame_output: {refs}")
-            if d.video_constraint is not None:
-                out.append(f"  video_constraint: {expr_text(d.video_constraint)}")
-            if d.video_output is not None:
-                kind, binding = d.video_output
-                out.append(f"  video_output: {kind}({binding})")
-            out.append("}")
-        elif isinstance(d, DurationDecl):
-            out.append(f"duration query {d.name} {{")
-            out.append(f"  base: {d.base}")
-            if d.min_frames is not None:
-                out.append(f"  min_frames: {d.min_frames}")
-            if d.min_seconds is not None:
-                out.append(f"  min_seconds: {d.min_seconds}")
-            if d.gap_tolerance:
-                out.append(f"  gap_tolerance: {d.gap_tolerance}")
-            out.append("}")
-        elif isinstance(d, SpatialDecl):
-            out.append(f"spatial query {d.name} {{")
-            out.append(f"  first: {d.first}")
-            out.append(f"  second: {d.second}")
-            out.append(f"  relation: {d.relation}")
-            if d.predicate is not None:
-                out.append(f"  predicate: {expr_text(d.predicate)}")
-            out.append("}")
-        elif isinstance(d, TemporalDecl):
-            out.append(f"temporal query {d.name} {{")
-            out.append(f"  first: {d.first}")
-            out.append(f"  then: {d.then}")
-            if d.max_interval_frames is not None:
-                out.append(f"  max_interval_frames: {d.max_interval_frames}")
-            if d.max_interval_seconds is not None:
-                out.append(f"  max_interval_seconds: {d.max_interval_seconds}")
-            out.append("}")
-        out.append("")
-    return "\n".join(out)
-
-
-def dump_ast(program: Program) -> dict:
-    """JSON-friendly dump for golden tests."""
-
-    def expr_dump(e):
-        return None if e is None else expr_text(e)
-
-    out: dict[str, Any] = {"decls": []}
-    for d in program.decls:
-        entry: dict[str, Any] = {"kind": type(d).__name__, "name": d.name}
-        if isinstance(d, VObjTypeDecl):
-            entry.update(
-                parent=d.parent,
-                detector=d.detector,
-                properties=[
-                    {
-                        "name": p.name,
-                        "kind": p.kind,
-                        "impl": p.impl,
-                        "deps": list(p.deps),
-                        "window": p.window,
-                        "intrinsic": p.intrinsic,
-                    }
-                    for p in d.properties
-                ],
-            )
-        elif isinstance(d, RelationDecl):
-            entry.update(
-                participants=list(d.participants),
-                properties=[p.name for p in d.properties],
-            )
-        elif isinstance(d, QueryDecl):
-            entry.update(
-                parent=d.parent,
-                bindings=[list(b) for b in d.bindings],
-                frame_constraint=expr_dump(d.frame_constraint),
-                frame_output=[f"{r.binding}.{r.prop}" for r in d.frame_output],
-                video_constraint=expr_dump(d.video_constraint),
-                video_output=list(d.video_output) if d.video_output else None,
-            )
-        elif isinstance(d, DurationDecl):
-            entry.update(
-                base=d.base,
-                min_frames=d.min_frames,
-                min_seconds=d.min_seconds,
-                gap_tolerance=d.gap_tolerance,
-            )
-        elif isinstance(d, SpatialDecl):
-            entry.update(
-                first=d.first,
-                second=d.second,
-                relation=d.relation,
-                predicate=expr_dump(d.predicate),
-            )
-        elif isinstance(d, TemporalDecl):
-            entry.update(
-                first=d.first,
-                then=d.then,
-                max_interval_frames=d.max_interval_frames,
-                max_interval_seconds=d.max_interval_seconds,
-            )
-        out["decls"].append(entry)
-    return out

@@ -18,6 +18,7 @@ Comments run from `#` to end of line.  Diagnostics carry line:col positions.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Any, Optional
@@ -92,6 +93,16 @@ def _tokenize(source: str, file: str) -> list[Token]:
         pos = m.end()
     tokens.append(Token("eof", "", line, col))
     return tokens
+
+
+# a duration's or temporal's numbers: item -> (whole, least, least allowed)
+_NUMBER_ITEMS = {
+    "min_frames": (True, 1, True),
+    "gap_tolerance": (True, 0, True),
+    "max_interval_frames": (True, 0, True),
+    "min_seconds": (False, 0, False),
+    "max_interval_seconds": (False, 0, True),
+}
 
 
 class _Parser:
@@ -298,9 +309,11 @@ class _Parser:
         name = self.expect_ident().text
         self.expect("op", "{")
         items: dict[str, Any] = {}
+        tokens: dict[str, Token] = {}  # where each item's value starts
         while not self.at("op", "}"):
             key = self.expect_ident().text
             self.expect("op", ":")
+            tokens[key] = self.cur
             if key == "predicate":
                 items[key] = self.parse_expr()
             elif self.cur.kind == "number":
@@ -320,6 +333,17 @@ class _Parser:
                     f"{flavor} query {name!r} has unknown item {key!r}",
                     loc.line, loc.col, self.file,
                 )
+        for key in sorted(items.keys() & _NUMBER_ITEMS.keys()):
+            whole, least, inclusive = _NUMBER_ITEMS[key]
+            value = items[key]
+            ok = type(value) is int or (not whole and type(value) is float
+                                        and math.isfinite(value))
+            if not (ok and (value >= least if inclusive else value > least)):
+                what = "a whole number" if whole else "a number"
+                bound = ">=" if inclusive else ">"
+                self.error(f"{flavor} query {name!r}: {key} must be {what} "
+                           f"{bound} {least}, found {tokens[key].text!r}",
+                           tokens[key])
         try:
             if flavor == "duration":
                 return DurationDecl(

@@ -466,11 +466,6 @@ def validate(program: Program, file: str = "<source>") -> ValidatedProgram:
                     f"duration query {decl.name}: needs min_frames or "
                     f"min_seconds", 0, 0, file))
                 continue
-            if decl.gap_tolerance < 0:
-                diags.append(Diagnostic(
-                    f"duration query {decl.name}: gap_tolerance must be >= 0",
-                    0, 0, file))
-                continue
             base = queries[decl.base]
             queries[decl.name] = FlatQuery(
                 name=decl.name,

@@ -34,6 +34,7 @@ from .operators import (
     RuntimeOp,
     TrackerOp,
     VObjFilterOp,
+    _check_settings,
     compare,
     count_distinct_tracks,
     eval_duration,
@@ -171,7 +172,7 @@ class PropertyEngine:
             depth = min(reach + self.config.batch_size, sys.maxsize) if reach \
                 else 0
             track = self.tracks[tracker, track_id] = Track.create(
-                track_id, vobj, depth)
+                track_id, depth)
         return track
 
     # -- property evaluation --
@@ -264,10 +265,12 @@ class PropertyEngine:
 # --- sink-side runtime operators -------------------------------------------
 
 class OutputOp(RuntimeOp):
-    """Collects one result row per satisfied frame, in frame order (batches
-    arrive in frame order and the join emits sorted frames): the one record
-    of what the query kept.  Also keeps the record of each track of the
-    first binding, by id, for a duration over the query."""
+    """Collects one result row per frame on which every part is non-empty,
+    in frame order (batches arrive in frame order and the join emits sorted
+    frames): the one record of what the query kept.  A spatial query's
+    relation filter has already dropped the frames where no pair holds.
+    Also keeps the record of each track of the first binding, by id, for a
+    duration over the query."""
 
     kind = "output"
 
@@ -276,31 +279,27 @@ class OutputOp(RuntimeOp):
         self.query = params["query"]
         self.bindings = params["bindings"]  # one name per part
         self.frame_output = params.get("frame_output", [])
-        self.relation = params.get("relation")
         self.rows: list[dict] = []
         self.tracks: dict[int, Track] = {}
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         for fs in inputs[0]:
             parts = dict(zip(self.bindings, fs.graph.parts))
-            ok = all(parts.values())
-            if ok and self.relation is not None:
-                ok = any(e.relation == self.relation for e in fs.graph.edges)
-            if not ok:
+            if not all(parts.values()):
                 continue
             row: dict[str, Any] = {"frame": fs.frame_id, "objects": {}}
             for b, nodes in parts.items():
                 row["objects"][b] = [
                     {
                         "node": list(n.node_id),
-                        "track": n.track_id,
+                        "track": None if n.track is None else n.track.track_id,
                         "bbox": list(n.bbox),
                     }
                     for n in nodes
                 ]
             for n in fs.graph.parts[0]:
                 if n.track is not None:
-                    self.tracks[n.track_id] = n.track
+                    self.tracks[n.track.track_id] = n.track
             outputs = {}
             for ref in self.frame_output:
                 b, prop = ref["binding"], ref["prop"]
@@ -328,18 +327,18 @@ class AggregateOp(RuntimeOp):
         self.agg_kind = params["kind"]
         self.binding = params["binding"]
         self.part = params["part"]
-        self.predicate = params.get("predicate")
+        self.predicate = decode_expr(params["predicate"])
         self.per_track: dict[int, list[int]] = {}
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         for fs in inputs[0]:
             for node in fs.graph.parts[self.part]:
-                if node.track_id is None:
+                if node.track is None:
                     continue
                 verdict = engine.verdict(
                     self.predicate, {self.binding: node}
                 )
-                self.per_track.setdefault(node.track_id, [0, 0, 0])[
+                self.per_track.setdefault(node.track.track_id, [0, 0, 0])[
                     _VERDICT_SLOT[verdict]] += 1
         return inputs[0]
 
@@ -370,18 +369,16 @@ OPERATOR_CLASSES: dict[str, type[RuntimeOp]] = {cls.kind: cls for cls in (
 
 
 def build_runtime_op(plan_op: PlanOp, registry: Registry) -> RuntimeOp:
-    """The runtime operator of `plan_op`: its class by kind, its predicate
-    decoded and its registration resolved here, and the rest of its settings
-    checked by the class.  PlanLinkError, naming the op, if the plan does
-    not link: an unknown kind, a bad predicate encoding, a missing param or
-    a param of the wrong type or value."""
+    """The runtime operator of `plan_op`: its class by kind and its
+    registration resolved here, and its settings, a predicate included,
+    read and checked by the class.  PlanLinkError, naming the op, if the
+    plan does not link: an unknown kind, a bad predicate encoding, a missing
+    param or a param of the wrong type or value."""
     op_id, kind, params = plan_op.op_id, plan_op.kind, plan_op.params
     cls = OPERATOR_CLASSES.get(kind)
     if cls is None:
         raise PlanLinkError(f"{op_id}: unknown operator kind {kind!r}")
     try:
-        if "predicate" in params:
-            params = {**params, "predicate": decode_expr(params["predicate"])}
         if kind == "fused":  # each step runs under the fused op's id
             return cls(op_id, params, [
                 build_runtime_op(PlanOp(op_id, s["kind"], s["params"]),
@@ -412,6 +409,49 @@ def op_signature(plan_op: PlanOp, input_sigs: list[str]) -> str:
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _whole(value, least: int) -> bool:
+    return type(value) is int and value >= least
+
+
+def _check_sink(pop: PlanOp, source: Optional[RuntimeOp]) -> None:
+    """Check the settings `Session._finalize` reads of an aggregate, duration
+    or temporal op, so a bad one fails when the pass links, before any frame
+    is read.  `source` is the runtime op of the op's first input: an
+    aggregate counts over a part of its output op, named by that part's
+    binding, and a duration's base is an output op or an aggregate over
+    one."""
+    p = pop.params
+    try:
+        if pop.kind == "aggregate":
+            part, binding = p["part"], p["binding"]
+            indexed = isinstance(source, OutputOp) and type(part) is int \
+                and 0 <= part < len(source.bindings)
+            checks = [
+                (p["kind"] != "count_distinct", f"kind {p['kind']!r}"),
+                (not indexed, f"part {part!r}"),
+                (indexed and binding != source.bindings[part],
+                 f"binding {binding!r}"),
+            ]
+        else:
+            checks = [(not isinstance(p["query"], str),
+                       f"query {p['query']!r}")]
+            if pop.kind == "duration":
+                checks += [
+                    (not isinstance(source, (OutputOp, AggregateOp)),
+                     f"base {pop.inputs[0]!r}"),
+                    (not _whole(p["min_frames"], 1),
+                     f"min_frames {p['min_frames']!r}"),
+                    (not _whole(p["gap_tolerance"], 0),
+                     f"gap_tolerance {p['gap_tolerance']!r}"),
+                ]
+            else:
+                checks.append((not _whole(p["max_interval"], 0),
+                               f"max_interval {p['max_interval']!r}"))
+        _check_settings(pop.op_id, checks)
+    except KeyError as exc:
+        raise PlanLinkError(f"{pop.op_id}: missing param {exc}") from exc
 
 
 # --- outcomes ---------------------------------------------------------------
@@ -597,10 +637,11 @@ class Session:
         every plan in order, each in topological order, the first op of
         each signature built once (a reader has no runtime op).  Duration
         and temporal stages stay out of it; `_finalize` evaluates them.  Also
-        returns each plan's op id -> runtime op map, and links each detected
-        type's properties into the engine.  A tracker owns its input
-        (`TrackerOp.owns_input`) when that is a detector's batch that no
-        other scheduled operator reads."""
+        returns each plan's op id -> runtime op map, links each detected
+        type's properties into the engine and checks each sink's settings
+        (`_check_sink`).  A tracker owns its input (`TrackerOp.owns_input`)
+        when that is a detector's batch that no other scheduled operator
+        reads."""
         schedule: dict[str, tuple[Optional[RuntimeOp], list[str]]] = {}
         plan_ops = []
         for dag in dags:
@@ -610,6 +651,8 @@ class Session:
                 pop = dag.ops[op_id]
                 input_sigs = [sigs[i] for i in pop.inputs]
                 sig = sigs[op_id] = op_signature(pop, input_sigs)
+                if pop.kind in ("aggregate", "duration", "temporal"):
+                    _check_sink(pop, ops.get(pop.inputs[0]))
                 if pop.kind in ("duration", "temporal"):
                     continue
                 if sig not in schedule:
@@ -752,7 +795,7 @@ class Session:
                 satisfied,
                 {t: out_op.tracks[t].first_frame for t in satisfied},
                 min_frames=pop.params["min_frames"],
-                gap_tolerance=pop.params.get("gap_tolerance", 0),
+                gap_tolerance=pop.params["gap_tolerance"],
             )
             base.query = pop.params["query"]
             base.duration_fires = [list(p) for p in sorted(fires)]

@@ -15,6 +15,7 @@ from typing import Any, Iterable, Optional
 
 from .datamodel import Edge, FrameGraph, Track, VObjInstance
 from .dsl.ast import COMPARISON_OPS
+from .planner import decode_expr
 from .registry import (
     GEOMETRIC_FN_COST,
     RELATION_IMPLS,
@@ -254,14 +255,14 @@ class DetectorOp(RuntimeOp):
 
 
 class TrackerOp(RuntimeOp):
-    """Assigns persistent track ids, gives each tracked node its track's
-    record (`VObjInstance.track`), appends the node to the record's latest
-    objects and sets a new track's birth frame.
+    """Assigns persistent tracks: gives each tracked node its track's record
+    (`VObjInstance.track`, which holds the id), appends the node to the
+    record's latest objects and sets a new track's birth frame.
 
-    A tracker that `owns_input` sets ids on its input's nodes and passes its
-    input's frame states on; `Session` grants that when the input is a
+    A tracker that `owns_input` sets records on its input's nodes and passes
+    its input's frame states on; `Session` grants that when the input is a
     detector's batch that no other operator reads.  Otherwise it copies the
-    nodes, so sibling readers of its input never see its id assignments."""
+    nodes, so sibling readers of its input never see its assignments."""
 
     kind = "tracker"
 
@@ -288,8 +289,7 @@ class TrackerOp(RuntimeOp):
             if not owns:
                 part = [
                     VObjInstance(n.node_id, n.class_name, n.frame_id, n.bbox,
-                                 n.attrs, n.track_id, dict(n.properties),
-                                 n.track)
+                                 n.attrs, dict(n.properties), n.track)
                     for n in part
                 ]
                 out.append(FrameState(fs.frame_id, fs.record,
@@ -303,7 +303,6 @@ class TrackerOp(RuntimeOp):
                         self, self.vobj, track_id)
                     track.first_frame = fs.frame_id
                 node = by_id[node_id]
-                node.track_id = track_id
                 node.track = track
                 track.objects.append(node)
         return out
@@ -339,7 +338,7 @@ class VObjFilterOp(RuntimeOp):
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
         self.binding = params["binding"]
-        self.predicate = params["predicate"]  # planner-encoded expression
+        self.predicate = decode_expr(params["predicate"])
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         out = []
@@ -408,21 +407,22 @@ class RelationProjectorOp(RuntimeOp):
                         engine.stats.count_property(
                             f"{self.relation}.{prop}", GEOMETRIC_FN_COST
                         )
-                    edges.append(Edge(self.relation, a, b, properties))
+                    edges.append(Edge(a, b, properties))
             out.append(FrameState(fs.frame_id, fs.record,
                                   FrameGraph(fs.graph.parts, edges)))
         return out
 
 
 class RelationFilterOp(RuntimeOp):
-    """Keeps spatial-relation edges on a True verdict of the predicate."""
+    """Keeps the edges on which the predicate's verdict is True, and a frame
+    only if it keeps at least one: a spatial query holds on a frame where
+    some pair holds."""
 
     kind = "relation_filter"
 
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
-        self.relation = params["relation"]
-        self.predicate = params["predicate"]
+        self.predicate = decode_expr(params["predicate"])
         self.args = params.get("args")
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
@@ -430,14 +430,13 @@ class RelationFilterOp(RuntimeOp):
         for fs in inputs[0]:
             kept = []
             for edge in fs.graph.edges:
-                if edge.relation == self.relation:
-                    env = {self.args[0]: edge.a, self.args[1]: edge.b} \
-                        if self.args else {}
-                    if engine.verdict(self.predicate, env, edge) is not True:
-                        continue
-                kept.append(edge)
-            out.append(FrameState(fs.frame_id, fs.record,
-                                  FrameGraph(fs.graph.parts, kept)))
+                env = {self.args[0]: edge.a, self.args[1]: edge.b} \
+                    if self.args else {}
+                if engine.verdict(self.predicate, env, edge) is True:
+                    kept.append(edge)
+            if kept:
+                out.append(FrameState(fs.frame_id, fs.record,
+                                      FrameGraph(fs.graph.parts, kept)))
         return out
 
 

@@ -18,7 +18,7 @@ from .registry import Registration, Registry, RegistryError
 from .trace_io import VideoMeta
 from .tracker import TrackerConfig
 
-PLAN_VERSION = 5
+PLAN_VERSION = 6
 MAX_ALTERNATIVES = 32  # candidates `enumerate_alternatives` returns at most
 
 
@@ -232,7 +232,7 @@ def _has_intrinsic(ftype: FlatVObjType, props: list[str]) -> bool:
 def _interval_frames(frames: Optional[int], seconds: Optional[float],
                      meta: Optional[VideoMeta], what: str) -> int:
     if frames is not None:
-        return int(frames)
+        return frames
     if seconds is None:
         raise PlanError(f"{what}: no frame count or time period given")
     if meta is None:
@@ -440,10 +440,7 @@ def _build(
             steps.insert(at, PlanOp(
                 op_id=f"{prefix}filter:{binding}",
                 kind="vobj_filter",
-                params={
-                    "vobj": vobj, "binding": binding,
-                    "predicate": encode_expr(pred),
-                },
+                params={"binding": binding, "predicate": encode_expr(pred)},
             ))
         if config.enable_fusion and len(steps) > 1:
             # a step is what it runs: its id and input are the chain's
@@ -472,7 +469,7 @@ def _build(
     else:
         tail = branch_tails[0]
 
-    if fq.kind == "spatial" and fq.relation_pred is not None:
+    if fq.kind == "spatial":
         rel = vprog.relations[fq.relation]
         rel_props = {
             r.prop for r in walk_refs(fq.relation_pred)
@@ -492,7 +489,6 @@ def _build(
             op_id=f"{prefix}relfilter:{fq.relation}",
             kind="relation_filter",
             params={
-                "relation": fq.relation,
                 "predicate": encode_expr(fq.relation_pred),
                 "args": [b1, b2],
             },
@@ -509,7 +505,6 @@ def _build(
             "frame_output": [
                 encode_ref(r) for r in fq.frame_output
             ],
-            "relation": fq.relation if fq.kind == "spatial" else None,
         },
         inputs=[tail],
     ))

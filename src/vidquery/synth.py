@@ -103,16 +103,21 @@ class WorldSpec:
         objects = [
             ObjectScript(
                 label=int(o["label"]),
-                class_name=o["class"],
+                class_name=_checked("class", o["class"], "a string",
+                                    lambda v: isinstance(v, str)),
                 start_frame=int(o["start_frame"]),
                 end_frame=int(o["end_frame"]),
                 start_center=_pair("start_center", o["start_center"]),
                 velocity=_pair("velocity", o.get("velocity", (0.0, 0.0))),
                 size=_pair("size", o.get("size", (40.0, 40.0))),
                 attrs=dict(o.get("attrs", {})),
-                score=float(o.get("score", 0.95)),
+                score=float(_checked(
+                    "score", o.get("score", 0.95), "a number in [0, 1]",
+                    lambda v: finite_number(v) and 0 <= v <= 1)),
                 jitter=float(o.get("jitter", 0.0)),
-                turn_frame=o.get("turn_frame"),
+                turn_frame=_checked("turn_frame", o.get("turn_frame"),
+                                    "a finite number",
+                                    lambda v: v is None or finite_number(v)),
                 turn_velocity=(
                     _pair("turn_velocity", o["turn_velocity"])
                     if o.get("turn_velocity") else None
@@ -131,6 +136,13 @@ class WorldSpec:
                       for k, v in channels.items()},
             seed=int(obj.get("seed", 0)),
         )
+
+
+def _checked(what: str, value, expected: str, ok: Callable[[Any], bool]):
+    """`value`, or ValueError unless `ok(value)`."""
+    if not ok(value):
+        raise ValueError(f"{what} {value!r} is not {expected}")
+    return value
 
 
 def _pair(what: str, values) -> tuple:

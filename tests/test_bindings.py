@@ -1,7 +1,7 @@
 """Each binding sees only its own objects, also when two bindings share a
 type.  The expected values come from the world scripts."""
 
-from vidquery.synth import WorldSpec, write_world
+from vidquery.synth import ObjectScript, WorldSpec, write_world
 
 from conftest import CAR_PROGRAM, car, make_program, meta_1000, run_single
 
@@ -93,3 +93,38 @@ def test_an_object_in_both_bindings_is_not_related_to_itself(tmp_path):
         f = row["frame"]
         assert nodes(row, "a") == [(f, 0), (f, 1)]
         assert nodes(row, "m") == [(f, 0)]
+
+
+TOGETHER = CAR_PROGRAM + """
+vobj Person {
+  detector: "general_person"
+  property role: stateless(impl="attr:role") intrinsic
+}
+relation Near(Car, Person) {
+  property distance_px: stateless(impl="distance_px")
+}
+query reds { bind c: Car
+  frame_constraint: c.color == "red" }
+query people { bind p: Person
+  frame_constraint: p.role == "adult" }
+spatial query together { first: reds second: people relation: Near }
+"""
+
+
+def test_a_spatial_query_without_a_predicate_holds_for_any_pair(tmp_path):
+    # with no predicate every pair is related, however far apart
+    meta = meta_1000(10)
+    red = car(1, 0, 9, (100.0, 100.0))
+    person = ObjectScript(label=2, class_name="person", start_frame=3,
+                          end_frame=6, start_center=(900.0, 900.0),
+                          size=(20.0, 24.0), attrs={"role": "adult"})
+    world = WorldSpec(meta=meta, objects=[red, person])
+    trace = write_world(world, tmp_path / "w")["trace"]
+    outcome, _s, _d = run_single(make_program(TOGETHER), "together",
+                                 trace, meta)
+    both = [f for f in range(10) if red.alive(f) and person.alive(f)]
+    assert both == [3, 4, 5, 6]
+    assert outcome.satisfied == both
+    for row in outcome.rows:
+        f = row["frame"]
+        assert (nodes(row, "c"), nodes(row, "p")) == ([(f, 0)], [(f, 1)])

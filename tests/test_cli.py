@@ -264,6 +264,31 @@ query busy {{
             in result.stderr
         assert result.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("decl, message", [
+        ("duration query held { base: reds min_frames: 0 }",
+         "min_frames must be a whole number >= 1, found '0'"),
+        ("duration query held { base: reds min_frames: 2.5 }",
+         "min_frames must be a whole number >= 1, found '2.5'"),
+        ("temporal query seq { first: reds then: reds "
+         "max_interval_frames: -1 }",
+         "max_interval_frames must be a whole number >= 0, found '-1'"),
+    ], ids=["min-frames-0", "min-frames-fraction", "negative-max-interval"])
+    def test_bad_duration_or_temporal_number_exit_1(self, runner, workspace,
+                                                    decl, message):
+        program = workspace["dir"] / "bad.vq"
+        program.write_text(PROGRAM + decl + "\n")
+        result = runner.invoke(main, [
+            "run", "-p", str(program), "--trace", "/nonexistent.jsonl",
+            "--meta", workspace["meta"],
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        # the number's own line and column, before the trace is opened
+        line, column = PROGRAM.count("\n") + 1, decl.rindex(":") + 3
+        assert result.stderr.startswith(f"{program}:{line}:{column}: ")
+        assert result.stderr.endswith(message + "\n")
+        assert result.stderr.count("\n") == 1
+
     def test_unknown_query_exit_1(self, runner, workspace):
         result = runner.invoke(main, self.args(workspace)[:-1] + ["ghost"])
         assert result.exit_code == 1
@@ -550,9 +575,44 @@ def _set_max_age(plan):
     tracker["params"]["config"]["max_age"] = 0
 
 
+def _sink(kind, params):
+    """Put a `kind` sink with `params` over the plan's output op."""
+    def edit(plan):
+        inputs = [plan["sink"]] * (2 if kind == "temporal" else 1)
+        plan["ops"].append({"op_id": "sink", "kind": kind, "params": params,
+                            "inputs": inputs})
+        plan["sink"] = "sink"
+    return edit
+
+
+DURATION = {"query": "held", "min_frames": 3, "gap_tolerance": 0}
+TEMPORAL = {"query": "seq", "max_interval": 2}
+AGGREGATE = {"kind": "count_distinct", "binding": "c", "part": 0,
+             "predicate": None}
+
+
+def _edited_run(runner, workspace, edit, trace=None):
+    plan = workspace["dir"] / "plan.json"
+    result = runner.invoke(main, [
+        "profile", "-p", workspace["program"], "-q", "reds",
+        "--trace", workspace["trace"], "--meta", workspace["meta"],
+        "--save-plan", str(plan),
+    ])
+    assert result.exit_code == 0, result.output
+    obj = json.loads(plan.read_text())
+    edit(obj)
+    plan.write_text(json.dumps(obj))
+    return runner.invoke(main, [
+        "run", "-p", workspace["program"], "--plan-file", str(plan),
+        "--trace", trace or workspace["trace"], "--meta", workspace["meta"],
+    ])
+
+
 @pytest.mark.parametrize("edit, code, message", [
     (lambda plan: plan.update(version=4), 2,
-     "cannot load plan: plan version 4 unsupported (expected 5)"),
+     "cannot load plan: plan version 4 unsupported (expected 6)"),
+    (lambda plan: plan.update(version=5), 2,
+     "cannot load plan: plan version 5 unsupported (expected 6)"),
     (_set_output_kind, 3,
      "execution failed: output:reds: unknown operator kind 'nosuch'"),
     (_set_step_kind, 3,
@@ -580,28 +640,73 @@ def _set_max_age(plan):
      "execution failed: fused:proj:c.color: '>=' needs a number, got True"),
     (_set_comparison(op="in"), 3,
      "execution failed: fused:proj:c.color: 'in' needs a list, got 'red'"),
-], ids=["version-4", "unknown-kind", "unknown-step-kind", "bad-predicate",
-        "missing-param", "predicate-not-an-object", "bad-tracker-config",
-        "bad-op-string-prop", "bad-op-numeric-prop", "ordered-op-string",
-        "ordered-op-bool", "in-without-list"])
+    (_sink("duration", dict(DURATION, min_frames=0)), 3,
+     "execution failed: sink: bad min_frames 0"),
+    (_sink("duration", dict(DURATION, min_frames="x")), 3,
+     "execution failed: sink: bad min_frames 'x'"),
+    (_sink("duration", dict(DURATION, min_frames=2.5)), 3,
+     "execution failed: sink: bad min_frames 2.5"),
+    (_sink("duration", dict(DURATION, gap_tolerance=-1)), 3,
+     "execution failed: sink: bad gap_tolerance -1"),
+    (_sink("duration", {"min_frames": 3, "gap_tolerance": 0}), 3,
+     "execution failed: sink: missing param 'query'"),
+    (_sink("temporal", dict(TEMPORAL, max_interval="x")), 3,
+     "execution failed: sink: bad max_interval 'x'"),
+    (_sink("temporal", dict(TEMPORAL, max_interval=-4)), 3,
+     "execution failed: sink: bad max_interval -4"),
+    (_sink("aggregate", dict(AGGREGATE, part=3)), 3,
+     "execution failed: sink: bad part 3"),
+    (_sink("aggregate", dict(AGGREGATE, kind="sum")), 3,
+     "execution failed: sink: bad kind 'sum'"),
+    (_sink("aggregate", dict(AGGREGATE, binding="x")), 3,
+     "execution failed: sink: bad binding 'x'"),
+], ids=["version-4", "version-5", "unknown-kind", "unknown-step-kind",
+        "bad-predicate", "missing-param", "predicate-not-an-object",
+        "bad-tracker-config", "bad-op-string-prop", "bad-op-numeric-prop",
+        "ordered-op-string", "ordered-op-bool", "in-without-list",
+        "duration-min-frames-0", "duration-min-frames-text",
+        "duration-min-frames-fraction", "duration-negative-gap",
+        "duration-without-query", "temporal-max-interval-text",
+        "temporal-negative-max-interval", "aggregate-part-out-of-range",
+        "aggregate-kind-sum", "aggregate-binding-of-no-part"])
 def test_edited_plan_file(runner, workspace, edit, code, message):
-    plan = workspace["dir"] / "plan.json"
-    result = runner.invoke(main, [
-        "profile", "-p", workspace["program"], "-q", "reds",
-        "--trace", workspace["trace"], "--meta", workspace["meta"],
-        "--save-plan", str(plan),
-    ])
-    assert result.exit_code == 0, result.output
-    obj = json.loads(plan.read_text())
-    edit(obj)
-    plan.write_text(json.dumps(obj))
-    result = runner.invoke(main, [
-        "run", "-p", workspace["program"], "--plan-file", str(plan),
-        "--trace", workspace["trace"], "--meta", workspace["meta"],
-    ])
+    result = _edited_run(runner, workspace, edit)
     assert result.exit_code == code
     assert isinstance(result.exception, SystemExit)  # not a traceback
     assert result.stderr == message + "\n"
+
+
+@pytest.mark.parametrize("kind, params, key, value", [
+    ("duration", DURATION, "duration_fires", None),
+    ("temporal", TEMPORAL, "temporal", None),
+    ("aggregate", AGGREGATE, "video", {"aggregate": "count_distinct",
+                                       "binding": "c", "value": 1,
+                                       "per_track": {"1": {
+                                           "true": 20, "false": 0,
+                                           "undefined": 0}}}),
+])
+def test_edited_plan_file_with_a_good_sink_runs(runner, workspace, kind,
+                                                params, key, value):
+    result = _edited_run(runner, workspace, _sink(kind, params))
+    assert result.exit_code == 0, result.output
+    obj = json.loads(result.stdout)
+    assert key in obj
+    if value is not None:
+        assert obj[key] == value
+
+
+def test_a_bad_sink_fails_before_any_frame_is_read(runner, workspace):
+    lines = Path(workspace["trace"]).read_text().splitlines(keepends=True)
+    broken = workspace["dir"] / "broken.jsonl"
+    broken.write_text(lines[0][:-5] + "\n" + "".join(lines[1:]))
+    result = _edited_run(runner, workspace, lambda plan: None, str(broken))
+    assert result.exit_code == 3
+    assert "broken.jsonl:1: bad record" in result.stderr
+    result = _edited_run(runner, workspace,
+                         _sink("duration", dict(DURATION, min_frames=0)),
+                         str(broken))
+    assert result.exit_code == 3
+    assert result.stderr == "execution failed: sink: bad min_frames 0\n"
 
 
 MINE_PROGRAM = PROGRAM.replace(
@@ -794,8 +899,18 @@ class TestSynth:
          "start_center [1] is not a pair of finite numbers"),
         (lambda w: w.update(channels={"g": "ab"}),
          "channel 'g' 'ab' is not a list of finite numbers"),
+        (lambda w: w["objects"][0].update(turn_frame="x",
+                                          turn_velocity=[1, 0]),
+         "turn_frame 'x' is not a finite number"),
+        (lambda w: w["objects"][0].update(score=2),
+         "score 2 is not a number in [0, 1]"),
+        (lambda w: w["objects"][0].update(score=True),
+         "score True is not a number in [0, 1]"),
+        (lambda w: w["objects"][0].update({"class": 5}),
+         "class 5 is not a string"),
     ], ids=["fps-null", "velocity-null", "list", "channels-list",
-            "start-center-single", "channel-string"])
+            "start-center-single", "channel-string", "turn-frame-string",
+            "score-above-1", "score-bool", "class-number"])
     def test_world_of_the_wrong_shape_exit_1(self, runner, workspace, edit,
                                              named):
         world = json.loads(Path(workspace["world"]).read_text())

@@ -18,8 +18,8 @@ def node(nid, cls="Car", frame=None, track=None, **props):
         class_name=cls,
         frame_id=frame if frame is not None else nid[0],
         bbox=(0.0, 0.0, 10.0, 10.0),
-        track_id=track,
         properties=dict(props),
+        track=track,
     )
 
 
@@ -42,15 +42,15 @@ class TestTrackHistory:
 
     @staticmethod
     def track(depth, frames):
-        t = Track.create(1, "Car", depth)
+        t = Track.create(1, depth)
         for f in frames:
-            t.objects.append(node((f, 0), track=1))
+            t.objects.append(node((f, 0), track=t))
         return t
 
     def test_window_undefined_until_full(self):
         t = self.track(5, range(4))
         assert window(t, 5, 3) is UNDEFINED
-        t.objects.append(node((4, 0), track=1))
+        t.objects.append(node((4, 0), track=t))
         assert [n.frame_id for n in window(t, 5, 4)] == list(range(5))
 
     def test_window_end_frame(self):

@@ -9,13 +9,17 @@ from vidquery.dsl import (
     Not,
     Or,
     ValidationError,
+    DurationDecl,
+    PropRef,
+    QueryDecl,
+    RelationDecl,
+    SpatialDecl,
+    TemporalDecl,
+    VObjTypeDecl,
     conjuncts,
-    dump_ast,
     parse,
-    serialize_program,
     validate,
 )
-from vidquery.dsl.ast import expr_text
 
 CAR = """
 vobj Car {
@@ -49,15 +53,22 @@ class TestParser:
           gap_tolerance: 1
         }
         """))
-        dumped = dump_ast(program)
-        kinds = [d["kind"] for d in dumped["decls"]]
-        assert kinds == ["VObjTypeDecl", "RelationDecl", "QueryDecl", "DurationDecl"]
-        query = dumped["decls"][2]
-        assert query["bindings"] == [["c", "Car"]]
-        assert query["frame_constraint"] == '(c.color == "red" & c.direction == "right")'
-        assert query["video_output"] == ["count_distinct", "c"]
+        kinds = [type(d) for d in program.decls]
+        assert kinds == [VObjTypeDecl, RelationDecl, QueryDecl, DurationDecl]
+        query = program.decls[2]
+        assert query.bindings == [("c", "Car")]
+        assert query.frame_constraint == And((
+            Compare(PropRef("c", "color"), "==", "red"),
+            Compare(PropRef("c", "direction"), "==", "right"),
+        ))
+        assert query.frame_output == [PropRef("c", "color"),
+                                      PropRef("c", "direction")]
+        assert query.video_output == ("count_distinct", "c")
+        held = program.decls[3]
+        assert (held.base, held.min_frames, held.min_seconds,
+                held.gap_tolerance) == ("reds", 10, None, 1)
 
-    def test_serialize_round_trip(self):
+    def test_negation_in_list_spatial_and_temporal_shapes(self):
         src = q("""
         relation Near(Car, Car) {
           property iou: stateless(impl="iou")
@@ -78,9 +89,24 @@ class TestParser:
           max_interval_frames: 30
         }
         """)
-        p1 = parse(src)
-        p2 = parse(serialize_program(p1))
-        assert dump_ast(p1) == dump_ast(p2)
+        program = parse(src)
+        near = program.relations["Near"]
+        assert near.participants == ("Car", "Car")
+        assert [(p.name, p.kind, p.impl) for p in near.properties] == [
+            ("iou", "stateless", "iou")]
+        assert program.queries["fast"].frame_constraint == Or((
+            Not(Compare(PropRef("c", "color"), "in", ("red", "blue"))),
+            Compare(PropRef("c", "direction"), "==", "left"),
+        ))
+        pair, seq = program.decls[3:]
+        assert isinstance(pair, SpatialDecl)
+        assert (pair.first, pair.second, pair.relation) == (
+            "fast", "fast", "Near")
+        assert pair.predicate == Compare(
+            PropRef(None, "iou", "Near", ("c", "c")), ">", 0.5)
+        assert isinstance(seq, TemporalDecl)
+        assert (seq.first, seq.then, seq.max_interval_frames,
+                seq.max_interval_seconds) == ("fast", "fast", 30, None)
 
     def test_precedence_and_over_or(self):
         program = parse(q("""
@@ -140,6 +166,57 @@ class TestParser:
         with pytest.raises(DslSyntaxError) as exc:
             parse("temporal query t { first: a then: b window: 3 }")
         assert "unknown item 'window'" in str(exc.value)
+
+    @pytest.mark.parametrize("items, message", [
+        ("min_frames: 0", "min_frames must be a whole number >= 1, found '0'"),
+        ("min_frames: -2", "min_frames must be a whole number >= 1, found '-2'"),
+        ("min_frames: 2.5",
+         "min_frames must be a whole number >= 1, found '2.5'"),
+        ("min_frames: x", "min_frames must be a whole number >= 1, found 'x'"),
+        ("min_frames: 3 gap_tolerance: -1",
+         "gap_tolerance must be a whole number >= 0, found '-1'"),
+        ("min_frames: 3 gap_tolerance: 1.0",
+         "gap_tolerance must be a whole number >= 0, found '1.0'"),
+        ("min_seconds: 0", "min_seconds must be a number > 0, found '0'"),
+        ("min_seconds: -1.5", "min_seconds must be a number > 0, found '-1.5'"),
+        ("min_seconds: " + "9" * 400 + ".0",
+         "min_seconds must be a number > 0, found '99"),
+    ], ids=["min-frames-0", "min-frames-negative", "min-frames-fraction",
+            "min-frames-name", "gap-negative", "gap-fraction",
+            "min-seconds-0", "min-seconds-negative", "min-seconds-infinite"])
+    def test_duration_numbers_checked(self, items, message):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse(f"duration query d {{\n  base: b {items}\n}}", file="d.vq")
+        column = 11 + items.rindex(":") + 2
+        assert str(exc.value).startswith(
+            f"d.vq:2:{column}: duration query 'd': {message}")
+
+    @pytest.mark.parametrize("items, message", [
+        ("max_interval_frames: -1",
+         "max_interval_frames must be a whole number >= 0, found '-1'"),
+        ("max_interval_frames: 1.5",
+         "max_interval_frames must be a whole number >= 0, found '1.5'"),
+        ("max_interval_seconds: -0.5",
+         "max_interval_seconds must be a number >= 0, found '-0.5'"),
+        ("max_interval_seconds: x",
+         "max_interval_seconds must be a number >= 0, found 'x'"),
+    ], ids=["frames-negative", "frames-fraction", "seconds-negative",
+            "seconds-name"])
+    def test_temporal_numbers_checked(self, items, message):
+        with pytest.raises(DslSyntaxError) as exc:
+            parse(f"temporal query t {{ first: a then: b {items} }}")
+        assert f"temporal query 't': {message}" in str(exc.value)
+
+    def test_numbers_at_their_bounds_parse(self):
+        program = parse("""
+        duration query d { base: b min_frames: 1 gap_tolerance: 0 }
+        duration query e { base: b min_seconds: 0.1 }
+        temporal query t { first: a then: b max_interval_frames: 0 }
+        temporal query u { first: a then: b max_interval_seconds: 0 }
+        """)
+        d, e, t, u = program.decls
+        assert (d.min_frames, d.gap_tolerance, e.min_seconds) == (1, 0, 0.1)
+        assert (t.max_interval_frames, u.max_interval_seconds) == (0, 0)
 
     def test_comments_ignored(self):
         program = parse("# leading\nvobj Car { # inline\n}\n")
@@ -302,7 +379,8 @@ class TestValidation:
         }
         """))
         expr = validate(program).queries["child_q"].frame_pred
-        assert expr_text(expr) == '(c.color == "red" & c.direction == "left")'
+        assert expr == And((Compare(PropRef("c", "color"), "==", "red"),
+                            Compare(PropRef("c", "direction"), "==", "left")))
 
 
 SPATIAL_BASE = CAR + """
@@ -404,5 +482,9 @@ class TestCompositionRules:
         flat = vprog.queries["close_pair"]
         assert flat.kind == "spatial"
         assert [b for b, _t in flat.bindings] == ["c", "p"]
-        assert expr_text(flat.frame_pred) == '(c.color == "red" & p.role == "adult")'
-        assert expr_text(flat.relation_pred) == "Near(c, p).distance_px < 100.0"
+        assert flat.frame_pred == And((
+            Compare(PropRef("c", "color"), "==", "red"),
+            Compare(PropRef("p", "role"), "==", "adult"),
+        ))
+        assert flat.relation_pred == Compare(
+            PropRef(None, "distance_px", "Near", ("c", "p")), "<", 100.0)

@@ -549,7 +549,7 @@ class TestTrackerOwnership:
         nodes = [(a, b) for fa, fb in zip(tracked_nodes, detected_nodes)
                  for a, b in zip(fa, fb, strict=True)]
         assert len(nodes) == 6 and all(a is b for a, b in nodes)
-        assert all(a.track_id is not None for a, _b in nodes)
+        assert all(a.track is not None for a, _b in nodes)
 
 
 class TestResultStore:

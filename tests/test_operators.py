@@ -45,7 +45,7 @@ class FakeEngine:
 
     def track(self, tracker, vobj, track_id):
         return self.tracks.setdefault(
-            (tracker, track_id), Track.create(track_id, vobj, self.depth)
+            (tracker, track_id), Track.create(track_id, self.depth)
         )
 
     def verdict(self, predicate, env, edge=None):
@@ -71,10 +71,10 @@ def state_with_nodes(frame, *nodes):
     return FrameState(frame, record(frame), FrameGraph([list(nodes)]))
 
 
-def node(nid, cls="Car", track=None, bbox=(0.0, 0.0, 10.0, 10.0), **props):
+def node(nid, cls="Car", bbox=(0.0, 0.0, 10.0, 10.0), **props):
     return VObjInstance(
         node_id=nid, class_name=cls, frame_id=nid[0], bbox=bbox,
-        track_id=track, properties=dict(props),
+        properties=dict(props),
     )
 
 
@@ -221,14 +221,12 @@ class TestTrackerOp:
         ]
         out = op.process(engine, [batch])
         ((n0,),), ((n1,),) = out[0].graph.parts, out[1].graph.parts
-        t0, t1 = n0.track_id, n1.track_id
-        assert t0 == t1 and t0 is not None
         # cross-frame motion edges cannot live in a single-frame graph
         assert out[1].graph.edges == []
         # one record of the track, made for this tracker, on both frames
         track = n0.track
-        assert n1.track is track
-        assert (track.track_id, track.class_name) == (t0, "Car")
+        assert track is not None and n1.track is track
+        t0 = track.track_id
         assert track.first_frame == 0
         assert list(track.objects) == [n0, n1]  # the tracked copies, in order
         assert list(engine.tracks) == [(op, t0)]
@@ -266,14 +264,13 @@ class TestTrackerOp:
         op = TrackerOp("t", {"vobj": "Car"})
         fs = state_with_nodes(0, node((0, 0)))
         out = op.process(FakeEngine(), [[fs]])
-        assert fs.graph.nodes[0].track_id is None
-        assert out[0].graph.nodes[0].track_id is not None
+        assert fs.graph.nodes[0].track is None
+        assert out[0].graph.nodes[0].track is not None
 
 
 class TestVObjFilterOp:
     def test_removes_failing_nodes_copy_on_write(self):
-        op = VObjFilterOp("v", {"vobj": "Car", "binding": "c",
-                                "predicate": {}})
+        op = VObjFilterOp("v", {"binding": "c", "predicate": None})
         engine = FakeEngine()
         engine.keep = lambda n: n.node_id == (0, 0)
         fs = state_with_nodes(0, node((0, 0)), node((0, 1)))
@@ -282,8 +279,7 @@ class TestVObjFilterOp:
         assert [n.node_id for n in fs.graph.nodes] == [(0, 0), (0, 1)]
 
     def test_empty_frames_retained(self):
-        op = VObjFilterOp("v", {"vobj": "Car", "binding": "c",
-                                "predicate": {}})
+        op = VObjFilterOp("v", {"binding": "c", "predicate": None})
         engine = FakeEngine()
         engine.keep = lambda n: False
         out = op.process(engine, [[state_with_nodes(0, node((0, 0)))]])
@@ -330,9 +326,10 @@ class TestRelationOps:
             "relation": "Near", "props": {"distance_px": "distance_px"},
         })
         fs = self.pair()
-        out = op.process(FakeEngine(), [[fs]])
+        engine = FakeEngine()
+        out = op.process(engine, [[fs]])
         (edge,) = out[0].graph.edges
-        assert edge.relation == "Near"
+        assert engine.stats.property_calls == {"Near.distance_px": 1}
         assert edge.a.node_id == (0, 0) and edge.b.node_id == (0, 1)
         # centers (5,5) and (35,45): hypot(30,40) = 50
         assert edge.properties["distance_px"] == pytest.approx(50.0)
@@ -348,18 +345,28 @@ class TestRelationOps:
                          ((0, 1), (0, 2))]
 
     def test_filter_drops_failing_edges_only(self):
-        proj = RelationProjectorOp("r", {
-            "relation": "Near", "props": {"distance_px": "distance_px"},
-        })
-        projected = proj.process(FakeEngine(), [[self.pair()]])
-        car, person = projected[0].graph.nodes
-        unrelated = Edge("Far", car, person)
-        projected[0].graph.edges.append(unrelated)
-        op = RelationFilterOp("f", {"relation": "Near", "predicate": {}})
+        fs = self.pair()
+        car, person = fs.graph.nodes
+        near, far = Edge(car, person, {"d": 1.0}), Edge(car, person, {"d": 9.0})
+        fs.graph.edges[:] = [near, far]
+        op = RelationFilterOp("f", {"predicate": None})
         engine = FakeEngine()
-        engine.keep_edge = lambda e: False
-        out = op.process(engine, [projected])
-        assert out[0].graph.edges == [unrelated]
+        engine.keep_edge = lambda e: e.properties["d"] < 5
+        out = op.process(engine, [[fs]])
+        assert out[0].graph.edges == [near]
+        assert out[0].graph.parts == fs.graph.parts
+        assert fs.graph.edges == [near, far]  # input untouched
+
+    def test_filter_drops_a_frame_with_no_kept_edge(self):
+        car, person = self.pair().graph.nodes
+        frames = [FrameState(f, record(f), FrameGraph([[car], [person]], edges))
+                  for f, edges in enumerate(
+                      ([Edge(car, person)], [Edge(car, person)], []))]
+        verdicts = iter([True, None])  # frame 2 has no edge to test
+        engine = FakeEngine()
+        engine.keep_edge = lambda e: next(verdicts)
+        out = RelationFilterOp("f", {"predicate": None}).process(engine, [frames])
+        assert [fs.frame_id for fs in out] == [0]
 
 
 def brute_duration(satisfied, first_frame, min_frames, gap_tolerance):

@@ -33,6 +33,7 @@ from conftest import (
     frozen_registry,
     make_program,
     meta_1000,
+    op_signatures,
     specialized_red_car,
 )
 
@@ -589,3 +590,106 @@ def test_every_op_of_every_plan_reaches_the_sink():
                                     stack.append(dep)
                         assert reached == set(dag.ops), (
                             name, query, config, sorted(set(dag.ops) - reached))
+
+
+class _Reads(dict):
+    """A plan op's params that note each key read by `[]` or `get`."""
+
+    def __init__(self, params, seen, where):
+        super().__init__(params)
+        self.seen, self.where = seen, where
+
+    def __getitem__(self, key):
+        self.seen.add((self.where, key))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.seen.add((self.where, key))
+        return super().get(key, default)
+
+
+EVERY_SHAPE = CAR_PROGRAM + """
+vobj Person {
+  detector: "general_person"
+  property role: stateless(impl="attr:role") intrinsic
+}
+relation Near(Car, Person) {
+  property distance_px: stateless(impl="distance_px")
+}
+query gated {
+  bind c: Car
+  bind s: Scene
+  frame_constraint: c.color == "red" & s.motion_score >= 0.1
+  frame_output: c.speed
+}
+query reds { bind c: Car
+  frame_constraint: c.color == "red" }
+query right_movers {
+  bind c: Car
+  frame_constraint: c.color == "red"
+  video_constraint: c.direction == "right"
+  video_output: count_distinct(c)
+}
+query adults { bind p: Person
+  frame_constraint: p.role == "adult" }
+spatial query near {
+  first: reds
+  second: adults
+  relation: Near
+  predicate: Near(c, p).distance_px < 150 & c.direction == "left"
+}
+spatial query together { first: reds second: adults relation: Near }
+duration query held { base: right_movers min_frames: 5 gap_tolerance: 1 }
+duration query lingering { base: near min_seconds: 0.5 }
+temporal query seq { first: held then: together max_interval_frames: 10 }
+temporal query later { first: reds then: adults max_interval_seconds: 2 }
+"""
+
+
+def test_every_param_of_a_plan_is_read_when_the_pass_links():
+    """No plan holds a param that linking its pass does not read: over
+    every query shape, pull-up and fusion on and off, every alternative,
+    fused steps included."""
+    from vidquery.executor import Session
+
+    vprog = make_program(EVERY_SHAPE)
+    meta = meta_1000(100)
+    registry = frozen_registry([
+        Registration(name="has_car", kind="classifier", cost_units=1.0,
+                     params={"vobj": "Car", "target_class": "car"}),
+        Registration(name="moving", kind="frame_filter", cost_units=0.5,
+                     params={"auto": True, "channel": "motion_score",
+                             "op": ">=", "threshold": 0.2}),
+        specialized_red_car(),
+    ])
+    kinds = set()
+    for query in vprog.query_order:
+        for pullup in (True, False):
+            for fusion in (True, False):
+                config = PlannerConfig(enable_pullup=pullup,
+                                       enable_fusion=fusion)
+                for dag in enumerate_alternatives(vprog, query, registry,
+                                                  config, meta):
+                    # an op of a signature already scheduled is not built:
+                    # the first op of its signature, whose params are the
+                    # same, is read for it
+                    seen, held, first = set(), set(), {}
+                    for op_id, sig in op_signatures(dag).items():
+                        op, where = dag.ops[op_id], first.setdefault(sig, op_id)
+                        steps = op.params.get("steps", ())
+                        op.params = _Reads(op.params, seen, where)
+                        held |= {(where, key) for key in op.params}
+                        for i, step in enumerate(steps):
+                            step_where = f"{where} step {i}"
+                            step["params"] = _Reads(step["params"], seen,
+                                                    step_where)
+                            held |= {(step_where, key)
+                                     for key in step["params"]}
+                            kinds.add(step["kind"])
+                        kinds.add(op.kind)
+                    Session(vprog, registry, meta).start([dag])
+                    assert held <= seen, (query, config, sorted(held - seen))
+    assert kinds == {"reader", "classifier", "frame_filter", "detector",
+                     "tracker", "projector", "vobj_filter", "fused", "join",
+                     "relation_projector", "relation_filter", "output",
+                     "aggregate", "duration", "temporal"}

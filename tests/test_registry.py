@@ -125,7 +125,7 @@ def make_node(bbox=(0.0, 0.0, 10.0, 10.0), **attrs):
     from vidquery.datamodel import VObjInstance
     return VObjInstance(
         node_id=(0, 0), class_name="Car", frame_id=0, bbox=bbox,
-        track_id=None, properties={}, attrs=attrs,
+        properties={}, attrs=attrs,
     )
 
 
