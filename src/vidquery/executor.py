@@ -311,6 +311,10 @@ class OutputOp(RuntimeOp):
             self.rows.append(row)
         return inputs[0]
 
+    def outcome(self) -> QueryOutcome:
+        return QueryOutcome(self.query, [r["frame"] for r in self.rows],
+                            self.rows)
+
 
 _VERDICT_SLOT = {True: 0, False: 1, None: 2}
 
@@ -318,7 +322,7 @@ _VERDICT_SLOT = {True: 0, False: 1, None: 2}
 class AggregateOp(RuntimeOp):
     """Counts per-track three-valued verdicts of the video constraint over
     the objects of its binding's part: [true, false, undefined] by track
-    id."""
+    id.  Its answer is its output op's, with the count as `video`."""
 
     kind = "aggregate"
 
@@ -329,6 +333,20 @@ class AggregateOp(RuntimeOp):
         self.part = params["part"]
         self.predicate = decode_expr(params["predicate"])
         self.per_track: dict[int, list[int]] = {}
+        self.output: Optional[OutputOp] = None  # set by `link`
+
+    def link(self, source: Optional[RuntimeOp]) -> None:
+        """Count over `source`, the op of this op's input, which must be an
+        output op whose part `part` is bound to `binding`."""
+        indexed = isinstance(source, OutputOp) and type(self.part) is int \
+            and 0 <= self.part < len(source.bindings)
+        _check_settings(self.op_id, [
+            (self.agg_kind != "count_distinct", f"kind {self.agg_kind!r}"),
+            (not indexed, f"part {self.part!r}"),
+            (indexed and self.binding != source.bindings[self.part],
+             f"binding {self.binding!r}"),
+        ])
+        self.output = source
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         for fs in inputs[0]:
@@ -341,6 +359,101 @@ class AggregateOp(RuntimeOp):
                 self.per_track.setdefault(node.track.track_id, [0, 0, 0])[
                     _VERDICT_SLOT[verdict]] += 1
         return inputs[0]
+
+    def outcome(self) -> QueryOutcome:
+        base = self.output.outcome()
+        base.video = {
+            "aggregate": self.agg_kind, "binding": self.binding,
+            "value": count_distinct_tracks(self.per_track),
+            "per_track": {
+                str(t): dict(zip(("true", "false", "undefined"), counts))
+                for t, counts in sorted(self.per_track.items())}}
+        return base
+
+
+def _whole(value, least: int) -> bool:
+    return type(value) is int and value >= least
+
+
+class DurationSink:
+    """A duration query's answer, made from its base's, an output op's or
+    an aggregate's over one: the (track, frame) pairs at which a track of
+    the first binding has held the base for `min_frames` frames, missing at
+    most `gap_tolerance`.  A sink built over sinks processes no batches."""
+
+    def __init__(self, op_id: str, params: dict, inputs: list):
+        (self.base,) = inputs
+        self.op_id = op_id
+        self.query = params["query"]
+        self.min_frames = params["min_frames"]
+        self.gap_tolerance = params["gap_tolerance"]
+        _check_settings(op_id, [
+            (not isinstance(self.query, str), f"query {self.query!r}"),
+            (not isinstance(self.base, (OutputOp, AggregateOp)),
+             f"base {self.base.op_id!r}"),
+            (not _whole(self.min_frames, 1),
+             f"min_frames {self.min_frames!r}"),
+            (not _whole(self.gap_tolerance, 0),
+             f"gap_tolerance {self.gap_tolerance!r}"),
+        ])
+        self.output = self.base.output if isinstance(self.base, AggregateOp) \
+            else self.base
+
+    def outcome(self) -> QueryOutcome:
+        base = self.base.outcome()
+        first = self.output.bindings[0]
+        satisfied: dict[int, set[int]] = {}
+        for row in base.rows:
+            for obj in row["objects"][first]:
+                if obj["track"] is not None:
+                    satisfied.setdefault(obj["track"], set()).add(row["frame"])
+        born = {t: self.output.tracks[t].first_frame for t in satisfied}
+        fires = eval_duration(satisfied, born, min_frames=self.min_frames,
+                              gap_tolerance=self.gap_tolerance)
+        base.query = self.query
+        base.duration_fires = [list(p) for p in sorted(fires)]
+        base.satisfied = sorted({f for _t, f in fires})
+        kept = set(base.satisfied)
+        base.rows = [r for r in base.rows if r["frame"] in kept]
+        return base
+
+
+class TemporalSink:
+    """A temporal query's answer, made from its parts': whether a run of the
+    first ends at most `max_interval` frames before a run of the second."""
+
+    def __init__(self, op_id: str, params: dict, inputs: list):
+        self.first, self.then = inputs
+        self.op_id = op_id
+        self.query = params["query"]
+        self.max_interval = params["max_interval"]
+        _check_settings(op_id, [
+            (not isinstance(self.query, str), f"query {self.query!r}"),
+            (not _whole(self.max_interval, 0),
+             f"max_interval {self.max_interval!r}"),
+        ])
+
+    def outcome(self) -> QueryOutcome:
+        first, then = self.first.outcome(), self.then.outcome()
+        matched, witnesses = eval_temporal(
+            first.satisfied, then.satisfied, self.max_interval)
+        return QueryOutcome(
+            self.query, sorted({s for _e, s in witnesses}), [],
+            temporal={"matched": matched,
+                      "witnesses": [list(w) for w in witnesses],
+                      "first": first.to_json(), "then": then.to_json()})
+
+
+SINK_CLASSES = {"duration": DurationSink, "temporal": TemporalSink}
+
+
+def _sink(dag: PlanDag, ops: dict, op_id: str):
+    """The op built for `dag`'s op `op_id`, if that op makes an answer."""
+    op = ops[op_id]
+    if not isinstance(op, (OutputOp, AggregateOp, DurationSink, TemporalSink)):
+        raise PlanLinkError(
+            f"{op_id}: kind {dag.ops[op_id].kind!r} is not a sink")
+    return op
 
 
 class FusedOp(RuntimeOp):
@@ -409,49 +522,6 @@ def op_signature(plan_op: PlanOp, input_sigs: list[str]) -> str:
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _whole(value, least: int) -> bool:
-    return type(value) is int and value >= least
-
-
-def _check_sink(pop: PlanOp, source: Optional[RuntimeOp]) -> None:
-    """Check the settings `Session._finalize` reads of an aggregate, duration
-    or temporal op, so a bad one fails when the pass links, before any frame
-    is read.  `source` is the runtime op of the op's first input: an
-    aggregate counts over a part of its output op, named by that part's
-    binding, and a duration's base is an output op or an aggregate over
-    one."""
-    p = pop.params
-    try:
-        if pop.kind == "aggregate":
-            part, binding = p["part"], p["binding"]
-            indexed = isinstance(source, OutputOp) and type(part) is int \
-                and 0 <= part < len(source.bindings)
-            checks = [
-                (p["kind"] != "count_distinct", f"kind {p['kind']!r}"),
-                (not indexed, f"part {part!r}"),
-                (indexed and binding != source.bindings[part],
-                 f"binding {binding!r}"),
-            ]
-        else:
-            checks = [(not isinstance(p["query"], str),
-                       f"query {p['query']!r}")]
-            if pop.kind == "duration":
-                checks += [
-                    (not isinstance(source, (OutputOp, AggregateOp)),
-                     f"base {pop.inputs[0]!r}"),
-                    (not _whole(p["min_frames"], 1),
-                     f"min_frames {p['min_frames']!r}"),
-                    (not _whole(p["gap_tolerance"], 0),
-                     f"gap_tolerance {p['gap_tolerance']!r}"),
-                ]
-            else:
-                checks.append((not _whole(p["max_interval"], 0),
-                               f"max_interval {p['max_interval']!r}"))
-        _check_settings(pop.op_id, checks)
-    except KeyError as exc:
-        raise PlanLinkError(f"{pop.op_id}: missing param {exc}") from exc
 
 
 # --- outcomes ---------------------------------------------------------------
@@ -628,47 +698,52 @@ class Session:
         self.meta = meta
         self.stats = ExecStats()
         self.engine: Optional[PropertyEngine] = None
-        self._dags: list[PlanDag] = []  # the pass in progress (`start`)
-        self._schedule: dict = {}
-        self._plan_ops: list = []
+        self._schedule: dict = {}  # the pass in progress (`start`)
+        self._sinks: list = []
 
     def _compile(self, dags: list[PlanDag]):
         """The pass's schedule, signature -> (runtime op, input signatures):
         every plan in order, each in topological order, the first op of
-        each signature built once (a reader has no runtime op).  Duration
-        and temporal stages stay out of it; `_finalize` evaluates them.  Also
-        returns each plan's op id -> runtime op map, links each detected
-        type's properties into the engine and checks each sink's settings
-        (`_check_sink`).  A tracker owns its input (`TrackerOp.owns_input`)
-        when that is a detector's batch that no other scheduled operator
-        reads."""
+        each signature built once (a reader has no runtime op; a duration
+        or temporal sink is built over its input sinks, not scheduled).
+        Also returns each plan's sink (`_sink`), links each detected type's
+        properties into the engine and each aggregate to its output op.  A
+        tracker owns its input (`TrackerOp.owns_input`) when that is a
+        detector's batch that no other scheduled operator reads."""
         schedule: dict[str, tuple[Optional[RuntimeOp], list[str]]] = {}
-        plan_ops = []
+        sinks = []
         for dag in dags:
             sigs: dict[str, str] = {}
-            ops: dict[str, RuntimeOp] = {}
+            ops: dict[str, Any] = {}
             for op_id in dag.topo_order():
                 pop = dag.ops[op_id]
+                if pop.kind in SINK_CLASSES:
+                    inputs = [_sink(dag, ops, i) for i in pop.inputs]
+                    try:
+                        ops[op_id] = SINK_CLASSES[pop.kind](
+                            op_id, pop.params, inputs)
+                    except KeyError as exc:
+                        raise PlanLinkError(
+                            f"{op_id}: missing param {exc}") from exc
+                    continue
                 input_sigs = [sigs[i] for i in pop.inputs]
                 sig = sigs[op_id] = op_signature(pop, input_sigs)
-                if pop.kind in ("aggregate", "duration", "temporal"):
-                    _check_sink(pop, ops.get(pop.inputs[0]))
-                if pop.kind in ("duration", "temporal"):
-                    continue
                 if sig not in schedule:
                     rt = None if pop.kind == "reader" \
                         else build_runtime_op(pop, self.registry)
                     if pop.kind == "detector":
                         self.engine.link(pop.params["vobj"])
+                    elif pop.kind == "aggregate":
+                        rt.link(schedule[input_sigs[0]][0])
                     schedule[sig] = (rt, input_sigs)
                 ops[op_id] = schedule[sig][0]
-            plan_ops.append(ops)
+            sinks.append(_sink(dag, ops, dag.sink))
         readers = Counter(s for _rt, ins in schedule.values() for s in ins)
         for rt, ins in schedule.values():
             if isinstance(rt, TrackerOp):
                 rt.owns_input = readers[ins[0]] == 1 and \
                     isinstance(schedule[ins[0]][0], DetectorOp)
-        return schedule, plan_ops
+        return schedule, sinks
 
     def _inputs_digest(self, trace_digest: str) -> str:
         """What a result depends on besides its plan: the trace content, the
@@ -689,8 +764,7 @@ class Session:
         self.engine = PropertyEngine(
             self.vprog, self.registry, self.meta, self.config, self.stats
         )
-        self._dags = dags
-        self._schedule, self._plan_ops = self._compile(dags)
+        self._schedule, self._sinks = self._compile(dags)
 
     def feed(self, base: Batch) -> None:
         """Run every scheduled operator once over one batch of initial frame
@@ -706,9 +780,8 @@ class Session:
     def finish(self) -> list[QueryOutcome]:
         """The outcome of each started plan, in order; ends the pass and
         releases its operators."""
-        outcomes = [self._finalize(dag, ops, dag.sink)
-                    for dag, ops in zip(self._dags, self._plan_ops)]
-        self._dags, self._schedule, self._plan_ops = [], {}, []
+        outcomes = [sink.outcome() for sink in self._sinks]
+        self._schedule, self._sinks = {}, []
         return outcomes
 
     def run(
@@ -747,80 +820,6 @@ class Session:
             if result_store is not None:
                 result_store.put(inputs_digest, dags[i].plan_id, outcome)
         return outcomes  # type: ignore[return-value]
-
-    def _finalize(self, dag: PlanDag, ops: dict[str, RuntimeOp],
-                  op_id: str) -> QueryOutcome:
-        pop = dag.ops[op_id]
-        if pop.kind == "output":
-            rt = ops[op_id]
-            assert isinstance(rt, OutputOp)
-            return QueryOutcome(
-                query=rt.query,
-                satisfied=[r["frame"] for r in rt.rows],
-                rows=rt.rows,
-            )
-        if pop.kind == "aggregate":
-            rt = ops[op_id]
-            assert isinstance(rt, AggregateOp)
-            base = self._finalize(dag, ops, pop.inputs[0])
-            value = count_distinct_tracks(rt.per_track)
-            per_track = {
-                str(t): dict(zip(("true", "false", "undefined"), counts))
-                for t, counts in sorted(rt.per_track.items())
-            }
-            base.video = {
-                "aggregate": rt.agg_kind,
-                "binding": rt.binding,
-                "value": value,
-                "per_track": per_track,
-            }
-            return base
-        if pop.kind == "duration":
-            base = self._finalize(dag, ops, pop.inputs[0])
-            # the base is a basic or spatial query: its sink is its output
-            # op, or an aggregate over that
-            out_id = pop.inputs[0]
-            if dag.ops[out_id].kind == "aggregate":
-                out_id = dag.ops[out_id].inputs[0]
-            out_op = ops[out_id]
-            assert isinstance(out_op, OutputOp)
-            first = out_op.bindings[0]
-            satisfied: dict[int, set[int]] = {}
-            for row in base.rows:
-                for obj in row["objects"][first]:
-                    if obj["track"] is not None:
-                        satisfied.setdefault(obj["track"], set()).add(
-                            row["frame"])
-            fires = eval_duration(
-                satisfied,
-                {t: out_op.tracks[t].first_frame for t in satisfied},
-                min_frames=pop.params["min_frames"],
-                gap_tolerance=pop.params["gap_tolerance"],
-            )
-            base.query = pop.params["query"]
-            base.duration_fires = [list(p) for p in sorted(fires)]
-            base.satisfied = sorted({f for _t, f in fires})
-            kept = set(base.satisfied)
-            base.rows = [r for r in base.rows if r["frame"] in kept]
-            return base
-        if pop.kind == "temporal":
-            first = self._finalize(dag, ops, pop.inputs[0])
-            then = self._finalize(dag, ops, pop.inputs[1])
-            matched, witnesses = eval_temporal(
-                first.satisfied, then.satisfied, pop.params["max_interval"]
-            )
-            return QueryOutcome(
-                query=pop.params["query"],
-                satisfied=sorted({s for _e, s in witnesses}),
-                rows=[],
-                temporal={
-                    "matched": matched,
-                    "witnesses": [list(w) for w in witnesses],
-                    "first": first.to_json(),
-                    "then": then.to_json(),
-                },
-            )
-        raise InternalError(f"{op_id}: kind {pop.kind!r} is not a sink")
 
 
 def run_plans(

@@ -386,9 +386,11 @@ class RelationProjectorOp(RuntimeOp):
 
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
-        self.relation = params["relation"]
-        self.props = params["props"]  # {prop_name: impl_name}
-        for impl in self.props.values():
+        relation = params["relation"]
+        # (property, implementation, name in the stats), by property name
+        self.props = [(prop, impl, f"{relation}.{prop}")
+                      for prop, impl in sorted(params["props"].items())]
+        for _prop, impl, _name in self.props:
             if impl not in RELATION_IMPLS:
                 raise PlanLinkError(
                     f"{op_id}: unknown relation implementation {impl!r}")
@@ -402,11 +404,9 @@ class RelationProjectorOp(RuntimeOp):
                     if a.node_id == b.node_id:
                         continue
                     properties = {}
-                    for prop, impl in sorted(self.props.items()):
+                    for prop, impl, name in self.props:
                         properties[prop] = relation_value(impl, a, b, engine.meta)
-                        engine.stats.count_property(
-                            f"{self.relation}.{prop}", GEOMETRIC_FN_COST
-                        )
+                        engine.stats.count_property(name, GEOMETRIC_FN_COST)
                     edges.append(Edge(a, b, properties))
             out.append(FrameState(fs.frame_id, fs.record,
                                   FrameGraph(fs.graph.parts, edges)))

@@ -19,6 +19,9 @@ from .trace_io import VideoMeta
 from .tracker import TrackerConfig
 
 PLAN_VERSION = 6
+# the number of inputs an op of each kind takes; any other kind takes 1
+_INPUT_COUNTS = {"reader": range(0, 1), "join": range(2, sys.maxsize),
+                "temporal": range(2, 3)}
 MAX_ALTERNATIVES = 32  # candidates `enumerate_alternatives` returns at most
 
 
@@ -112,10 +115,29 @@ class PlanOp:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PlanOp":
-        return cls(
-            op_id=obj["op_id"], kind=obj["kind"], params=obj["params"],
-            inputs=list(obj["inputs"]),
-        )
+        """The op whose `to_json` is `obj`: PlanLoadError unless it has a
+        string id and kind, an object of params and a list of input ids, as
+        many as its kind takes (`_INPUT_COUNTS`)."""
+        op_id, kind, params, inputs = (
+            obj.get(k) for k in ("op_id", "kind", "params", "inputs"))
+        if not isinstance(op_id, str):
+            raise PlanLoadError(f"op id {op_id!r} is not a string")
+        if not isinstance(kind, str):
+            raise PlanLoadError(f"op {op_id!r}: kind {kind!r} is not a string")
+        if not isinstance(params, dict):
+            raise PlanLoadError(f"op {op_id!r}: params are not an object")
+        if not isinstance(inputs, list) or \
+                not all(isinstance(i, str) for i in inputs):
+            raise PlanLoadError(
+                f"op {op_id!r}: inputs {inputs!r} are not a list of op ids")
+        count = _INPUT_COUNTS.get(kind, range(1, 2))
+        if len(inputs) not in count:
+            want = f"{count.start} or more" if len(count) > 1 \
+                else str(count.start)
+            raise PlanLoadError(
+                f"op {op_id!r}: kind {kind!r} takes {want} "
+                f"input{'' if want == '1' else 's'}, not {len(inputs)}")
+        return cls(op_id, kind, params, inputs)
 
 
 @dataclass
@@ -164,17 +186,47 @@ class PlanDag:
         return self.canonical()
 
     @classmethod
-    def from_json(cls, obj: dict) -> "PlanDag":
+    def from_json(cls, obj) -> "PlanDag":
+        """The plan whose `to_json` is `obj`: PlanLoadError unless it has
+        this format's version, a string query, a list of ops of the shape
+        `PlanOp.from_json` takes, whose ids differ and whose inputs name ops
+        of the plan and form no cycle, and a string sink that names one of
+        its ops.  Duration and temporal ops make no frames, so only they
+        read them."""
+        if not isinstance(obj, dict):
+            raise PlanLoadError("a plan is a JSON object")
         if obj.get("version") != PLAN_VERSION:
             raise PlanLoadError(
                 f"plan version {obj.get('version')!r} unsupported "
                 f"(expected {PLAN_VERSION})"
             )
-        dag = cls(query=obj["query"], sink=obj["sink"])
-        for op_obj in obj["ops"]:
-            dag.add(PlanOp.from_json(op_obj))
-        # keep deterministic execution order
-        dag.ops = {i: dag.ops[i] for i in dag.topo_order()}
+        query, sink, ops = obj.get("query"), obj.get("sink"), obj.get("ops")
+        if not isinstance(query, str):
+            raise PlanLoadError(f"plan query {query!r} is not a string")
+        if not isinstance(ops, list) or \
+                not all(isinstance(o, dict) for o in ops):
+            raise PlanLoadError("plan ops are not a list of objects")
+        if not isinstance(sink, str):
+            raise PlanLoadError(f"plan sink {sink!r} is not a string")
+        dag = cls(query=query, sink=sink)
+        try:
+            for op_obj in ops:
+                dag.add(PlanOp.from_json(op_obj))
+            for op in dag.ops.values():
+                for i in op.inputs:
+                    if i not in dag.ops:
+                        raise PlanLoadError(
+                            f"op {op.op_id!r}: input {i!r} names no op")
+                    if dag.ops[i].kind in ("duration", "temporal") \
+                            and op.kind not in ("duration", "temporal"):
+                        raise PlanLoadError(
+                            f"op {op.op_id!r}: input {i!r} makes no frames")
+            if sink not in dag.ops:
+                raise PlanLoadError(f"plan sink {sink!r} names no op")
+            # keep deterministic execution order
+            dag.ops = {i: dag.ops[i] for i in dag.topo_order()}
+        except PlanError as exc:  # a duplicate id or a cycle
+            raise PlanLoadError(str(exc)) from exc
         return dag
 
 
@@ -230,14 +282,15 @@ def _has_intrinsic(ftype: FlatVObjType, props: list[str]) -> bool:
 
 
 def _interval_frames(frames: Optional[int], seconds: Optional[float],
-                     meta: Optional[VideoMeta], what: str) -> int:
+                     meta: Optional[VideoMeta], what: str, least: int) -> int:
+    """`frames`, or `seconds` rounded to frames and at least `least`."""
     if frames is not None:
         return frames
     if seconds is None:
         raise PlanError(f"{what}: no frame count or time period given")
     if meta is None:
         raise PlanError(f"{what}: seconds given but no video metadata to convert")
-    return max(1, round(seconds * meta.fps))
+    return max(least, round(seconds * meta.fps))
 
 
 def plan_query(
@@ -288,7 +341,7 @@ def _build(
             params={
                 "query": query_name,
                 "min_frames": _interval_frames(
-                    fq.min_frames, fq.min_seconds, meta, query_name),
+                    fq.min_frames, fq.min_seconds, meta, query_name, 1),
                 "gap_tolerance": fq.gap_tolerance,
             },
             inputs=[dag.sink],
@@ -315,7 +368,7 @@ def _build(
                 "query": query_name,
                 "max_interval": _interval_frames(
                     fq.max_interval_frames, fq.max_interval_seconds, meta,
-                    query_name),
+                    query_name, 0),
             },
             inputs=[d1.sink, d2.sink],
         ))
@@ -704,8 +757,9 @@ def load_plan(path, registry: Optional[Registry] = None) -> PlanDag:
     if registry is not None:
         for op in dag.ops.values():
             if op.kind in ("detector", "classifier"):
-                name = op.params[op.kind]
-                if registry.try_resolve(op.kind, name) is None:
+                name = op.params.get(op.kind)
+                if not isinstance(name, str) or \
+                        registry.try_resolve(op.kind, name) is None:
                     raise PlanLoadError(
                         f"plan references unregistered {op.kind} {name!r}"
                     )

@@ -575,14 +575,29 @@ def _set_max_age(plan):
     tracker["params"]["config"]["max_age"] = 0
 
 
-def _sink(kind, params):
-    """Put a `kind` sink with `params` over the plan's output op."""
+def _sink(kind, params, inputs=None):
+    """Put a `kind` sink with `params` over `inputs`, by default the plan's
+    output op."""
     def edit(plan):
-        inputs = [plan["sink"]] * (2 if kind == "temporal" else 1)
-        plan["ops"].append({"op_id": "sink", "kind": kind, "params": params,
-                            "inputs": inputs})
+        default = [plan["sink"]] * (2 if kind == "temporal" else 1)
+        plan["ops"].append({
+            "op_id": "sink", "kind": kind, "params": params,
+            "inputs": default if inputs is None else inputs})
         plan["sink"] = "sink"
     return edit
+
+
+def _op(of, **fields):
+    """Set `fields` of the plan's op of kind `of`."""
+    return lambda plan: next(o for o in plan["ops"]
+                             if o["kind"] == of).update(fields)
+
+
+def _output_over_a_duration(plan):
+    _sink("duration", DURATION)(plan)
+    output = next(o for o in plan["ops"] if o["kind"] == "output")
+    plan["ops"].append(dict(output, op_id="after", inputs=["sink"]))
+    plan["sink"] = "after"
 
 
 DURATION = {"query": "held", "min_frames": 3, "gap_tolerance": 0}
@@ -660,6 +675,45 @@ def _edited_run(runner, workspace, edit, trace=None):
      "execution failed: sink: bad kind 'sum'"),
     (_sink("aggregate", dict(AGGREGATE, binding="x")), 3,
      "execution failed: sink: bad binding 'x'"),
+    (_sink("aggregate", AGGREGATE, inputs=[]), 2,
+     "cannot load plan: op 'sink': kind 'aggregate' takes 1 input, not 0"),
+    (_op("output", inputs=[]), 2,
+     "cannot load plan: op 'output:reds': kind 'output' takes 1 input, "
+     "not 0"),
+    (_sink("temporal", TEMPORAL, inputs=["output:reds"]), 2,
+     "cannot load plan: op 'sink': kind 'temporal' takes 2 inputs, not 1"),
+    (_op("reader", inputs=["output:reds"]), 2,
+     "cannot load plan: op 'reader': kind 'reader' takes 0 inputs, not 1"),
+    (_op("output", inputs=["fused:proj:c.color"] * 2), 2,
+     "cannot load plan: op 'output:reds': kind 'output' takes 1 input, "
+     "not 2"),
+    (_op("output", inputs=["nosuch"]), 2,
+     "cannot load plan: op 'output:reds': input 'nosuch' names no op"),
+    (lambda plan: plan.update(sink="nosuch"), 2,
+     "cannot load plan: plan sink 'nosuch' names no op"),
+    (lambda plan: plan.update(sink=5), 2,
+     "cannot load plan: plan sink 5 is not a string"),
+    (_op("output", inputs="fused:proj:c.color"), 2,
+     "cannot load plan: op 'output:reds': inputs 'fused:proj:c.color' "
+     "are not a list of op ids"),
+    (lambda plan: plan.update(ops={o["op_id"]: o for o in plan["ops"]}), 2,
+     "cannot load plan: plan ops are not a list of objects"),
+    (lambda plan: plan.pop("query"), 2,
+     "cannot load plan: plan query None is not a string"),
+    (_op("output", params=[]), 2,
+     "cannot load plan: op 'output:reds': params are not an object"),
+    (_op("output", kind=None), 2,
+     "cannot load plan: op 'output:reds': kind None is not a string"),
+    (_op("detector", op_id=None), 2,
+     "cannot load plan: op id None is not a string"),
+    (_op("detector", inputs=["output:reds"]), 2,
+     "cannot load plan: cycle through 'detector:c'"),
+    (lambda plan: plan["ops"].append(plan["ops"][0]), 2,
+     "cannot load plan: duplicate operator id 'detector:c'"),
+    (_output_over_a_duration, 2,
+     "cannot load plan: op 'after': input 'sink' makes no frames"),
+    (_op("detector", params={}), 2,
+     "cannot load plan: plan references unregistered detector None"),
 ], ids=["version-4", "version-5", "unknown-kind", "unknown-step-kind",
         "bad-predicate", "missing-param", "predicate-not-an-object",
         "bad-tracker-config", "bad-op-string-prop", "bad-op-numeric-prop",
@@ -668,7 +722,14 @@ def _edited_run(runner, workspace, edit, trace=None):
         "duration-min-frames-fraction", "duration-negative-gap",
         "duration-without-query", "temporal-max-interval-text",
         "temporal-negative-max-interval", "aggregate-part-out-of-range",
-        "aggregate-kind-sum", "aggregate-binding-of-no-part"])
+        "aggregate-kind-sum", "aggregate-binding-of-no-part",
+        "aggregate-without-input", "output-without-input",
+        "temporal-with-one-input", "reader-with-an-input",
+        "output-with-two-inputs", "input-names-no-op", "sink-names-no-op",
+        "sink-not-a-string", "inputs-a-string", "ops-an-object",
+        "without-query", "params-not-an-object", "kind-not-a-string",
+        "op-id-not-a-string", "cycle", "duplicate-op-id",
+        "output-over-a-duration", "detector-without-a-name"])
 def test_edited_plan_file(runner, workspace, edit, code, message):
     result = _edited_run(runner, workspace, edit)
     assert result.exit_code == code
@@ -702,11 +763,19 @@ def test_a_bad_sink_fails_before_any_frame_is_read(runner, workspace):
     result = _edited_run(runner, workspace, lambda plan: None, str(broken))
     assert result.exit_code == 3
     assert "broken.jsonl:1: bad record" in result.stderr
-    result = _edited_run(runner, workspace,
-                         _sink("duration", dict(DURATION, min_frames=0)),
-                         str(broken))
-    assert result.exit_code == 3
-    assert result.stderr == "execution failed: sink: bad min_frames 0\n"
+    for edit, message in [
+        (_sink("duration", dict(DURATION, min_frames=0)),
+         "sink: bad min_frames 0"),
+        (lambda plan: plan.update(sink="detector:c"),
+         "detector:c: kind 'detector' is not a sink"),
+        (_sink("temporal", TEMPORAL, inputs=["detector:c", "output:reds"]),
+         "detector:c: kind 'detector' is not a sink"),
+        (_sink("duration", DURATION, inputs=["detector:c"]),
+         "detector:c: kind 'detector' is not a sink"),
+    ]:
+        result = _edited_run(runner, workspace, edit, str(broken))
+        assert result.exit_code == 3
+        assert result.stderr == f"execution failed: {message}\n"
 
 
 MINE_PROGRAM = PROGRAM.replace(

@@ -451,6 +451,40 @@ class TestDuration:
         assert held.duration_fires == [[track, f] for f in range(5, 12)]
 
 
+class TestTemporal:
+    PROGRAM = CAR_PROGRAM + """
+    query reds { bind c: Car frame_constraint: c.color == "red" }
+    query blues { bind c: Car frame_constraint: c.color == "blue" }
+    temporal query in_frames { first: reds then: blues max_interval_frames: 0 }
+    temporal query in_seconds { first: reds then: blues
+      max_interval_seconds: 0 }
+    temporal query in_a_frame { first: reds then: blues
+      max_interval_seconds: 0.1 }
+    duration query brief { base: reds min_seconds: 0.01 }
+    """
+
+    def test_a_zero_second_interval_is_zero_frames(self, tmp_path):
+        meta = meta_1000(10)  # 10 fps
+        red = car(1, 0, 4, (100.0, 100.0))
+        blue = car(2, 5, 9, (500.0, 500.0), color="blue")
+        paths = write_world(WorldSpec(meta=meta, objects=[red, blue]),
+                            tmp_path / "w")
+        vprog = make_program(self.PROGRAM)
+        gap = blue.start_frame - red.end_frame  # the blue run starts 1 later
+        for query, frames in [("in_frames", 0), ("in_seconds", 0),
+                              ("in_a_frame", 1)]:
+            outcome, _stats, dag = run_single(vprog, query, paths["trace"],
+                                              meta)
+            assert dag.ops[dag.sink].params["max_interval"] == frames
+            assert outcome.temporal["matched"] is (gap <= frames), query
+            assert outcome.satisfied == \
+                ([blue.start_frame] if gap <= frames else []), query
+        # a duration's period is at least one frame
+        brief = plan_query(vprog, "brief", frozen_registry(), PlannerConfig(),
+                           meta)
+        assert brief.ops[brief.sink].params["min_frames"] == 1
+
+
 class TestOperatorSharing:
     def test_shared_detector_runs_once(self, tmp_path):
         paths, meta = red_world(tmp_path, frames=20)
