@@ -197,13 +197,15 @@ class PropertyEngine:
                 value = node.properties[prop] = self.memo[memo_key]
                 return value
 
-        deps, win = {}, None
+        deps, win, span = {}, None, None
         if pdef.kind == "stateful":
             objects = UNDEFINED if track is None else window(
                 track, pdef.window, node.frame_id)
-            # a window still warming up reads one Undefined
-            reads = win = (UNDEFINED,) if objects is UNDEFINED else [
-                self.get(n, pdef.deps[0]) for n in objects]
+            if objects is UNDEFINED:  # still warming up: one Undefined read
+                reads = win = (UNDEFINED,)
+            else:
+                reads = win = [self.get(n, pdef.deps[0]) for n in objects]
+                span = (objects[0].frame_id, objects[-1].frame_id)
         else:
             deps = {dep: self.get(node, dep) for dep in pdef.deps}
             reads = deps.values()
@@ -212,7 +214,8 @@ class PropertyEngine:
         else:
             self.stats.count_property(linked.name, linked.reg.cost_units)
             value = call_property_impl(linked.reg, PropContext(
-                node=node, deps=deps, window_values=win, meta=self.meta))
+                node=node, deps=deps, window_values=win, meta=self.meta,
+                window_frames=span))
 
         node.properties[prop] = value
         if memo_key is not None and value is not UNDEFINED:

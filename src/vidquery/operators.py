@@ -106,10 +106,11 @@ def _check_settings(owner: str, checks) -> None:
 class FrameFilterOp(RuntimeOp):
     """Drops frames by a channel predicate: in `threshold` mode, a
     comparison of the channel's value with the threshold; in
-    `similar_to_prev` mode, a difference above the tolerance from each of
-    the last `window` values.  Every setting is checked here, so a bad one
-    fails before any frame is read, and the mode's loop and the comparison
-    are picked here too, so a frame only looks them up."""
+    `similar_to_prev` mode, a difference above the tolerance from the value
+    of each of the last `window` frames that reached the filter.  Every
+    setting is checked here, so a bad one fails before any frame is read,
+    and the mode's loop and the comparison are picked here too, so a frame
+    only looks them up."""
 
     kind = "frame_filter"
 
@@ -138,7 +139,8 @@ class FrameFilterOp(RuntimeOp):
             self._test = _LINKED[self.op]
         else:  # only `similar_to_prev` reads back the values it has seen
             self._frames = self._similar_frames
-            self._history = deque(maxlen=window)
+            self.window = window
+            self._history = deque()  # (frame id, value), oldest first
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         return self._frames(engine.stats.add_cost, inputs[0])
@@ -168,15 +170,18 @@ class FrameFilterOp(RuntimeOp):
 
     def _similar_frames(self, add_cost, batch: Batch) -> Batch:
         channel, tolerance, cost = self.channel, self.tolerance, self.cost
-        history = self._history
+        history, window = self._history, self.window
         out = []
         for fs in batch:
             try:
                 value = fs.record.channels[channel]
             except KeyError:
                 raise self._missing(fs) from None
-            keep = all(abs(value - prev) > tolerance for prev in history)
-            history.append(value)
+            frame_id = fs.frame_id
+            while history and history[0][0] < frame_id - window:
+                history.popleft()
+            keep = all(abs(value - prev) > tolerance for _f, prev in history)
+            history.append((frame_id, value))
             add_cost(cost)
             if keep:
                 out.append(fs)

@@ -167,13 +167,16 @@ class Registry:
 
 @dataclass(slots=True)
 class PropContext:
-    """What a property function may read."""
+    """What a property function may read: a stateful one reads its
+    dependency's values on the window's objects, oldest first, and the
+    frame ids of the first and last of them."""
 
     node: Optional[VObjInstance]
     deps: dict[str, Any]
     window_values: Optional[list]
     meta: Optional[VideoMeta]
     params: Optional[dict] = None  # the registration's; set on each call
+    window_frames: Optional[tuple[int, int]] = None
 
 
 def _impl_center(ctx: PropContext):
@@ -194,12 +197,15 @@ def _impl_direction(ctx: PropContext):
 
 def _impl_speed(ctx: PropContext):
     # meters per second: center displacement over the window, scaled by fps,
-    # divided by the window length and the pixel calibration
+    # divided by the frames the window spans, first to last inclusive (its
+    # length when the track was tracked on each of them), and the pixel
+    # calibration
     centers = ctx.window_values
     if ctx.meta is None or ctx.meta.px_per_m is None:
         raise ConfigurationError("speed needs px_per_m calibration in the meta file")
+    first, last = ctx.window_frames
     disp = math.dist(centers[0], centers[-1])
-    return disp * ctx.meta.fps / len(centers) / ctx.meta.px_per_m
+    return disp * ctx.meta.fps / (last - first + 1) / ctx.meta.px_per_m
 
 
 def _impl_attr(ctx: PropContext):

@@ -243,22 +243,43 @@ class StepResult:
 
 class SortTracker:
     """Per-VObjType tracker; one instance tracks one class of detections.
-    `slots` holds the live tracks, oldest first."""
+    `slots` holds the live tracks, oldest first.
+
+    Tracks age in frames: a frame the tracker is not stepped on (gated out,
+    or absent from the trace) counts as a frame without detections, so
+    `max_age` is the number of frames a track lives unmatched."""
 
     def __init__(self, config: Optional[TrackerConfig] = None):
         self.config = config or TrackerConfig()
         self.slots: list[_TrackSlot] = []
         self._model = _Model.of(self.config)
         self._next_id = 1
+        self._last_frame: Optional[int] = None
 
     def step(self, frame_id: int, detections: list[tuple]) -> StepResult:
-        """Advance one frame.
+        """Advance to frame `frame_id`, which must be after the last one.
 
         `detections` is a list of (node_id, bbox).  Matched tracks are
         Kalman-updated, unmatched detections spawn tracks, and stale tracks
-        are retired.
+        are retired.  The `gap - 1` frames since the last step are stepped
+        over as frames without detections, the same bits as stepping each:
+        a slot unmatched on all of them is dropped once its age passes
+        `max_age`, and a live one predicts through them.
         """
+        last = self._last_frame
+        gap = 1 if last is None else frame_id - last
+        if gap < 1:
+            raise ValueError(f"frame {frame_id} is not after frame {last}")
+        self._last_frame = frame_id
         cfg, model, slots = self.config, self._model, self.slots
+        if gap > 1:
+            oldest = cfg.max_age - gap + 1  # the oldest age that lives on
+            slots = self.slots = [s for s in slots
+                                  if s.time_since_update <= oldest]
+            for slot in slots:
+                for _ in range(gap - 1):
+                    slot.predict(model)
+                slot.time_since_update += gap - 1
         track_boxes = []
         for slot in slots:
             track_boxes.append(slot.predict(model))

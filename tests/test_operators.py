@@ -186,6 +186,27 @@ class TestLinkedFrameFilter:
                         "cost_units": rng.choice((0.1, 0.3, 7))},
                        self.batches(rng))
 
+    def test_similar_to_prev_compares_the_frames_of_its_window(self):
+        """On a stream with gaps, frame f is compared with the frames among
+        f - window .. f - 1 that reached the filter, however few."""
+        rng = random.Random("frame filter similar_to_prev with gaps")
+        for _ in range(40):
+            params = {"channel": "m", "mode": "similar_to_prev",
+                      "tolerance": rng.choice((0, 0.5, 1, 1.5)),
+                      "window": rng.randint(1, 4)}
+            frames = sorted(rng.sample(range(150), 60))
+            seen = {f: rng.choice(self.VALUES) for f in frames}
+            states = [FrameState.fresh(record(f, channels={"m": seen[f]}))
+                      for f in frames]
+            cuts = sorted(rng.sample(range(1, 60), 4))
+            op = FrameFilterOp("f", params)
+            kept = [fs.frame_id for a, b in zip([0, *cuts], [*cuts, 60])
+                    for fs in op.process(FakeEngine(), [states[a:b]])]
+            assert kept == [
+                f for f in frames
+                if all(abs(seen[f] - seen[g]) > params["tolerance"]
+                       for g in range(f - params["window"], f) if g in seen)]
+
 
 class TestDetectorOp:
     def test_nodes_from_trace_indices(self):

@@ -27,10 +27,15 @@ from vidquery.datamodel import UNDEFINED
 from vidquery.trace_io import Detection, TraceRecord, VideoMeta
 
 
-def ctx(node=None, deps=None, window=None, meta=None, params=None):
+def ctx(node=None, deps=None, window=None, meta=None, params=None,
+        frames=None):
+    """A property call's context; a window spans the frames `frames`, or
+    by default one frame per value, from frame 0."""
+    if frames is None and window is not None:
+        frames = (0, len(window) - 1)
     return PropContext(
         node=node, deps=deps or {}, window_values=window, meta=meta,
-        params=params or {},
+        params=params or {}, window_frames=frames,
     )
 
 

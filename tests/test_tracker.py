@@ -164,6 +164,21 @@ class TestSortTracker:
         assert result.assignments[0][1] != first.assignments[0][1]
         assert result.new_tracks == [result.assignments[0][1]]
 
+    def test_new_id_after_max_age_of_frames_never_stepped(self):
+        # as above, with frames 5-7 skipped instead of stepped empty
+        tracker = SortTracker(TrackerConfig(max_age=2))
+        first = tracker.step(4, [((4, 0), (10.0, 10.0, 30.0, 30.0))])
+        result = tracker.step(8, [((8, 0), (10.0, 10.0, 30.0, 30.0))])
+        assert result.assignments[0][1] != first.assignments[0][1]
+        assert result.new_tracks == [result.assignments[0][1]]
+
+    @pytest.mark.parametrize("frame_id", [3, 2])
+    def test_frames_must_increase(self, frame_id):
+        tracker = SortTracker(TrackerConfig())
+        tracker.step(3, [])
+        with pytest.raises(ValueError, match="not after frame 3"):
+            tracker.step(frame_id, [])
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrackerConfig(iou_threshold=0.0)

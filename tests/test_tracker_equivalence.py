@@ -1,13 +1,16 @@
 """The block-state SortTracker against the frozen scalar tracker.
 
 `_scalar_tracker.py` holds the per-track, per-pair tracker with dense 7x7
-numpy matrices.  After every step both must give the same assignments and
-new tracks, the same per-slot bookkeeping, and bit for bit the same Kalman
-means and covariances: each slot's block state is expanded to the dense
-mean and covariance, with +0.0 off the blocks.  No tolerance: the block
-tracker keeps the dense filter's operation order, so a difference in the
-last bit is a bug.  The association, which scores only pairs whose boxes
-can intersect, must match the scalar all-pairs one on every box set.
+numpy matrices, which ages its tracks by one per step; `GapFilled` steps it
+with no detections on each frame that a stream skips, so it ages them by
+frames, as the block tracker does.  After every step both must give the
+same assignments and new tracks, the same per-slot bookkeeping, and bit for
+bit the same Kalman means and covariances: each slot's block state is
+expanded to the dense mean and covariance, with +0.0 off the blocks.  No
+tolerance: the block tracker keeps the dense filter's operation order, so a
+difference in the last bit is a bug.  The association, which scores only
+pairs whose boxes can intersect, must match the scalar all-pairs one on
+every box set.
 """
 
 import random
@@ -48,8 +51,28 @@ def assert_same_step(tracker, oracle, frame_id, dets, where=""):
     return got
 
 
+class GapFilled:
+    """The frozen scalar tracker stepped on every frame: each frame between
+    two steps is stepped first, with no detections."""
+
+    def __init__(self, config):
+        self.tracker = scalar.SortTracker(config)
+        self.last = None
+
+    @property
+    def slots(self):
+        return self.tracker.slots
+
+    def step(self, frame_id, dets):
+        if self.last is not None:
+            for f in range(self.last + 1, frame_id):
+                self.tracker.step(f, [])
+        self.last = frame_id
+        return self.tracker.step(frame_id, dets)
+
+
 def run_both(config, stream, where=""):
-    tracker, oracle = SortTracker(config), scalar.SortTracker(config)
+    tracker, oracle = SortTracker(config), GapFilled(config)
     for frame_id, dets in stream:
         assert_same_step(tracker, oracle, frame_id, dets,
                          f"{where} frame {frame_id}")
@@ -92,6 +115,38 @@ def random_stream(rng: random.Random, frames: int = 24):
             boxes.append((x, y, x + rng.uniform(5, 50), y + rng.uniform(5, 50)))
         rng.shuffle(boxes)
         yield frame_id, [((frame_id, i), b) for i, b in enumerate(boxes)]
+
+
+def boundary_stream(first: int, target: int):
+    """Car A is seen on frames `first` and `first + 1`, car B on `first`
+    only, then no frame is stepped until both are seen again after a gap
+    that brings A's age plus the skipped frames to `target`, and B's to
+    `target + 1`."""
+    a = [(100.0 + 0.5 * k, 100.0, 140.0 + 0.5 * k, 140.0) for k in range(2)]
+    b = (400.0, 300.0, 440.0, 330.0)
+    yield first, [((first, 0), a[0]), ((first, 1), b)]
+    yield first + 1, [((first + 1, 0), a[1])]
+    again = first + 1 + target + 1  # A's age after frame first + 1 is 0
+    yield again, [((again, 0), a[1]), ((again, 1), b)]
+
+
+@pytest.mark.parametrize("max_age", [1, 3, 30])
+@pytest.mark.parametrize("first", [0, 7])
+def test_gaps_at_the_retirement_boundary(max_age, first):
+    """A slot lives through a gap iff its age plus the skipped frames is at
+    most `max_age`; at `max_age` exactly it survives and is matched."""
+    config = TrackerConfig(max_age=max_age)
+    for target in (max_age - 1, max_age, max_age + 1):
+        tracker = SortTracker(config)
+        results = [tracker.step(f, dets) for f, dets in
+                   boundary_stream(first, target)]
+        run_both(config, boundary_stream(first, target),
+                 f"target {target}")
+        born_a, born_b = results[0].new_tracks
+        last = dict(results[-1].assignments)
+        again = first + target + 2
+        assert (last[again, 0] == born_a) == (target <= max_age), target
+        assert (last[again, 1] == born_b) == (target + 1 <= max_age), target
 
 
 def test_iou_matches_scalar_iou():
