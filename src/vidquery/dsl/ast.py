@@ -84,18 +84,6 @@ def walk_refs(expr) -> Iterator[PropRef]:
         yield from walk_refs(expr.item)
 
 
-def ref_bindings(expr) -> set[str]:
-    """The bindings `expr` references: each property's binding and each
-    relation's arguments."""
-    names = set()
-    for ref in walk_refs(expr):
-        if ref.relation is not None:
-            names.update(ref.args or ())
-        else:
-            names.add(ref.binding)
-    return names
-
-
 # --- declarations ----------------------------------------------------------
 
 @dataclass

@@ -23,7 +23,6 @@ from .ast import (
     VObjTypeDecl,
     conjoin,
     conjuncts,
-    ref_bindings,
     walk_refs,
 )
 
@@ -65,9 +64,13 @@ class FlatQuery:
     name: str
     kind: str  # basic | duration | spatial | temporal
     bindings: list[tuple[str, str]] = field(default_factory=list)
-    frame_pred: Optional[Any] = None
+    # the frame constraint's conjuncts: Scene comparisons, which become frame
+    # filters, and each object binding's own conjuncts
+    scene_conjs: list[Compare] = field(default_factory=list)
+    binding_conjs: dict[str, list] = field(default_factory=dict)
     video_pred: Optional[Any] = None
     frame_output: list[PropRef] = field(default_factory=list)
+    # (kind, aggregated binding); set whenever video_pred is
     video_output: Optional[tuple[str, str]] = None
     # duration
     base: Optional[str] = None
@@ -202,27 +205,13 @@ def _check_pred(
     expr,
     bindings: dict[str, str],
     vp_types: dict[str, FlatVObjType],
-    relations: dict[str, RelationDecl],
     owner: str,
     diags: list[Diagnostic],
     file: str,
 ) -> None:
+    """Bindings, properties and literals; each caller rules on relations."""
     for ref in walk_refs(expr):
         if ref.relation is not None:
-            rel = relations.get(ref.relation)
-            if rel is None:
-                diags.append(Diagnostic(
-                    f"{owner}: undeclared relation {ref.relation!r}", 0, 0, file))
-                continue
-            for arg in ref.args or ():
-                if arg not in bindings:
-                    diags.append(Diagnostic(
-                        f"{owner}: unknown binding {arg!r} in relation "
-                        f"{ref.relation}", 0, 0, file))
-            if ref.prop not in {p.name for p in rel.properties}:
-                diags.append(Diagnostic(
-                    f"{owner}: relation {ref.relation} has no property "
-                    f"{ref.prop!r}", 0, 0, file))
             continue
         if ref.binding not in bindings:
             diags.append(Diagnostic(
@@ -266,7 +255,8 @@ def _check_pred(
 
 def _flatten_query(
     program: Program, decl: QueryDecl, diags: list[Diagnostic], file: str
-) -> Optional[FlatQuery]:
+) -> Optional[tuple[FlatQuery, Any]]:
+    """The query with its ancestors' items merged in, and its frame constraint."""
     queries = program.queries
     chain = _chain(queries, decl.name)
     if chain is None:
@@ -298,11 +288,44 @@ def _flatten_query(
         name=decl.name,
         kind="basic",
         bindings=list(bindings.items()),  # root's first, as declared
-        frame_pred=conjoin(frame_parts),
         video_pred=conjoin(video_parts),
         frame_output=frame_output,
         video_output=video_output,
-    )
+    ), conjoin(frame_parts)
+
+
+def _split_frame_pred(
+    expr, bindings: dict[str, str], owner: str, diags: list[Diagnostic],
+    file: str,
+) -> tuple[list[Compare], dict[str, list]]:
+    """The Scene comparisons of a frame constraint and each object
+    binding's conjuncts.  A conjunct is one comparison over Scene bindings
+    or a predicate over one object binding; it reads no relation."""
+    scene_conjs: list[Compare] = []
+    binding_conjs = {b: [] for b, t in bindings.items() if t != SCENE_TYPE}
+    for conj in conjuncts(expr):
+        refs = list(walk_refs(conj))
+        names = {r.binding for r in refs}
+        vobjs = [n for n in names if n in binding_conjs]
+        if any(r.relation is not None for r in refs):
+            problem = ("a frame_constraint reads no relation; only a spatial "
+                       "query's predicate does")
+        elif not names <= bindings.keys():
+            continue  # an unknown binding, reported by _check_pred
+        elif len(names) == len(vobjs) == 1:
+            binding_conjs[vobjs[0]].append(conj)
+            continue
+        elif not vobjs and isinstance(conj, Compare):
+            scene_conjs.append(conj)
+            continue
+        elif len(vobjs) > 1:
+            problem = "a non-relation conjunct may reference only one binding"
+        elif vobjs:
+            problem = "a conjunct may not read both a Scene and an object binding"
+        else:
+            problem = "a Scene conjunct must be a single comparison"
+        diags.append(Diagnostic(f"query {owner}: {problem}", 0, 0, file))
+    return scene_conjs, binding_conjs
 
 
 def validate(program: Program, file: str = "<source>") -> ValidatedProgram:
@@ -342,46 +365,51 @@ def validate(program: Program, file: str = "<source>") -> ValidatedProgram:
                 diags.append(Diagnostic(
                     f"query {decl.name}: undeclared VObj type {btype!r} for "
                     f"binding {bname!r}", 0, 0, file))
-        flat = _flatten_query(program, decl, diags, file)
-        if flat is None:
+        flattened = _flatten_query(program, decl, diags, file)
+        if flattened is None:
             continue
+        flat, frame_pred = flattened
         bmap = dict(flat.bindings)
-        if flat.frame_pred is None and flat.video_pred is None:
+        if frame_pred is None and flat.video_pred is None:
             diags.append(Diagnostic(
                 f"query {decl.name}: needs a frame_constraint or "
                 f"video_constraint", 0, 0, file))
-        _check_pred(flat.frame_pred, bmap, types, relations, decl.name, diags, file)
-        _check_pred(flat.video_pred, bmap, types, relations, decl.name, diags, file)
-        for conj in conjuncts(flat.frame_pred):
-            vobj_names = {n for n in ref_bindings(conj)
-                          if bmap.get(n) != SCENE_TYPE}
-            uses_rel = any(r.relation is not None for r in walk_refs(conj))
-            if not uses_rel and len(vobj_names) > 1:
-                diags.append(Diagnostic(
-                    f"query {decl.name}: a non-relation conjunct may reference "
-                    f"only one binding", 0, 0, file))
+        _check_pred(frame_pred, bmap, types, decl.name, diags, file)
+        _check_pred(flat.video_pred, bmap, types, decl.name, diags, file)
+        flat.scene_conjs, flat.binding_conjs = _split_frame_pred(
+            frame_pred, bmap, decl.name, diags, file)
+        objects = [b for b, t in flat.bindings if t != SCENE_TYPE]
         for ref in flat.frame_output:
-            if ref.binding not in bmap:
+            if ref.binding not in objects:
+                diags.append(Diagnostic(
+                    f"query {decl.name}: frame_output names {ref.binding!r}, "
+                    f"which is no object binding", 0, 0, file))
+                continue
+            ftype = types.get(bmap[ref.binding])
+            if (ftype is not None and ref.prop not in ftype.props
+                    and ref.prop not in BUILTIN_PROPS):
                 diags.append(Diagnostic(
                     f"query {decl.name}: frame_output references unknown "
-                    f"binding {ref.binding!r}", 0, 0, file))
-            else:
-                ftype = types.get(bmap[ref.binding])
-                if (ftype is not None and ref.prop not in ftype.props
-                        and ref.prop not in BUILTIN_PROPS):
-                    diags.append(Diagnostic(
-                        f"query {decl.name}: frame_output references unknown "
-                        f"property {ref.prop!r}", 0, 0, file))
+                    f"property {ref.prop!r}", 0, 0, file))
         if flat.video_output is not None:
             kind, binding = flat.video_output
             if kind != "count_distinct":
                 diags.append(Diagnostic(
                     f"query {decl.name}: unsupported aggregation {kind!r}",
                     0, 0, file))
-            if binding not in bmap:
+            if binding not in objects:
                 diags.append(Diagnostic(
-                    f"query {decl.name}: video_output references unknown "
-                    f"binding {binding!r}", 0, 0, file))
+                    f"query {decl.name}: video_output names {binding!r}, "
+                    f"which is no object binding", 0, 0, file))
+        elif flat.video_pred is not None and objects:
+            flat.video_output = ("count_distinct", objects[0])
+        aggregated = flat.video_output and flat.video_output[1]
+        if any(r.relation is not None or r.binding != aggregated
+               for r in walk_refs(flat.video_pred)):
+            diags.append(Diagnostic(
+                f"query {decl.name}: a video_constraint reads no relation and "
+                f"only the aggregated binding, video_output's or else the "
+                f"first object binding", 0, 0, file))
         queries[decl.name] = flat
         query_order.append(decl.name)
 
@@ -422,7 +450,7 @@ def validate(program: Program, file: str = "<source>") -> ValidatedProgram:
                 continue
             q1, q2 = queries[decl.first], queries[decl.second]
             for sub in (q1, q2):
-                if len(sub.bindings) != 1:
+                if len(sub.bindings) != 1 or sub.bindings[0][1] == SCENE_TYPE:
                     diags.append(Diagnostic(
                         f"spatial query {decl.name}: {sub.name!r} must bind "
                         f"exactly one VObj", 0, 0, file))
@@ -430,19 +458,32 @@ def validate(program: Program, file: str = "<source>") -> ValidatedProgram:
             if not ok:
                 continue
             bindings = q1.bindings + q2.bindings
-            if q1.bindings[0][0] == q2.bindings[0][0]:
+            (b1, _t1), (b2, _t2) = bindings
+            if b1 == b2:
                 diags.append(Diagnostic(
                     f"spatial query {decl.name}: sub-query bindings share the "
-                    f"name {q1.bindings[0][0]!r}", 0, 0, file))
+                    f"name {b1!r}", 0, 0, file))
                 continue
-            rel_pred = decl.predicate
-            _check_pred(rel_pred, dict(bindings), types, relations,
-                        decl.name, diags, file)
+            rel, rel_pred = relations[decl.relation], decl.predicate
+            _check_pred(rel_pred, dict(bindings), types, decl.name, diags,
+                        file)
+            # relations are symmetric: their arguments come in either order
+            props = {p.name for p in rel.properties}
+            for ref in walk_refs(rel_pred):
+                if ref.relation is not None and (
+                        ref.relation != rel.name or ref.prop not in props
+                        or set(ref.args) != {b1, b2}):
+                    diags.append(Diagnostic(
+                        f"spatial query {decl.name}: {ref.relation}"
+                        f"({', '.join(ref.args)}).{ref.prop} is no property "
+                        f"of the query's relation {rel.name}({b1}, {b2})",
+                        0, 0, file))
             queries[decl.name] = FlatQuery(
                 name=decl.name,
                 kind="spatial",
                 bindings=bindings,
-                frame_pred=conjoin([q1.frame_pred, q2.frame_pred]),
+                scene_conjs=q1.scene_conjs + q2.scene_conjs,
+                binding_conjs={**q1.binding_conjs, **q2.binding_conjs},
                 relation=decl.relation,
                 relation_pred=rel_pred,
                 frame_output=q1.frame_output + q2.frame_output,

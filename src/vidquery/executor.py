@@ -160,19 +160,16 @@ class PropertyEngine:
                 self.config.memo and pdef.intrinsic)
 
     def track(self, tracker, vobj: str, track_id: int) -> Track:
-        """The record of `tracker`'s track `track_id`, made on first use:
-        ids are numbered per tracker, so two trackers never share one."""
-        track = self.tracks.get((tracker, track_id))
-        if track is None:
-            # a type without windows keeps no objects; one with them keeps a
-            # batch more, as a batch's later objects are appended before its
-            # earlier frames' windows are read (a deque's bound is at most
-            # sys.maxsize)
-            reach = self.vprog.types[vobj].max_window
-            depth = min(reach + self.config.batch_size, sys.maxsize) if reach \
-                else 0
-            track = self.tracks[tracker, track_id] = Track.create(
-                track_id, depth)
+        """A new record for `tracker`'s new track `track_id` (a tracker
+        never reuses an id)."""
+        # a type without windows keeps no objects; one with them keeps a
+        # batch more, as a batch's later objects are appended before its
+        # earlier frames' windows are read (a deque's bound is at most
+        # sys.maxsize)
+        reach = self.vprog.types[vobj].max_window
+        depth = min(reach + self.config.batch_size, sys.maxsize) if reach \
+            else 0
+        self.tracks[tracker, track_id] = track = Track.create(track_id, depth)
         return track
 
     # -- property evaluation --

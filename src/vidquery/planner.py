@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .dsl.ast import (COMPARISON_OPS, ORDERED_OPS, And, Compare, Not, Or,
-                       PropRef, conjoin, conjuncts, ref_bindings, walk_refs)
+                       PropRef, conjoin, walk_refs)
 from .dsl.validate import SCENE_TYPE, FlatQuery, FlatVObjType, ValidatedProgram
 from .registry import Registration, Registry, RegistryError
 from .trace_io import VideoMeta
@@ -286,8 +286,6 @@ def _interval_frames(frames: Optional[int], seconds: Optional[float],
     """`frames`, or `seconds` rounded to frames and at least `least`."""
     if frames is not None:
         return frames
-    if seconds is None:
-        raise PlanError(f"{what}: no frame count or time period given")
     if meta is None:
         raise PlanError(f"{what}: seconds given but no video metadata to convert")
     return max(least, round(seconds * meta.fps))
@@ -380,30 +378,11 @@ def _build(
     reader_id = "reader"
     dag.add(PlanOp(op_id=reader_id, kind="reader"))
 
-    scene_bindings = {b for b, t in fq.bindings if t == SCENE_TYPE}
     vobj_bindings = [(b, t) for b, t in fq.bindings if t != SCENE_TYPE]
-
-    conj_all = conjuncts(fq.frame_pred)
-    scene_conjs, binding_conjs = [], {b: [] for b, _t in vobj_bindings}
-    for conj in conj_all:
-        names = ref_bindings(conj)
-        if names and names <= scene_bindings:
-            scene_conjs.append(conj)
-        else:
-            vnames = [n for n in names if n not in scene_bindings]
-            if len(vnames) != 1:
-                raise PlanError(
-                    f"{query_name}: conjunct references bindings {sorted(names)}"
-                )
-            binding_conjs[vnames[0]].append(conj)
 
     # scene predicates become frame filters right after the reader
     head = reader_id
-    for i, conj in enumerate(scene_conjs):
-        if not isinstance(conj, Compare):
-            raise PlanError(
-                f"{query_name}: scene constraints must be plain comparisons"
-            )
+    for i, conj in enumerate(fq.scene_conjs):
         ff = dag.add(PlanOp(
             op_id=f"{prefix}scene_filter:{i}",
             kind="frame_filter",
@@ -432,9 +411,7 @@ def _build(
 
     branch_tails = []
     for binding, vobj in vobj_bindings:
-        ftype = vprog.types.get(vobj)
-        if ftype is None:
-            raise PlanError(f"{query_name}: unknown VObj type {vobj!r}")
+        ftype = vprog.types[vobj]
         det_name = overrides.get(f"{prefix}{binding}") or ftype.detector
         if det_name is None:
             raise PlanError(f"{query_name}: no detector for {vobj!r}")
@@ -442,8 +419,8 @@ def _build(
         if det_reg is None:
             raise PlanError(f"{query_name}: detector {det_name!r} not registered")
 
-        pred = conjoin(_prune_subsumed(binding_conjs[binding], binding, det_reg))
-        pred_props = {r.prop for r in walk_refs(pred) if r.relation is None}
+        pred = conjoin(_prune_subsumed(fq.binding_conjs[binding], det_reg))
+        pred_props = {r.prop for r in walk_refs(pred)}
         needed = _needed_props(ftype, pred_props.union(
             (r.prop for r in out_refs_by_binding.get(binding, [])),
             late_refs_by_binding.get(binding, set()),
@@ -455,7 +432,6 @@ def _build(
             require_tracker
             or _has_stateful(ftype, needed)
             or fq.video_output is not None
-            or fq.video_pred is not None
             or _has_intrinsic(ftype, needed)
         )
 
@@ -563,8 +539,8 @@ def _build(
     ))
     dag.sink = out.op_id
 
-    if fq.video_output is not None or fq.video_pred is not None:
-        kind, binding = fq.video_output or ("count_distinct", vobj_bindings[0][0])
+    if fq.video_output is not None:
+        kind, binding = fq.video_output
         agg = dag.add(PlanOp(
             op_id=f"{prefix}aggregate:{query_name}",
             kind="aggregate",
@@ -580,16 +556,15 @@ def _build(
     return dag
 
 
-def _prune_subsumed(conjs: list, binding: str, det_reg: Registration) -> list:
-    """Drop equality conjuncts a specialized detector already guarantees."""
+def _prune_subsumed(conjs: list, det_reg: Registration) -> list:
+    """Drop the equality conjuncts of one binding that a specialized
+    detector already guarantees."""
     subsumes = det_reg.params.get("subsumes")
     if not subsumes:
         return list(conjs)
     out = []
     for conj in conjs:
         if (isinstance(conj, Compare) and conj.op == "=="
-                and conj.ref.relation is None
-                and conj.ref.binding == binding
                 and subsumes.get(conj.ref.prop) == conj.literal):
             continue
         out.append(conj)
@@ -652,10 +627,8 @@ def enumerate_alternatives(
 
     combos: list[dict[str, str]] = [{}]  # {} is the type's own detectors
     for key, vobj in dict(bindings(vprog.queries[query_name], "")).items():
-        ftype = vprog.types.get(vobj)
-        names = [] if ftype is None else [
-            reg.name for reg in registry.specialized_detectors_for(ftype.ancestors)
-        ]
+        names = [reg.name for reg in registry.specialized_detectors_for(
+            vprog.types[vobj].ancestors)]
         combos = [c2 for c in combos
                   for c2 in [c] + [{**c, key: name} for name in names]]
     return [

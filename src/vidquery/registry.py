@@ -17,6 +17,7 @@ from typing import Any, Callable, Optional
 
 from .datamodel import UNDEFINED, VObjInstance
 from .trace_io import Detection, TraceRecord, VideoMeta
+from .tracker import iou as box_iou
 
 GENERAL_DETECTOR_COST = 100.0
 SPECIALIZED_DETECTOR_COST = 20.0
@@ -272,7 +273,6 @@ def relation_value(
             )
         return math.dist(ca, cb) / meta.px_per_m
     if name == "iou":
-        from .tracker import iou as box_iou
         return box_iou(a.bbox, b.bbox)
     raise RegistryError(f"unknown relation implementation {name!r}")
 

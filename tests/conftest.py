@@ -151,3 +151,103 @@ def dense_state(slots) -> tuple[np.ndarray, np.ndarray]:
             P[i, j, j + 4] = P[i, j + 4, j] = s.c[j]
         P[i, 3, 3] = s.p[3]
     return x, P
+
+
+# a red car, an adult and a Scene `motion_score` channel, and the query
+# shapes that the validator rejects: each once validated, and then failed
+# to plan, failed after reading the trace, raised, or answered wrongly
+SHAPE_TYPES = """
+vobj Car {
+  detector: "general_car"
+  property color: stateless(impl="attr:color") intrinsic
+  property center: stateless(impl="center", deps=[bbox])
+  property direction: stateful(impl="direction", deps=[center], window=3)
+}
+vobj Person {
+  detector: "general_person"
+  property role: stateless(impl="attr:role") intrinsic
+}
+relation Near(Car, Person) {
+  property distance_px: stateless(impl="distance_px")
+}
+relation Far(Car, Person) {
+  property distance_px: stateless(impl="distance_px")
+}
+query reds { bind c: Car
+  frame_constraint: c.color == "red" }
+query adults { bind p: Person
+  frame_constraint: p.role == "adult" }
+"""
+
+
+def _basic(*items: str) -> str:
+    return "query q {\n  " + "\n  ".join(items) + "\n}\n"
+
+
+def _spatial(first: str, predicate: str) -> str:
+    return (f"spatial query pair {{ first: {first} second: adults "
+            f"relation: Near predicate: {predicate} }}\n")
+
+
+SCENE_CAR = ("bind s: Scene", "bind c: Car")
+CAR_PERSON = ("bind c: Car", "bind p: Person")
+NOT_AN_OBJECT = "which is no object binding"
+VIDEO_READS = "a video_constraint reads no relation and only the aggregated"
+FRAME_RELATION = "a frame_constraint reads no relation"
+NOT_THE_RELATION = "is no property of the query's relation Near(c, p)"
+
+BAD_SHAPES = [
+    pytest.param(_basic(*SCENE_CAR, 'frame_constraint: s.motion_score > 0.5 '
+                        '| c.color == "red"'),
+                 "a conjunct may not read both a Scene and an object binding",
+                 id="scene-or-object"),
+    pytest.param(_basic(*SCENE_CAR, 'frame_constraint: !(s.motion_score > '
+                        '0.5) & c.color == "red"'),
+                 "a Scene conjunct must be a single comparison",
+                 id="negated-scene"),
+    pytest.param(_basic("bind c: Car",
+                        "frame_constraint: Near(c, c).distance_px < 5"),
+                 FRAME_RELATION, id="relation-of-one-binding"),
+    pytest.param(_basic(*CAR_PERSON,
+                        "frame_constraint: Near(c, p).distance_px < 5"),
+                 FRAME_RELATION, id="relation-in-a-basic-query"),
+    pytest.param(_basic(*CAR_PERSON, 'frame_constraint: c.color == "red"',
+                        "video_constraint: Near(c, p).distance_px < 5"),
+                 VIDEO_READS, id="relation-in-a-video-constraint"),
+    pytest.param(_basic(*CAR_PERSON, 'frame_constraint: c.color == "red"',
+                        'video_constraint: p.role == "adult"',
+                        "video_output: count_distinct(c)"),
+                 VIDEO_READS, id="video-constraint-off-the-count"),
+    pytest.param(_basic(*SCENE_CAR, 'frame_constraint: c.color == "red"',
+                        "video_constraint: s.motion_score > 0.5"),
+                 VIDEO_READS, id="video-constraint-on-the-scene"),
+    pytest.param(_basic(*SCENE_CAR, 'frame_constraint: c.color == "red"',
+                        "video_output: count_distinct(s)"),
+                 f"video_output names 's', {NOT_AN_OBJECT}",
+                 id="count-the-scene"),
+    pytest.param(_basic(*SCENE_CAR, 'frame_constraint: c.color == "red"',
+                        "frame_output: s.motion_score"),
+                 f"frame_output names 's', {NOT_AN_OBJECT}",
+                 id="output-the-scene"),
+    pytest.param(_basic("bind s: Scene",
+                        "frame_constraint: s.motion_score > 0.5")
+                 + _spatial("q", "Near(s, p).distance_px < 100"),
+                 "'q' must bind exactly one VObj", id="spatial-over-a-scene"),
+    pytest.param(_spatial("reds", "Far(c, p).distance_px < 1000"),
+                 f"Far(c, p).distance_px {NOT_THE_RELATION}",
+                 id="spatial-reads-another-relation"),
+    pytest.param(_spatial("reds", "Near(c, c).distance_px < 1"),
+                 f"Near(c, c).distance_px {NOT_THE_RELATION}",
+                 id="spatial-relates-a-binding-to-itself"),
+]
+
+
+def red_car_and_adult(frames: int) -> WorldSpec:
+    """A red car driving right past a standing adult; the Scene's
+    `motion_score` alternates 0.2 and 0.8."""
+    return WorldSpec(meta=meta_1000(frames), seed=5, objects=[
+        car(1, 0, frames - 1, (100.0, 500.0), velocity=(20.0, 0.0)),
+        ObjectScript(label=2, class_name="person", start_frame=0,
+                     end_frame=frames - 1, start_center=(300.0, 520.0),
+                     attrs={"role": "adult"}),
+    ], channels={"motion_score": [0.2, 0.8] * (frames // 2)})

@@ -15,7 +15,7 @@ from vidquery.cli import main
 from vidquery.executor import DIGEST_SIZE, QueryOutcome, serialize_outcome
 from vidquery.synth import WorldSpec, write_world
 
-from conftest import CAR_PROGRAM, car, meta_1000
+from conftest import BAD_SHAPES, CAR_PROGRAM, SHAPE_TYPES, car, meta_1000
 
 PROGRAM = CAR_PROGRAM + """
 query reds {
@@ -457,6 +457,27 @@ def test_bad_manifest_shape_exit_1(runner, workspace, manifest, named):
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)  # not a traceback
     assert result.stderr == f"bad registry manifest: {named}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("source, message", BAD_SHAPES)
+def test_bad_query_shape_exit_1(runner, workspace, monkeypatch, command,
+                                source, message):
+    opened = []
+    monkeypatch.setattr(executor, "open_trace",
+                        lambda *args: opened.append(args))
+    program = workspace["dir"] / "shape.vq"
+    program.write_text(SHAPE_TYPES + source)
+    args = [command, "-p", str(program)]
+    if command == "run":
+        args += ["--trace", workspace["trace"], "--meta", workspace["meta"]]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr.startswith(f"{program}:")
+    assert message in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert opened == []  # found before any frame is read
 
 
 def test_engine_imports_without_numpy():

@@ -21,6 +21,8 @@ from vidquery.dsl import (
     validate,
 )
 
+from conftest import BAD_SHAPES, SHAPE_TYPES
+
 CAR = """
 vobj Car {
   detector: "general_car"
@@ -378,9 +380,10 @@ class TestValidation:
           frame_constraint: c.direction == "left"
         }
         """))
-        expr = validate(program).queries["child_q"].frame_pred
-        assert expr == And((Compare(PropRef("c", "color"), "==", "red"),
-                            Compare(PropRef("c", "direction"), "==", "left")))
+        flat = validate(program).queries["child_q"]
+        assert flat.binding_conjs == {"c": [
+            Compare(PropRef("c", "color"), "==", "red"),
+            Compare(PropRef("c", "direction"), "==", "left")]}
 
 
 SPATIAL_BASE = CAR + """
@@ -482,9 +485,60 @@ class TestCompositionRules:
         flat = vprog.queries["close_pair"]
         assert flat.kind == "spatial"
         assert [b for b, _t in flat.bindings] == ["c", "p"]
-        assert flat.frame_pred == And((
-            Compare(PropRef("c", "color"), "==", "red"),
-            Compare(PropRef("p", "role"), "==", "adult"),
-        ))
+        assert flat.scene_conjs == []
+        assert flat.binding_conjs == {
+            "c": [Compare(PropRef("c", "color"), "==", "red")],
+            "p": [Compare(PropRef("p", "role"), "==", "adult")],
+        }
         assert flat.relation_pred == Compare(
             PropRef(None, "distance_px", "Near", ("c", "p")), "<", 100.0)
+
+
+class TestQueryShape:
+    """The validator owns a query's shape: what it accepts, the planner lays
+    out as it is given."""
+
+    @pytest.mark.parametrize("source, message", BAD_SHAPES)
+    def test_shape_rejected(self, source, message):
+        with pytest.raises(ValidationError) as exc:
+            validate(parse(SHAPE_TYPES + source))
+        # one diagnostic, the shape's own
+        assert [message in d.message for d in exc.value.diagnostics] == [True]
+
+    def test_frame_constraint_split(self):
+        flat = validate(parse(SHAPE_TYPES + """
+        query q {
+          bind s: Scene
+          bind c: Car
+          bind p: Person
+          frame_constraint: s.motion_score > 0.5 & !(c.color == "blue")
+            & (p.role == "adult" | p.role == "child") & s.motion_score < 0.9
+        }
+        """)).queries["q"]
+        assert flat.scene_conjs == [
+            Compare(PropRef("s", "motion_score"), ">", 0.5),
+            Compare(PropRef("s", "motion_score"), "<", 0.9)]
+        assert flat.binding_conjs == {
+            "c": [Not(Compare(PropRef("c", "color"), "==", "blue"))],
+            "p": [Or((Compare(PropRef("p", "role"), "==", "adult"),
+                      Compare(PropRef("p", "role"), "==", "child")))],
+        }
+
+    def test_video_constraint_counts_the_first_object_binding(self):
+        flat = validate(parse(SHAPE_TYPES + """
+        query q {
+          bind s: Scene
+          bind c: Car
+          bind p: Person
+          frame_constraint: s.motion_score > 0.5
+          video_constraint: c.direction == "right"
+        }
+        """)).queries["q"]
+        assert flat.video_output == ("count_distinct", "c")
+
+    def test_relation_arguments_in_either_order(self):
+        vprog = validate(parse(SHAPE_TYPES + """
+        spatial query pair { first: reds second: adults relation: Near
+          predicate: Near(p, c).distance_px < 100 }
+        """))
+        assert vprog.queries["pair"].relation == "Near"

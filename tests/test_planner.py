@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -552,6 +553,19 @@ def test_explain_dot_lists_nodes_and_edges():
     assert dot.startswith("digraph plan {")
     assert '"reader" -> "detector:c";' in dot
     assert "cost=100" in dot
+
+
+def test_readme_program_example_validates_and_plans():
+    """The program example in README.md keeps to the validator's rules, and
+    each of its queries plans."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"^### Program example\n+```text\n(.*?)^```",
+                        readme, re.M | re.S)[1]
+    vprog = make_program(example, file="README.md")
+    assert vprog.query_order
+    registry = frozen_registry()
+    for name in vprog.query_order:
+        plan_query(vprog, name, registry, PlannerConfig())
 
 
 def test_every_op_of_every_plan_reaches_the_sink():
