@@ -180,6 +180,8 @@ def profile_cmd(program, query, trace, meta_path, manifest, canary_frames,
     vprog = _load_program(program)
     registry = _load_registry(manifest)
     meta = _load_meta(meta_path)
+    if query not in vprog.queries:
+        _fail(EXIT_VALIDATION, f"unknown query {query!r}")
     config = _planner_config(
         accuracy_target=accuracy_target,
         canary_frames=canary_frames,

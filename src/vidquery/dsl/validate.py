@@ -41,6 +41,13 @@ class Diagnostic:
         return f"{self.file}:{self.line}:{self.col}: {self.message}"
 
 
+def _at(node, message: str, file: str) -> Diagnostic:
+    """`message` at the position of `node`, a declaration or property."""
+    loc = node.loc
+    return Diagnostic(message, loc.line if loc else 0, loc.col if loc else 0,
+                      file)
+
+
 class ValidationError(Exception):
     def __init__(self, diagnostics: list[Diagnostic]):
         super().__init__("\n".join(str(d) for d in diagnostics))
@@ -113,11 +120,9 @@ def _flatten_vobj(
     vobjs = program.vobjs
     chain = _chain(vobjs, decl.name)
     if chain is None:
-        loc = decl.loc
-        diags.append(Diagnostic(
-            f"vobj {decl.name!r}: undeclared parent or inheritance cycle",
-            loc.line if loc else 0, loc.col if loc else 0, file,
-        ))
+        diags.append(_at(
+            decl, f"vobj {decl.name!r}: undeclared parent or inheritance "
+            f"cycle", file))
         return None
     props: dict[str, PropertyDef] = {}
     detector = None
@@ -130,29 +135,27 @@ def _flatten_vobj(
     # per-property checks
     ok = True
     for p in props.values():
-        loc = p.loc
-        where = (loc.line if loc else 0, loc.col if loc else 0)
         if p.intrinsic and p.kind != "stateless":
-            diags.append(Diagnostic(
-                f"{decl.name}.{p.name}: intrinsic properties must be stateless",
-                *where, file))
+            diags.append(_at(
+                p, f"{decl.name}.{p.name}: intrinsic properties must be "
+                f"stateless", file))
             ok = False
         if p.kind == "stateful":
             if p.window is None or p.window < 1:
-                diags.append(Diagnostic(
-                    f"{decl.name}.{p.name}: stateful property needs window >= 1",
-                    *where, file))
+                diags.append(_at(
+                    p, f"{decl.name}.{p.name}: stateful property needs "
+                    f"window >= 1", file))
                 ok = False
             if len(p.deps) != 1:
-                diags.append(Diagnostic(
-                    f"{decl.name}.{p.name}: stateful property takes exactly one "
-                    f"dependency", *where, file))
+                diags.append(_at(
+                    p, f"{decl.name}.{p.name}: stateful property takes "
+                    f"exactly one dependency", file))
                 ok = False
         for dep in p.deps:
             if dep not in props and dep not in BUILTIN_PROPS:
-                diags.append(Diagnostic(
-                    f"{decl.name}.{p.name}: unknown dependency {dep!r}",
-                    *where, file))
+                diags.append(_at(
+                    p, f"{decl.name}.{p.name}: unknown dependency {dep!r}",
+                    file))
                 ok = False
     if not ok:
         return None
@@ -165,8 +168,8 @@ def _flatten_vobj(
             return True
         if state.get(name) == 1:
             cycle = " -> ".join(stack[stack.index(name):] + [name])
-            diags.append(Diagnostic(
-                f"{decl.name}: property dependency cycle {cycle}", 0, 0, file))
+            diags.append(_at(
+                decl, f"{decl.name}: property dependency cycle {cycle}", file))
             return False
         state[name] = 1
         for dep in props[name].deps:
@@ -205,17 +208,19 @@ def _check_pred(
     expr,
     bindings: dict[str, str],
     vp_types: dict[str, FlatVObjType],
-    owner: str,
+    decl,
     diags: list[Diagnostic],
     file: str,
 ) -> None:
-    """Bindings, properties and literals; each caller rules on relations."""
+    """Bindings, properties and literals of a predicate of `decl`; each
+    caller rules on relations."""
+    owner = decl.name
     for ref in walk_refs(expr):
         if ref.relation is not None:
             continue
         if ref.binding not in bindings:
-            diags.append(Diagnostic(
-                f"{owner}: unknown binding {ref.binding!r}", 0, 0, file))
+            diags.append(_at(
+                decl, f"{owner}: unknown binding {ref.binding!r}", file))
             continue
         btype = bindings[ref.binding]
         if btype == SCENE_TYPE:
@@ -224,25 +229,25 @@ def _check_pred(
         if ftype is None:
             continue  # binding-type error reported elsewhere
         if ref.prop not in ftype.props and ref.prop not in BUILTIN_PROPS:
-            diags.append(Diagnostic(
-                f"{owner}: {btype} has no property {ref.prop!r}", 0, 0, file))
+            diags.append(_at(
+                decl, f"{owner}: {btype} has no property {ref.prop!r}", file))
     # literal typing: ordered comparisons and scene channels take numbers
     def check_ops(e):
         if isinstance(e, Compare):
             if e.op in ORDERED_OPS and not _lit_is_numeric(e.literal):
-                diags.append(Diagnostic(
-                    f"{owner}: ordered comparison needs a numeric literal, "
-                    f"got {e.literal!r}", 0, 0, file))
+                diags.append(_at(
+                    decl, f"{owner}: ordered comparison needs a numeric "
+                    f"literal, got {e.literal!r}", file))
             elif e.op == "in" and not isinstance(e.literal, tuple):
-                diags.append(Diagnostic(
-                    f"{owner}: 'in' needs a literal list", 0, 0, file))
+                diags.append(_at(
+                    decl, f"{owner}: 'in' needs a literal list", file))
             elif bindings.get(e.ref.binding) == SCENE_TYPE and not all(map(
                     _lit_is_numeric,
                     e.literal if e.op == "in" else (e.literal,))):
-                diags.append(Diagnostic(
-                    f"{owner}: scene channel {e.ref.binding}.{e.ref.prop} "
-                    f"compares with numbers only, got {e.literal!r}",
-                    0, 0, file))
+                diags.append(_at(
+                    decl, f"{owner}: scene channel {e.ref.binding}."
+                    f"{e.ref.prop} compares with numbers only, got "
+                    f"{e.literal!r}", file))
         elif isinstance(e, (And, Or)):
             for item in e.items:
                 check_ops(item)
@@ -260,9 +265,9 @@ def _flatten_query(
     queries = program.queries
     chain = _chain(queries, decl.name)
     if chain is None:
-        diags.append(Diagnostic(
-            f"query {decl.name!r}: undeclared parent or inheritance cycle",
-            0, 0, file))
+        diags.append(_at(
+            decl, f"query {decl.name!r}: undeclared parent or inheritance "
+            f"cycle", file))
         return None
     bindings: dict[str, str] = {}
     frame_parts, video_parts = [], []
@@ -272,9 +277,9 @@ def _flatten_query(
         q = queries[qname]
         for bname, btype in q.bindings:
             if bname in bindings and bindings[bname] != btype:
-                diags.append(Diagnostic(
-                    f"query {decl.name}: binding {bname!r} redeclared as "
-                    f"{btype} (was {bindings[bname]})", 0, 0, file))
+                diags.append(_at(
+                    decl, f"query {decl.name}: binding {bname!r} redeclared "
+                    f"as {btype} (was {bindings[bname]})", file))
             bindings[bname] = btype
         if q.frame_constraint is not None:
             frame_parts.append(q.frame_constraint)
@@ -295,10 +300,10 @@ def _flatten_query(
 
 
 def _split_frame_pred(
-    expr, bindings: dict[str, str], owner: str, diags: list[Diagnostic],
-    file: str,
+    expr, bindings: dict[str, str], decl: QueryDecl,
+    diags: list[Diagnostic], file: str,
 ) -> tuple[list[Compare], dict[str, list]]:
-    """The Scene comparisons of a frame constraint and each object
+    """The Scene comparisons of `decl`'s frame constraint and each object
     binding's conjuncts.  A conjunct is one comparison over Scene bindings
     or a predicate over one object binding; it reads no relation."""
     scene_conjs: list[Compare] = []
@@ -324,7 +329,7 @@ def _split_frame_pred(
             problem = "a conjunct may not read both a Scene and an object binding"
         else:
             problem = "a Scene conjunct must be a single comparison"
-        diags.append(Diagnostic(f"query {owner}: {problem}", 0, 0, file))
+        diags.append(_at(decl, f"query {decl.name}: {problem}", file))
     return scene_conjs, binding_conjs
 
 
@@ -335,10 +340,9 @@ def validate(program: Program, file: str = "<source>") -> ValidatedProgram:
     for decl in program.decls:
         if isinstance(decl, VObjTypeDecl):
             if decl.name == SCENE_TYPE:
-                diags.append(Diagnostic(
-                    f"{SCENE_TYPE!r} is a reserved type and cannot be declared",
-                    decl.loc.line if decl.loc else 0,
-                    decl.loc.col if decl.loc else 0, file))
+                diags.append(_at(
+                    decl, f"{SCENE_TYPE!r} is a reserved type and cannot be "
+                    f"declared", file))
                 continue
             flat = _flatten_vobj(program, decl, diags, file)
             if flat is not None:
@@ -347,13 +351,13 @@ def validate(program: Program, file: str = "<source>") -> ValidatedProgram:
     relations = program.relations
     for rel in relations.values():
         if len(rel.participants) < 2:
-            diags.append(Diagnostic(
-                f"relation {rel.name!r}: arity must be >= 2", 0, 0, file))
+            diags.append(_at(
+                rel, f"relation {rel.name!r}: arity must be >= 2", file))
         for part in rel.participants:
             if part not in program.vobjs and part != SCENE_TYPE:
-                diags.append(Diagnostic(
-                    f"relation {rel.name!r}: undeclared participant {part!r}",
-                    0, 0, file))
+                diags.append(_at(
+                    rel, f"relation {rel.name!r}: undeclared participant "
+                    f"{part!r}", file))
 
     queries: dict[str, FlatQuery] = {}
     query_order: list[str] = []
@@ -362,54 +366,59 @@ def validate(program: Program, file: str = "<source>") -> ValidatedProgram:
     for decl in basic_decls:
         for bname, btype in decl.bindings:
             if btype not in program.vobjs and btype != SCENE_TYPE:
-                diags.append(Diagnostic(
-                    f"query {decl.name}: undeclared VObj type {btype!r} for "
-                    f"binding {bname!r}", 0, 0, file))
+                diags.append(_at(
+                    decl, f"query {decl.name}: undeclared VObj type {btype!r} "
+                    f"for binding {bname!r}", file))
+            elif btype in types and types[btype].detector is None:
+                diags.append(_at(
+                    decl, f"query {decl.name}: binding {bname!r} has type "
+                    f"{btype}, which declares no detector and inherits none",
+                    file))
         flattened = _flatten_query(program, decl, diags, file)
         if flattened is None:
             continue
         flat, frame_pred = flattened
         bmap = dict(flat.bindings)
         if frame_pred is None and flat.video_pred is None:
-            diags.append(Diagnostic(
-                f"query {decl.name}: needs a frame_constraint or "
-                f"video_constraint", 0, 0, file))
-        _check_pred(frame_pred, bmap, types, decl.name, diags, file)
-        _check_pred(flat.video_pred, bmap, types, decl.name, diags, file)
+            diags.append(_at(
+                decl, f"query {decl.name}: needs a frame_constraint or "
+                f"video_constraint", file))
+        _check_pred(frame_pred, bmap, types, decl, diags, file)
+        _check_pred(flat.video_pred, bmap, types, decl, diags, file)
         flat.scene_conjs, flat.binding_conjs = _split_frame_pred(
-            frame_pred, bmap, decl.name, diags, file)
+            frame_pred, bmap, decl, diags, file)
         objects = [b for b, t in flat.bindings if t != SCENE_TYPE]
         for ref in flat.frame_output:
             if ref.binding not in objects:
-                diags.append(Diagnostic(
-                    f"query {decl.name}: frame_output names {ref.binding!r}, "
-                    f"which is no object binding", 0, 0, file))
+                diags.append(_at(
+                    decl, f"query {decl.name}: frame_output names "
+                    f"{ref.binding!r}, which is no object binding", file))
                 continue
             ftype = types.get(bmap[ref.binding])
             if (ftype is not None and ref.prop not in ftype.props
                     and ref.prop not in BUILTIN_PROPS):
-                diags.append(Diagnostic(
-                    f"query {decl.name}: frame_output references unknown "
-                    f"property {ref.prop!r}", 0, 0, file))
+                diags.append(_at(
+                    decl, f"query {decl.name}: frame_output references "
+                    f"unknown property {ref.prop!r}", file))
         if flat.video_output is not None:
             kind, binding = flat.video_output
             if kind != "count_distinct":
-                diags.append(Diagnostic(
-                    f"query {decl.name}: unsupported aggregation {kind!r}",
-                    0, 0, file))
+                diags.append(_at(
+                    decl, f"query {decl.name}: unsupported aggregation "
+                    f"{kind!r}", file))
             if binding not in objects:
-                diags.append(Diagnostic(
-                    f"query {decl.name}: video_output names {binding!r}, "
-                    f"which is no object binding", 0, 0, file))
+                diags.append(_at(
+                    decl, f"query {decl.name}: video_output names "
+                    f"{binding!r}, which is no object binding", file))
         elif flat.video_pred is not None and objects:
             flat.video_output = ("count_distinct", objects[0])
         aggregated = flat.video_output and flat.video_output[1]
         if any(r.relation is not None or r.binding != aggregated
                for r in walk_refs(flat.video_pred)):
-            diags.append(Diagnostic(
-                f"query {decl.name}: a video_constraint reads no relation and "
-                f"only the aggregated binding, video_output's or else the "
-                f"first object binding", 0, 0, file))
+            diags.append(_at(
+                decl, f"query {decl.name}: a video_constraint reads no "
+                f"relation and only the aggregated binding, video_output's "
+                f"or else the first object binding", file))
         queries[decl.name] = flat
         query_order.append(decl.name)
 
@@ -431,53 +440,60 @@ def validate(program: Program, file: str = "<source>") -> ValidatedProgram:
             for sub in (decl.first, decl.second):
                 kind = query_kind(sub)
                 if kind is None:
-                    diags.append(Diagnostic(
-                        f"spatial query {decl.name}: undeclared query {sub!r}",
-                        0, 0, file))
+                    diags.append(_at(
+                        decl, f"spatial query {decl.name}: undeclared query "
+                        f"{sub!r}", file))
                     ok = False
                 elif kind != "basic":
-                    diags.append(Diagnostic(
-                        f"spatial query {decl.name}: violates Rule 1, "
+                    diags.append(_at(
+                        decl, f"spatial query {decl.name}: violates Rule 1, "
                         f"{sub!r} is a {kind} query (only basic queries "
-                        f"are allowed)", 0, 0, file))
+                        f"are allowed)", file))
                     ok = False
             if decl.relation not in relations:
-                diags.append(Diagnostic(
-                    f"spatial query {decl.name}: undeclared relation "
-                    f"{decl.relation!r}", 0, 0, file))
+                diags.append(_at(
+                    decl, f"spatial query {decl.name}: undeclared relation "
+                    f"{decl.relation!r}", file))
                 ok = False
             if not ok:
                 continue
             q1, q2 = queries[decl.first], queries[decl.second]
             for sub in (q1, q2):
                 if len(sub.bindings) != 1 or sub.bindings[0][1] == SCENE_TYPE:
-                    diags.append(Diagnostic(
-                        f"spatial query {decl.name}: {sub.name!r} must bind "
-                        f"exactly one VObj", 0, 0, file))
+                    diags.append(_at(
+                        decl, f"spatial query {decl.name}: {sub.name!r} must "
+                        f"bind exactly one VObj", file))
                     ok = False
             if not ok:
                 continue
             bindings = q1.bindings + q2.bindings
-            (b1, _t1), (b2, _t2) = bindings
+            (b1, t1), (b2, t2) = bindings
             if b1 == b2:
-                diags.append(Diagnostic(
-                    f"spatial query {decl.name}: sub-query bindings share the "
-                    f"name {b1!r}", 0, 0, file))
+                diags.append(_at(
+                    decl, f"spatial query {decl.name}: sub-query bindings "
+                    f"share the name {b1!r}", file))
                 continue
             rel, rel_pred = relations[decl.relation], decl.predicate
-            _check_pred(rel_pred, dict(bindings), types, decl.name, diags,
-                        file)
+            if t1 in types and t2 in types and not any(
+                    p1 in types[t1].ancestors and p2 in types[t2].ancestors
+                    for p1, p2 in (rel.participants, rel.participants[::-1])):
+                diags.append(_at(
+                    decl, f"spatial query {decl.name}: relation {rel.name}"
+                    f"({', '.join(rel.participants)}) does not relate "
+                    f"{t1} and {t2}", file))
+                continue
+            _check_pred(rel_pred, dict(bindings), types, decl, diags, file)
             # relations are symmetric: their arguments come in either order
             props = {p.name for p in rel.properties}
             for ref in walk_refs(rel_pred):
                 if ref.relation is not None and (
                         ref.relation != rel.name or ref.prop not in props
                         or set(ref.args) != {b1, b2}):
-                    diags.append(Diagnostic(
-                        f"spatial query {decl.name}: {ref.relation}"
+                    diags.append(_at(
+                        decl, f"spatial query {decl.name}: {ref.relation}"
                         f"({', '.join(ref.args)}).{ref.prop} is no property "
                         f"of the query's relation {rel.name}({b1}, {b2})",
-                        0, 0, file))
+                        file))
             queries[decl.name] = FlatQuery(
                 name=decl.name,
                 kind="spatial",
@@ -492,20 +508,20 @@ def validate(program: Program, file: str = "<source>") -> ValidatedProgram:
         elif isinstance(decl, DurationDecl):
             kind = query_kind(decl.base)
             if kind is None:
-                diags.append(Diagnostic(
-                    f"duration query {decl.name}: undeclared query "
-                    f"{decl.base!r}", 0, 0, file))
+                diags.append(_at(
+                    decl, f"duration query {decl.name}: undeclared query "
+                    f"{decl.base!r}", file))
                 continue
             if kind not in ("basic", "spatial"):
-                diags.append(Diagnostic(
-                    f"duration query {decl.name}: violates Rule 2, "
+                diags.append(_at(
+                    decl, f"duration query {decl.name}: violates Rule 2, "
                     f"{decl.base!r} is a {kind} query (only basic or spatial "
-                    f"queries are allowed)", 0, 0, file))
+                    f"queries are allowed)", file))
                 continue
             if decl.min_frames is None and decl.min_seconds is None:
-                diags.append(Diagnostic(
-                    f"duration query {decl.name}: needs min_frames or "
-                    f"min_seconds", 0, 0, file))
+                diags.append(_at(
+                    decl, f"duration query {decl.name}: needs min_frames or "
+                    f"min_seconds", file))
                 continue
             base = queries[decl.base]
             queries[decl.name] = FlatQuery(
@@ -522,14 +538,14 @@ def validate(program: Program, file: str = "<source>") -> ValidatedProgram:
             ok = True
             for sub in (decl.first, decl.then):
                 if query_kind(sub) is None:
-                    diags.append(Diagnostic(
-                        f"temporal query {decl.name}: undeclared query "
-                        f"{sub!r}", 0, 0, file))
+                    diags.append(_at(
+                        decl, f"temporal query {decl.name}: undeclared query "
+                        f"{sub!r}", file))
                     ok = False
             if decl.max_interval_frames is None and decl.max_interval_seconds is None:
-                diags.append(Diagnostic(
-                    f"temporal query {decl.name}: needs max_interval_frames "
-                    f"or max_interval_seconds", 0, 0, file))
+                diags.append(_at(
+                    decl, f"temporal query {decl.name}: needs "
+                    f"max_interval_frames or max_interval_seconds", file))
                 ok = False
             if not ok:
                 continue

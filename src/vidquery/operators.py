@@ -8,9 +8,10 @@ Operators are deterministic given input and seed.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Iterable, Optional
 
 from .datamodel import Edge, FrameGraph, Track, VObjInstance
@@ -22,6 +23,7 @@ from .registry import (
     ConfigurationError,
     Registration,
     apply_detector,
+    box_centre,
     classify_frame,
     finite_number,
     relation_value,
@@ -385,34 +387,98 @@ class JoinOp(RuntimeOp):
 
 class RelationProjectorOp(RuntimeOp):
     """Adds a relation edge, with computed properties, for every pair of an
-    object of part 0 and a different object of part 1."""
+    object of part 0 and a different object of part 1 that the `bound`
+    param, if any, can keep, in (part 0, part 1) order.
+
+    The bound, `{"prop", "op", "limit"}`, is a conjunct of the relation
+    predicate that the filter evaluates before anything that could fail:
+    `prop`, a `distance_px` or `distance_m` property, `op` `<` or `<=` the
+    number `limit`.  `math.dist` is faithfully rounded, so it never returns
+    less than the difference of the two centres along one axis; a pair
+    whose |dx| or |dy|, taken as a distance, already fails the bound fails
+    that conjunct, and it is skipped without computing any property or
+    counting any cost.  Part 1 is sorted by centre x once per frame, so
+    each object of part 0 finds its candidates by bisection.  The first
+    pair a projector meets is computed in full, so an error that
+    `relation_value` raises for the run's configuration (`distance_m`
+    without `px_per_m`) is raised as without a bound, and only then is the
+    `distance_m` scale read."""
 
     kind = "relation_projector"
 
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
-        relation = params["relation"]
+        relation, impls = params["relation"], params["props"]
         # (property, implementation, name in the stats), by property name
         self.props = [(prop, impl, f"{relation}.{prop}")
-                      for prop, impl in sorted(params["props"].items())]
+                      for prop, impl in sorted(impls.items())]
         for _prop, impl, _name in self.props:
             if impl not in RELATION_IMPLS:
                 raise PlanLinkError(
                     f"{op_id}: unknown relation implementation {impl!r}")
+        bound = params.get("bound")
+        self.bound = None
+        if bound is not None:
+            impl, op, limit = impls.get(bound["prop"]), bound["op"], \
+                bound["limit"]
+            if impl not in ("distance_px", "distance_m") \
+                    or op not in ("<", "<=") \
+                    or not isinstance(limit, (int, float)) \
+                    or isinstance(limit, bool):
+                raise PlanLinkError(f"{op_id}: bad bound {bound!r}")
+            # a distance d fails `d < limit` iff limit <= d
+            self.bound = (impl, operator.le if op == "<" else operator.lt,
+                          limit)
+        self._far = None  # the bound's test, once a pair is computed
+
+    def _far_test(self, meta):
+        """The test of a distance along one axis that fails the bound,
+        scaled as its property scales `math.dist`."""
+        impl, fails, limit = self.bound
+        if impl == "distance_px":
+            return partial(fails, limit)
+        scale = meta.px_per_m
+        return lambda d: fails(limit, d / scale)
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
+        meta, count = engine.meta, engine.stats.count_property
+        bounded = self.bound is not None
         out = []
         for fs in inputs[0]:
+            part0, part1 = fs.graph.parts[0], fs.graph.parts[1]
             edges = list(fs.graph.edges)
-            for a in fs.graph.parts[0]:
-                for b in fs.graph.parts[1]:
+            if bounded:
+                centres = [box_centre(b.bbox) for b in part1]
+                by_x = sorted(range(len(part1)), key=lambda j: centres[j][0])
+                xs = [centres[j][0] for j in by_x]
+            for a in part0:
+                far, candidates = self._far, range(len(part1))
+                if bounded:
+                    xa, ya = box_centre(a.bbox)
+                if far is not None:
+                    # both keys rise along xs: a difference rounds
+                    # monotonically, and no negative one fails the bound
+                    # unless a zero one does, when |dy| fails every pair
+                    lo = bisect_left(xs, True,
+                                     key=lambda xb: not far(xa - xb))
+                    hi = bisect_left(xs, True, lo,
+                                     key=lambda xb: far(xb - xa))
+                    candidates = sorted(by_x[lo:hi])
+                for j in candidates:
+                    b = part1[j]
                     if a.node_id == b.node_id:
                         continue
+                    if far is not None:
+                        xb, yb = centres[j]
+                        if far(abs(xa - xb)) or far(abs(ya - yb)):
+                            continue
                     properties = {}
                     for prop, impl, name in self.props:
-                        properties[prop] = relation_value(impl, a, b, engine.meta)
-                        engine.stats.count_property(name, GEOMETRIC_FN_COST)
+                        properties[prop] = relation_value(impl, a, b, meta)
+                        count(name, GEOMETRIC_FN_COST)
                     edges.append(Edge(a, b, properties))
+                    if bounded and far is None:
+                        far = self._far = self._far_test(meta)
             out.append(FrameState(fs.frame_id, fs.record,
                                   FrameGraph(fs.graph.parts, edges)))
         return out

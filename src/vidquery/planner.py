@@ -12,13 +12,13 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .dsl.ast import (COMPARISON_OPS, ORDERED_OPS, And, Compare, Not, Or,
-                       PropRef, conjoin, walk_refs)
+                       PropRef, conjoin, conjuncts, walk_refs)
 from .dsl.validate import SCENE_TYPE, FlatQuery, FlatVObjType, ValidatedProgram
 from .registry import Registration, Registry, RegistryError
 from .trace_io import VideoMeta
 from .tracker import TrackerConfig
 
-PLAN_VERSION = 6
+PLAN_VERSION = 7
 # the number of inputs an op of each kind takes; any other kind takes 1
 _INPUT_COUNTS = {"reader": range(0, 1), "join": range(2, sys.maxsize),
                 "temporal": range(2, 3)}
@@ -413,8 +413,6 @@ def _build(
     for binding, vobj in vobj_bindings:
         ftype = vprog.types[vobj]
         det_name = overrides.get(f"{prefix}{binding}") or ftype.detector
-        if det_name is None:
-            raise PlanError(f"{query_name}: no detector for {vobj!r}")
         det_reg = registry.try_resolve("detector", det_name)
         if det_reg is None:
             raise PlanError(f"{query_name}: detector {det_name!r} not registered")
@@ -511,7 +509,8 @@ def _build(
         tail = dag.add(PlanOp(
             op_id=f"{prefix}relproj:{fq.relation}",
             kind="relation_projector",
-            params={"relation": fq.relation, "props": impls},
+            params={"relation": fq.relation, "props": impls,
+                    "bound": _distance_bound(fq.relation_pred, impls)},
             inputs=[tail],
         )).op_id
         tail = dag.add(PlanOp(
@@ -554,6 +553,25 @@ def _build(
         ))
         dag.sink = agg.op_id
     return dag
+
+
+def _distance_bound(pred, impls: dict[str, str]) -> Optional[dict]:
+    """A relation projector's `bound`: the first conjunct of a spatial
+    predicate that bounds a `distance_px` or `distance_m` property from
+    above, `R(a, b).d < T` or `<= T`, or None.  The filter evaluates a
+    conjunction in the order written and stops at its first False, so only
+    conjuncts that read relation properties alone may come before the
+    bound: an object property before it is read, with its cost and any
+    error, on every pair."""
+    for conj in conjuncts(pred):
+        if isinstance(conj, Compare) and conj.op in ("<", "<=") \
+                and conj.ref.relation is not None \
+                and impls.get(conj.ref.prop) in ("distance_px", "distance_m"):
+            return {"prop": conj.ref.prop, "op": conj.op,
+                    "limit": conj.literal}
+        if any(ref.relation is None for ref in walk_refs(conj)):
+            return None
+    return None
 
 
 def _prune_subsumed(conjs: list, det_reg: Registration) -> list:

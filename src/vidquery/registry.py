@@ -259,11 +259,16 @@ def call_property_impl(reg: Registration, ctx: PropContext):
 
 # --- relation property implementations -------------------------------------
 
+def box_centre(bbox) -> tuple[float, float]:
+    """The centre of a box, as the relation properties measure it."""
+    x1, y1, x2, y2 = bbox
+    return (x1 + x2) / 2.0, (y1 + y2) / 2.0
+
+
 def relation_value(
     name: str, a: VObjInstance, b: VObjInstance, meta: Optional[VideoMeta]
 ):
-    ca = ((a.bbox[0] + a.bbox[2]) / 2.0, (a.bbox[1] + a.bbox[3]) / 2.0)
-    cb = ((b.bbox[0] + b.bbox[2]) / 2.0, (b.bbox[1] + b.bbox[3]) / 2.0)
+    ca, cb = box_centre(a.bbox), box_centre(b.bbox)
     if name == "distance_px":
         return math.dist(ca, cb)
     if name == "distance_m":

@@ -239,6 +239,15 @@ BAD_SHAPES = [
     pytest.param(_spatial("reds", "Near(c, c).distance_px < 1"),
                  f"Near(c, c).distance_px {NOT_THE_RELATION}",
                  id="spatial-relates-a-binding-to-itself"),
+    pytest.param(_basic("bind d: Car", 'frame_constraint: d.color == "blue"')
+                 + "spatial query pair { first: reds second: q relation: Near "
+                   "predicate: Near(c, d).distance_px < 100 }\n",
+                 "relation Near(Car, Person) does not relate Car and Car",
+                 id="spatial-over-types-the-relation-does-not-relate"),
+    pytest.param('vobj Thing {\n  property tag: stateless(impl="attr:tag")\n}\n'
+                 + _basic("bind t: Thing", 'frame_constraint: t.tag == "x"'),
+                 "binding 't' has type Thing, which declares no detector",
+                 id="a-type-without-a-detector"),
 ]
 
 

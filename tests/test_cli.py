@@ -510,6 +510,40 @@ spatial query reds_near_blues {
 """
 
 
+def test_distance_m_bound_without_calibration_exit_3(runner, workspace):
+    """The cars are 400 px apart, so at 10 px/m the bound prunes every pair;
+    without `px_per_m` the first pair still fails as it did unpruned."""
+    program = workspace["dir"] / "meters.vq"
+    program.write_text(PROGRAM + """
+relation Near(Car, Car) {
+  property meters: stateless(impl="distance_m")
+}
+query blues {
+  bind b: Car
+  frame_constraint: b.color == "blue"
+}
+spatial query reds_near_blues {
+  first: reds
+  second: blues
+  relation: Near
+  predicate: Near(c, b).meters < 1
+}
+""")
+    args = ["run", "-p", str(program), "-q", "reds_near_blues",
+            "--trace", workspace["trace"], "--meta", workspace["meta"]]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["satisfied"] == []
+    meta = json.loads(Path(workspace["meta"]).read_text())
+    del meta["px_per_m"]
+    Path(workspace["meta"]).write_text(json.dumps(meta))
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr == ("execution failed: distance in meters needs "
+                             "px_per_m calibration\n")
+
+
 @pytest.mark.parametrize("command, prefix", [
     ("run", "execution failed: "),
     ("profile", "profiling failed: "),
@@ -646,9 +680,11 @@ def _edited_run(runner, workspace, edit, trace=None):
 
 @pytest.mark.parametrize("edit, code, message", [
     (lambda plan: plan.update(version=4), 2,
-     "cannot load plan: plan version 4 unsupported (expected 6)"),
+     "cannot load plan: plan version 4 unsupported (expected 7)"),
     (lambda plan: plan.update(version=5), 2,
-     "cannot load plan: plan version 5 unsupported (expected 6)"),
+     "cannot load plan: plan version 5 unsupported (expected 7)"),
+    (lambda plan: plan.update(version=6), 2,
+     "cannot load plan: plan version 6 unsupported (expected 7)"),
     (_set_output_kind, 3,
      "execution failed: output:reds: unknown operator kind 'nosuch'"),
     (_set_step_kind, 3,
@@ -735,7 +771,7 @@ def _edited_run(runner, workspace, edit, trace=None):
      "cannot load plan: op 'after': input 'sink' makes no frames"),
     (_op("detector", params={}), 2,
      "cannot load plan: plan references unregistered detector None"),
-], ids=["version-4", "version-5", "unknown-kind", "unknown-step-kind",
+], ids=["version-4", "version-5", "version-6", "unknown-kind", "unknown-step-kind",
         "bad-predicate", "missing-param", "predicate-not-an-object",
         "bad-tracker-config", "bad-op-string-prop", "bad-op-numeric-prop",
         "ordered-op-string", "ordered-op-bool", "in-without-list",
@@ -916,6 +952,14 @@ class TestProfile:
         lines[index] = edit(lines[index])
         with open(ws["trace"], "w") as fh:
             fh.write("\n".join(lines) + "\n")
+
+    def test_unknown_query_exit_1(self, runner, workspace):
+        args = self.canary_args(workspace)
+        args[args.index("reds")] = "ghost"
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.stderr == "unknown query 'ghost'\n"
 
     def test_bad_line_past_the_canary_is_never_read(self, runner, workspace):
         self.replace_line(workspace, 15, lambda line: line[:20])  # frame 15

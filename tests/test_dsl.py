@@ -1,5 +1,6 @@
 """Parser diagnostics, AST round trips, and semantic validation."""
 
+import re
 import pytest
 
 from vidquery.dsl import (
@@ -504,6 +505,17 @@ class TestQueryShape:
             validate(parse(SHAPE_TYPES + source))
         # one diagnostic, the shape's own
         assert [message in d.message for d in exc.value.diagnostics] == [True]
+
+    @pytest.mark.parametrize("source, message", BAD_SHAPES)
+    def test_diagnostic_at_its_declaration(self, source, message):
+        program = parse(SHAPE_TYPES + source)
+        with pytest.raises(ValidationError) as exc:
+            validate(program)
+        (diag,) = exc.value.diagnostics
+        name = re.match(r"(?:spatial )?query (\w+):", diag.message).group(1)
+        (decl,) = [d for d in program.decls if d.name == name]
+        assert decl.loc.line > SHAPE_TYPES.count("\n")  # one of `source`'s
+        assert (diag.line, diag.col) == (decl.loc.line, decl.loc.col)
 
     def test_frame_constraint_split(self):
         flat = validate(parse(SHAPE_TYPES + """

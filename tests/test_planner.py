@@ -148,8 +148,9 @@ class TestBaseDag:
         assert join.inputs == ["filter:c", "filter:p"]
         assert join.params == {}
         assert dag.ops["relproj:Near"].inputs == ["join"]
-        assert dag.ops["relproj:Near"].params == \
-            {"relation": "Near", "props": {"distance_px": "distance_px"}}
+        assert dag.ops["relproj:Near"].params == {
+            "relation": "Near", "props": {"distance_px": "distance_px"},
+            "bound": {"prop": "distance_px", "op": "<", "limit": 100.0}}
         assert dag.ops["relfilter:Near"].params["args"] == ["c", "p"]
         assert dag.ops["output:close"].params["bindings"] == ["c", "p"]
         assert dag.sink == "output:close"
@@ -522,8 +523,9 @@ class TestPersistence:
         path = tmp_path / "plan.json"
         # version 2 plans found objects by class name, not per binding;
         # version 3 duration and temporal ops did not name their query;
-        # version 4 fused steps held ids and inputs, tracker configs min_hits
-        for version in (2, 3, 4, 99):
+        # version 4 fused steps held ids and inputs, tracker configs min_hits;
+        # version 6 relation projectors had no distance bound
+        for version in (2, 3, 4, 6, 99):
             obj["version"] = version
             path.write_text(json.dumps(obj))
             with pytest.raises(PlanLoadError):
