@@ -349,15 +349,18 @@ def validate(program: Program, file: str = "<source>") -> ValidatedProgram:
                 types[decl.name] = flat
 
     relations = program.relations
+    flawed = set()  # relations with a diagnostic of their own
     for rel in relations.values():
         if len(rel.participants) < 2:
             diags.append(_at(
                 rel, f"relation {rel.name!r}: arity must be >= 2", file))
+            flawed.add(rel.name)
         for part in rel.participants:
             if part not in program.vobjs and part != SCENE_TYPE:
                 diags.append(_at(
                     rel, f"relation {rel.name!r}: undeclared participant "
                     f"{part!r}", file))
+                flawed.add(rel.name)
 
     queries: dict[str, FlatQuery] = {}
     query_order: list[str] = []
@@ -474,9 +477,13 @@ def validate(program: Program, file: str = "<source>") -> ValidatedProgram:
                     f"share the name {b1!r}", file))
                 continue
             rel, rel_pred = relations[decl.relation], decl.predicate
-            if t1 in types and t2 in types and not any(
-                    p1 in types[t1].ancestors and p2 in types[t2].ancestors
-                    for p1, p2 in (rel.participants, rel.participants[::-1])):
+            parts = rel.participants
+            # a spatial query relates two objects: a relation of any other
+            # arity relates none of its pairs
+            if rel.name not in flawed and t1 in types and t2 in types \
+                    and not (len(parts) == 2 and any(
+                        p1 in types[t1].ancestors and p2 in types[t2].ancestors
+                        for p1, p2 in (parts, parts[::-1]))):
                 diags.append(_at(
                     decl, f"spatial query {decl.name}: relation {rel.name}"
                     f"({', '.join(rel.participants)}) does not relate "

@@ -516,9 +516,14 @@ def op_signature(plan_op: PlanOp, input_sigs: list[str]) -> str:
     """Structural identity used for cross-query operator sharing: the kind,
     params and input signatures.  Op ids are deliberately excluded so
     identical stages in different plans unify; a fused op's steps hold no
-    ids either."""
+    ids either.  A relation projector's `bound` is left out: projectors that
+    differ in it only are one op, under the loosest bound
+    (`RelationProjectorOp.widen`)."""
+    params = plan_op.params
+    if plan_op.kind == "relation_projector":
+        params = {k: v for k, v in params.items() if k != "bound"}
     payload = json.dumps(
-        {"kind": plan_op.kind, "params": plan_op.params, "inputs": input_sigs},
+        {"kind": plan_op.kind, "params": params, "inputs": input_sigs},
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -704,12 +709,13 @@ class Session:
     def _compile(self, dags: list[PlanDag]):
         """The pass's schedule, signature -> (runtime op, input signatures):
         every plan in order, each in topological order, the first op of
-        each signature built once (a reader has no runtime op; a duration
-        or temporal sink is built over its input sinks, not scheduled).
-        Also returns each plan's sink (`_sink`), links each detected type's
-        properties into the engine and each aggregate to its output op.  A
-        tracker owns its input (`TrackerOp.owns_input`) when that is a
-        detector's batch that no other scheduled operator reads."""
+        each signature built once (a shared relation projector takes each
+        plan's bound, `RelationProjectorOp.widen`; a reader has no runtime
+        op; a duration or temporal sink is built over its input sinks, not
+        scheduled).  Also returns each plan's sink (`_sink`), links each
+        detected type's properties into the engine and each aggregate to its
+        output op.  A tracker owns its input (`TrackerOp.owns_input`) when
+        that is a detector's batch that no other scheduled operator reads."""
         schedule: dict[str, tuple[Optional[RuntimeOp], list[str]]] = {}
         sinks = []
         for dag in dags:
@@ -736,6 +742,9 @@ class Session:
                     elif pop.kind == "aggregate":
                         rt.link(schedule[input_sigs[0]][0])
                     schedule[sig] = (rt, input_sigs)
+                elif pop.kind == "relation_projector":
+                    schedule[sig][0].widen(
+                        build_runtime_op(pop, self.registry).bound)
                 ops[op_id] = schedule[sig][0]
             sinks.append(_sink(dag, ops, dag.sink))
         readers = Counter(s for _rt, ins in schedule.values() for s in ins)

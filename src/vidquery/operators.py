@@ -8,10 +8,9 @@ Operators are deterministic given input and seed.
 from __future__ import annotations
 
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Any, Iterable, Optional
 
 from .datamodel import Edge, FrameGraph, Track, VObjInstance
@@ -397,12 +396,10 @@ class RelationProjectorOp(RuntimeOp):
     less than the difference of the two centres along one axis; a pair
     whose |dx| or |dy|, taken as a distance, already fails the bound fails
     that conjunct, and it is skipped without computing any property or
-    counting any cost.  Part 1 is sorted by centre x once per frame, so
-    each object of part 0 finds its candidates by bisection.  The first
-    pair a projector meets is computed in full, so an error that
-    `relation_value` raises for the run's configuration (`distance_m`
-    without `px_per_m`) is raised as without a bound, and only then is the
-    `distance_m` scale read."""
+    counting any cost.  The first pair of each batch is computed in full,
+    so an error that `relation_value` raises for the run's configuration
+    (`distance_m` without `px_per_m`) is raised as without a bound, and
+    only then is the `distance_m` scale read."""
 
     kind = "relation_projector"
 
@@ -416,69 +413,56 @@ class RelationProjectorOp(RuntimeOp):
             if impl not in RELATION_IMPLS:
                 raise PlanLinkError(
                     f"{op_id}: unknown relation implementation {impl!r}")
-        bound = params.get("bound")
-        self.bound = None
+        self.bound = bound = params.get("bound")
+        self.metres = False  # whether the bound is in metres
         if bound is not None:
-            impl, op, limit = impls.get(bound["prop"]), bound["op"], \
-                bound["limit"]
+            impl, limit = impls.get(bound["prop"]), bound["limit"]
             if impl not in ("distance_px", "distance_m") \
-                    or op not in ("<", "<=") \
+                    or bound["op"] not in ("<", "<=") \
                     or not isinstance(limit, (int, float)) \
                     or isinstance(limit, bool):
                 raise PlanLinkError(f"{op_id}: bad bound {bound!r}")
-            # a distance d fails `d < limit` iff limit <= d
-            self.bound = (impl, operator.le if op == "<" else operator.lt,
-                          limit)
-        self._far = None  # the bound's test, once a pair is computed
+            self.metres = impl == "distance_m"
 
-    def _far_test(self, meta):
-        """The test of a distance along one axis that fails the bound,
-        scaled as its property scales `math.dist`."""
-        impl, fails, limit = self.bound
-        if impl == "distance_px":
-            return partial(fails, limit)
-        scale = meta.px_per_m
-        return lambda d: fails(limit, d / scale)
+    def widen(self, bound: Optional[dict]) -> None:
+        """Keep as well every pair that `bound` keeps: the op is shared with
+        a plan whose projector differs in its bound only (`op_signature`),
+        and each plan's relation filter still applies its own predicate."""
+        mine = self.bound
+        if mine is None or bound is None or bound["prop"] != mine["prop"]:
+            self.bound = None
+        # a higher limit keeps more, and at one limit `<=` more than `<`
+        elif (bound["limit"], bound["op"]) > (mine["limit"], mine["op"]):
+            self.bound = bound
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
-        meta, count = engine.meta, engine.stats.count_property
-        bounded = self.bound is not None
+        meta, count, bound = engine.meta, engine.stats.count_property, \
+            self.bound
+        if bound is not None:
+            # a distance d fails `d < limit` iff limit <= d
+            fails = operator.le if bound["op"] == "<" else operator.lt
+            limit = bound["limit"]
+        scale = None  # the bound's px per unit, once a pair is computed
         out = []
         for fs in inputs[0]:
-            part0, part1 = fs.graph.parts[0], fs.graph.parts[1]
             edges = list(fs.graph.edges)
-            if bounded:
-                centres = [box_centre(b.bbox) for b in part1]
-                by_x = sorted(range(len(part1)), key=lambda j: centres[j][0])
-                xs = [centres[j][0] for j in by_x]
-            for a in part0:
-                far, candidates = self._far, range(len(part1))
-                if bounded:
-                    xa, ya = box_centre(a.bbox)
-                if far is not None:
-                    # both keys rise along xs: a difference rounds
-                    # monotonically, and no negative one fails the bound
-                    # unless a zero one does, when |dy| fails every pair
-                    lo = bisect_left(xs, True,
-                                     key=lambda xb: not far(xa - xb))
-                    hi = bisect_left(xs, True, lo,
-                                     key=lambda xb: far(xb - xa))
-                    candidates = sorted(by_x[lo:hi])
-                for j in candidates:
-                    b = part1[j]
+            for a in fs.graph.parts[0]:
+                xa, ya = box_centre(a.bbox)
+                for b in fs.graph.parts[1]:
                     if a.node_id == b.node_id:
                         continue
-                    if far is not None:
-                        xb, yb = centres[j]
-                        if far(abs(xa - xb)) or far(abs(ya - yb)):
+                    if scale is not None:
+                        xb, yb = box_centre(b.bbox)
+                        if fails(limit, abs(xa - xb) / scale) \
+                                or fails(limit, abs(ya - yb) / scale):
                             continue
                     properties = {}
                     for prop, impl, name in self.props:
                         properties[prop] = relation_value(impl, a, b, meta)
                         count(name, GEOMETRIC_FN_COST)
                     edges.append(Edge(a, b, properties))
-                    if bounded and far is None:
-                        far = self._far = self._far_test(meta)
+                    if scale is None and bound is not None:
+                        scale = meta.px_per_m if self.metres else 1.0
             out.append(FrameState(fs.frame_id, fs.record,
                                   FrameGraph(fs.graph.parts, edges)))
         return out

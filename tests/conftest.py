@@ -244,6 +244,18 @@ BAD_SHAPES = [
                    "predicate: Near(c, d).distance_px < 100 }\n",
                  "relation Near(Car, Person) does not relate Car and Car",
                  id="spatial-over-types-the-relation-does-not-relate"),
+    pytest.param("relation Solo(Car) {\n  property distance_px: "
+                 'stateless(impl="distance_px")\n}\n'
+                 + _spatial("reds", "Near(c, p).distance_px < 100")
+                 .replace("Near", "Solo"),
+                 "relation 'Solo': arity must be >= 2",
+                 id="spatial-over-a-relation-of-one"),
+    pytest.param("relation Trio(Car, Person, Car) {\n  property distance_px: "
+                 'stateless(impl="distance_px")\n}\n'
+                 + _spatial("reds", "Near(c, p).distance_px < 100")
+                 .replace("Near", "Trio"),
+                 "relation Trio(Car, Person, Car) does not relate Car and "
+                 "Person", id="spatial-over-a-relation-of-three"),
     pytest.param('vobj Thing {\n  property tag: stateless(impl="attr:tag")\n}\n'
                  + _basic("bind t: Thing", 'frame_constraint: t.tag == "x"'),
                  "binding 't' has type Thing, which declares no detector",

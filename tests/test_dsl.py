@@ -512,7 +512,8 @@ class TestQueryShape:
         with pytest.raises(ValidationError) as exc:
             validate(program)
         (diag,) = exc.value.diagnostics
-        name = re.match(r"(?:spatial )?query (\w+):", diag.message).group(1)
+        name = re.match(r"(?:(?:spatial )?query|relation) '?(\w+)'?:",
+                        diag.message).group(1)
         (decl,) = [d for d in program.decls if d.name == name]
         assert decl.loc.line > SHAPE_TYPES.count("\n")  # one of `source`'s
         assert (diag.line, diag.col) == (decl.loc.line, decl.loc.col)

@@ -1,6 +1,7 @@
 """The relation projector's distance bound: the edges the relation filter
-keeps are those of a frozen all-pairs projector, in the same order, and a
-pruned pair computes nothing."""
+keeps are those of a frozen all-pairs projector, in the same order, a
+pruned pair computes nothing, and projectors that differ in their bound
+only are shared under the loosest."""
 
 import random
 from dataclasses import dataclass, field
@@ -9,13 +10,14 @@ from typing import Any, Optional
 import pytest
 
 from vidquery.datamodel import FrameGraph, VObjInstance
-from vidquery.executor import ExecStats
+from vidquery.executor import ExecStats, Session, serialize_outcome
 from vidquery.operators import FrameState, RelationProjectorOp, compare
 from vidquery.planner import PlannerConfig, plan_query
 from vidquery.registry import ConfigurationError, relation_value
+from vidquery.synth import ObjectScript, WorldSpec
 from vidquery.trace_io import TraceRecord, VideoMeta
 
-from conftest import frozen_registry, make_program
+from conftest import car, frozen_registry, make_program, meta_1000
 
 
 @dataclass
@@ -175,16 +177,18 @@ class TestSoundness:
 
 
 class TestWork:
-    def far_persons(self):
-        """A car at x = 0 with one person beside it, then nine 1000 px away
-        or more."""
-        persons = [box(10.0, 0.0)] + [box(1000.0 * k, 0.0) for k in range(1, 10)]
+    def far_persons(self, axis: int = 0):
+        """A car at (0, 0) with one person beside it, then nine 200 px away
+        or more along x (axis 0) or y (axis 1)."""
+        persons = [box(10.0, 0.0)] + [box(*(200.0 * k, 0.0)[::1 - 2 * axis])
+                                      for k in range(1, 10)]
         return frame(0, nodes(0, 0, [box(0.0, 0.0)]), nodes(0, 1, persons))
 
-    def test_a_pruned_pair_computes_nothing(self):
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_a_pruned_pair_computes_nothing(self, axis):
         engine = Engine()
-        kept = pruned_kept([self.far_persons()], PX, None, "distance_px", "<",
-                           150, engine)
+        kept = pruned_kept([self.far_persons(axis)], PX, None, "distance_px",
+                           "<", 150, engine)
         assert [b for _f, _a, b, _v in kept] == [(0, 1)]
         assert engine.stats.property_calls == {"Near.distance_px": 1}
         assert engine.stats.cost_units == pytest.approx(0.1)
@@ -260,3 +264,48 @@ def test_the_planner_bounds_by_the_first_distance_conjunct(predicate, bound):
     """)
     dag = plan_query(vprog, "pair", frozen_registry(), PlannerConfig())
     assert dag.ops["relproj:Near"].params["bound"] == bound
+
+
+def scattered(frames: int, seed: int) -> WorldSpec:
+    """Red cars and adults standing at random, most pairs far apart."""
+    rng = random.Random(seed)
+    objects = [car(label, 0, frames - 1,
+                   (rng.uniform(50, 950), rng.uniform(50, 950)))
+               for label in range(1, 7)]
+    objects += [ObjectScript(label=label, class_name="person", start_frame=0,
+                             end_frame=frames - 1,
+                             start_center=(rng.uniform(50, 950),
+                                           rng.uniform(50, 950)),
+                             attrs={"role": "adult"})
+                for label in range(7, 12)]
+    return WorldSpec(meta=meta_1000(frames), objects=objects, seed=seed)
+
+
+def test_projectors_that_differ_in_their_bound_share_the_loosest(world_dir):
+    """Two spatial queries over the same branches share one projector: it
+    computes the pairs that the looser bound keeps, no more and no fewer,
+    and each query answers as it does alone."""
+    world = scattered(20, seed=3)
+    trace = world_dir(world)["trace"]
+    vprog = make_program(PROGRAM + "".join(
+        f"spatial query {name} {{ first: reds second: people relation: Near"
+        f" predicate: {predicate} }}\n" for name, predicate in [
+            ("near", "Near(c, p).distance_px < 150"),
+            ("within", "Near(c, p).distance_px <= 400"),
+            ("apart", "Near(c, p).distance_px > 20")]))
+    registry = frozen_registry()
+    dags = {q: plan_query(vprog, q, registry, PlannerConfig(), world.meta)
+            for q in ("near", "within", "apart")}
+
+    def run(*queries):
+        session = Session(vprog, registry, world.meta)
+        outcomes = session.run([dags[q] for q in queries], trace)
+        return ([serialize_outcome(o) for o in outcomes],
+                session.stats.property_calls["Near.distance_px"])
+
+    solo = {q: run(q) for q in dags}
+    assert solo["near"][1] < solo["within"][1] < solo["apart"][1]
+    for loose in ("within", "apart"):
+        shared, calls = run("near", loose)
+        assert shared == [solo["near"][0][0], solo[loose][0][0]]
+        assert calls == solo[loose][1]
