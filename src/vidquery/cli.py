@@ -19,6 +19,7 @@ from typing import Optional
 import click
 
 from .dsl import DslSyntaxError, ValidationError, parse, validate
+from .dsl.validate import SCENE_TYPE
 from .executor import ExecConfig, ResultStore, run_plans, serialize_outcome
 from .operators import InternalError, PlanLinkError
 from .planner import (
@@ -57,6 +58,21 @@ def _load_program(path: str):
         return validate(parse(source, file=path), file=path)
     except (DslSyntaxError, ValidationError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
+
+
+def _check_query(vprog, name: str) -> None:
+    if name not in vprog.queries:
+        _fail(EXIT_VALIDATION, f"unknown query {name!r}")
+
+
+def _binds_object(vprog, name: str) -> bool:
+    """Whether query `name` binds an object; a temporal query needs both of
+    its parts to.  A query that binds only a Scene validates, so that other
+    queries can extend it, but it cannot be planned on its own."""
+    q = vprog.queries[name]
+    if q.kind == "temporal":
+        return _binds_object(vprog, q.first) and _binds_object(vprog, q.then)
+    return any(t != SCENE_TYPE for _b, t in q.bindings)
 
 
 def _load_registry(manifest: Optional[str]):
@@ -151,6 +167,7 @@ def explain(program, query, manifest, meta_path, no_pullup, no_fusion):
     vprog = _load_program(program)
     registry = _load_registry(manifest)
     meta = _load_meta(meta_path)
+    _check_query(vprog, query)
     config = _planner_config(
         enable_pullup=not no_pullup, enable_fusion=not no_fusion
     )
@@ -180,8 +197,7 @@ def profile_cmd(program, query, trace, meta_path, manifest, canary_frames,
     vprog = _load_program(program)
     registry = _load_registry(manifest)
     meta = _load_meta(meta_path)
-    if query not in vprog.queries:
-        _fail(EXIT_VALIDATION, f"unknown query {query!r}")
+    _check_query(vprog, query)
     config = _planner_config(
         accuracy_target=accuracy_target,
         canary_frames=canary_frames,
@@ -250,10 +266,8 @@ def run(program, queries, trace, meta_path, manifest, batch_size,
     vprog = _load_program(program)
     registry = _load_registry(manifest)
     meta = _load_meta(meta_path)
-    names = list(queries) or list(vprog.query_order)
-    for name in names:
-        if name not in vprog.queries:
-            _fail(EXIT_VALIDATION, f"unknown query {name!r}")
+    for name in queries:
+        _check_query(vprog, name)
     config = _planner_config(
         enable_pullup=not no_pullup, enable_fusion=not no_fusion
     )
@@ -265,10 +279,13 @@ def run(program, queries, trace, meta_path, manifest, batch_size,
         if plan_file:
             dags = [load_plan(plan_file, registry)]
         else:
-            dags = [
-                plan_query(vprog, name, registry, config, meta)
-                for name in names
-            ]
+            # without -q, every query that can be planned on its own
+            dags = []
+            for name in queries or vprog.query_order:
+                if not queries and not _binds_object(vprog, name):
+                    click.echo(f"skipped {name!r}: binds no object", err=True)
+                    continue
+                dags.append(plan_query(vprog, name, registry, config, meta))
     except PlanLoadError as exc:
         _fail(EXIT_PLAN, f"cannot load plan: {exc}")
     except PlanError as exc:

@@ -4,9 +4,15 @@ State per track: (cx, cy, area, aspect, vcx, vcy, varea); aspect is held
 constant by the motion model.  The model of SORT (Bewley et al., ICIP 2016)
 is block-diagonal per axis: F, H, Q, R and the initial covariance couple
 each of cx, cy and area only with its own velocity, and aspect with
-nothing.  So each track keeps its mean and the three 2x2 covariance blocks
-plus the aspect variance as Python floats, every covariance entry outside
-the blocks is zero, and a step costs a few float operations per track.
+nothing.  So each track keeps its mean as a list of Python floats, and its
+covariance as one tuple of the three 2x2 blocks plus the aspect variance;
+every covariance entry outside the blocks is zero.  The covariance never
+reads a measurement, so it depends only on the frames a track was born and
+matched on.  Every track starts from one initial tuple, and a step that
+maps one tuple to a new one is computed once for a run of adjacent slots
+that hold the same tuple object: tracks born on one frame are adjacent,
+oldest first, and share their tuple until their match histories part.  No
+table of tuples is kept, so a tuple lives only while a slot holds it.
 The operations run in the order of the dense 7x7 filter, so the results
 are its results bit for bit.
 
@@ -133,106 +139,107 @@ class _Model:
     """The block-diagonal constants of the constant-velocity model: per
     axis j of (cx, cy, area, aspect), process noise `q_p[j]` on the
     position and `q_v[j]` on its velocity (aspect has none), measurement
-    noise `r[j]`, and the initial variances of a new track."""
+    noise `r[j]`, and `cov0`, the covariance every new track starts from."""
 
     q_p: tuple[float, float, float, float]
     q_v: tuple[float, float, float]
     r: tuple[float, float, float, float]
-    p0: float
-    v0: float
+    cov0: tuple[float, ...]
 
     @classmethod
     def of(cls, config: TrackerConfig) -> "_Model":
         pn, mn = config.process_noise, config.measurement_noise
+        p0, v0 = 10.0 * mn, 1000.0 * mn  # unobserved velocities start uncertain
         return cls(
             q_p=(pn, pn, 0.01 * pn, pn),
             q_v=(0.01 * pn, 0.01 * pn, 0.01 * pn),
             r=(mn, mn, mn * 10.0, mn * 10.0),
-            p0=10.0 * mn,
-            v0=1000.0 * mn,  # unobserved velocities start uncertain
+            cov0=(p0, p0, p0, p0, 0.0, 0.0, 0.0, v0, v0, v0),
         )
+
+
+# A covariance is the tuple (p0, p1, p2, p3, c0, c1, c2, v0, v1, v2): for
+# axis j of cx, cy and area, `pj` is the position variance, `cj` its
+# covariance with the velocity and `vj` the velocity variance; `p3` is the
+# aspect variance.  Every other entry of the 7x7 covariance is zero.
+
+def _predict_cov(cov: tuple, model: _Model) -> tuple:
+    """The covariance one frame later: grown by the motion and by process
+    noise."""
+    p0, p1, p2, p3, c0, c1, c2, v0, v1, v2 = cov
+    qp0, qp1, qp2, qp3 = model.q_p
+    qv0, qv1, qv2 = model.q_v
+    cv0, cv1, cv2 = c0 + v0, c1 + v1, c2 + v2
+    return (((p0 + c0) + cv0) + qp0, ((p1 + c1) + cv1) + qp1,
+            ((p2 + c2) + cv2) + qp2, p3 + qp3,
+            cv0, cv1, cv2, v0 + qv0, v1 + qv1, v2 + qv2)
+
+
+def _update_cov(cov: tuple, model: _Model) -> tuple[tuple, tuple]:
+    """The covariance after a match, and the gains (kp0, kv0, kp1, kv1, kp2,
+    kv2, ka) that correct the mean.  The innovation covariance is diagonal,
+    so the gain of axis j is (pj, cj) times the reciprocal of pj + rj, taken
+    first as the dense filter's `inv`.  The dense filter averages P with its
+    transpose; of each block, only its two cross terms can differ, in the
+    last bit, hence cj's mean."""
+    p0, p1, p2, p3, c0, c1, c2, v0, v1, v2 = cov
+    r0, r1, r2, r3 = model.r
+    inv = 1.0 / (p0 + r0)
+    kp0, kv0 = p0 * inv, c0 * inv
+    g = 1.0 - kp0
+    p0, c0, v0 = g * p0, (g * c0 + (-kv0 * p0 + c0)) / 2.0, -kv0 * c0 + v0
+    inv = 1.0 / (p1 + r1)
+    kp1, kv1 = p1 * inv, c1 * inv
+    g = 1.0 - kp1
+    p1, c1, v1 = g * p1, (g * c1 + (-kv1 * p1 + c1)) / 2.0, -kv1 * c1 + v1
+    inv = 1.0 / (p2 + r2)
+    kp2, kv2 = p2 * inv, c2 * inv
+    g = 1.0 - kp2
+    p2, c2, v2 = g * p2, (g * c2 + (-kv2 * p2 + c2)) / 2.0, -kv2 * c2 + v2
+    ka = p3 * (1.0 / (p3 + r3))
+    return ((p0, p1, p2, (1.0 - ka) * p3, c0, c1, c2, v0, v1, v2),
+            (kp0, kv0, kp1, kv1, kp2, kv2, ka))
 
 
 @dataclass(eq=False, slots=True)
 class _TrackSlot:
-    """One live track: its bookkeeping and its Kalman state.
-
-    `x` is the mean (cx, cy, area, aspect, vcx, vcy, varea).  For axis j of
-    cx, cy and area, `p[j]` is the position variance, `c[j]` its covariance
-    with the velocity and `v[j]` the velocity variance; `p[3]` is the
-    aspect variance.  Every other covariance entry is zero.
-    """
+    """One live track: its bookkeeping, its mean `x` (cx, cy, area, aspect,
+    vcx, vcy, varea) and its covariance `cov`, a tuple that slots with the
+    same history share."""
 
     track_id: int
     x: list[float]
-    p: list[float]
-    c: list[float]
-    v: list[float]
+    cov: tuple
     time_since_update: int = 0
 
     @classmethod
     def start(cls, track_id: int, box: Box, model: _Model) -> "_TrackSlot":
-        return cls(track_id, [*_box_to_z(box), 0.0, 0.0, 0.0],
-                   [model.p0] * 4, [0.0] * 3, [model.v0] * 3)
+        return cls(track_id, [*_box_to_z(box), 0.0, 0.0, 0.0], model.cov0)
 
-    def predict(self, model: _Model) -> Box:
-        """Advance the mean by its velocity, grow the covariance by process
-        noise, and return the predicted box."""
+    def predict(self) -> Box:
+        """Advance the mean by its velocity and return the predicted box."""
         x = self.x
-        c0, c1, c2 = self.c
-        v0, v1, v2 = self.v
-        p0, p1, p2, p3 = self.p
-        qp0, qp1, qp2, qp3 = model.q_p
-        qv0, qv1, qv2 = model.q_v
         x[0] += x[4]
         x[1] += x[5]
         area = x[2] = x[2] + x[6]
-        cv0, cv1, cv2 = c0 + v0, c1 + v1, c2 + v2
-        self.p = [((p0 + c0) + cv0) + qp0, ((p1 + c1) + cv1) + qp1,
-                  ((p2 + c2) + cv2) + qp2, p3 + qp3]
-        self.c = [cv0, cv1, cv2]
-        self.v = [v0 + qv0, v1 + qv1, v2 + qv2]
         if area + x[6] <= 0:  # keep predicted area positive
             x[6] = 0.0
             x[2] = 1e-6 if area < 1e-6 else area
         return _x_to_box(x)
 
-    def update(self, box: Box, model: _Model) -> None:
-        """Correct the state by the matched box.  The innovation covariance
-        is diagonal, so the gain of axis j is (p[j], c[j]) times the
-        reciprocal of p[j] + r[j], taken first as the dense filter's `inv`.
-        The dense filter averages P with its transpose; of each block, only
-        its two cross terms can differ, in the last bit, hence c's mean."""
+    def update(self, box: Box, gains: tuple) -> None:
+        """Correct the mean by the matched box with `_update_cov`'s gains."""
         x = self.x
-        p0, p1, p2, p3 = self.p
-        c0, c1, c2 = self.c
-        v0, v1, v2 = self.v
-        r0, r1, r2, r3 = model.r
+        kp0, kv0, kp1, kv1, kp2, kv2, ka = gains
         z0, z1, z2, z3 = _box_to_z(box)
         y0, y1, y2 = z0 - x[0], z1 - x[1], z2 - x[2]
-        inv = 1.0 / (p0 + r0)
-        kp, kv = p0 * inv, c0 * inv
-        x[0] += kp * y0
-        x[4] += kv * y0
-        g = 1.0 - kp
-        p0, c0, v0 = g * p0, (g * c0 + (-kv * p0 + c0)) / 2.0, -kv * c0 + v0
-        inv = 1.0 / (p1 + r1)
-        kp, kv = p1 * inv, c1 * inv
-        x[1] += kp * y1
-        x[5] += kv * y1
-        g = 1.0 - kp
-        p1, c1, v1 = g * p1, (g * c1 + (-kv * p1 + c1)) / 2.0, -kv * c1 + v1
-        inv = 1.0 / (p2 + r2)
-        kp, kv = p2 * inv, c2 * inv
-        x[2] += kp * y2
-        x[6] += kv * y2
-        g = 1.0 - kp
-        p2, c2, v2 = g * p2, (g * c2 + (-kv * p2 + c2)) / 2.0, -kv * c2 + v2
-        ka = p3 * (1.0 / (p3 + r3))
+        x[0] += kp0 * y0
+        x[4] += kv0 * y0
+        x[1] += kp1 * y1
+        x[5] += kv1 * y1
+        x[2] += kp2 * y2
+        x[6] += kv2 * y2
         x[3] += ka * (z3 - x[3])
-        self.p = [p0, p1, p2, (1.0 - ka) * p3]
-        self.c = [c0, c1, c2]
-        self.v = [v0, v1, v2]
 
 
 @dataclass
@@ -276,22 +283,36 @@ class SortTracker:
             oldest = cfg.max_age - gap + 1  # the oldest age that lives on
             slots = self.slots = [s for s in slots
                                   if s.time_since_update <= oldest]
-            for slot in slots:
-                for _ in range(gap - 1):
-                    slot.predict(model)
-                slot.time_since_update += gap - 1
+        # slots with one history hold one covariance tuple and lie side by
+        # side, oldest first, so a step is computed once per run of them
         track_boxes = []
+        shared = stepped = None
+        extra = range(gap - 1)
         for slot in slots:
-            track_boxes.append(slot.predict(model))
-            slot.time_since_update += 1
+            if slot.cov is not shared:
+                shared = slot.cov
+                stepped = _predict_cov(shared, model)
+                for _ in extra:
+                    stepped = _predict_cov(stepped, model)
+            slot.cov = stepped
+            if gap > 1:
+                for _ in extra:
+                    slot.predict()
+            track_boxes.append(slot.predict())
+            slot.time_since_update += gap
         matches, _unmatched_t, unmatched_d = associate(
             track_boxes, [d[1] for d in detections], cfg.iou_threshold
         )
         assignments, new_tracks = [], []
+        shared = None
         for ti, di in matches:
             slot = slots[ti]
             node_id, box = detections[di]
-            slot.update(box, model)
+            if slot.cov is not shared:
+                shared = slot.cov
+                updated, gains = _update_cov(shared, model)
+            slot.cov = updated
+            slot.update(box, gains)
             slot.time_since_update = 0
             assignments.append((node_id, slot.track_id))
         for di in unmatched_d:

@@ -146,10 +146,11 @@ def dense_state(slots) -> tuple[np.ndarray, np.ndarray]:
     P = np.zeros((len(slots), 7, 7))
     for i, s in enumerate(slots):
         x[i] = s.x
+        p, c, v = s.cov[:4], s.cov[4:7], s.cov[7:]
         for j in range(3):
-            P[i, j, j], P[i, j + 4, j + 4] = s.p[j], s.v[j]
-            P[i, j, j + 4] = P[i, j + 4, j] = s.c[j]
-        P[i, 3, 3] = s.p[3]
+            P[i, j, j], P[i, j + 4, j + 4] = p[j], v[j]
+            P[i, j, j + 4] = P[i, j + 4, j] = c[j]
+        P[i, 3, 3] = p[3]
     return x, P
 
 

@@ -15,7 +15,14 @@ from vidquery.cli import main
 from vidquery.executor import DIGEST_SIZE, QueryOutcome, serialize_outcome
 from vidquery.synth import WorldSpec, write_world
 
-from conftest import BAD_SHAPES, CAR_PROGRAM, SHAPE_TYPES, car, meta_1000
+from conftest import (
+    BAD_SHAPES,
+    CAR_PROGRAM,
+    SHAPE_TYPES,
+    car,
+    meta_1000,
+    red_car_and_adult,
+)
 
 PROGRAM = CAR_PROGRAM + """
 query reds {
@@ -107,11 +114,13 @@ class TestExplain:
             "tracker:c", "fused:proj:c.color", "output:reds",
         ]
 
-    def test_unknown_query_exit_2(self, runner, workspace):
+    def test_unknown_query_exit_1(self, runner, workspace):
+        # checked before planning, as `run` and `profile` check it
         result = runner.invoke(main, [
             "explain", "-p", workspace["program"], "-q", "nope",
         ])
-        assert result.exit_code == 2
+        assert result.exit_code == 1
+        assert result.stderr == "unknown query 'nope'\n"
 
 
 class TestRun:
@@ -292,6 +301,42 @@ query busy {{
     def test_unknown_query_exit_1(self, runner, workspace):
         result = runner.invoke(main, self.args(workspace)[:-1] + ["ghost"])
         assert result.exit_code == 1
+
+    def test_without_q_skips_the_queries_that_bind_no_object(self, runner,
+                                                             workspace):
+        # `gate` binds only a Scene, so that `gated_reds` can extend it; the
+        # duration and temporal queries built on it cannot be planned either
+        program = workspace["dir"] / "gated.vq"
+        program.write_text(PROGRAM + """
+query gate {
+  bind s: Scene
+  frame_constraint: s.motion_score > 0.5
+}
+query gated_reds extends gate {
+  bind c: Car
+  frame_constraint: c.color == "red"
+}
+duration query held { base: gate min_frames: 2 }
+temporal query then_red { first: gate then: gated_reds max_interval_frames: 5 }
+""")
+        trace = write_world(red_car_and_adult(20), workspace["dir"] / "g")["trace"]
+        args = ["run", "-p", str(program), "--trace", str(trace),
+                "--meta", workspace["meta"]]
+        assert runner.invoke(main, ["validate", "-p", str(program)]).exit_code == 0
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.stderr.startswith(
+            "skipped 'gate': binds no object\n"
+            "skipped 'held': binds no object\n"
+            "skipped 'then_red': binds no object\n"
+            "cost_units=")
+        named = runner.invoke(main, [*args, "-q", "reds", "-q", "gated_reds"])
+        assert named.exit_code == 0 and result.stdout == named.stdout
+        for query in ("gate", "held", "then_red"):  # asked for by name
+            result = runner.invoke(main, [*args, "-q", query])
+            assert result.exit_code == 2
+            assert result.stderr == \
+                "planning failed: gate: no VObj bindings to plan\n"
 
     def test_opt_flags_do_not_change_results(self, runner, workspace):
         texts = []

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from conftest import dense_state
+from test_tracker_equivalence import GapFilled, assert_same_step
+from vidquery import tracker as tracker_module
 from vidquery.tracker import (
     SortTracker,
     TrackerConfig,
@@ -12,9 +14,24 @@ from vidquery.tracker import (
     iou,
     _box_to_z,
     _Model,
+    _predict_cov,
     _TrackSlot,
+    _update_cov,
     _x_to_box,
 )
+
+MODEL = _Model.of(TrackerConfig())
+
+
+def predict(slot: _TrackSlot, model: _Model = MODEL):
+    """One frame of the filter on one slot, as `SortTracker.step` runs it."""
+    slot.cov = _predict_cov(slot.cov, model)
+    return slot.predict()
+
+
+def update(slot: _TrackSlot, box, model: _Model = MODEL):
+    slot.cov, gains = _update_cov(slot.cov, model)
+    slot.update(box, gains)
 
 
 class TestIoU:
@@ -40,54 +57,53 @@ class TestIoU:
 
 
 class TestKalman:
-    MODEL = _Model.of(TrackerConfig())
-
     def test_box_state_round_trip(self):
         box = (10.0, 20.0, 50.0, 100.0)
         z = _box_to_z(box)
         assert z[0] == 30.0 and z[1] == 60.0  # center
         assert z[2] == 40.0 * 80.0  # area
         assert z[3] == pytest.approx(0.5)  # aspect
-        slot = _TrackSlot.start(1, box, self.MODEL)
+        slot = _TrackSlot.start(1, box, MODEL)
         assert _x_to_box(slot.x) == pytest.approx(box)
 
     def test_static_object_stays_put(self):
         box = (10.0, 10.0, 30.0, 30.0)
-        slot = _TrackSlot.start(1, box, self.MODEL)
+        slot = _TrackSlot.start(1, box, MODEL)
         for _ in range(10):
-            slot.predict(self.MODEL)
-            slot.update(box, self.MODEL)
+            predict(slot)
+            update(slot, box)
         assert _x_to_box(slot.x) == pytest.approx(box, abs=1e-6)
 
     def test_velocity_learned_from_motion(self):
-        slot = _TrackSlot.start(1, (0.0, 0.0, 20.0, 20.0), self.MODEL)
+        slot = _TrackSlot.start(1, (0.0, 0.0, 20.0, 20.0), MODEL)
         for f in range(1, 15):
-            slot.predict(self.MODEL)
-            slot.update((5.0 * f, 0.0, 5.0 * f + 20.0, 20.0), self.MODEL)
-        predicted = slot.predict(self.MODEL)
+            predict(slot)
+            update(slot, (5.0 * f, 0.0, 5.0 * f + 20.0, 20.0))
+        predicted = predict(slot)
         cx = (predicted[0] + predicted[2]) / 2.0
         # after settling, the one-step-ahead prediction tracks the +5 px/frame motion
         assert cx == pytest.approx(5.0 * 15 + 10.0, abs=1.0)
 
     def test_covariance_stays_symmetric(self):
-        slots = [_TrackSlot.start(1, (0.0, 0.0, 10.0, 10.0), self.MODEL),
-                 _TrackSlot.start(2, (5.0, 5.0, 25.0, 15.0), self.MODEL)]
+        slots = [_TrackSlot.start(1, (0.0, 0.0, 10.0, 10.0), MODEL),
+                 _TrackSlot.start(2, (5.0, 5.0, 25.0, 15.0), MODEL)]
         for f in range(5):
             for slot in slots:
-                slot.predict(self.MODEL)
-            slots[0].update((f + 1.0, 0.0, f + 11.0, 10.0), self.MODEL)
+                predict(slot)
+            update(slots[0], (f + 1.0, 0.0, f + 11.0, 10.0))
         _x, P = dense_state(slots)
         assert (P == P.transpose(0, 2, 1)).all()
         # and positive definite, block by block
         for slot in slots:
+            p, c, v = slot.cov[:4], slot.cov[4:7], slot.cov[7:]
             for j in range(3):
-                assert slot.p[j] > 0 and slot.p[j] * slot.v[j] > slot.c[j] ** 2
-            assert slot.p[3] > 0
+                assert p[j] > 0 and p[j] * v[j] > c[j] ** 2
+            assert p[3] > 0
 
     def test_predict_returns_the_predicted_box(self):
-        slot = _TrackSlot.start(1, (0.0, 0.0, 20.0, 20.0), self.MODEL)
+        slot = _TrackSlot.start(1, (0.0, 0.0, 20.0, 20.0), MODEL)
         slot.x[4:] = [3.0, -1.0, 0.0]
-        assert slot.predict(self.MODEL) == _x_to_box(slot.x) \
+        assert predict(slot) == _x_to_box(slot.x) \
             == (3.0, -1.0, 23.0, 19.0)
 
 
@@ -193,14 +209,16 @@ class TestSortTracker:
 
 
 class TestArrayBookkeeping:
-    """Each slot owns its whole Kalman state; no two slots share a list."""
+    """Each slot owns its mean; slots share covariance tuples, which no step
+    mutates."""
 
     @staticmethod
     def assert_aligned(tracker):
-        states = [(s.x, s.p, s.c, s.v) for s in tracker.slots]
-        assert all(list(map(len, st)) == [7, 4, 3, 3] for st in states)
-        lists = [id(lst) for st in states for lst in st]
-        assert len(set(lists)) == len(lists)
+        states = [(s.x, s.cov) for s in tracker.slots]
+        assert all(len(x) == 7 and len(cov) == 10 and type(cov) is tuple
+                   for x, cov in states)
+        means = [id(x) for x, _cov in states]
+        assert len(set(means)) == len(means)
 
     def test_step_with_no_tracks(self):
         tracker = SortTracker(TrackerConfig())
@@ -243,9 +261,14 @@ class TestArrayBookkeeping:
         assert result.new_tracks == [3]
         assert [s.track_id for s in tracker.slots] == [1, 3]
         self.assert_aligned(tracker)
-        fresh = _TrackSlot.start(3, born, tracker._model)
-        state = lambda s: (s.x, s.p, s.c, s.v)
-        assert state(tracker.slots[1]) == state(fresh)
+        state = lambda s: (s.x, s.cov)
+        # the kept slot is one filtered box; the born one starts afresh
+        held = _TrackSlot.start(1, kept, MODEL)
+        for _ in range(2):
+            predict(held)
+            update(held, kept)
+        assert state(tracker.slots[0]) == state(held)
+        assert state(tracker.slots[1]) == state(_TrackSlot.start(3, born, MODEL))
 
     def test_tie_break_through_the_tracker(self):
         # TestAssociate's tie case on live tracks: lowest indices win
@@ -255,3 +278,78 @@ class TestArrayBookkeeping:
         result = tracker.step(1, [((1, 0), box), ((1, 1), box)])
         assert result.assignments == [((1, 0), 1), ((1, 1), 2)]
         assert result.new_tracks == []
+
+
+class TestSharedCovariance:
+    """Slots with one history share one covariance tuple, and a step of it
+    is computed once per run of adjacent slots that hold it; the frozen
+    scalar tracker checks every bit after every step."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of `_predict_cov` and `_update_cov` calls, per step."""
+        counts = {"predict": 0, "update": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(tracker_module, "_predict_cov",
+                            counting("predict", _predict_cov))
+        monkeypatch.setattr(tracker_module, "_update_cov",
+                            counting("update", _update_cov))
+        return counts
+
+    @staticmethod
+    def grid(frame, n, skip=()):
+        """`n` 20x20 boxes 40 px apart, moving 2 px a frame to the right."""
+        return [((frame, i), (40.0 * (i % 10) + 2.0 * frame, 40.0 * (i // 10),
+                              40.0 * (i % 10) + 2.0 * frame + 20.0,
+                              40.0 * (i // 10) + 20.0))
+                for i in range(n) if i not in skip]
+
+    @staticmethod
+    def run(calls, stream):
+        """Step both trackers through `stream`; the calls of each step."""
+        config = TrackerConfig()
+        tracker, oracle = SortTracker(config), GapFilled(config)
+        per_step = []
+        for frame_id, dets in stream:
+            before = dict(calls)
+            assert_same_step(tracker, oracle, frame_id, dets, f"frame {frame_id}")
+            per_step.append((calls["predict"] - before["predict"],
+                             calls["update"] - before["update"]))
+        return tracker, per_step
+
+    def test_tracks_born_and_matched_together_share_every_step(self, calls):
+        tracker, per_step = self.run(
+            calls, [(f, self.grid(f, 50)) for f in range(21)])
+        assert calls == {"predict": 20, "update": 20}  # not 1,000 of each
+        assert per_step == [(0, 0)] + [(1, 1)] * 20
+        assert len({id(s.cov) for s in tracker.slots}) == 1
+
+    @pytest.mark.parametrize("missing, runs", [(49, 2), (0, 2), (25, 3)])
+    def test_a_missed_match_splits_its_slot_off(self, calls, missing, runs):
+        # the slot missed on frame 10 steps on its own from then on; the 49
+        # others share one tuple on either side of it
+        stream = [(f, self.grid(f, 50, skip={missing} if f == 10 else ()))
+                  for f in range(21)]
+        tracker, per_step = self.run(calls, stream)
+        assert per_step == [(0, 0)] + [(1, 1)] * 10 + [(runs, runs)] * 10
+        odd = tracker.slots[missing].cov
+        others = [s.cov for i, s in enumerate(tracker.slots) if i != missing]
+        assert odd != others[0] and all(cov == others[0] for cov in others)
+        assert len({id(cov) for cov in others}) == runs - 1
+
+    def test_tracks_born_together_later_share_the_initial_tuple(self, calls):
+        stream = [(f, self.grid(f, 1 if f < 5 else 3)) for f in range(8)]
+        tracker, _per_step = self.run(calls, stream[:6])
+        _first, *born = tracker.slots
+        assert born[0].cov is born[1].cov is tracker._model.cov0
+        calls.update(predict=0, update=0)
+        tracker, per_step = self.run(calls, stream)
+        assert per_step == [(0, 0)] + [(1, 1)] * 5 + [(2, 2)] * 2
+        first, *born = tracker.slots
+        assert born[0].cov is born[1].cov is not first.cov
