@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
-from .datamodel import UNDEFINED, Track, VObjInstance, is_defined, window
+from .datamodel import (UNDEFINED, FrameGraph, Track, VObjInstance, is_defined,
+                        window)
 from .dsl.ast import And, Compare, Not, Or, PropertyDef
 from .dsl.validate import ValidatedProgram
 from .operators import (
@@ -668,7 +669,7 @@ def trace_batches(trace_path, meta: Optional[VideoMeta], batch_size: int):
         for rec in records:
             if rec.frame_id > last:
                 break
-            current.append(FrameState.fresh(rec))
+            current.append(FrameState(rec.frame_id, rec, FrameGraph()))
             if rec.frame_id == last:
                 break
             if len(current) == batch_size:

@@ -108,10 +108,12 @@ class FrameFilterOp(RuntimeOp):
     """Drops frames by a channel predicate: in `threshold` mode, a
     comparison of the channel's value with the threshold; in
     `similar_to_prev` mode, a difference above the tolerance from the value
-    of each of the last `window` frames that reached the filter.  Every
-    setting is checked here, so a bad one fails before any frame is read,
-    and the mode's loop and the comparison are picked here too, so a frame
-    only looks them up."""
+    of each of the last `window` frames that reached the filter.  A frame
+    absent from the trace never reaches it and has no value, so that mode
+    answers differently on a trace without its empty lines.  Every setting
+    is checked here, so a bad one fails before any frame is read, and the
+    mode's loop and the comparison are picked here too, so a frame only
+    looks them up."""
 
     kind = "frame_filter"
 

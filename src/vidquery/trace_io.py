@@ -2,7 +2,10 @@
 
 Traces are line-delimited JSON, one record per frame, so readers can stream
 without loading whole files.  Frames absent from a trace are frames with zero
-detections, not errors.
+detections, not errors.  An absent frame has no channel values either, so an
+auto `similar_to_prev` gate compares only the frames a trace lists, and a
+trace without its empty lines can answer differently under one (a threshold
+gate and the tracker answer alike).
 """
 
 from __future__ import annotations
@@ -60,56 +63,43 @@ class VideoMeta:
                 f"px_per_m {self.px_per_m} is not positive and finite")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Detection:
     class_name: str
     bbox: tuple[float, float, float, float]
     score: float
     attrs: dict[str, Any] = field(default_factory=dict)
 
-    def __post_init__(self):
-        x1, y1, x2, y2 = self.bbox
+    def __init__(self, class_name: str, bbox: tuple[float, float, float, float],
+                 score: float, attrs: Optional[dict[str, Any]] = None):
+        x1, y1, x2, y2 = bbox
         # the outer bounds reject inf; nan fails every comparison
         if not (-_INF < x1 < x2 < _INF and -_INF < y1 < y2 < _INF):
-            raise ValueError(f"degenerate or non-finite bbox {self.bbox}")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score {self.score} outside [0, 1]")
+            raise ValueError(f"degenerate or non-finite bbox {bbox}")
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"score {score} outside [0, 1]")
+        self.class_name = class_name
+        self.bbox = bbox
+        self.score = score
+        self.attrs = {} if attrs is None else attrs
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class TraceRecord:
     frame_id: int
     detections: tuple[Detection, ...] = ()
     channels: dict[str, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        for name, value in self.channels.items():
+    def __init__(self, frame_id: int, detections: tuple[Detection, ...] = (),
+                 channels: Optional[dict[str, float]] = None):
+        if channels is None:
+            channels = {}
+        for name, value in channels.items():
             if not -_INF < value < _INF:  # nan fails both comparisons
                 raise ValueError(f"non-finite channel {name}={value}")
-
-
-def _class_name(cls):
-    if cls.__class__ is not str:
-        raise TypeError(f"class {cls!r} is not a string")
-    return cls
-
-
-def record_from_json(obj: dict) -> TraceRecord:
-    """The record of one decoded trace line.  A field of the wrong type or
-    value raises `KeyError`, `TypeError`, `ValueError` or `OverflowError`;
-    fields are read in order (frame, then each detection's class, bbox,
-    score and attrs, then channels), so the first bad one is named."""
-    frame_id = int(obj["frame"])
-    detections = tuple([
-        Detection(_class_name(d["class"]), tuple(map(float, d["bbox"])),
-                  float(d.get("score", 1.0)), dict(d.get("attrs", {})))
-        for d in obj.get("dets", [])
-    ])
-    channels = obj.get("channels", {})
-    if not isinstance(channels, dict):
-        raise TypeError(f"channels {channels!r} is not an object")
-    return TraceRecord(frame_id, detections,
-                       {k: float(v) for k, v in channels.items()})
+        self.frame_id = frame_id
+        self.detections = detections
+        self.channels = channels
 
 
 def record_to_json(rec: TraceRecord) -> dict:
@@ -153,48 +143,89 @@ def _exact(value) -> bool:
     return True
 
 
-def _read_alike(obj: dict) -> bool:
-    """True if json reads alike each value of orjson's reading `obj` that
-    `record_from_json` keeps as read: the frame id and attrs (a class is a
-    string)."""
-    if not _exact(obj["frame"]):
-        return False
+def _build_record(obj, by_orjson: bool, meta: Optional[VideoMeta]
+                  ) -> Optional[tuple[TraceRecord, Optional[tuple]]]:
+    """The record of a decoded trace line, and its first box outside
+    `meta`'s resolution (None if there is none or no `meta`), in one pass
+    over the fields in order: the frame id, each detection's class, bbox,
+    score and attrs, then the channels.  The first bad field raises
+    `KeyError`, `TypeError`, `ValueError` or `OverflowError`, naming it.  A
+    frame id is an integer, a whole float or a string of an integer.  An
+    attrs or channels dict the decoder made is kept when its values are of
+    the right type.  With `by_orjson`, None where json may read the line
+    differently: the frame id or attrs, kept as read, hold a float of
+    magnitude 2**63 or more (see `_exact`).  bbox, score and channel values
+    go through `float()`, which gives the same either way."""
+    frame = obj["frame"]
+    cls = frame.__class__
+    if cls is int:
+        frame_id = frame
+    elif cls is float:
+        if by_orjson and not -_BIG < frame < _BIG:
+            return None
+        frame_id = int(frame)  # nan and inf raise here
+        if frame_id != frame:
+            raise ValueError(f"frame id {frame} is not a whole number")
+    elif cls is bool:
+        raise ValueError(f"frame id {frame} is not a whole number")
+    else:
+        frame_id = int(frame)
+    detections = []
+    outside = None
     for d in obj.get("dets", ()):
-        attrs = d.get("attrs", ())
+        class_name = d["class"]
+        if class_name.__class__ is not str:
+            raise TypeError(f"class {class_name!r} is not a string")
+        bbox = d["bbox"]
+        # a list of four converts as `map` would, in a third of the time
+        if bbox.__class__ is list and len(bbox) == 4:
+            x1, y1, x2, y2 = bbox
+            bbox = (float(x1), float(y1), float(x2), float(y2))
+        else:
+            bbox = tuple(map(float, bbox))
+        score = float(d.get("score", 1.0))
+        attrs = d.get("attrs")
         if attrs.__class__ is dict:
-            attrs = attrs.values()  # else a list of pairs, or a string
-        for value in attrs:
-            if value.__class__ is not str and not _exact(value):
-                return False
-    return True
-
-
-def _record(line: str, deep: int) -> TraceRecord:
-    """The record of a stripped line, as `json.loads` and `record_from_json`
-    give it, decoded by orjson where json would read it alike.  json reads
-    the line when it may nest `deep` levels (orjson has no depth limit),
-    when orjson refuses it (NaN, Infinity, a number past float range, an
-    escaped lone surrogate, malformed JSON), when the record is bad, so
-    that every error is json's, and when `_read_alike` fails.  Fields read
-    through `float()` are the same either way."""
-    # nesting d levels takes 2d characters
-    if len(line) < 2 * deep or line.count("{") + line.count("[") < deep:
-        try:
-            obj = _loads(line)
-            rec = record_from_json(obj)
-            if _read_alike(obj):
-                return rec
-        except _RECORD_ERRORS:
-            pass
-    return record_from_json(json.loads(line))
+            if by_orjson:
+                for value in attrs.values():
+                    cls = value.__class__
+                    if cls is float:
+                        if not -_BIG < value < _BIG:
+                            return None
+                    elif (cls is dict or cls is list) and not _exact(value):
+                        return None
+        elif "attrs" in d:  # a list of pairs, whose keys may be numbers
+            if by_orjson and not _exact(attrs):
+                return None
+            attrs = dict(attrs)
+        detections.append(Detection(class_name, bbox, score, attrs))
+        if outside is None and meta is not None:
+            x1, y1, x2, y2 = bbox
+            if x1 < 0 or y1 < 0 or x2 > meta.width or y2 > meta.height:
+                outside = bbox
+    channels = obj.get("channels")
+    if channels.__class__ is dict:
+        for value in channels.values():
+            if value.__class__ is not float:
+                channels = {k: float(v) for k, v in channels.items()}
+                break
+    elif channels is not None or "channels" in obj:
+        raise TypeError(f"channels {channels!r} is not an object")
+    return TraceRecord(frame_id, tuple(detections), channels), outside
 
 
 def open_trace(path, meta: Optional[VideoMeta] = None) -> Iterator[TraceRecord]:
     """Stream records from a trace file in strictly increasing frame order.
 
     With `meta` given, detection boxes are checked against the resolution.
-    Every record, and every error with its message, is what `json.loads`
-    and `record_from_json` give, trailing data rejected.
+    A line is a bad record first, then out of order, then holds a box
+    outside the resolution.  Every record, and every bad record's message,
+    is what `json.loads` and `_build_record` give, trailing data rejected.
+    orjson decodes a line where json would read it alike; json reads it
+    when it may nest `deep` levels (orjson has no depth limit), when orjson
+    refuses it (NaN, Infinity, a number past float range, an escaped lone
+    surrogate, malformed JSON), when the record is bad, so that every error
+    is json's, and when `_build_record` finds orjson's reading inexact.
     """
     path = Path(path)
     prev = -1
@@ -208,21 +239,26 @@ def open_trace(path, meta: Optional[VideoMeta] = None) -> Iterator[TraceRecord]:
                 if not line:
                     continue
                 try:
-                    rec = _record(line, deep)
+                    built = None
+                    # nesting d levels takes 2d characters
+                    if (len(line) < 2 * deep
+                            or line.count("{") + line.count("[") < deep):
+                        try:
+                            built = _build_record(_loads(line), True, meta)
+                        except _RECORD_ERRORS:
+                            pass
+                    if built is None:
+                        built = _build_record(json.loads(line), False, meta)
                 except _RECORD_ERRORS as exc:
                     raise TraceParseError(
                         path, line_no, f"bad record: {exc}") from exc
+                rec, outside = built
                 if rec.frame_id <= prev:
                     raise TraceOrderError(path, line_no, rec.frame_id, prev)
                 prev = rec.frame_id
-                if meta is not None:
-                    for d in rec.detections:
-                        x1, y1, x2, y2 = d.bbox
-                        if (x1 < 0 or y1 < 0 or x2 > meta.width
-                                or y2 > meta.height):
-                            raise TraceParseError(
-                                path, line_no,
-                                f"bbox {d.bbox} outside resolution")
+                if outside is not None:
+                    raise TraceParseError(
+                        path, line_no, f"bbox {outside} outside resolution")
                 yield rec
         except UnicodeDecodeError as exc:
             # raised by the read of a whole chunk of lines, so the line is

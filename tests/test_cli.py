@@ -209,6 +209,8 @@ class TestRun:
         ('{"frame": 0, "channels": "m"}', "channels 'm' is not an object"),
         ('{"frame": Infinity}', "cannot convert float infinity to integer"),
         ('{"frame": 1e400}', "cannot convert float infinity to integer"),
+        ('{"frame": 8.99}', "frame id 8.99 is not a whole number"),
+        ('{"frame": true}', "frame id True is not a whole number"),
         ('{"frame": 0, "dets": [{"class": "car", "bbox": [' + "9" * 400
          + ', 0, 1, 1]}]}', "int too large to convert to float"),
         ('{"frame": 0, "x": ' + "[" * 5000 + "]" * 5000 + "}",
@@ -221,7 +223,8 @@ class TestRun:
          + ', "bbox": [0, 0, 1, 1]}]}',
          f"class {2 ** 64} is not a string"),  # json's reading, an int
     ], ids=["channels-null", "channels-list", "channels-string",
-            "frame-infinity", "frame-1e400", "bbox-big-int",
+            "frame-infinity", "frame-1e400", "frame-fraction", "frame-bool",
+            "bbox-big-int",
             "deep-nesting", "class-list", "class-object", "class-number"])
     def test_malformed_line_exit_3(self, runner, workspace, line, named):
         lines = open(workspace["trace"]).read().splitlines()

@@ -11,8 +11,10 @@ import json
 
 import pytest
 
-from conftest import CAR_PROGRAM, car, make_program, meta_1000, run_single
+from conftest import (CAR_PROGRAM, car, frozen_registry, make_program,
+                      meta_1000, run_single)
 from vidquery.executor import ExecConfig, serialize_outcome
+from vidquery.registry import Registration
 from vidquery.synth import WorldSpec, write_world
 
 GATED = CAR_PROGRAM + """
@@ -76,6 +78,43 @@ def test_absent_frames_answer_as_empty_ones(tmp_path):
         assert full.satisfied == list(satisfied)
         assert serialize_outcome(answer(sparse, meta, query)) == \
             serialize_outcome(full), query
+
+
+@pytest.mark.parametrize("gate, full, sparse", [
+    ({"op": ">=", "threshold": 0.1},
+     [1, 2, 4, 5, 7, 8, 16, 17, 19, 20, 22, 23, 25, 26, 28, 29], None),
+    # the documented exception: an absent frame has no channel value, so
+    # frames 15-17 see no value of the window before them
+    ({"mode": "similar_to_prev", "tolerance": 0.05, "window": 3},
+     [0, 1, 2], [0, 1, 2, 15, 16, 17]),
+], ids=["threshold", "similar_to_prev"])
+def test_an_auto_gate_on_absent_frames(tmp_path, gate, full, sparse):
+    """A red car on frames 0-9 and another on 15-29, `motion_score`
+    cycling 0, 0.1, 0.2, and an auto gate ahead of the detector, on the
+    full trace and on the trace without its empty lines (10-14).  A
+    threshold gate answers alike; a `similar_to_prev` gate compares only
+    the frames the trace lists."""
+    meta = meta_1000(30)
+    world = WorldSpec(meta=meta, seed=3, objects=[
+        car(1, 0, 9, (200.0, 500.0)), car(2, 15, 29, (600.0, 500.0)),
+    ], channels={"motion_score": [(0.0, 0.1, 0.2)[f % 3]
+                                  for f in range(30)]})
+    trace = write_world(world, tmp_path / "world")["trace"]
+    registry = frozen_registry([Registration(
+        name="busy", kind="frame_filter", cost_units=0.5,
+        params={"auto": True, "channel": "motion_score", **gate})])
+    sparse_trace = tmp_path / "sparse.jsonl"
+    sparse_trace.write_text("".join(line + "\n" for line in
+                                    trace.read_text().splitlines()
+                                    if json.loads(line)["dets"]))
+    program = make_program(GATED)
+    outcomes = [run_single(program, "reds", path, meta, registry)[0]
+                for path in (trace, sparse_trace)]
+    assert outcomes[0].satisfied == full
+    if sparse is None:
+        assert serialize_outcome(outcomes[1]) == serialize_outcome(outcomes[0])
+    else:
+        assert outcomes[1].satisfied == sparse
 
 
 SPEED = CAR_PROGRAM + """

@@ -9,12 +9,14 @@ against the frozen `_reference_trace_io.py` parser, which decodes with
 apart), then the same error class at the same line with the same message.
 Where the reference crashes with an exception that is no `TraceError`, the
 engine must raise `TraceParseError` with that exception's text, or, for a
-`channels` that is no object, name json's reading of it.  One difference is
-allowed: where the reference reads a detection class that is not a string,
+`channels` that is no object, name json's reading of it.  Two differences
+are allowed: where the reference reads a detection class that is not a
+string, or truncates a frame id that is a bool or a float with a fraction,
 the engine raises `TraceParseError` at that line, naming json's reading.
 """
 
 import json
+import math
 import random
 import struct
 
@@ -52,6 +54,8 @@ def _big_int_cases():
         yield f"attrs {n}", [_line(dets=[_det(attrs=f'{{"k": {n}}}')])]
         yield f"nested attrs {n}", [_line(dets=[_det(
             attrs=f'{{"k": {{"deeper": [1, {{"n": {n}}}]}}}}')])]
+        yield f"attrs list {n}", [_line(dets=[_det(
+            attrs=f'{{"k": [1, {n}]}}')])]
         yield f"attrs pairs {n}", [_line(dets=[_det(
             attrs=f'[["k", "v"], [{n}, "v"]]')])]  # n is a key
         bbox = f"[0, 0, {n}, 1]" if n > 0 else f"[{n}, 0, 1, 1]"
@@ -117,6 +121,26 @@ def _bracket_string_cases():
         extra=f', "note": "\\\\", "deep": {nested}, "more": "\\\\"')]
 
 
+def _frame_cases():
+    # a bool or a float with a fraction is a bad record; a whole float, or a
+    # float past orjson's integer range, is read as json reads it
+    for text in ("0.9", "8.99", "-0.5", "true", "false", "3.0", "-0.0",
+                 "1.5e1", "1e19", '"3"'):
+        yield f"frame {text}", [_line(frame=text)]
+        yield f"frame {text} after frame 0", [_line(), _line(frame=text)]
+
+
+def _value_type_cases():
+    # channel values that are no floats, and the order of a line's checks:
+    # out of order before a box outside, and the first box outside named
+    yield "channel int", [_line(channels='{"m": 1, "n": 0.5}')]
+    yield "channel string", [_line(channels='{"m": 0.5, "n": "0.25"}')]
+    yield "out of order and outside on meta", [
+        _line(frame="1"), _line(dets=[_det(bbox="[600, 0, 700, 10]")])]
+    yield "two boxes outside on meta", [_line(dets=[
+        _det(bbox="[-1, 0, 10, 10]"), _det(bbox="[0, 0, 10, 500]")])]
+
+
 def _wide_cases():
     dets = [_det(bbox=f"[{i}, {i}, {i + 20.5}, {i + 1e-9}]",
                  attrs=f'{{"i": {i}, "color": "red"}}') for i in range(400)]
@@ -126,7 +150,7 @@ def _wide_cases():
 CASES = dict(case for cases in (
     _big_int_cases(), _non_finite_cases(), _string_cases(),
     _duplicate_key_cases(), _nesting_cases(), _bracket_string_cases(),
-    _wide_cases(),
+    _frame_cases(), _value_type_cases(), _wide_cases(),
 ) for case in cases)
 
 
@@ -165,6 +189,28 @@ def _classes_are_strings(records, path):
         yield rec
 
 
+def _frames_are_whole(records, lines, path):
+    """The reference's records, ended as the engine ends them at a frame id
+    that json reads as a bool or a finite float with a fraction, ahead of
+    every other check of that line."""
+    records = iter(records)
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            frame = json.loads(line)["frame"]
+        except (ValueError, KeyError, TypeError, RecursionError):
+            frame = None
+        if frame.__class__ is bool or (frame.__class__ is float
+                                       and math.isfinite(frame)
+                                       and not frame.is_integer()):
+            raise TraceParseError(
+                path, line_no,
+                f"bad record: frame id {frame} is not a whole number")
+        rec = next(records, None)
+        if rec is None:
+            return
+        yield rec
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_line_reads_as_json_reads_it(tmp_path, name):
     lines = CASES[name]
@@ -172,8 +218,9 @@ def test_line_reads_as_json_reads_it(tmp_path, name):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     meta = META if name.endswith("on meta") else None
     got, got_err = _outcome(open_trace(path, meta))
-    want, want_err = _outcome(
-        _classes_are_strings(reference.open_trace(path, meta), path))
+    want, want_err = _outcome(_classes_are_strings(
+        _frames_are_whole(reference.open_trace(path, meta), lines, path),
+        path))
     assert got == want
     if want_err is None:
         assert got_err is None
