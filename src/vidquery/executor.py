@@ -13,14 +13,15 @@ import tempfile
 from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Optional
 
-from .datamodel import (UNDEFINED, FrameGraph, Track, VObjInstance, is_defined,
-                        window)
+from .datamodel import UNDEFINED, Track, VObjInstance, is_defined, window
 from .dsl.ast import And, Compare, Not, Or, PropertyDef
 from .dsl.validate import ValidatedProgram
 from .operators import (
+    EMPTY_GRAPH,
     Batch,
     ClassifierOp,
     DetectorOp,
@@ -288,14 +289,12 @@ class OutputOp(RuntimeOp):
             parts = dict(zip(self.bindings, fs.graph.parts))
             if not all(parts.values()):
                 continue
-            row: dict[str, Any] = {"frame": fs.frame_id, "objects": {}}
+            objects = {}
+            row: dict[str, Any] = {"frame": fs.frame_id, "objects": objects}
             for b, nodes in parts.items():
-                row["objects"][b] = [
-                    {
-                        "node": list(n.node_id),
-                        "track": None if n.track is None else n.track.track_id,
-                        "bbox": list(n.bbox),
-                    }
+                objects[b] = [
+                    (*n.node_id,
+                     None if n.track is None else n.track.track_id, *n.bbox)
                     for n in nodes
                 ]
             for n in fs.graph.parts[0]:
@@ -406,8 +405,8 @@ class DurationSink:
         satisfied: dict[int, set[int]] = {}
         for row in base.rows:
             for obj in row["objects"][first]:
-                if obj["track"] is not None:
-                    satisfied.setdefault(obj["track"], set()).add(row["frame"])
+                if obj[2] is not None:  # the row object's track
+                    satisfied.setdefault(obj[2], set()).add(row["frame"])
         born = {t: self.output.tracks[t].first_frame for t in satisfied}
         fires = eval_duration(satisfied, born, min_frames=self.min_frames,
                               gap_tolerance=self.gap_tolerance)
@@ -534,6 +533,14 @@ def op_signature(plan_op: PlanOp, input_sigs: list[str]) -> str:
 
 @dataclass
 class QueryOutcome:
+    """One query's answer.  `rows` holds one row per kept frame, in frame
+    order: `{"frame": f, "objects": {binding: [row object, ...]}}`, plus
+    `"outputs": {"binding.prop": [value per object]}` when the query has a
+    frame output.  A row object is one flat tuple `(frame, index, track,
+    x1, y1, x2, y2)`: the node id, the track id (None when untracked) and
+    the bbox.  The result file writes it as `{"bbox": [x1, y1, x2, y2],
+    "node": [frame, index], "track": track}` (`serialize_outcome`)."""
+
     query: str
     satisfied: list[int] = field(default_factory=list)
     rows: list[dict] = field(default_factory=list)
@@ -582,13 +589,124 @@ class QueryOutcome:
 
 
 def serialize_outcome(outcome: QueryOutcome) -> str:
-    """Byte-stable result text: sorted keys, no timing or host state."""
-    return json.dumps(outcome.to_json(), sort_keys=True, indent=2) + "\n"
+    """Byte-stable result text: the bytes `json.dumps(indent=2,
+    sort_keys=True)` gives for the outcome's `to_json` with each row object
+    written as its dict (see `QueryOutcome`), plus a newline; no timing or
+    host state.  A writer that knows the row shape: each row object is one
+    f-string of its bbox's float reprs (a trace's boxes are finite), and
+    every other value is walked as `json` writes it (sorted keys, ASCII
+    escapes, `NaN` and `Infinity`, any tuple outside a row's objects as an
+    array)."""
+    chunks: list[str] = []
+    _write_outcome(outcome.to_json(), "", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write_value(value, at: str, emit) -> None:
+    """`value` as `json.dumps(indent=2, sort_keys=True)` writes it, `at`
+    being the indent of the line it starts on."""
+    if isinstance(value, str):
+        emit(encode_basestring_ascii(value))
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            emit("NaN")
+        elif value == math.inf:
+            emit("Infinity")
+        elif value == -math.inf:
+            emit("-Infinity")
+        else:
+            emit(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        _write_array(value, at, emit, _write_value)
+    elif isinstance(value, dict):
+        _write_object(value, at, emit, {})
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_array(values, at: str, emit, write_item) -> None:
+    if not values:
+        emit("[]")
+        return
+    inner = at + "  "
+    sep = "[\n" + inner
+    for value in values:
+        emit(sep)
+        write_item(value, inner, emit)
+        sep = ",\n" + inner
+    emit(f"\n{at}]")
+
+
+def _write_object(obj: dict, at: str, emit, fields: dict) -> None:
+    """`obj` with sorted keys, the value of each key in `fields` written by
+    that key's writer."""
+    if not obj:
+        emit("{}")
+        return
+    inner = at + "  "
+    sep = "{\n" + inner
+    for key in sorted(obj):
+        emit(f"{sep}{encode_basestring_ascii(key)}: ")
+        fields.get(key, _write_value)(obj[key], inner, emit)
+        sep = ",\n" + inner
+    emit(f"\n{at}}}")
+
+
+def _write_outcome(obj: dict, at: str, emit) -> None:
+    _write_object(obj, at, emit, _OUTCOME_FIELDS)
+
+
+def _write_row(row: dict, at: str, emit) -> None:
+    _write_object(row, at, emit, _ROW_FIELDS)
+
+
+def _write_row_objects(objects: dict, at: str, emit) -> None:
+    """A row's objects: each binding's list of row objects, each of them
+    written with one f-string."""
+    if not objects:
+        emit("{}")
+        return
+    i1, i2, i3, i4 = (at + "  " * k for k in range(1, 5))
+    sep = "{\n"
+    for binding in sorted(objects):
+        emit(f"{sep}{i1}{encode_basestring_ascii(binding)}: ")
+        sep = ",\n"
+        if not objects[binding]:
+            emit("[]")
+            continue
+        emit("[\n" + ",\n".join([
+            f'{i2}{{\n{i3}"bbox": [\n{i4}{x1!r},\n{i4}{y1!r},\n{i4}{x2!r},'
+            f'\n{i4}{y2!r}\n{i3}],\n{i3}"node": [\n{i4}{frame},\n{i4}{index}'
+            f'\n{i3}],\n{i3}"track": {"null" if track is None else track}'
+            f'\n{i2}}}'
+            for frame, index, track, x1, y1, x2, y2 in objects[binding]])
+            + f"\n{i1}]")
+    emit(f"\n{at}}}")
+
+
+_OUTCOME_FIELDS = {
+    "frames": lambda rows, at, emit: _write_array(rows, at, emit, _write_row),
+    "temporal": lambda temporal, at, emit: _write_object(
+        temporal, at, emit, {"first": _write_outcome, "then": _write_outcome}),
+}
+_ROW_FIELDS = {"objects": _write_row_objects}
 
 
 # Cache entries are written and read by this interpreter's `marshal`; the
-# tag goes into every key, so an entry another version wrote is never opened.
-ENTRY_FORMAT = "marshal{}-py{}.{}".format(marshal.version, *sys.version_info[:2])
+# tag goes into every key, so an entry another version wrote, or one of
+# the dict row objects earlier versions kept, is never opened.
+ENTRY_FORMAT = "rows7-marshal{}-py{}.{}".format(
+    marshal.version, *sys.version_info[:2])
 DIGEST_SIZE = 32  # bytes of the sha256 that heads an entry
 
 
@@ -597,10 +715,10 @@ class ResultStore:
     a digest of the run's other inputs: the trace content, the video meta
     and the registrations (see `Session.run`).  Entries are internal: each
     is the sha256 of its payload followed by the payload, the `marshal` of
-    its outcome's `to_json`, which loads several times faster than JSON.
-    Result files are made from the loaded outcome by `serialize_outcome`,
-    so they stay `indent=2` and byte-stable whether or not they were served
-    from here.
+    its outcome's `to_json`, which loads several times faster than JSON;
+    its row objects stay flat tuples (see `QueryOutcome`).  Result files
+    are made from the loaded outcome by `serialize_outcome`, so they stay
+    `indent=2` and byte-stable whether or not they were served from here.
 
     `marshal` is not safe against crafted data: the digest catches damage,
     not an entry someone forged, so the store must be the user's own
@@ -669,7 +787,7 @@ def trace_batches(trace_path, meta: Optional[VideoMeta], batch_size: int):
         for rec in records:
             if rec.frame_id > last:
                 break
-            current.append(FrameState(rec.frame_id, rec, FrameGraph()))
+            current.append(FrameState(rec.frame_id, rec, EMPTY_GRAPH))
             if rec.frame_id == last:
                 break
             if len(current) == batch_size:

@@ -31,6 +31,12 @@ from .trace_io import TraceRecord
 from .tracker import SortTracker, TrackerConfig
 
 
+# The graph of every initial frame state: a detector starts each branch's
+# graph anew, and no operator changes an input graph.  Its parts and edges
+# are empty tuples, so a change to it would raise.
+EMPTY_GRAPH = FrameGraph((), ())
+
+
 @dataclass(slots=True)
 class FrameState:
     """One frame flowing through a pipeline branch."""
@@ -41,7 +47,8 @@ class FrameState:
 
     @classmethod
     def fresh(cls, record: TraceRecord) -> "FrameState":
-        return cls(record.frame_id, record, FrameGraph())
+        """The initial frame state of `record`."""
+        return cls(record.frame_id, record, EMPTY_GRAPH)
 
 
 Batch = list[FrameState]

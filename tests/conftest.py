@@ -138,6 +138,17 @@ def run_single(
     return outcome, session.stats, dag
 
 
+def row_objects(row: dict, binding: str) -> list[dict]:
+    """The row objects of `binding` in a result row, each a flat tuple
+    `(frame, index, track, x1, y1, x2, y2)`, as the result file writes
+    them: `{"bbox": [x1, y1, x2, y2], "node": [frame, index], "track":
+    track}`."""
+    objects = row["objects"][binding]
+    assert all(type(obj) is tuple and len(obj) == 7 for obj in objects)
+    return [{"bbox": list(obj[3:]), "node": list(obj[:2]), "track": obj[2]}
+            for obj in objects]
+
+
 def dense_state(slots) -> tuple[np.ndarray, np.ndarray]:
     """Tracker slots' means as (n, 7) and covariances as (n, 7, 7), the
     layout of the dense filter in `_scalar_tracker.py`, with +0.0 off the

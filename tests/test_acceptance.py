@@ -31,6 +31,7 @@ from conftest import (
     frozen_registry,
     make_program,
     meta_1000,
+    row_objects,
     run_single,
 )
 
@@ -45,7 +46,7 @@ query reds {
 def row_tracks(outcome, binding="c"):
     """frame -> [track ids] from result rows."""
     return {
-        row["frame"]: [o["track"] for o in row["objects"][binding]]
+        row["frame"]: [o["track"] for o in row_objects(row, binding)]
         for row in outcome.rows
     }
 
@@ -386,7 +387,7 @@ def _check_red_and_blue_bindings(world, outcome, case):
             expected[f] = by_color
     assert outcome.satisfied == sorted(expected), f"case {case}"
     for row in outcome.rows:
-        got = {b: [o["node"] for o in row["objects"][b]] for b in ("a", "b")}
+        got = {b: [o["node"] for o in row_objects(row, b)] for b in ("a", "b")}
         want = expected[row["frame"]]
         assert got == {"a": want["red"], "b": want["blue"]}, f"case {case}"
 

@@ -3,7 +3,8 @@ type.  The expected values come from the world scripts."""
 
 from vidquery.synth import ObjectScript, WorldSpec, write_world
 
-from conftest import CAR_PROGRAM, car, make_program, meta_1000, run_single
+from conftest import (CAR_PROGRAM, car, make_program, meta_1000, row_objects,
+                      run_single)
 
 PROGRAM = CAR_PROGRAM + """
 relation Near(Car, Car) {
@@ -37,7 +38,7 @@ spatial query red_near_mover {
 
 
 def nodes(row, binding):
-    return [tuple(o["node"]) for o in row["objects"][binding]]
+    return [tuple(o["node"]) for o in row_objects(row, binding)]
 
 
 def two_reds_near_one_far_blue(tmp_path, frames=8):

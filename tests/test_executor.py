@@ -5,8 +5,11 @@ import hashlib
 import importlib.util
 import json
 import marshal
+import math
 import random
+import re
 import struct
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from vidquery import executor
-from vidquery.datamodel import UNDEFINED, VObjInstance
+from vidquery.datamodel import UNDEFINED, FrameGraph, VObjInstance
 from vidquery.dsl.ast import Compare, PropRef
 from vidquery.executor import (
     DIGEST_SIZE,
@@ -30,7 +33,7 @@ from vidquery.executor import (
     serialize_outcome,
     trace_batches,
 )
-from vidquery.operators import compare
+from vidquery.operators import EMPTY_GRAPH, compare
 from vidquery.planner import PlannerConfig, PlanOp, plan_query
 from vidquery.registry import Registration, Registry, load_manifest
 from vidquery.synth import ObjectScript, WorldSpec, write_world
@@ -45,6 +48,7 @@ from conftest import (
     frozen_registry,
     make_program,
     meta_1000,
+    row_objects,
     run_single,
 )
 
@@ -541,7 +545,7 @@ class TestTrackerOwnership:
             assert serialize_outcome(outcome) == serialize_outcome(solo)
         assert shared[0].satisfied == list(range(2, 20))
         untracked = [obj for row in shared[1].rows
-                     for objs in row["objects"].values() for obj in objs]
+                     for b in row["objects"] for obj in row_objects(row, b)]
         assert len(untracked) == 20
         assert all(obj["track"] is None for obj in untracked)
 
@@ -787,10 +791,10 @@ class TestResultStore:
             store.put("inputs", f"plan{i}", outcome)
             served = store.get("inputs", f"plan{i}")
             assert serialize_outcome(served) == serialize_outcome(outcome)
-            # no tuple, set or non-string key that a JSON entry would have
-            # normalised
-            assert served.to_json() == json.loads(
-                json.dumps(outcome.to_json()))
+            # row objects still 7-tuples, and no other tuple, set or
+            # non-string key that a JSON entry would have normalised
+            assert served == outcome
+            assert_row_tuples_and_json(served.to_json())
 
 
 FLOATS = [0.0, -0.0, 1e-7, -1e-7, 0.1, 1e300, 5e-324, 2.5]
@@ -799,31 +803,47 @@ SCALARS = FLOATS + [0, -1, 2**64 + 1, -(2**100), True, False, None, "", "red",
 NAMES = ["reds", "", "qüery", "查询", "🚗 seq", "a.b", "0"]
 
 
-def random_json(rng, depth):
-    """A random value of JSON's own types: lists, objects with string keys,
-    strings, numbers, booleans and null."""
+# values the writer must write as `json.dumps` does, which the store test
+# leaves out (NaN never equals itself, and a tuple is no JSON type):
+# non-finite floats, and outputs that look like a row object, which are
+# written as arrays
+WRITER_SCALARS = SCALARS + [
+    math.nan, math.inf, -math.inf, (7, 1, None, 0.5, 1.5, 2.5, 3.5),
+    (7, 1, 3, 0.5, 1.5, 2.5, 3.5), [7, 1, 3, 0.5, 1.5, 2.5, 3.5], (), (True,)]
+
+
+def random_json(rng, depth, scalars=SCALARS):
+    """A random value of JSON's own types, from `scalars` at the leaves:
+    lists, objects with string keys, strings, numbers, booleans and
+    null."""
     kind = rng.randrange(4 if depth > 0 else 1)
     if kind == 0:
-        return rng.choice(SCALARS + [rng.uniform(-1e6, 1e6),
+        return rng.choice(scalars + [rng.uniform(-1e6, 1e6),
                                      rng.randrange(-10**20, 10**20)])
     if kind == 1:
-        return [random_json(rng, depth - 1) for _ in range(rng.randrange(4))]
+        return [random_json(rng, depth - 1, scalars)
+                for _ in range(rng.randrange(4))]
     if kind == 2:
-        return {rng.choice(NAMES): random_json(rng, depth - 1)
+        return {rng.choice(NAMES): random_json(rng, depth - 1, scalars)
                 for _ in range(rng.randrange(4))}
     return [] if rng.random() < 0.5 else {}
 
 
-def random_outcome(rng, depth) -> QueryOutcome:
+def random_outcome(rng, depth, scalars=SCALARS) -> QueryOutcome:
+    """A random outcome of every part's shape, its row objects 7-tuples and
+    its outputs drawn from `scalars`."""
     frames = sorted(rng.sample(range(10**6), rng.randrange(6)))
+    coordinate = lambda: rng.choice(  # noqa: E731
+        FLOATS + [rng.uniform(0, 1e4), rng.uniform(-1e4, 0)])
     rows = [{"frame": f,
              "objects": {rng.choice(NAMES): [
-                 {"node": [f, rng.randrange(50)],
-                  "track": rng.choice([None, rng.randrange(10**12)]),
-                  "bbox": [rng.choice(FLOATS), rng.uniform(0, 1e4),
-                           rng.uniform(0, 1e4), rng.uniform(0, 1e4)]}
-                 for _ in range(rng.randrange(3))]},
-             "outputs": {f"c.{rng.choice(NAMES)}": [random_json(rng, 2)]}}
+                 (f, rng.randrange(50),
+                  rng.choice([None, 0, rng.randrange(10**12)]),
+                  coordinate(), coordinate(), coordinate(), coordinate())
+                 for _ in range(rng.randrange(3))]
+                 for _ in range(rng.randrange(3))},
+             "outputs": {f"c.{rng.choice(NAMES)}": [
+                 random_json(rng, 2, scalars)]}}
             for f in frames]
     outcome = QueryOutcome(query=rng.choice(NAMES), satisfied=frames,
                            rows=rows)
@@ -837,14 +857,89 @@ def random_outcome(rng, depth) -> QueryOutcome:
     if rng.random() < 0.4:
         outcome.duration_fires = [[rng.randrange(99), f] for f in frames]
     if depth > 0 and rng.random() < 0.5:
-        first = random_outcome(rng, depth - 1)
-        then = random_outcome(rng, depth - 1)
+        first = random_outcome(rng, depth - 1, scalars)
+        then = random_outcome(rng, depth - 1, scalars)
         outcome.temporal = {
             "matched": bool(first.satisfied and then.satisfied),
             "witnesses": [[e, s] for e in first.satisfied[:2]
                           for s in then.satisfied[:2]],
             "first": first.to_json(), "then": then.to_json()}
     return outcome
+
+
+def dict_form(obj: dict) -> dict:
+    """An outcome's `to_json` with each row object as the result file's
+    dict (`row_objects`), in a temporal outcome's parts too."""
+    form = dict(obj, frames=[
+        dict(row, objects={b: row_objects(row, b) for b in row["objects"]})
+        for row in obj["frames"]])
+    if obj.get("temporal") is not None:
+        form["temporal"] = dict(obj["temporal"],
+                                first=dict_form(obj["temporal"]["first"]),
+                                then=dict_form(obj["temporal"]["then"]))
+    return form
+
+
+def assert_row_tuples_and_json(obj: dict) -> None:
+    """The row objects of `obj`, an outcome's `to_json`, are 7-tuples
+    (`row_objects` checks), and everything else is of JSON's own types."""
+    form = dict_form(obj)
+    assert form == json.loads(json.dumps(form))
+
+
+class TestWriter:
+    """`serialize_outcome` writes what `json.dumps` writes for the outcome
+    with its row objects as dicts."""
+
+    @staticmethod
+    def dumps(outcome):
+        return json.dumps(dict_form(outcome.to_json()), indent=2,
+                          sort_keys=True) + "\n"
+
+    def test_equals_json_dumps_on_random_outcomes(self):
+        rng = random.Random(20232)
+        seen = Counter()
+        for _ in range(400):
+            outcome = random_outcome(rng, depth=2, scalars=WRITER_SCALARS)
+            text = serialize_outcome(outcome)
+            assert text == self.dumps(outcome)
+            seen.update(token for token in ("NaN", "-Infinity", "5e-324",
+                                            "1e-07", "-0.0", "\\u", "true",
+                                            "18446744073709551617",
+                                            '"temporal"', '"duration_fires"',
+                                            "{}", "[]")
+                        if token in text)
+            objects = [o for row in outcome.rows
+                       for objs in row["objects"].values() for o in objs]
+            seen["row objects"] += len(objects)
+            seen["untracked"] += sum(o[2] is None for o in objects)
+            # a row-like tuple or list in the outputs, written as an array
+            seen["near misses"] += len(re.findall(
+                r"\[\s+7,\s+1,\s+(?:null|3),\s+0\.5,", text))
+        # every case the draw is meant to reach, many times over
+        assert len(seen) == 15 and min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("value", [
+        (7, 1, None, 0.5, 1.5, 2.5, 3.5), [7, 1, 3, 0.5, 1.5, 2.5, 3.5],
+        {"bbox": [0.5, 1.5, 2.5, 3.5], "node": [7, 1], "track": None},
+        [True, 1, False, 0, 2**64 + 1, -(2**100)], [math.nan, -math.inf],
+        {}, [], {"": [{}], "é": ["\u2028", "车 🚗"]}])
+    def test_outputs_that_look_like_rows_are_written_as_json(self, value):
+        row = {"frame": 7, "objects": {"c": [(7, 1, None, 0.5, -0.0, 1e-7,
+                                              5e-324)]},
+               "outputs": {"c.x": [value], "c.y": value}}
+        outcome = QueryOutcome("q", [7], [row], video={"value": value},
+                               duration_fires=[[3, 7]])
+        outcome.temporal = {"first": QueryOutcome("p", [7], [row]).to_json(),
+                            "then": QueryOutcome("q", [], []).to_json(),
+                            "matched": True, "witnesses": [value]}
+        assert serialize_outcome(outcome) == self.dumps(outcome)
+
+    def test_a_row_object_of_another_shape_is_refused(self):
+        row = {"frame": 7, "objects": {"c": [
+            {"bbox": [0.5, 1.5, 2.5, 3.5], "node": [7, 1], "track": None}]}}
+        with pytest.raises(ValueError):
+            serialize_outcome(QueryOutcome("q", [7], [row]))
 
 
 SHAPES = CAR_PROGRAM + """
@@ -940,8 +1035,9 @@ class TestCompactEntries:
             assert data[:DIGEST_SIZE] == hashlib.sha256(payload).digest()
             obj = marshal.loads(payload)
             QueryOutcome.from_json(obj)
-            # only JSON's own types, as the uncached outcome holds
-            assert obj == json.loads(json.dumps(obj))
+            # 7-tuple row objects and only JSON's own types besides, as the
+            # uncached outcome holds
+            assert_row_tuples_and_json(obj)
 
     def test_old_json_entry_is_a_miss(self, tmp_path, monkeypatch):
         uncached, _stats = self.run(tmp_path)
@@ -967,6 +1063,45 @@ class TestCompactEntries:
         assert len(puts) == 2 * len(self.QUERIES)  # each one recomputed
         assert sorted(p.suffix for p in old.root.iterdir()) == \
             [".json"] * len(self.QUERIES) + [".marshal"] * len(self.QUERIES)
+
+    def test_old_dict_row_entry_is_never_opened(self, tmp_path, monkeypatch):
+        uncached, _stats = self.run(tmp_path)
+        puts = []
+        put = ResultStore.put
+
+        def recording_put(store, *args):
+            puts.append(args)
+            put(store, *args)
+
+        monkeypatch.setattr(ResultStore, "put", recording_put)
+        self.run(tmp_path, ResultStore(tmp_path / "cache"))
+        # the entries of the previous format: the same digest-checked
+        # marshal, keyed under its tag, of outcomes with dict row objects
+        tag = "marshal{}-py{}.{}".format(marshal.version,
+                                         *sys.version_info[:2])
+        old = ResultStore(tmp_path / "old")
+        for inputs_digest, plan_id, outcome in puts:
+            payload = marshal.dumps(dict_form(outcome.to_json()))
+            key = hashlib.sha256(f"{tag}:{inputs_digest}:{plan_id}".encode())
+            (old.root / f"{key.hexdigest()}.marshal").write_bytes(
+                hashlib.sha256(payload).digest() + payload)
+        old_entries = {p: p.read_bytes() for p in old.root.iterdir()}
+        loaded = []
+        loads = marshal.loads
+        monkeypatch.setattr(marshal, "loads",
+                            lambda data: loaded.append(data) or loads(data))
+        served, stats = self.run(tmp_path, old)
+        assert loaded == []  # no old entry was read
+        assert stats.total_op_invocations > 0
+        assert served == uncached
+        assert len(puts) == 2 * len(self.QUERIES)  # each one recomputed
+        assert {p: p.read_bytes() for p in old_entries} == old_entries
+        assert len(list(old.root.iterdir())) == 2 * len(self.QUERIES)
+        # the rewritten entries serve the next run
+        served, stats = self.run(tmp_path, old)
+        assert len(loaded) == len(self.QUERIES)
+        assert stats.total_op_invocations == 0
+        assert served == uncached
 
 
 class TestLinking:
@@ -1141,6 +1276,61 @@ class TestTraceBatches:
         next(batches)
         batches.close()  # a consumer that stops early
         assert opened[1].gi_frame is None
+
+    def test_no_operator_changes_an_input_graph(self, tmp_path):
+        """Every initial frame state holds the one empty graph, and each
+        operator of every kind leaves the graphs of its input batch as it
+        found them: the same parts and edges, holding the same objects."""
+        meta = meta_1000(30)
+        world = WorldSpec(meta=meta, seed=5, objects=[
+            car(1, 0, 29, (100.0, 300.0), velocity=(3.7, 0.0)),
+            car(2, 5, 29, (300.0, 400.0), velocity=(0.5, -3.0)),
+            ObjectScript(label=3, class_name="person", start_frame=0,
+                         end_frame=29, start_center=(240.0, 420.0),
+                         velocity=(0.5, -3.0), size=(20.0, 24.0),
+                         attrs={"role": "adult"}),
+        ], channels={"motion_score": [f % 4 / 4 for f in range(30)]})
+        trace = write_world(world, tmp_path / "w")["trace"]
+        vprog = make_program(TestLinkTable.PROGRAM)
+        registry = frozen_registry([
+            Registration(name="has_car", kind="classifier", cost_units=1.0,
+                         params={"vobj": "Car", "target_class": "car"}),
+            Registration(name="moving", kind="frame_filter", cost_units=0.5,
+                         params={"auto": True, "channel": "motion_score",
+                                 "op": ">=", "threshold": 0.2}),
+        ])
+        dags = [plan_query(vprog, q, registry, PlannerConfig(batch_size=4),
+                           meta)
+                for q in TestCompactEntries.QUERIES + ["moving_reds"]]
+        session = Session(vprog, registry, meta,
+                          ExecConfig(batch_size=4, lazy=False))
+        session.start(dags)
+
+        def shape(batch):
+            return [(g, g.parts, [list(p) for p in g.parts], g.edges,
+                     list(g.edges)) for g in (fs.graph for fs in batch)]
+
+        def checked(op):
+            process = op.process
+
+            def check(engine, inputs):
+                before = [shape(batch) for batch in inputs]
+                out = process(engine, inputs)
+                assert [shape(batch) for batch in inputs] == before, op.kind
+                kinds.add(op.kind)
+                return out
+            return check
+
+        kinds = set()
+        for rt, _inputs in session._schedule.values():
+            for op in [rt, *getattr(rt, "steps", [])] if rt else []:
+                op.process = checked(op)
+        for base in trace_batches(trace, meta, 4):
+            assert all(fs.graph is EMPTY_GRAPH for fs in base)
+            session.feed(base)
+        assert EMPTY_GRAPH == FrameGraph((), ())
+        assert kinds == set(OPERATOR_CLASSES)
+        assert any(o.satisfied for o in session.finish())
 
 
 class TestSerialization:

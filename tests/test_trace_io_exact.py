@@ -155,10 +155,10 @@ CASES = dict(case for cases in (
 
 
 def _fields(rec):
-    """A record's fields with every float as its bytes and every type kept;
-    a repr, so deep attrs compare without recursing in Python."""
+    """A record's fields with every type kept, each float as its type and
+    its bytes; a repr, so deep attrs compare without recursing in Python."""
     def floats(values):
-        return [struct.pack("<d", v) for v in values]
+        return [(type(v), struct.pack("<d", v)) for v in values]
     return repr([
         type(rec.frame_id), rec.frame_id, floats(rec.channels.values()),
         list(rec.channels),
