@@ -2,7 +2,8 @@
 
 A frame graph holds the objects of one frame, one part per query binding,
 and the spatial-relation edges between them.  Tracks persist across frames
-and keep their latest objects, which stateful windows read.
+and keep their latest objects; each tracked object links to the one before
+it on its track, and a stateful window follows those links.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ NodeId = tuple[int, int]  # (frame_id, per-frame detection index)
 @dataclass(slots=True)
 class VObjInstance:
     """One video object on one frame; `track` is the record of the track
-    the tracker assigned it to."""
+    the tracker assigned it to, and `prev` the object before it on that
+    track while the record still keeps that object (None otherwise, and on
+    an untracked object)."""
 
     node_id: NodeId
     class_name: str
@@ -51,6 +54,8 @@ class VObjInstance:
     attrs: dict[str, Any] = field(default_factory=dict)
     properties: dict[str, Any] = field(default_factory=dict)
     track: Optional["Track"] = field(default=None, repr=False, compare=False)
+    prev: Optional["VObjInstance"] = field(
+        default=None, repr=False, compare=False)
 
 
 @dataclass(slots=True)
@@ -87,6 +92,9 @@ class Track:
     keys per-track memo entries.
 
     `objects` is bounded; an append beyond the bound evicts the oldest.
+    The bound also bounds what stays linked: `append` cuts the `prev` link
+    of the oldest object kept, so a later object reaches only the record's
+    objects.
     """
 
     track_id: int
@@ -98,13 +106,29 @@ class Track:
         """A record that keeps the track's `depth` latest objects."""
         return cls(track_id, deque(maxlen=depth))
 
+    def append(self, node: VObjInstance) -> None:
+        """Keep `node` as the track's latest object, linked to the one
+        before it."""
+        objects = self.objects
+        objects.append(node)  # beyond the bound, evicts the oldest
+        if len(objects) > 1:
+            node.prev = objects[-2]
+            objects[0].prev = None  # the oldest kept links nowhere
 
-def window(track: Track, k: int, end_frame: int) -> Any:
-    """The track's k most recent objects at or before `end_frame`, oldest
-    first; UNDEFINED while it has fewer."""
+
+def window(node: VObjInstance, k: int) -> Any:
+    """The k objects of `node`'s track ending at `node`, oldest first: the
+    node and its k - 1 predecessors.  UNDEFINED while the track has fewer
+    (the links end early) and on an untracked node."""
     if k < 1:
         raise ValueError("window length must be >= 1")
-    objects = [n for n in track.objects if n.frame_id <= end_frame]
-    if len(objects) < k:
+    if node.track is None:
         return UNDEFINED
-    return objects[-k:]
+    objects = [node]
+    for _ in range(k - 1):
+        node = node.prev
+        if node is None:
+            return UNDEFINED
+        objects.append(node)
+    objects.reverse()
+    return objects

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Optional
 
-from .datamodel import UNDEFINED, Track, VObjInstance, is_defined, window
+from .datamodel import UNDEFINED, Track, VObjInstance, window
 from .dsl.ast import And, Compare, Not, Or, PropertyDef
 from .dsl.validate import ValidatedProgram
 from .operators import (
@@ -119,10 +119,15 @@ class PropertyEngine:
 
     A property is computed at most once per node; intrinsic values are
     additionally memoized per track record.  A stateful property reads its
-    dependency on the track's latest `window` objects.  A value is Undefined,
-    without entering its implementation, when any value it reads is: a
-    dependency, a window entry, or a window still warming up.  One engine
-    serves one `Session.run`.
+    dependency on its `window`: the node and the objects before it on its
+    track (`datamodel.window`).  A value is Undefined, without entering its
+    implementation, when any value it reads is: a dependency, a window
+    entry, or a window still warming up.  One engine serves one
+    `Session.run`.
+
+    One `PropContext` serves the whole pass: every field a call reads is
+    set just before `call_property_impl`, so an implementation must not call
+    back into the engine, which would overwrite it.
     """
 
     def __init__(
@@ -142,6 +147,8 @@ class PropertyEngine:
         self.tracks: dict[tuple[Any, int], Track] = {}  # by (tracker, id)
         # type -> property -> link; only detected types are linked
         self.linked: dict[str, dict[str, LinkedProperty]] = {}
+        self.ctx = PropContext(node=None, deps={}, window_values=None,
+                               meta=meta)
 
     def link(self, vobj: str) -> None:
         """Link each property of the detected type `vobj` once, so a missing
@@ -198,12 +205,16 @@ class PropertyEngine:
 
         deps, win, span = {}, None, None
         if pdef.kind == "stateful":
-            objects = UNDEFINED if track is None else window(
-                track, pdef.window, node.frame_id)
+            objects = window(node, pdef.window)
             if objects is UNDEFINED:  # still warming up: one Undefined read
                 reads = win = (UNDEFINED,)
             else:
-                reads = win = [self.get(n, pdef.deps[0]) for n in objects]
+                dep = pdef.deps[0]
+                reads = win = [
+                    n.properties[dep] if dep in n.properties
+                    else self.get(n, dep)
+                    for n in objects
+                ]
                 span = (objects[0].frame_id, objects[-1].frame_id)
         else:
             deps = {dep: self.get(node, dep) for dep in pdef.deps}
@@ -212,9 +223,10 @@ class PropertyEngine:
             value = UNDEFINED
         else:
             self.stats.count_property(linked.name, linked.reg.cost_units)
-            value = call_property_impl(linked.reg, PropContext(
-                node=node, deps=deps, window_values=win, meta=self.meta,
-                window_frames=span))
+            ctx = self.ctx
+            ctx.node, ctx.deps, ctx.window_values, ctx.window_frames = \
+                node, deps, win, span
+            value = call_property_impl(linked.reg, ctx)
 
         node.properties[prop] = value
         if memo_key is not None and value is not UNDEFINED:
@@ -245,7 +257,7 @@ class PropertyEngine:
             return True
         if isinstance(expr, Compare):
             value = self._resolve(expr.ref, env, edge)
-            if not is_defined(value):
+            if value is UNDEFINED:
                 return None
             return compare(value, expr.op, expr.literal)
         if isinstance(expr, Not):

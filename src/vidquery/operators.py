@@ -272,7 +272,8 @@ class DetectorOp(RuntimeOp):
 class TrackerOp(RuntimeOp):
     """Assigns persistent tracks: gives each tracked node its track's record
     (`VObjInstance.track`, which holds the id), appends the node to the
-    record's latest objects and sets a new track's birth frame.
+    record's latest objects, linked to the one before it
+    (`VObjInstance.prev`), and sets a new track's birth frame.
 
     A tracker that `owns_input` sets records on its input's nodes and passes
     its input's frame states on; `Session` grants that when the input is a
@@ -319,7 +320,7 @@ class TrackerOp(RuntimeOp):
                     track.first_frame = fs.frame_id
                 node = by_id[node_id]
                 node.track = track
-                track.objects.append(node)
+                track.append(node)
         return out
 
 

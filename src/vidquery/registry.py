@@ -170,7 +170,14 @@ class Registry:
 class PropContext:
     """What a property function may read: a stateful one reads its
     dependency's values on the window's objects, oldest first, and the
-    frame ids of the first and last of them."""
+    frame ids of the first and last of them.
+
+    `PropertyEngine` keeps one context for a whole pass and sets `node`,
+    `deps`, `window_values` and `window_frames` before every call (a
+    stateless call has no window, a stateful one no `deps`;
+    `call_property_impl` sets `params`), so a function reads only its own
+    call's values, and must not keep the context or call back into the
+    engine."""
 
     node: Optional[VObjInstance]
     deps: dict[str, Any]

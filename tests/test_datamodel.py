@@ -38,40 +38,52 @@ def test_nodes_lists_every_part_in_order():
 
 
 class TestTrackHistory:
-    """`window` over a track's latest objects."""
+    """`window` over a node and its predecessors on its track."""
 
     @staticmethod
     def track(depth, frames):
         t = Track.create(1, depth)
         for f in frames:
-            t.objects.append(node((f, 0), track=t))
+            t.append(node((f, 0), track=t))
         return t
+
+    @staticmethod
+    def at(t, frame):
+        """The track's object on `frame`, still kept."""
+        (n,) = [n for n in t.objects if n.frame_id == frame]
+        return n
 
     def test_window_undefined_until_full(self):
         t = self.track(5, range(4))
-        assert window(t, 5, 3) is UNDEFINED
-        t.objects.append(node((4, 0), track=t))
-        assert [n.frame_id for n in window(t, 5, 4)] == list(range(5))
+        assert window(self.at(t, 3), 5) is UNDEFINED
+        t.append(node((4, 0), track=t))
+        assert [n.frame_id for n in window(self.at(t, 4), 5)] == \
+            list(range(5))
 
     def test_window_end_frame(self):
         t = self.track(13, range(10))
-        assert [n.frame_id for n in window(t, 3, 5)] == [3, 4, 5]
-        assert window(t, 3, 1) is UNDEFINED
-        assert [n.frame_id for n in window(t, 3, 9)] == [7, 8, 9]
+        assert [n.frame_id for n in window(self.at(t, 5), 3)] == [3, 4, 5]
+        assert window(self.at(t, 1), 3) is UNDEFINED
+        assert [n.frame_id for n in window(self.at(t, 9), 3)] == [7, 8, 9]
 
     def test_window_counts_observations_not_frames(self):
         t = self.track(5, [0, 4, 9])  # tracked on three frames only
-        assert [n.frame_id for n in window(t, 3, 9)] == [0, 4, 9]
+        assert [n.frame_id for n in window(self.at(t, 9), 3)] == [0, 4, 9]
 
     def test_bounded_retention(self):
         t = self.track(2, range(50))
         assert [n.frame_id for n in t.objects] == [48, 49]
-        assert window(t, 3, 49) is UNDEFINED
+        assert self.at(t, 48).prev is None
+        assert window(self.at(t, 49), 3) is UNDEFINED
+        assert [n.frame_id for n in window(self.at(t, 49), 2)] == [48, 49]
 
     def test_no_window_keeps_no_objects(self):
         assert list(self.track(0, range(5)).objects) == []
 
+    def test_an_untracked_node_has_no_window(self):
+        assert window(node((3, 0)), 1) is UNDEFINED
+
     def test_window_length_validated(self):
         t = self.track(3, range(3))
         with pytest.raises(ValueError):
-            window(t, 0, 2)
+            window(self.at(t, 2), 0)
