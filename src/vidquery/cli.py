@@ -1,8 +1,8 @@
 """Command-line interface: validate, explain, profile, run, and synth.
 
-Exit codes: 1 for parse/validation errors and bad option values (an output
-path that cannot be made or written is one), 2 for planning errors, 3 for
-runtime errors.
+Exit codes: 1 for parse/validation errors, usage errors and bad option
+values (an output path that cannot be made or written is one), 2 for
+planning errors, 3 for runtime errors.
 """
 
 from __future__ import annotations
@@ -105,10 +105,6 @@ def _config(cls, **kwargs):
         _fail(EXIT_VALIDATION, f"bad option: {exc}")
 
 
-def _planner_config(**kwargs) -> PlannerConfig:
-    return _config(PlannerConfig, **kwargs)
-
-
 @contextmanager
 def _output_path(option: str):
     """A path given to `option` that cannot be made or written exits 1 with
@@ -136,12 +132,23 @@ def _check_output_file(option: str, path: Optional[str]) -> None:
                                      str(target.parent))
 
 
-@click.group()
+class _Main(click.Group):
+    """A usage error of a command (an unknown command or option, a value of
+    the wrong type, a missing option) exits 1 with one line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail(EXIT_VALIDATION, f"bad option: {exc.format_message()}")
+
+
+@click.group(cls=_Main)
 def main():
     """Declarative video-object queries over detection traces."""
 
 
-@main.command()
+@main.command(name="validate")
 @click.option("--program", "-p", required=True, help="Query program file.")
 @click.option("--registry", "manifest", default=None, help="Registry manifest JSON.")
 def validate_cmd(program, manifest):
@@ -152,25 +159,19 @@ def validate_cmd(program, manifest):
     click.echo(f"ok: {len(vprog.types)} types, {len(vprog.queries)} queries ({names})")
 
 
-main.add_command(validate_cmd, name="validate")
-
-
 @main.command()
 @click.option("--program", "-p", required=True)
 @click.option("--query", "-q", required=True)
 @click.option("--registry", "manifest", default=None)
 @click.option("--meta", "meta_path", default=None)
 @click.option("--no-pullup", is_flag=True)
-@click.option("--no-fusion", is_flag=True)
-def explain(program, query, manifest, meta_path, no_pullup, no_fusion):
+def explain(program, query, manifest, meta_path, no_pullup):
     """Print the planned operator DAG in DOT form."""
     vprog = _load_program(program)
     registry = _load_registry(manifest)
     meta = _load_meta(meta_path)
     _check_query(vprog, query)
-    config = _planner_config(
-        enable_pullup=not no_pullup, enable_fusion=not no_fusion
-    )
+    config = _config(PlannerConfig, enable_pullup=not no_pullup)
     try:
         dag = plan_query(vprog, query, registry, config, meta)
     except PlanError as exc:
@@ -198,7 +199,8 @@ def profile_cmd(program, query, trace, meta_path, manifest, canary_frames,
     registry = _load_registry(manifest)
     meta = _load_meta(meta_path)
     _check_query(vprog, query)
-    config = _planner_config(
+    config = _config(
+        PlannerConfig,
         accuracy_target=accuracy_target,
         canary_frames=canary_frames,
         batch_size=batch_size,
@@ -223,16 +225,7 @@ def profile_cmd(program, query, trace, meta_path, manifest, canary_frames,
         "accuracy_target": accuracy_target,
         "selected": selected.plan_id,
         "fallback": fell_back,
-        "candidates": [
-            {
-                "plan_id": r.plan_id,
-                "f1": r.f1,
-                "cost_units": r.cost_units,
-                "op_count": r.op_count,
-                "breakdown": r.breakdown,
-            }
-            for r in reports
-        ],
+        "candidates": [vars(r) for r in reports],
     }
     click.echo(json.dumps(out, sort_keys=True, indent=2))
     if save_path:
@@ -258,19 +251,15 @@ def profile_cmd(program, query, trace, meta_path, manifest, canary_frames,
 @click.option("--no-memo", is_flag=True)
 @click.option("--no-lazy", is_flag=True)
 @click.option("--no-pullup", is_flag=True)
-@click.option("--no-fusion", is_flag=True)
 def run(program, queries, trace, meta_path, manifest, batch_size,
-        plan_file, results_dir, out_path,
-        no_memo, no_lazy, no_pullup, no_fusion):
+        plan_file, results_dir, out_path, no_memo, no_lazy, no_pullup):
     """Plan and execute queries over a trace."""
     vprog = _load_program(program)
     registry = _load_registry(manifest)
     meta = _load_meta(meta_path)
     for name in queries:
         _check_query(vprog, name)
-    config = _planner_config(
-        enable_pullup=not no_pullup, enable_fusion=not no_fusion
-    )
+    config = _config(PlannerConfig, enable_pullup=not no_pullup)
     exec_config = _config(
         ExecConfig, batch_size=batch_size, lazy=not no_lazy, memo=not no_memo
     )

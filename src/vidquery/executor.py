@@ -37,6 +37,7 @@ from .operators import (
     TrackerOp,
     VObjFilterOp,
     _check_settings,
+    _names,
     compare,
     count_distinct_tracks,
     eval_duration,
@@ -145,7 +146,7 @@ class PropertyEngine:
         self.stats = stats
         self.memo: dict[tuple[Track, str], Any] = {}
         self.tracks: dict[tuple[Any, int], Track] = {}  # by (tracker, id)
-        # type -> property -> link; only detected types are linked
+        # type -> property -> link; only detected or tracked types are linked
         self.linked: dict[str, dict[str, LinkedProperty]] = {}
         self.ctx = PropContext(node=None, deps={}, window_values=None,
                                meta=meta)
@@ -291,8 +292,16 @@ class OutputOp(RuntimeOp):
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
         self.query = params["query"]
-        self.bindings = params["bindings"]  # one name per part
-        self.frame_output = params.get("frame_output", [])
+        self.bindings = bindings = params["bindings"]  # one name per part
+        self.frame_output = refs = params["frame_output"]
+        named = bool(bindings) and _names(bindings)
+        _check_settings(op_id, [
+            (not named, f"bindings {bindings!r}"),
+            (named and not (isinstance(refs, list) and all(
+                isinstance(r, dict) and r.get("binding") in bindings
+                and isinstance(r.get("prop"), str) for r in refs)),
+             f"frame_output {refs!r}"),
+        ])
         self.rows: list[dict] = []
         self.tracks: dict[int, Track] = {}
 
@@ -844,8 +853,8 @@ class Session:
         plan's bound, `RelationProjectorOp.widen`; a reader has no runtime
         op; a duration or temporal sink is built over its input sinks, not
         scheduled).  Also returns each plan's sink (`_sink`), links each
-        detected type's properties into the engine and each aggregate to its
-        output op.  A tracker owns its input (`TrackerOp.owns_input`) when
+        detector's and tracker's type into the engine and each aggregate to
+        its output op.  A tracker owns its input (`TrackerOp.owns_input`) when
         that is a detector's batch that no other scheduled operator reads."""
         schedule: dict[str, tuple[Optional[RuntimeOp], list[str]]] = {}
         sinks = []
@@ -868,8 +877,8 @@ class Session:
                 if sig not in schedule:
                     rt = None if pop.kind == "reader" \
                         else build_runtime_op(pop, self.registry)
-                    if pop.kind == "detector":
-                        self.engine.link(pop.params["vobj"])
+                    if pop.kind in ("detector", "tracker"):
+                        self.engine.link(rt.vobj)
                     elif pop.kind == "aggregate":
                         rt.link(schedule[input_sigs[0]][0])
                     schedule[sig] = (rt, input_sigs)

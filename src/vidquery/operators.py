@@ -111,6 +111,12 @@ def _check_settings(owner: str, checks) -> None:
             raise ConfigurationError(f"{owner}: bad {what}")
 
 
+def _names(value) -> bool:
+    """Whether `value` is a list (or tuple) of strings."""
+    return isinstance(value, (list, tuple)) \
+        and all(isinstance(v, str) for v in value)
+
+
 class FrameFilterOp(RuntimeOp):
     """Drops frames by a channel predicate: in `threshold` mode, a
     comparison of the channel's value with the threshold; in
@@ -239,9 +245,7 @@ class DetectorOp(RuntimeOp):
         threshold = reg.params.get("score_threshold", 0.0)
         required = reg.params.get("requires_attrs", {})
         _check_settings(f"detector {reg.name}", (
-            (not isinstance(classes, (list, tuple))
-             or not all(isinstance(c, str) for c in classes),
-             f"classes {classes!r}"),
+            (not _names(classes), f"classes {classes!r}"),
             (not finite_number(threshold), f"score_threshold {threshold!r}"),
             (not isinstance(required, dict), f"requires_attrs {required!r}"),
         ))
@@ -249,7 +253,8 @@ class DetectorOp(RuntimeOp):
             **reg.params, "classes": frozenset(classes),
             "score_threshold": float(threshold), "requires_attrs": required,
         })
-        self.vobj = params["vobj"]
+        self.vobj = vobj = params["vobj"]  # the pass links the type
+        _check_settings(op_id, [(not isinstance(vobj, str), f"vobj {vobj!r}")])
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         out = []
@@ -284,10 +289,9 @@ class TrackerOp(RuntimeOp):
 
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
-        self.vobj = params["vobj"]
-        config = TrackerConfig.from_json(params["config"]) if "config" in params \
-            else TrackerConfig()
-        self.tracker = SortTracker(config)
+        self.vobj = vobj = params["vobj"]  # the pass links the type
+        _check_settings(op_id, [(not isinstance(vobj, str), f"vobj {vobj!r}")])
+        self.tracker = SortTracker(TrackerConfig.from_json(params["config"]))
         self.owns_input = False
         self._held: dict[int, Track] = {}  # records of live tracks, by id
 
@@ -423,7 +427,7 @@ class RelationProjectorOp(RuntimeOp):
             if impl not in RELATION_IMPLS:
                 raise PlanLinkError(
                     f"{op_id}: unknown relation implementation {impl!r}")
-        self.bound = bound = params.get("bound")
+        self.bound = bound = params["bound"]  # may be null
         self.metres = False  # whether the bound is in metres
         if bound is not None:
             impl, limit = impls.get(bound["prop"]), bound["limit"]
@@ -479,24 +483,26 @@ class RelationProjectorOp(RuntimeOp):
 
 
 class RelationFilterOp(RuntimeOp):
-    """Keeps the edges on which the predicate's verdict is True, and a frame
-    only if it keeps at least one: a spatial query holds on a frame where
-    some pair holds."""
+    """Keeps each edge on which the predicate's verdict, with `args` bound to
+    the edge's `a` and `b`, is True, and a frame only if it keeps at least
+    one: a spatial query holds on a frame where some pair holds."""
 
     kind = "relation_filter"
 
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
         self.predicate = decode_expr(params["predicate"])
-        self.args = params.get("args")
+        self.args = args = params["args"]
+        _check_settings(op_id, (
+            (not _names(args) or len(args) != 2, f"args {args!r}"),))
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
+        first, second = self.args
         out = []
         for fs in inputs[0]:
             kept = []
             for edge in fs.graph.edges:
-                env = {self.args[0]: edge.a, self.args[1]: edge.b} \
-                    if self.args else {}
+                env = {first: edge.a, second: edge.b}
                 if engine.verdict(self.predicate, env, edge) is True:
                     kept.append(edge)
             if kept:

@@ -235,7 +235,6 @@ class PlannerConfig:
     accuracy_target: float = 0.9
     canary_frames: int = 0  # 0 means the whole canary trace
     enable_pullup: bool = True
-    enable_fusion: bool = True
     batch_size: int = 16  # of the profiling sessions
 
     def __post_init__(self):
@@ -304,9 +303,9 @@ def plan_query(
 
     With `config.enable_pullup`, zero-error classifiers and auto frame
     filters gate each detector, and each branch's filter runs right after
-    the last projector its predicate needs.  With `config.enable_fusion`,
-    each branch's projector/filter steps after the detector or tracker run
-    as one fused op.  Neither changes a result.  `detector_overrides` maps a
+    the last projector its predicate needs; that changes no result.  A
+    branch's chain of two or more projector/filter steps after the detector
+    or tracker runs as one fused op.  `detector_overrides` maps a
     binding, behind the path of its sub-plan (`"reds/c"` in a temporal
     query whose first part is `reds`), to the detector it runs."""
     return _build(vprog, query_name, registry, config, meta,
@@ -469,19 +468,17 @@ def _build(
                 kind="vobj_filter",
                 params={"binding": binding, "predicate": encode_expr(pred)},
             ))
-        if config.enable_fusion and len(steps) > 1:
+        if len(steps) > 1:
             # a step is what it runs: its id and input are the chain's
-            prev = dag.add(PlanOp(
+            steps = [PlanOp(
                 op_id=f"fused:{steps[0].op_id}",
                 kind="fused",
                 params={"steps": [{"kind": s.kind, "params": s.params}
                                   for s in steps]},
-                inputs=[prev],
-            )).op_id
-        else:
-            for step in steps:
-                step.inputs = [prev]
-                prev = dag.add(step).op_id
+            )]
+        for step in steps:
+            step.inputs = [prev]
+            prev = dag.add(step).op_id
         branch_tails.append(prev)
 
     if not branch_tails:
@@ -577,16 +574,10 @@ def _distance_bound(pred, impls: dict[str, str]) -> Optional[dict]:
 def _prune_subsumed(conjs: list, det_reg: Registration) -> list:
     """Drop the equality conjuncts of one binding that a specialized
     detector already guarantees."""
-    subsumes = det_reg.params.get("subsumes")
-    if not subsumes:
-        return list(conjs)
-    out = []
-    for conj in conjs:
-        if (isinstance(conj, Compare) and conj.op == "=="
-                and subsumes.get(conj.ref.prop) == conj.literal):
-            continue
-        out.append(conj)
-    return out
+    subsumes = det_reg.params.get("subsumes") or {}  # an object, if any
+    return [conj for conj in conjs
+            if not (isinstance(conj, Compare) and conj.op == "=="
+                    and subsumes.get(conj.ref.prop) == conj.literal)]
 
 
 def _gates(registry: Registry, ftype: FlatVObjType, det_id: str) -> list[PlanOp]:
@@ -758,11 +749,14 @@ def load_plan(path, registry: Optional[Registry] = None) -> PlanDag:
 
 
 def explain_dot(dag: PlanDag, costs: Optional[dict[str, float]] = None) -> str:
-    """DOT rendering of the DAG with optional per-operator cost labels."""
+    """DOT rendering of the DAG with optional per-operator cost labels; a
+    fused op's label lists its steps, each as its kind and property."""
     lines = ["digraph plan {", "  rankdir=LR;"]
     for op_id in dag.topo_order():
         op = dag.ops[op_id]
         label = f"{op.kind}\\n{op_id}"
+        for s in op.params["steps"] if op.kind == "fused" else ():
+            label += f"\\n{s['kind']} {s['params'].get('prop', '')}".rstrip()
         if costs and op_id in costs:
             label += f"\\ncost={costs[op_id]:g}"
         lines.append(f'  "{op_id}" [label="{label}"];')

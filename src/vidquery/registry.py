@@ -392,6 +392,8 @@ def load_manifest(path, registry: Optional[Registry] = None) -> Registry:
         for key in ("kind", "name"):
             if not isinstance(entry.get(key), str):
                 raise RegistryError(f"registration {i} has no string {key!r}")
+        if not isinstance(entry.get("subsumes", {}), dict):
+            raise RegistryError(f"registration {i}: subsumes is not an object")
         profile = None
         if "error_profile" in entry:
             ep = entry["error_profile"]

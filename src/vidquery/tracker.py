@@ -48,12 +48,7 @@ class TrackerConfig:
             raise ValueError("noise scales must be positive")
 
     def to_json(self) -> dict:
-        return {
-            "iou_threshold": self.iou_threshold,
-            "max_age": self.max_age,
-            "process_noise": self.process_noise,
-            "measurement_noise": self.measurement_noise,
-        }
+        return dict(vars(self))  # each field, in order
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrackerConfig":

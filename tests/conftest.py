@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from vidquery.dsl import parse, validate
 from vidquery.executor import ExecConfig, Session, op_signature
-from vidquery.planner import PlannerConfig, plan_query
+from vidquery.planner import PlanDag, PlannerConfig, PlanOp, plan_query
 from vidquery.registry import (
     ErrorProfile,
     Registration,
@@ -40,6 +41,36 @@ def op_signatures(dag) -> dict[str, str]:
         pop = dag.ops[op_id]
         sigs[op_id] = op_signature(pop, [sigs[i] for i in pop.inputs])
     return sigs
+
+
+# a fused op's id: `fused:` and its first step's, `<path>proj:<binding>.<prop>`
+# or `<path>filter:<binding>`
+FUSED_ID = re.compile(r"fused:((?:\w+/)*)(?:proj:(\w+)\.\w+|filter:(\w+))")
+
+
+def unfused(dag: PlanDag) -> PlanDag:
+    """`dag` with each fused op replaced by its chain of steps, each under
+    the id the planner names a step by, so a test can inspect a branch's
+    stages."""
+    out = PlanDag(query=dag.query)
+    tails = {}  # a fused op's id -> its last step's
+    for op_id in dag.topo_order():
+        op = dag.ops[op_id]
+        inputs = [tails.get(i, i) for i in op.inputs]
+        if op.kind != "fused":
+            out.add(PlanOp(op_id, op.kind, op.params, inputs))
+            continue
+        path, proj_binding, filter_binding = FUSED_ID.fullmatch(op_id).groups()
+        binding = proj_binding or filter_binding
+        for step in op.params["steps"]:
+            params = step["params"]
+            step_id = f"{path}proj:{binding}.{params['prop']}" \
+                if step["kind"] == "projector" else f"{path}filter:{binding}"
+            out.add(PlanOp(step_id, step["kind"], params, inputs))
+            inputs = [step_id]
+        tails[op_id] = step_id
+    out.sink = tails.get(dag.sink, dag.sink)
+    return out
 
 
 def frozen_registry(extra: list[Registration] = ()) -> Registry:

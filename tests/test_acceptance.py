@@ -33,6 +33,7 @@ from conftest import (
     meta_1000,
     row_objects,
     run_single,
+    unfused,
 )
 
 REDS = CAR_PROGRAM + """
@@ -204,10 +205,9 @@ spatial query suspect_near_red_car {
 
 def test_criterion_05_golden_dag_structure():
     vprog = make_program(SUSPECT_PROGRAM)
-    dag = plan_query(
-        vprog, "suspect_near_red_car", frozen_registry(),
-        PlannerConfig(enable_fusion=False),  # keep stages inspectable
-    )
+    dag = unfused(plan_query(  # keep stages inspectable
+        vprog, "suspect_near_red_car", frozen_registry(), PlannerConfig(),
+    ))
 
     def reachable(src):
         seen, stack = set(), [src]
@@ -332,7 +332,7 @@ _QUERY_TEMPLATES = [
 def test_criterion_08_optimization_soundness(tmp_path):
     rng = random.Random(88)
     all_opts_plan = PlannerConfig()
-    no_opts_plan = PlannerConfig(enable_pullup=False, enable_fusion=False)
+    no_opts_plan = PlannerConfig(enable_pullup=False)
     no_opts_exec = ExecConfig(lazy=False, memo=False)
     for case in range(100):
         meta = meta_1000(12)

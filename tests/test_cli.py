@@ -101,12 +101,16 @@ class TestExplain:
         ]}))
         base = ["explain", "-p", workspace["program"], "-q", "reds",
                 "--registry", str(manifest)]
-        plain = runner.invoke(main, base + ["--no-pullup", "--no-fusion"])
+        plain = runner.invoke(main, base + ["--no-pullup"])
         assert plain.exit_code == 0, plain.output
         assert self.nodes(plain.output) == [
-            "reader", "detector:c", "tracker:c", "proj:c.color",
-            "proj:c.center", "proj:c.direction", "filter:c", "output:reds",
+            "reader", "detector:c", "tracker:c", "fused:proj:c.color",
+            "output:reds",
         ]
+        # the fused op's label lists its steps, the filter last
+        assert '[label="fused\\nfused:proj:c.color\\nprojector color' \
+            '\\nprojector center\\nprojector direction\\nvobj_filter"];' \
+            in plain.output
         optimised = runner.invoke(main, base)
         assert optimised.exit_code == 0, optimised.output
         assert self.nodes(optimised.output) == [
@@ -344,7 +348,7 @@ temporal query then_red { first: gate then: gated_reds max_interval_frames: 5 }
     def test_opt_flags_do_not_change_results(self, runner, workspace):
         texts = []
         for i, flags in enumerate([
-            (), ("--no-memo", "--no-lazy", "--no-pullup", "--no-fusion"),
+            (), ("--no-memo", "--no-lazy", "--no-pullup"),
         ]):
             out = workspace["dir"] / f"r{i}.json"
             result = runner.invoke(
@@ -505,6 +509,50 @@ def test_bad_manifest_shape_exit_1(runner, workspace, manifest, named):
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)  # not a traceback
     assert result.stderr == f"bad registry manifest: {named}\n"
+
+
+def test_manifest_subsumes_not_an_object_exit_1(runner, workspace):
+    """The specialized detector `profile` offers would prune the colour
+    conjunct by its `subsumes`, so the manifest rejects a list."""
+    path = workspace["dir"] / "bad.json"
+    path.write_text(json.dumps({"registrations": [
+        {"name": "red_car", "kind": "detector", "classes": ["car"],
+         "specializes": "Car", "subsumes": [1, 2]}]}))
+    result = runner.invoke(main, [
+        "profile", "-p", workspace["program"], "-q", "reds",
+        "--trace", workspace["trace"], "--meta", workspace["meta"],
+        "--registry", str(path),
+    ])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr == ("bad registry manifest: registration 0: "
+                             "subsumes is not an object\n")
+
+
+RUN = ["run", "-p", "{program}", "--trace", "{trace}", "--meta", "{meta}"]
+# the flag that turned fusion off, before fusion became how every branch
+# runs; spelt in two parts, so that a search for it finds no live use
+FUSION_FLAG = "--no-" "fusion"
+
+
+@pytest.mark.parametrize("args, message", [
+    (RUN + [FUSION_FLAG], f"No such option '{FUSION_FLAG}'."),
+    (["explain", "-p", "{program}", "-q", "reds", FUSION_FLAG],
+     f"No such option '{FUSION_FLAG}'."),
+    (RUN + ["--batch-size", "abc"],
+     "Invalid value for '--batch-size': 'abc' is not a valid integer."),
+    (["run", "-p", "{program}", "--meta", "{meta}"],
+     "Missing option '--trace'."),
+    (["nosuch"], "No such command 'nosuch'."),
+], ids=["unknown-option", "explain-unknown-option", "wrong-type",
+        "missing-option", "unknown-command"])
+def test_usage_error_exit_1(runner, workspace, args, message):
+    """A usage error exits 1 with one line, as a bad option value does."""
+    result = runner.invoke(main, [a.format(**workspace) for a in args])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr.startswith(f"bad option: {message}")
+    assert result.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -709,10 +757,13 @@ AGGREGATE = {"kind": "count_distinct", "binding": "c", "part": 0,
              "predicate": None}
 
 
-def _edited_run(runner, workspace, edit, trace=None):
+def _edited_run(runner, workspace, edit, trace=None, program=None,
+                query="reds"):
+    """Run `query`'s plan, as `profile` saves it, after `edit` changes it."""
     plan = workspace["dir"] / "plan.json"
+    program = program or workspace["program"]
     result = runner.invoke(main, [
-        "profile", "-p", workspace["program"], "-q", "reds",
+        "profile", "-p", program, "-q", query,
         "--trace", workspace["trace"], "--meta", workspace["meta"],
         "--save-plan", str(plan),
     ])
@@ -721,9 +772,18 @@ def _edited_run(runner, workspace, edit, trace=None):
     edit(obj)
     plan.write_text(json.dumps(obj))
     return runner.invoke(main, [
-        "run", "-p", workspace["program"], "--plan-file", str(plan),
+        "run", "-p", program, "--plan-file", str(plan),
         "--trace", trace or workspace["trace"], "--meta", workspace["meta"],
     ])
+
+
+def _broken_trace(workspace) -> str:
+    """The workspace's trace with its first line cut short: a run that
+    reads a frame fails on line 1."""
+    lines = Path(workspace["trace"]).read_text().splitlines(keepends=True)
+    broken = workspace["dir"] / "broken.jsonl"
+    broken.write_text(lines[0][:-5] + "\n" + "".join(lines[1:]))
+    return str(broken)
 
 
 @pytest.mark.parametrize("edit, code, message", [
@@ -862,10 +922,8 @@ def test_edited_plan_file_with_a_good_sink_runs(runner, workspace, kind,
 
 
 def test_a_bad_sink_fails_before_any_frame_is_read(runner, workspace):
-    lines = Path(workspace["trace"]).read_text().splitlines(keepends=True)
-    broken = workspace["dir"] / "broken.jsonl"
-    broken.write_text(lines[0][:-5] + "\n" + "".join(lines[1:]))
-    result = _edited_run(runner, workspace, lambda plan: None, str(broken))
+    broken = _broken_trace(workspace)
+    result = _edited_run(runner, workspace, lambda plan: None, broken)
     assert result.exit_code == 3
     assert "broken.jsonl:1: bad record" in result.stderr
     for edit, message in [
@@ -878,9 +936,84 @@ def test_a_bad_sink_fails_before_any_frame_is_read(runner, workspace):
         (_sink("duration", DURATION, inputs=["detector:c"]),
          "detector:c: kind 'detector' is not a sink"),
     ]:
-        result = _edited_run(runner, workspace, edit, str(broken))
+        result = _edited_run(runner, workspace, edit, broken)
         assert result.exit_code == 3
         assert result.stderr == f"execution failed: {message}\n"
+
+
+# a spatial query whose plan holds a relation projector and filter
+SPATIAL_PROGRAM = NEAR_PROGRAM.replace('impl="nosuch"', 'impl="distance_px"')
+
+
+def _drop(kind, param):
+    """Remove `param` from the params of the plan's op of kind `kind`."""
+    return lambda plan: next(o for o in plan["ops"]
+                             if o["kind"] == kind)["params"].pop(param)
+
+
+def _set(kind, **params):
+    """Set `params` of the plan's op of kind `kind`."""
+    return lambda plan: next(o for o in plan["ops"]
+                             if o["kind"] == kind)["params"].update(params)
+
+
+def _link_failure(runner, workspace, edit, query):
+    """The run of `query`'s saved plan, edited, over a trace whose first
+    line does not parse."""
+    program = workspace["dir"] / "spatial.vq"
+    program.write_text(SPATIAL_PROGRAM)
+    return _edited_run(runner, workspace, edit, _broken_trace(workspace),
+                       str(program), query)
+
+
+@pytest.mark.parametrize("query, kind, param, op_id", [
+    ("reds", "tracker", "config", "tracker:c"),
+    ("reds_near_blues", "relation_filter", "args", "relfilter:Near"),
+    ("reds_near_blues", "relation_projector", "bound", "relproj:Near"),
+    ("reds", "output", "frame_output", "output:reds"),
+], ids=["tracker-config", "relation-filter-args", "relation-projector-bound",
+        "output-frame-output"])
+def test_saved_plan_without_a_param_the_planner_writes_exit_3(
+        runner, workspace, query, kind, param, op_id):
+    """The planner always writes these params, so linking reads each as
+    required, before any frame is read."""
+    result = _link_failure(runner, workspace, _drop(kind, param), query)
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr == \
+        f"execution failed: {op_id}: missing param {param!r}\n"
+
+
+@pytest.mark.parametrize("query, edit, message", [
+    ("reds", _set("tracker", vobj=None), "tracker:c: bad vobj None"),
+    ("reds", _set("tracker", vobj=[]), "tracker:c: bad vobj []"),
+    ("reds", _set("tracker", vobj="Truck"),
+     "the program declares no type 'Truck'"),
+    ("reds", _set("detector", vobj=None), "detector:c: bad vobj None"),
+    ("reds", _set("detector", vobj=[]), "detector:c: bad vobj []"),
+    ("reds", _set("output", bindings=True), "output:reds: bad bindings True"),
+    ("reds", _set("output", bindings=[]), "output:reds: bad bindings []"),
+    ("reds", _set("output", bindings=[0]), "output:reds: bad bindings [0]"),
+    ("reds", _set("output", frame_output="p0"),
+     "output:reds: bad frame_output 'p0'"),
+    ("reds", _set("output", frame_output=1e300),
+     "output:reds: bad frame_output 1e+300"),
+    ("reds", _set("output", frame_output=[{"binding": "x",
+                                           "prop": "direction"}]),
+     "output:reds: bad frame_output [{'binding': 'x', 'prop': 'direction'}]"),
+    ("reds_near_blues", _set("relation_filter", args=["c"]),
+     "relfilter:Near: bad args ['c']"),
+], ids=["tracker-vobj-null", "tracker-vobj-empty", "tracker-vobj-undeclared",
+        "detector-vobj-null", "detector-vobj-empty", "output-bindings-true",
+        "output-bindings-empty", "output-bindings-number",
+        "output-frame-output-string", "output-frame-output-number",
+        "output-frame-output-of-no-binding", "relation-filter-one-arg"])
+def test_saved_plan_param_checked_when_the_pass_links(runner, workspace,
+                                                      query, edit, message):
+    result = _link_failure(runner, workspace, edit, query)
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr == f"execution failed: {message}\n"
 
 
 MINE_PROGRAM = PROGRAM.replace(

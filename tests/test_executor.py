@@ -1171,26 +1171,24 @@ class TestLinkTable:
         kinds = set()
         for query in vprog.query_order:
             for pullup in (True, False):
-                for fusion in (True, False):
-                    config = PlannerConfig(enable_pullup=pullup,
-                                           enable_fusion=fusion)
-                    dag = plan_query(vprog, query, registry, config,
-                                     meta_1000(20))
-                    for pop in dag.ops.values():
-                        kinds.add(pop.kind)
-                        if pop.kind in self.UNLINKED:
-                            continue
-                        rt = build_runtime_op(pop, registry)
-                        steps = [(pop, rt)]
-                        if pop.kind == "fused":
-                            steps += zip([PlanOp(pop.op_id, **s) for s in
-                                          pop.params["steps"]], rt.steps,
-                                         strict=True)
-                        for step, op in steps:
-                            kinds.add(step.kind)
-                            assert type(op) is OPERATOR_CLASSES[step.kind]
-                            assert not isinstance(
-                                getattr(op, "predicate", None), dict)
+                config = PlannerConfig(enable_pullup=pullup)
+                dag = plan_query(vprog, query, registry, config,
+                                 meta_1000(20))
+                for pop in dag.ops.values():
+                    kinds.add(pop.kind)
+                    if pop.kind in self.UNLINKED:
+                        continue
+                    rt = build_runtime_op(pop, registry)
+                    steps = [(pop, rt)]
+                    if pop.kind == "fused":
+                        steps += zip([PlanOp(pop.op_id, **s) for s in
+                                      pop.params["steps"]], rt.steps,
+                                     strict=True)
+                    for step, op in steps:
+                        kinds.add(step.kind)
+                        assert type(op) is OPERATOR_CLASSES[step.kind]
+                        assert not isinstance(
+                            getattr(op, "predicate", None), dict)
         assert kinds == set(OPERATOR_CLASSES) | self.UNLINKED
 
     def test_the_benchmark_tracer_wraps_every_linked_class(self):

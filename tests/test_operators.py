@@ -232,9 +232,12 @@ class TestDetectorOp:
         assert engine.stats.component_calls["general_car"] == 1
 
 
+TRACKER = {"vobj": "Car", "config": TrackerConfig().to_json()}
+
+
 class TestTrackerOp:
     def test_ids_and_motion_edges(self):
-        op = TrackerOp("t", {"vobj": "Car"})
+        op = TrackerOp("t", TRACKER)
         engine = FakeEngine(depth=5)
         batch = [
             state_with_nodes(0, node((0, 0))),
@@ -253,7 +256,7 @@ class TestTrackerOp:
         assert list(engine.tracks) == [(op, t0)]
 
     def test_a_track_keeps_the_frame_it_was_born_on(self):
-        op = TrackerOp("t", {"vobj": "Car"})
+        op = TrackerOp("t", TRACKER)
         engine = FakeEngine()
         far = (500.0, 500.0, 510.0, 510.0)
         # the first car is on frames 0-4, a second one appears on frame 3
@@ -267,7 +270,7 @@ class TestTrackerOp:
 
     def test_retired_track_lets_its_objects_go_one_batch_later(self):
         config = TrackerConfig(max_age=1).to_json()
-        op = TrackerOp("t", {"vobj": "Car", "config": config})
+        op = TrackerOp("t", dict(TRACKER, config=config))
         engine = FakeEngine(depth=20)
         # the car is seen on frames 0-2; frame 4 retires it (two misses)
         batch = [state_with_nodes(f, node((f, 0))) for f in range(3)]
@@ -282,7 +285,7 @@ class TestTrackerOp:
         assert list(track.objects) == []
 
     def test_input_nodes_not_mutated(self):
-        op = TrackerOp("t", {"vobj": "Car"})
+        op = TrackerOp("t", TRACKER)
         fs = state_with_nodes(0, node((0, 0)))
         out = op.process(FakeEngine(), [[fs]])
         assert fs.graph.nodes[0].track is None
@@ -335,6 +338,9 @@ class TestJoinOp:
         assert out[0].graph.parts == [[blue], [red]]
 
 
+NO_PREDICATE = {"predicate": None, "args": ["c", "p"]}
+
+
 class TestRelationOps:
     def pair(self):
         return FrameState(0, record(0), FrameGraph([
@@ -345,6 +351,7 @@ class TestRelationOps:
     def test_projector_adds_edges_with_values(self):
         op = RelationProjectorOp("r", {
             "relation": "Near", "props": {"distance_px": "distance_px"},
+            "bound": None,
         })
         fs = self.pair()
         engine = FakeEngine()
@@ -359,7 +366,8 @@ class TestRelationOps:
     def test_projector_pairs_part_0_with_part_1_never_with_itself(self):
         a, b, c = node((0, 0)), node((0, 1)), node((0, 2))
         fs = FrameState(0, record(0), FrameGraph([[a, b], [b, c]]))
-        op = RelationProjectorOp("r", {"relation": "Near", "props": {}})
+        op = RelationProjectorOp("r", {"relation": "Near", "props": {},
+                                       "bound": None})
         out = op.process(FakeEngine(), [[fs]])
         pairs = [(e.a.node_id, e.b.node_id) for e in out[0].graph.edges]
         assert pairs == [((0, 0), (0, 1)), ((0, 0), (0, 2)),
@@ -370,7 +378,7 @@ class TestRelationOps:
         car, person = fs.graph.nodes
         near, far = Edge(car, person, {"d": 1.0}), Edge(car, person, {"d": 9.0})
         fs.graph.edges[:] = [near, far]
-        op = RelationFilterOp("f", {"predicate": None})
+        op = RelationFilterOp("f", NO_PREDICATE)
         engine = FakeEngine()
         engine.keep_edge = lambda e: e.properties["d"] < 5
         out = op.process(engine, [[fs]])
@@ -386,7 +394,7 @@ class TestRelationOps:
         verdicts = iter([True, None])  # frame 2 has no edge to test
         engine = FakeEngine()
         engine.keep_edge = lambda e: next(verdicts)
-        out = RelationFilterOp("f", {"predicate": None}).process(engine, [frames])
+        out = RelationFilterOp("f", NO_PREDICATE).process(engine, [frames])
         assert [fs.frame_id for fs in out] == [0]
 
 

@@ -36,12 +36,13 @@ from conftest import (
     meta_1000,
     op_signatures,
     specialized_red_car,
+    unfused,
 )
 
 
-# the layout the builder gives with no optimisation: detector, tracker,
-# projectors, filter
-PLAIN = PlannerConfig(enable_pullup=False, enable_fusion=False)
+# with `unfused`, the layout the builder gives with no optimisation:
+# detector, tracker, projectors, filter
+PLAIN = PlannerConfig(enable_pullup=False)
 
 
 def reds_program(extra=""):
@@ -84,7 +85,7 @@ class TestBaseDag:
           frame_constraint: c.direction == "right"
         }
         """)
-        dag = plan_query(vprog, "fast_reds", frozen_registry(), PLAIN)
+        dag = unfused(plan_query(vprog, "fast_reds", frozen_registry(), PLAIN))
         order = dag.topo_order()
         assert order == [
             "reader", "detector:c", "tracker:c", "proj:c.color",
@@ -104,7 +105,7 @@ class TestBaseDag:
           frame_constraint: c.kindof == "suv"
         }
         """)
-        dag = plan_query(vprog, "suvs", frozen_registry(), PLAIN)
+        dag = unfused(plan_query(vprog, "suvs", frozen_registry(), PLAIN))
         assert not any(o.kind == "tracker" for o in dag.ops.values())
 
     def test_scene_conjuncts_become_frame_filters(self):
@@ -115,7 +116,7 @@ class TestBaseDag:
           frame_constraint: s.motion_score > 0.5 & c.color == "red"
         }
         """)
-        dag = plan_query(vprog, "busy_reds", frozen_registry(), PLAIN)
+        dag = unfused(plan_query(vprog, "busy_reds", frozen_registry(), PLAIN))
         ff = dag.ops["scene_filter:0"]
         assert ff.kind == "frame_filter"
         assert ff.params["channel"] == "motion_score"
@@ -142,7 +143,7 @@ class TestBaseDag:
           predicate: Near(c, p).distance_px < 100
         }
         """)
-        dag = plan_query(vprog, "close", frozen_registry(), PLAIN)
+        dag = unfused(plan_query(vprog, "close", frozen_registry(), PLAIN))
         join = dag.ops["join"]
         # input i of the join is part i: the binding order of the output
         assert join.inputs == ["filter:c", "filter:p"]
@@ -163,7 +164,7 @@ class TestBaseDag:
           video_output: count_distinct(c)
         }
         """)
-        dag = plan_query(vprog, "red_count", frozen_registry(), PLAIN)
+        dag = unfused(plan_query(vprog, "red_count", frozen_registry(), PLAIN))
         assert dag.sink == "aggregate:red_count"
         assert dag.ops[dag.sink].params["kind"] == "count_distinct"
         assert dag.ops[dag.sink].params["part"] == 0
@@ -178,7 +179,7 @@ class TestBaseDag:
           frame_constraint: c.kindof == "suv" }
         duration query held { base: suvs min_frames: 5 gap_tolerance: 1 }
         """)
-        dag = plan_query(vprog, "held", frozen_registry(), PLAIN)
+        dag = unfused(plan_query(vprog, "held", frozen_registry(), PLAIN))
         assert dag.sink == "duration:held"
         assert dag.ops[dag.sink].params == {
             "query": "held", "min_frames": 5, "gap_tolerance": 1,
@@ -208,7 +209,7 @@ class TestBaseDag:
           max_interval_frames: 30
         }
         """)
-        dag = plan_query(vprog, "seq", frozen_registry(), PLAIN)
+        dag = unfused(plan_query(vprog, "seq", frozen_registry(), PLAIN))
         top = dag.ops["temporal:seq"]
         assert top.inputs == ["reds/output:reds", "blues/output:blues"]
         assert top.params["max_interval"] == 30
@@ -217,7 +218,7 @@ class TestBaseDag:
     def test_nested_subplans_keep_their_own_ops(self):
         # `held` plans `suvs` with a tracker, `t`'s first part without one
         vprog = make_program(SUV_PROGRAM)
-        dag = plan_query(vprog, "t", frozen_registry(), PLAIN)
+        dag = unfused(plan_query(vprog, "t", frozen_registry(), PLAIN))
         top = dag.ops["temporal:t"]
         assert top.params["query"] == "t"
         assert top.inputs == ["suvs/output:suvs", "held/duration:held"]
@@ -245,9 +246,10 @@ class TestBaseDag:
         d1 = plan_query(vprog, "reds", frozen_registry(), PlannerConfig())
         d2 = plan_query(vprog, "reds", frozen_registry(), PlannerConfig())
         assert d1.plan_id == d2.plan_id
-        unfused = plan_query(vprog, "reds", frozen_registry(),
-                             PlannerConfig(enable_fusion=False))
-        assert unfused.plan_id != d1.plan_id
+        other = plan_query(vprog, "reds",
+                           frozen_registry([specialized_red_car()]),
+                           PlannerConfig(), detector_overrides={"c": "red_car"})
+        assert other.plan_id != d1.plan_id
 
 
 class TestPullUp:
@@ -263,8 +265,7 @@ class TestPullUp:
         )
         vprog = reds_program()
         registry = frozen_registry([gate, flaky])
-        dag = plan_query(vprog, "reds", registry,
-                         PlannerConfig(enable_fusion=False))
+        dag = plan_query(vprog, "reds", registry, PlannerConfig())
         gate_id = "classifier:detector:c:has_car"
         assert dag.ops[gate_id].inputs == ["reader"]
         assert dag.ops["detector:c"].inputs == [gate_id]
@@ -310,9 +311,8 @@ class TestPullUp:
           frame_output: c.direction
         }
         """)
-        registry = frozen_registry()
-        dag = plan_query(vprog, "reds", registry,
-                         PlannerConfig(enable_fusion=False))
+        dag = unfused(plan_query(vprog, "reds", frozen_registry(),
+                                 PlannerConfig()))
         order = dag.topo_order()
         assert order.index("filter:c") == order.index("proj:c.color") + 1
         assert order.index("filter:c") < order.index("proj:c.center")
@@ -323,9 +323,8 @@ class TestPullUp:
           frame_constraint: c.direction == "right"
         }
         """)
-        registry = frozen_registry()
-        dag = plan_query(vprog, "movers", registry,
-                         PlannerConfig(enable_fusion=False))
+        dag = unfused(plan_query(vprog, "movers", frozen_registry(),
+                                 PlannerConfig()))
         order = dag.topo_order()
         assert order.index("filter:c") > order.index("proj:c.direction")
 
@@ -398,10 +397,11 @@ class TestAlternatives:
         vprog = reds_program()
         registry = frozen_registry([specialized_red_car()])
         _ref, spec = enumerate_alternatives(
-            vprog, "reds", registry, PlannerConfig(enable_fusion=False)
+            vprog, "reds", registry, PlannerConfig()
         )
         # red_car guarantees color == "red": no filter (or projector) remains
-        assert not any(o.kind == "vobj_filter" for o in spec.ops.values())
+        assert not any(o.kind == "vobj_filter"
+                       for o in unfused(spec).ops.values())
 
     def test_cap_respected(self, monkeypatch):
         monkeypatch.setattr(planner, "MAX_ALTERNATIVES", 2)
@@ -593,19 +593,17 @@ def test_every_op_of_every_plan_reaches_the_sink():
         vprog = make_program(source)
         for query in vprog.query_order:
             for pullup in (True, False):
-                for fusion in (True, False):
-                    config = PlannerConfig(enable_pullup=pullup,
-                                           enable_fusion=fusion)
-                    for dag in enumerate_alternatives(
-                            vprog, query, registry, config, meta_1000(100)):
-                        reached, stack = {dag.sink}, [dag.sink]
-                        while stack:
-                            for dep in dag.ops[stack.pop()].inputs:
-                                if dep not in reached:
-                                    reached.add(dep)
-                                    stack.append(dep)
-                        assert reached == set(dag.ops), (
-                            name, query, config, sorted(set(dag.ops) - reached))
+                config = PlannerConfig(enable_pullup=pullup)
+                for dag in enumerate_alternatives(
+                        vprog, query, registry, config, meta_1000(100)):
+                    reached, stack = {dag.sink}, [dag.sink]
+                    while stack:
+                        for dep in dag.ops[stack.pop()].inputs:
+                            if dep not in reached:
+                                reached.add(dep)
+                                stack.append(dep)
+                    assert reached == set(dag.ops), (
+                        name, query, config, sorted(set(dag.ops) - reached))
 
 
 class _Reads(dict):
@@ -664,8 +662,8 @@ temporal query later { first: reds then: adults max_interval_seconds: 2 }
 
 def test_every_param_of_a_plan_is_read_when_the_pass_links():
     """No plan holds a param that linking its pass does not read: over
-    every query shape, pull-up and fusion on and off, every alternative,
-    fused steps included."""
+    every query shape, pull-up on and off, every alternative, fused steps
+    included."""
     from vidquery.executor import Session
 
     vprog = make_program(EVERY_SHAPE)
@@ -681,30 +679,27 @@ def test_every_param_of_a_plan_is_read_when_the_pass_links():
     kinds = set()
     for query in vprog.query_order:
         for pullup in (True, False):
-            for fusion in (True, False):
-                config = PlannerConfig(enable_pullup=pullup,
-                                       enable_fusion=fusion)
-                for dag in enumerate_alternatives(vprog, query, registry,
-                                                  config, meta):
-                    # an op of a signature already scheduled is not built:
-                    # the first op of its signature, whose params are the
-                    # same, is read for it
-                    seen, held, first = set(), set(), {}
-                    for op_id, sig in op_signatures(dag).items():
-                        op, where = dag.ops[op_id], first.setdefault(sig, op_id)
-                        steps = op.params.get("steps", ())
-                        op.params = _Reads(op.params, seen, where)
-                        held |= {(where, key) for key in op.params}
-                        for i, step in enumerate(steps):
-                            step_where = f"{where} step {i}"
-                            step["params"] = _Reads(step["params"], seen,
-                                                    step_where)
-                            held |= {(step_where, key)
-                                     for key in step["params"]}
-                            kinds.add(step["kind"])
-                        kinds.add(op.kind)
-                    Session(vprog, registry, meta).start([dag])
-                    assert held <= seen, (query, config, sorted(held - seen))
+            config = PlannerConfig(enable_pullup=pullup)
+            for dag in enumerate_alternatives(vprog, query, registry, config,
+                                              meta):
+                # an op of a signature already scheduled is not built: the
+                # first op of its signature, whose params are the same, is
+                # read for it
+                seen, held, first = set(), set(), {}
+                for op_id, sig in op_signatures(dag).items():
+                    op, where = dag.ops[op_id], first.setdefault(sig, op_id)
+                    steps = op.params.get("steps", ())
+                    op.params = _Reads(op.params, seen, where)
+                    held |= {(where, key) for key in op.params}
+                    for i, step in enumerate(steps):
+                        step_where = f"{where} step {i}"
+                        step["params"] = _Reads(step["params"], seen,
+                                                step_where)
+                        held |= {(step_where, key) for key in step["params"]}
+                        kinds.add(step["kind"])
+                    kinds.add(op.kind)
+                Session(vprog, registry, meta).start([dag])
+                assert held <= seen, (query, config, sorted(held - seen))
     assert kinds == {"reader", "classifier", "frame_filter", "detector",
                      "tracker", "projector", "vobj_filter", "fused", "join",
                      "relation_projector", "relation_filter", "output",

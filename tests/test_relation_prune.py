@@ -195,7 +195,8 @@ class TestWork:
 
     def test_without_a_bound_every_pair_is_computed(self):
         engine = Engine()
-        RelationProjectorOp("r", {"relation": "Near", "props": PX}).process(
+        RelationProjectorOp("r", {"relation": "Near", "props": PX,
+                                  "bound": None}).process(
             engine, [[self.far_persons()]])
         assert engine.stats.property_calls == {"Near.distance_px": 10}
 
