@@ -133,14 +133,26 @@ def _check_output_file(option: str, path: Optional[str]) -> None:
 
 
 class _Main(click.Group):
-    """A usage error of a command (an unknown command or option, a value of
-    the wrong type, a missing option) exits 1 with one line."""
+    """A usage error exits 1 with one line: one of the group, an unknown
+    option before the command, found as the group parses its arguments, or
+    one of a command (an unknown command or option, a value of the wrong
+    type, a missing option), found as the group invokes it.  Without
+    arguments, click prints the help."""
+
+    def parse_args(self, ctx, args):
+        if not args:
+            return super().parse_args(ctx, args)
+        return _one_line_usage_error(super().parse_args, ctx, args)
 
     def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            _fail(EXIT_VALIDATION, f"bad option: {exc.format_message()}")
+        return _one_line_usage_error(super().invoke, ctx)
+
+
+def _one_line_usage_error(call, *args):
+    try:
+        return call(*args)
+    except click.UsageError as exc:
+        _fail(EXIT_VALIDATION, f"bad option: {exc.format_message()}")
 
 
 @click.group(cls=_Main)

@@ -291,11 +291,12 @@ class OutputOp(RuntimeOp):
 
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
-        self.query = params["query"]
+        self.query = query = params["query"]
         self.bindings = bindings = params["bindings"]  # one name per part
         self.frame_output = refs = params["frame_output"]
         named = bool(bindings) and _names(bindings)
         _check_settings(op_id, [
+            (not isinstance(query, str), f"query {query!r}"),
             (not named, f"bindings {bindings!r}"),
             (named and not (isinstance(refs, list) and all(
                 isinstance(r, dict) and r.get("binding") in bindings

@@ -314,15 +314,14 @@ class TrackerOp(RuntimeOp):
                 ]
                 out.append(FrameState(fs.frame_id, fs.record,
                                       FrameGraph([part])))
-            by_id = {n.node_id: n for n in part}
             result = step(fs.frame_id, [(n.node_id, n.bbox) for n in part])
-            for node_id, track_id in result.assignments:
+            # the assignments follow the part's order
+            for node, (_node_id, track_id) in zip(part, result.assignments):
                 track = held.get(track_id)
                 if track is None:  # born on this frame
                     track = held[track_id] = engine.track(
                         self, self.vobj, track_id)
                     track.first_frame = fs.frame_id
-                node = by_id[node_id]
                 node.track = track
                 track.append(node)
         return out
@@ -338,7 +337,8 @@ class ProjectorOp(RuntimeOp):
 
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
-        self.prop = params["prop"]
+        self.prop = prop = params["prop"]
+        _check_settings(op_id, [(not isinstance(prop, str), f"prop {prop!r}")])
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         if not engine.config.lazy:

@@ -16,10 +16,19 @@ table of tuples is kept, so a tuple lives only while a slot holds it.
 The operations run in the order of the dense 7x7 filter, so the results
 are its results bit for bit.
 
+A step is one loop over the slots, which advances each mean (through every
+frame of a gap, by the same arithmetic) and computes its predicted box
+inline; then the association; then one loop over the detections, which
+turns each box into its measurement and either notes it for its track or
+starts a track from it; then one loop over the slots, which corrects
+each matched mean inline with the gains of `_update_cov` and retires the
+stale slots.  The assignments list the detections in the order they came
+in.
+
 Association scores only track/detection pairs whose boxes can intersect,
 found by bisecting the detections sorted by x1, and matches greedily by
 descending IoU with ties broken by (track, detection) index, so it is
-deterministic.
+deterministic.  It gives each detection its track's index, or None.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import sqrt
 from typing import Optional
 
 Box = tuple[float, float, float, float]
@@ -40,12 +50,18 @@ class TrackerConfig:
     measurement_noise: float = 1.0
 
     def __post_init__(self):
+        # a saved plan's config is JSON, which can hold a bool, a fraction,
+        # Infinity or NaN where a number is due
         if not 0.0 < self.iou_threshold < 1.0:
             raise ValueError("iou_threshold must be in (0, 1)")
+        if type(self.max_age) is not int:
+            raise ValueError("max_age must be an int")
         if self.max_age < 1:
             raise ValueError("max_age must be positive")
-        if self.process_noise <= 0 or self.measurement_noise <= 0:
-            raise ValueError("noise scales must be positive")
+        for noise in (self.process_noise, self.measurement_noise):
+            if isinstance(noise, bool) or not isinstance(noise, (int, float)) \
+                    or not 0 < noise < math.inf:
+                raise ValueError("noise scales must be positive and finite")
 
     def to_json(self) -> dict:
         return dict(vars(self))  # each field, in order
@@ -68,34 +84,22 @@ def iou(a: Box, b: Box) -> float:
     return inter / ((ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter)
 
 
-def _box_to_z(box: Box) -> tuple[float, float, float, float]:
-    """Box -> measurement (cx, cy, area, aspect)."""
-    w, h = box[2] - box[0], box[3] - box[1]
-    return (box[0] + w / 2.0, box[1] + h / 2.0, w * h, w / h)
-
-
-def _x_to_box(x: list[float]) -> Box:
-    """Mean -> box; area and aspect floored at 1e-6."""
-    area, aspect = x[2], x[3]
-    area = 1e-6 if area < 1e-6 else area  # max(area, 1e-6), see `iou`
-    w = math.sqrt(area * (1e-6 if aspect < 1e-6 else aspect))
-    h = area / w
-    return (x[0] - w / 2.0, x[1] - h / 2.0, x[0] + w / 2.0, x[1] + h / 2.0)
-
-
 def associate(
     track_boxes: list[Box],
     det_boxes: list[Box],
     iou_threshold: float,
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+) -> list[Optional[int]]:
     """Greedy matching by descending IoU; each side matched at most once.
+    Returns, for each detection, the index of its track, or None when it
+    matched none.
 
     Ties go to the lower (track, detection) index pair.  A pair can reach
-    the threshold only if its boxes overlap on both axes, so only those
-    pairs are scored.  The candidates are found by comparisons alone: the
-    detections are sorted by x1, those from `hi` on start right of the
-    track, and those before `lo` all end left of it, because `reach[i]` is
-    the largest x2 among the first i + 1 of them.
+    the threshold, which is positive, only if its boxes overlap on both
+    axes, so only those pairs are scored, by `iou`'s arithmetic inline.
+    The candidates are found by comparisons alone: the detections are
+    sorted by x1, those from `hi` on start right of the track, and those
+    before `lo` all end left of it, because `reach[i]` is the largest x2
+    among the first i + 1 of them.
     """
     order = sorted(range(len(det_boxes)), key=lambda d: det_boxes[d][0])
     boxes, x1s, reach, right = [], [], [], -math.inf
@@ -106,27 +110,27 @@ def associate(
         right = b[2] if b[2] > right else right
         reach.append(right)
     pairs = []
-    for t, tb in enumerate(track_boxes):
-        tx1, ty1, tx2, ty2 = tb
-        lo, hi = bisect_right(reach, tx1), bisect_left(x1s, tx2)
-        for k in range(lo, hi):
-            db = boxes[k]
-            if db[2] > tx1 and db[1] < ty2 and db[3] > ty1:
-                score = iou(tb, db)
+    for t, (tx1, ty1, tx2, ty2) in enumerate(track_boxes):
+        area = (tx2 - tx1) * (ty2 - ty1)
+        for k in range(bisect_right(reach, tx1), bisect_left(x1s, tx2)):
+            bx1, by1, bx2, by2 = boxes[k]
+            if bx2 > tx1 and by1 < ty2 and by2 > ty1:
+                w = (bx2 if bx2 < tx2 else tx2) - (bx1 if bx1 > tx1 else tx1)
+                h = (by2 if by2 < ty2 else ty2) - (by1 if by1 > ty1 else ty1)
+                inter = (w if w > 0.0 else 0.0) * (h if h > 0.0 else 0.0)
+                if inter == 0.0:  # scores 0, below the threshold
+                    continue
+                score = inter / (area + (bx2 - bx1) * (by2 - by1) - inter)
                 if score >= iou_threshold:
                     pairs.append((-score, t, order[k]))
     pairs.sort()
-    matches, used_t, used_d = [], set(), set()
+    track_of: list[Optional[int]] = [None] * len(det_boxes)
+    taken = [False] * len(track_boxes)
     for _score, t, d in pairs:
-        if t in used_t or d in used_d:
-            continue
-        used_t.add(t)
-        used_d.add(d)
-        matches.append((t, d))
-    matches.sort()
-    unmatched_tracks = [t for t in range(len(track_boxes)) if t not in used_t]
-    unmatched_dets = [d for d in range(len(det_boxes)) if d not in used_d]
-    return matches, unmatched_tracks, unmatched_dets
+        if not taken[t] and track_of[d] is None:
+            taken[t] = True
+            track_of[d] = t
+    return track_of
 
 
 @dataclass(frozen=True)
@@ -207,39 +211,10 @@ class _TrackSlot:
     cov: tuple
     time_since_update: int = 0
 
-    @classmethod
-    def start(cls, track_id: int, box: Box, model: _Model) -> "_TrackSlot":
-        return cls(track_id, [*_box_to_z(box), 0.0, 0.0, 0.0], model.cov0)
-
-    def predict(self) -> Box:
-        """Advance the mean by its velocity and return the predicted box."""
-        x = self.x
-        x[0] += x[4]
-        x[1] += x[5]
-        area = x[2] = x[2] + x[6]
-        if area + x[6] <= 0:  # keep predicted area positive
-            x[6] = 0.0
-            x[2] = 1e-6 if area < 1e-6 else area
-        return _x_to_box(x)
-
-    def update(self, box: Box, gains: tuple) -> None:
-        """Correct the mean by the matched box with `_update_cov`'s gains."""
-        x = self.x
-        kp0, kv0, kp1, kv1, kp2, kv2, ka = gains
-        z0, z1, z2, z3 = _box_to_z(box)
-        y0, y1, y2 = z0 - x[0], z1 - x[1], z2 - x[2]
-        x[0] += kp0 * y0
-        x[4] += kv0 * y0
-        x[1] += kp1 * y1
-        x[5] += kv1 * y1
-        x[2] += kp2 * y2
-        x[6] += kv2 * y2
-        x[3] += ka * (z3 - x[3])
-
 
 @dataclass
 class StepResult:
-    assignments: list[tuple]  # (node_id, track_id)
+    assignments: list[tuple]  # (node_id, track_id), in detection order
     new_tracks: list[int]
 
 
@@ -261,7 +236,8 @@ class SortTracker:
     def step(self, frame_id: int, detections: list[tuple]) -> StepResult:
         """Advance to frame `frame_id`, which must be after the last one.
 
-        `detections` is a list of (node_id, bbox).  Matched tracks are
+        `detections` is a list of (node_id, bbox); the assignments list
+        each detection's track in that order.  Matched tracks are
         Kalman-updated, unmatched detections spawn tracks, and stale tracks
         are retired.  The `gap - 1` frames since the last step are stepped
         over as frames without detections, the same bits as stepping each:
@@ -273,50 +249,82 @@ class SortTracker:
         if gap < 1:
             raise ValueError(f"frame {frame_id} is not after frame {last}")
         self._last_frame = frame_id
-        cfg, model, slots = self.config, self._model, self.slots
+        model, max_age, slots = self._model, self.config.max_age, self.slots
         if gap > 1:
-            oldest = cfg.max_age - gap + 1  # the oldest age that lives on
-            slots = self.slots = [s for s in slots
-                                  if s.time_since_update <= oldest]
-        # slots with one history hold one covariance tuple and lie side by
-        # side, oldest first, so a step is computed once per run of them
+            oldest = max_age - gap + 1  # the oldest age that lives on
+            slots = [s for s in slots if s.time_since_update <= oldest]
+        frames = range(gap)
+        # predict: slots with one history hold one covariance tuple and lie
+        # side by side, oldest first, so a step is computed once per run of
+        # them; each mean advances by its velocity, frame by frame, and
+        # gives the predicted box, its area and aspect floored at 1e-6
         track_boxes = []
         shared = stepped = None
-        extra = range(gap - 1)
         for slot in slots:
             if slot.cov is not shared:
-                shared = slot.cov
-                stepped = _predict_cov(shared, model)
-                for _ in extra:
+                shared = stepped = slot.cov
+                for _ in frames:
                     stepped = _predict_cov(stepped, model)
             slot.cov = stepped
-            if gap > 1:
-                for _ in extra:
-                    slot.predict()
-            track_boxes.append(slot.predict())
+            x = slot.x
+            cx, cy, area, aspect, vcx, vcy, varea = x
+            for _ in frames:
+                cx += vcx
+                cy += vcy
+                area += varea
+                if area + varea <= 0:  # keep predicted area positive
+                    varea = 0.0
+                    area = 1e-6 if area < 1e-6 else area  # max, see `iou`
+            x[0] = cx
+            x[1] = cy
+            x[2] = area
+            x[6] = varea
+            area = 1e-6 if area < 1e-6 else area
+            w = sqrt(area * (1e-6 if aspect < 1e-6 else aspect))
+            hw, hh = w / 2.0, area / w / 2.0
+            track_boxes.append((cx - hw, cy - hh, cx + hw, cy + hh))
             slot.time_since_update += gap
-        matches, _unmatched_t, unmatched_d = associate(
-            track_boxes, [d[1] for d in detections], cfg.iou_threshold
-        )
-        assignments, new_tracks = [], []
+        track_of = associate(track_boxes, [d[1] for d in detections],
+                             self.config.iou_threshold)
+        # each detection's measurement (cx, cy, area, aspect) corrects its
+        # track's mean or starts a new track
+        assignments, new_tracks, born = [], [], []
+        measured: list[Optional[tuple]] = [None] * len(slots)  # by slot
+        for (node_id, (x1, y1, x2, y2)), t in zip(detections, track_of):
+            w, h = x2 - x1, y2 - y1
+            z = (x1 + w / 2.0, y1 + h / 2.0, w * h, w / h)
+            if t is None:
+                track_id = self._next_id
+                self._next_id += 1
+                born.append(_TrackSlot(track_id, [*z, 0.0, 0.0, 0.0],
+                                       model.cov0))
+                new_tracks.append(track_id)
+            else:
+                measured[t] = z
+                track_id = slots[t].track_id
+            assignments.append((node_id, track_id))
+        # update, in slot order so that runs of one covariance stay runs,
+        # and retire the slots unmatched for more than `max_age` frames
+        kept = []
         shared = None
-        for ti, di in matches:
-            slot = slots[ti]
-            node_id, box = detections[di]
+        for slot, z in zip(slots, measured):
+            if z is None:
+                if slot.time_since_update <= max_age:
+                    kept.append(slot)
+                continue
             if slot.cov is not shared:
                 shared = slot.cov
-                updated, gains = _update_cov(shared, model)
+                updated, (kp0, kv0, kp1, kv1, kp2, kv2, ka) = \
+                    _update_cov(shared, model)
             slot.cov = updated
-            slot.update(box, gains)
+            cx, cy, area, aspect, vcx, vcy, varea = slot.x
+            z0, z1, z2, z3 = z
+            y0, y1, y2 = z0 - cx, z1 - cy, z2 - area
+            slot.x = [cx + kp0 * y0, cy + kp1 * y1, area + kp2 * y2,
+                      aspect + ka * (z3 - aspect), vcx + kv0 * y0,
+                      vcy + kv1 * y1, varea + kv2 * y2]
             slot.time_since_update = 0
-            assignments.append((node_id, slot.track_id))
-        for di in unmatched_d:
-            node_id, box = detections[di]
-            slot = _TrackSlot.start(self._next_id, box, model)
-            self._next_id += 1
-            slots.append(slot)
-            assignments.append((node_id, slot.track_id))
-            new_tracks.append(slot.track_id)
-        self.slots = [s for s in slots if s.time_since_update <= cfg.max_age]
-        assignments.sort(key=lambda a: a[0])
+            kept.append(slot)
+        kept += born
+        self.slots = kept
         return StepResult(assignments=assignments, new_tracks=new_tracks)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import marshal
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -544,15 +545,25 @@ FUSION_FLAG = "--no-" "fusion"
     (["run", "-p", "{program}", "--meta", "{meta}"],
      "Missing option '--trace'."),
     (["nosuch"], "No such command 'nosuch'."),
+    (["--bogus"] + RUN, "No such option '--bogus'."),
+    (["--bogus", "run"], "No such option '--bogus'."),
 ], ids=["unknown-option", "explain-unknown-option", "wrong-type",
-        "missing-option", "unknown-command"])
+        "missing-option", "unknown-command", "group-unknown-option",
+        "group-unknown-option-bare-command"])
 def test_usage_error_exit_1(runner, workspace, args, message):
-    """A usage error exits 1 with one line, as a bad option value does."""
+    """A usage error, of the group or of a command, exits 1 with one line,
+    as a bad option value does."""
     result = runner.invoke(main, [a.format(**workspace) for a in args])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)  # not a traceback
     assert result.stderr.startswith(f"bad option: {message}")
     assert result.stderr.count("\n") == 1
+
+
+def test_no_arguments_print_the_help(runner):
+    result = runner.invoke(main, [])
+    assert result.exit_code == 2
+    assert "Commands:" in result.output and "bad option" not in result.output
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -957,6 +968,29 @@ def _set(kind, **params):
                              if o["kind"] == kind)["params"].update(params)
 
 
+def _set_step(kind, **params):
+    """Set `params` of the plan's fused step of kind `kind`."""
+    return lambda plan: _step(plan, kind)["params"].update(params)
+
+
+def _set_tracker_config(**fields):
+    """Set `fields` of the config of the plan's tracker op."""
+    return lambda plan: next(o for o in plan["ops"] if o["kind"] == "tracker"
+                             )["params"]["config"].update(fields)
+
+
+NOISE = "noise scales must be positive and finite"
+# JSON reads Infinity, NaN and true where a number is due
+TRACKER_CONFIGS = [
+    ("process_noise", math.inf, NOISE),
+    ("process_noise", math.nan, NOISE),
+    ("process_noise", True, NOISE),
+    ("measurement_noise", -math.inf, NOISE),
+    ("max_age", True, "max_age must be an int"),
+    ("max_age", 2.5, "max_age must be an int"),
+]
+
+
 def _link_failure(runner, workspace, edit, query):
     """The run of `query`'s saved plan, edited, over a trace whose first
     line does not parse."""
@@ -1003,11 +1037,19 @@ def test_saved_plan_without_a_param_the_planner_writes_exit_3(
      "output:reds: bad frame_output [{'binding': 'x', 'prop': 'direction'}]"),
     ("reds_near_blues", _set("relation_filter", args=["c"]),
      "relfilter:Near: bad args ['c']"),
+    ("reds", _set_step("projector", prop=[]), "fused:proj:c.color: bad prop []"),
+    ("reds", _set("output", query=5), "output:reds: bad query 5"),
+    *[("reds", _set_tracker_config(**{field: value}),
+       f"tracker:c: bad params: {message}")
+      for field, value, message in TRACKER_CONFIGS],
 ], ids=["tracker-vobj-null", "tracker-vobj-empty", "tracker-vobj-undeclared",
         "detector-vobj-null", "detector-vobj-empty", "output-bindings-true",
         "output-bindings-empty", "output-bindings-number",
         "output-frame-output-string", "output-frame-output-number",
-        "output-frame-output-of-no-binding", "relation-filter-one-arg"])
+        "output-frame-output-of-no-binding", "relation-filter-one-arg",
+        "projector-prop-list", "output-query-number",
+        *[f"tracker-{field.replace('_', '-')}-{value}"
+          for field, value, _m in TRACKER_CONFIGS]])
 def test_saved_plan_param_checked_when_the_pass_links(runner, workspace,
                                                       query, edit, message):
     result = _link_failure(runner, workspace, edit, query)

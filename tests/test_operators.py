@@ -284,6 +284,17 @@ class TestTrackerOp:
         op.process(engine, [[state_with_nodes(16)]])
         assert list(track.objects) == []
 
+    def test_nodes_out_of_id_order_get_their_own_tracks(self):
+        op = TrackerOp("t", TRACKER)
+        near, far = (0.0, 0.0, 10.0, 10.0), (500.0, 500.0, 510.0, 510.0)
+        batch = [state_with_nodes(0, node((0, 1), bbox=far), node((0, 0))),
+                 state_with_nodes(1, node((1, 0), bbox=far), node((1, 1)))]
+        out = op.process(FakeEngine(depth=5), [batch])
+        (f0, n0), (f1, n1) = out[0].graph.parts[0], out[1].graph.parts[0]
+        assert (f0.track.track_id, n0.track.track_id) == (1, 2)  # part order
+        assert list(f0.track.objects) == [f0, f1]
+        assert list(n0.track.objects) == [n0, n1]
+
     def test_input_nodes_not_mutated(self):
         op = TrackerOp("t", TRACKER)
         fs = state_with_nodes(0, node((0, 0)))

@@ -1,5 +1,6 @@
 """Kalman/IoU tracker: geometry oracle, association, and identity keeping."""
 
+import math
 import random
 
 import pytest
@@ -12,26 +13,38 @@ from vidquery.tracker import (
     TrackerConfig,
     associate,
     iou,
-    _box_to_z,
-    _Model,
     _predict_cov,
-    _TrackSlot,
     _update_cov,
-    _x_to_box,
 )
 
-MODEL = _Model.of(TrackerConfig())
+
+def box_of(x):
+    """The box of a mean (cx, cy, area, aspect, ...)."""
+    cx, cy, area, aspect = x[:4]
+    w = math.sqrt(area * aspect)
+    h = area / w
+    return (cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
 
 
-def predict(slot: _TrackSlot, model: _Model = MODEL):
-    """One frame of the filter on one slot, as `SortTracker.step` runs it."""
-    slot.cov = _predict_cov(slot.cov, model)
-    return slot.predict()
+def follow(boxes, config=None):
+    """A tracker stepped on frames 0, 1, ... with one detection each."""
+    tracker = SortTracker(config or TrackerConfig())
+    for f, box in enumerate(boxes):
+        tracker.step(f, [((f, 0), box)])
+    return tracker
 
 
-def update(slot: _TrackSlot, box, model: _Model = MODEL):
-    slot.cov, gains = _update_cov(slot.cov, model)
-    slot.update(box, gains)
+@pytest.fixture
+def predicted(monkeypatch):
+    """The predicted boxes that each step hands to `associate`."""
+    seen = []
+
+    def spying(track_boxes, det_boxes, threshold):
+        seen.append(list(track_boxes))
+        return associate(track_boxes, det_boxes, threshold)
+
+    monkeypatch.setattr(tracker_module, "associate", spying)
+    return seen
 
 
 class TestIoU:
@@ -59,38 +72,32 @@ class TestIoU:
 class TestKalman:
     def test_box_state_round_trip(self):
         box = (10.0, 20.0, 50.0, 100.0)
-        z = _box_to_z(box)
-        assert z[0] == 30.0 and z[1] == 60.0  # center
-        assert z[2] == 40.0 * 80.0  # area
-        assert z[3] == pytest.approx(0.5)  # aspect
-        slot = _TrackSlot.start(1, box, MODEL)
-        assert _x_to_box(slot.x) == pytest.approx(box)
+        (slot,) = follow([box]).slots
+        assert slot.x[:2] == [30.0, 60.0]  # center
+        assert slot.x[2] == 40.0 * 80.0  # area
+        assert slot.x[3] == pytest.approx(0.5)  # aspect
+        assert slot.x[4:] == [0.0, 0.0, 0.0]
+        assert box_of(slot.x) == pytest.approx(box)
 
     def test_static_object_stays_put(self):
         box = (10.0, 10.0, 30.0, 30.0)
-        slot = _TrackSlot.start(1, box, MODEL)
-        for _ in range(10):
-            predict(slot)
-            update(slot, box)
-        assert _x_to_box(slot.x) == pytest.approx(box, abs=1e-6)
+        (slot,) = follow([box] * 11).slots
+        assert box_of(slot.x) == pytest.approx(box, abs=1e-6)
 
     def test_velocity_learned_from_motion(self):
-        slot = _TrackSlot.start(1, (0.0, 0.0, 20.0, 20.0), MODEL)
-        for f in range(1, 15):
-            predict(slot)
-            update(slot, (5.0 * f, 0.0, 5.0 * f + 20.0, 20.0))
-        predicted = predict(slot)
-        cx = (predicted[0] + predicted[2]) / 2.0
+        (slot,) = follow([(5.0 * f, 0.0, 5.0 * f + 20.0, 20.0)
+                          for f in range(15)]).slots
         # after settling, the one-step-ahead prediction tracks the +5 px/frame motion
-        assert cx == pytest.approx(5.0 * 15 + 10.0, abs=1.0)
+        assert slot.x[0] + slot.x[4] == pytest.approx(5.0 * 15 + 10.0, abs=1.0)
 
     def test_covariance_stays_symmetric(self):
-        slots = [_TrackSlot.start(1, (0.0, 0.0, 10.0, 10.0), MODEL),
-                 _TrackSlot.start(2, (5.0, 5.0, 25.0, 15.0), MODEL)]
-        for f in range(5):
-            for slot in slots:
-                predict(slot)
-            update(slots[0], (f + 1.0, 0.0, f + 11.0, 10.0))
+        tracker = SortTracker(TrackerConfig())
+        tracker.step(0, [((0, 0), (0.0, 0.0, 10.0, 10.0)),
+                         ((0, 1), (5.0, 5.0, 25.0, 15.0))])
+        for f in range(1, 6):  # the second track goes unmatched
+            tracker.step(f, [((f, 0), (f + 0.0, 0.0, f + 10.0, 10.0))])
+        slots = tracker.slots
+        assert [s.time_since_update for s in slots] == [0, 5]
         _x, P = dense_state(slots)
         assert (P == P.transpose(0, 2, 1)).all()
         # and positive definite, block by block
@@ -100,40 +107,56 @@ class TestKalman:
                 assert p[j] > 0 and p[j] * v[j] > c[j] ** 2
             assert p[3] > 0
 
-    def test_predict_returns_the_predicted_box(self):
-        slot = _TrackSlot.start(1, (0.0, 0.0, 20.0, 20.0), MODEL)
-        slot.x[4:] = [3.0, -1.0, 0.0]
-        assert predict(slot) == _x_to_box(slot.x) \
-            == (3.0, -1.0, 23.0, 19.0)
+    def test_predict_returns_the_predicted_box(self, predicted):
+        tracker = follow([(0.0, 0.0, 20.0, 20.0)])
+        tracker.slots[0].x[4:] = [3.0, -1.0, 0.0]
+        tracker.step(1, [])
+        assert predicted[-1] == [box_of(tracker.slots[0].x)] \
+            == [(3.0, -1.0, 23.0, 19.0)]
+
+    def test_a_gap_predicts_through_every_skipped_frame(self, predicted):
+        tracker = follow([(0.0, 0.0, 20.0, 20.0)])
+        tracker.slots[0].x[4:] = [3.0, -1.0, 0.0]
+        tracker.step(3, [])
+        assert predicted[-1] == [box_of(tracker.slots[0].x)] \
+            == [(9.0, -3.0, 29.0, 17.0)]
+
+    def test_predicted_area_and_aspect_are_floored(self, predicted):
+        tracker = follow([(0.0, 0.0, 20.0, 20.0)])
+        x = tracker.slots[0].x
+        x[2:] = [4e-7, 1e-9, 0.0, 0.0, -1e-7]  # area stays positive
+        tracker.step(1, [])
+        assert x[2] == 4e-7 - 1e-7 and x[6] == -1e-7
+        w = math.sqrt(1e-6 * 1e-6)
+        assert predicted[-1] == [(10.0 - w / 2.0, 10.0 - 1e-6 / w / 2.0,
+                                  10.0 + w / 2.0, 10.0 + 1e-6 / w / 2.0)]
 
 
 class TestAssociate:
+    """`associate` gives each detection its track's index, or None."""
+
     def test_greedy_matching(self):
         tracks = [(0, 0, 10, 10), (100, 100, 110, 110)]
         dets = [(101, 101, 111, 111), (1, 1, 11, 11)]
-        matches, un_t, un_d = associate(tracks, dets, 0.3)
-        assert matches == [(0, 1), (1, 0)]
-        assert un_t == [] and un_d == []
+        assert associate(tracks, dets, 0.3) == [1, 0]
 
     def test_threshold_gates(self):
-        matches, un_t, un_d = associate(
-            [(0, 0, 10, 10)], [(9, 9, 19, 19)], 0.3
-        )
-        assert matches == [] and un_t == [0] and un_d == [0]
+        assert associate([(0, 0, 10, 10)], [(9, 9, 19, 19)], 0.3) == [None]
 
     def test_each_side_used_once(self):
         tracks = [(0, 0, 10, 10)]
         dets = [(1, 1, 11, 11), (2, 2, 12, 12)]
-        matches, _un_t, un_d = associate(tracks, dets, 0.1)
-        assert len(matches) == 1
-        assert len(un_d) == 1
+        assert associate(tracks, dets, 0.1) == [0, None]  # the higher IoU
 
     def test_deterministic_tie_break(self):
         # two tracks equally overlapping two detections: lowest indices win
         tracks = [(0, 0, 10, 10), (0, 0, 10, 10)]
         dets = [(0, 0, 10, 10), (0, 0, 10, 10)]
-        matches, _t, _d = associate(tracks, dets, 0.3)
-        assert matches == [(0, 0), (1, 1)]
+        assert associate(tracks, dets, 0.3) == [0, 1]
+
+    def test_no_tracks_or_no_detections(self):
+        assert associate([], [(0, 0, 10, 10)] * 2, 0.3) == [None, None]
+        assert associate([(0, 0, 10, 10)], [], 0.3) == []
 
 
 def boxes_for(centers, size=20.0):
@@ -157,6 +180,17 @@ class TestSortTracker:
                 else:
                     seen[idx] = track_id
         assert len(set(seen.values())) == 2
+
+    def test_assignments_follow_the_detections_order(self):
+        # node ids out of order, and a birth between two matches
+        a, b, c = boxes_for([(50.0, 50.0), (200.0, 50.0), (400.0, 50.0)])
+        tracker = SortTracker(TrackerConfig())
+        first = tracker.step(0, [((0, 2), b), ((0, 0), a)])
+        assert first.assignments == [((0, 2), 1), ((0, 0), 2)]
+        assert first.new_tracks == [1, 2]
+        result = tracker.step(1, [((1, 9), a), ((1, 1), c), ((1, 5), b)])
+        assert result.assignments == [((1, 9), 2), ((1, 1), 3), ((1, 5), 1)]
+        assert result.new_tracks == [3]
 
     def test_dropout_survival_within_max_age(self):
         tracker = SortTracker(TrackerConfig(max_age=3))
@@ -196,12 +230,23 @@ class TestSortTracker:
             tracker.step(frame_id, [])
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrackerConfig(iou_threshold=0.0)
-        with pytest.raises(ValueError):
-            TrackerConfig(max_age=0)
-        with pytest.raises(ValueError):
-            TrackerConfig(process_noise=0.0)
+        # a saved plan's JSON config can hold a bool, a fraction, Infinity
+        # or NaN where a number is due
+        for field, value in [
+            ("iou_threshold", 0.0), ("iou_threshold", math.nan),
+            ("max_age", 0), ("max_age", True), ("max_age", 2.5),
+            ("max_age", 3.0), ("max_age", math.inf),
+            ("process_noise", 0.0), ("process_noise", math.inf),
+            ("process_noise", math.nan), ("process_noise", True),
+            ("measurement_noise", -math.inf), ("measurement_noise", "1"),
+        ]:
+            with pytest.raises(ValueError):
+                TrackerConfig(**{field: value})
+
+    def test_config_takes_int_noise_scales(self):
+        assert TrackerConfig(process_noise=2, measurement_noise=3).to_json() \
+            == {"iou_threshold": 0.3, "max_age": 30, "process_noise": 2,
+                "measurement_noise": 3}
 
     def test_config_json_round_trip(self):
         cfg = TrackerConfig(iou_threshold=0.4, max_age=7)
@@ -263,12 +308,10 @@ class TestArrayBookkeeping:
         self.assert_aligned(tracker)
         state = lambda s: (s.x, s.cov)
         # the kept slot is one filtered box; the born one starts afresh
-        held = _TrackSlot.start(1, kept, MODEL)
-        for _ in range(2):
-            predict(held)
-            update(held, kept)
+        (held,) = follow([kept] * 3).slots
+        (fresh,) = follow([born]).slots
         assert state(tracker.slots[0]) == state(held)
-        assert state(tracker.slots[1]) == state(_TrackSlot.start(3, born, MODEL))
+        assert state(tracker.slots[1]) == state(fresh)
 
     def test_tie_break_through_the_tracker(self):
         # TestAssociate's tie case on live tracks: lowest indices win

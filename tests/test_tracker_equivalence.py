@@ -40,7 +40,10 @@ def _bits(arrays, shape) -> bytes:
 def assert_same_step(tracker, oracle, frame_id, dets, where=""):
     got = tracker.step(frame_id, dets)
     want = oracle.step(frame_id, dets)
-    assert got.assignments == want.assignments, where
+    # the oracle sorts its assignments by node id; the block tracker lists
+    # them in detection order
+    assert [n for n, _t in got.assignments] == [n for n, _b in dets], where
+    assert sorted(got.assignments) == want.assignments, where
     assert got.new_tracks == want.new_tracks, where
     book = lambda s: (s.track_id, s.time_since_update)
     assert [book(s) for s in tracker.slots] == [book(s) for s in oracle.slots], where
@@ -185,8 +188,17 @@ def jittered(rng: random.Random, boxes):
 
 
 def assert_same_association(tracks, dets, threshold=0.3):
-    assert associate(tracks, dets, threshold) == \
-        scalar.associate(tracks, dets, threshold)
+    """Each detection gets the track the all-pairs matching gives it, and
+    None where that leaves it unmatched; so the matched pairs and the
+    unmatched tracks and detections are the oracle's."""
+    got = associate(tracks, dets, threshold)
+    matches, unmatched_tracks, unmatched_dets = scalar.associate(
+        tracks, dets, threshold)
+    assert len(got) == len(dets)
+    assert sorted((t, d) for d, t in enumerate(got) if t is not None) \
+        == matches
+    assert [d for d, t in enumerate(got) if t is None] == unmatched_dets
+    assert [t for t in range(len(tracks)) if t not in got] == unmatched_tracks
 
 
 @pytest.mark.parametrize("threshold", [0.05, 0.3, 0.7])
@@ -254,6 +266,24 @@ def test_random_streams_match_scalar_tracker(overrides):
     for seed in range(STREAMS_PER_CONFIG):
         rng = random.Random(f"{sorted(overrides.items())}:{seed}")
         run_both(config, random_stream(rng), f"seed {seed}")
+
+
+def test_assignments_follow_detection_order_not_node_ids():
+    """Random streams whose node ids are shuffled on each frame: the
+    assignments list the detections in input order, and the state and the
+    sorted assignments are still the oracle's."""
+    config, unsorted = TrackerConfig(), 0
+    for seed in range(20):
+        rng = random.Random(f"unsorted:{seed}")
+        stream = []
+        for frame_id, dets in random_stream(rng):
+            ids = [node_id for node_id, _box in dets]
+            rng.shuffle(ids)
+            unsorted += ids != sorted(ids)
+            stream.append((frame_id, [(node_id, box) for node_id, (_n, box)
+                                      in zip(ids, dets)]))
+        run_both(config, stream, f"seed {seed}")
+    assert unsorted > 100
 
 
 def test_dense_world_matches_scalar_tracker():
