@@ -176,16 +176,14 @@ def validate_cmd(program, manifest):
 @click.option("--query", "-q", required=True)
 @click.option("--registry", "manifest", default=None)
 @click.option("--meta", "meta_path", default=None)
-@click.option("--no-pullup", is_flag=True)
-def explain(program, query, manifest, meta_path, no_pullup):
+def explain(program, query, manifest, meta_path):
     """Print the planned operator DAG in DOT form."""
     vprog = _load_program(program)
     registry = _load_registry(manifest)
     meta = _load_meta(meta_path)
     _check_query(vprog, query)
-    config = _config(PlannerConfig, enable_pullup=not no_pullup)
     try:
-        dag = plan_query(vprog, query, registry, config, meta)
+        dag = plan_query(vprog, query, registry, meta=meta)
     except PlanError as exc:
         _fail(EXIT_PLAN, f"planning failed: {exc}")
     click.echo(f"// plan {dag.plan_id}")
@@ -219,7 +217,7 @@ def profile_cmd(program, query, trace, meta_path, manifest, canary_frames,
     )
     _check_output_file("--save-plan", save_path)
     try:
-        dags = enumerate_alternatives(vprog, query, registry, config, meta)
+        dags = enumerate_alternatives(vprog, query, registry, meta=meta)
         reports = profile_plans(dags, trace, meta, vprog, registry, config)
         selected, fell_back = select_plan(dags, reports, config)
     except PlanError as exc:
@@ -262,16 +260,14 @@ def profile_cmd(program, query, trace, meta_path, manifest, canary_frames,
               help="Write results to this file instead of stdout.")
 @click.option("--no-memo", is_flag=True)
 @click.option("--no-lazy", is_flag=True)
-@click.option("--no-pullup", is_flag=True)
 def run(program, queries, trace, meta_path, manifest, batch_size,
-        plan_file, results_dir, out_path, no_memo, no_lazy, no_pullup):
+        plan_file, results_dir, out_path, no_memo, no_lazy):
     """Plan and execute queries over a trace."""
     vprog = _load_program(program)
     registry = _load_registry(manifest)
     meta = _load_meta(meta_path)
     for name in queries:
         _check_query(vprog, name)
-    config = _config(PlannerConfig, enable_pullup=not no_pullup)
     exec_config = _config(
         ExecConfig, batch_size=batch_size, lazy=not no_lazy, memo=not no_memo
     )
@@ -286,7 +282,7 @@ def run(program, queries, trace, meta_path, manifest, batch_size,
                 if not queries and not _binds_object(vprog, name):
                     click.echo(f"skipped {name!r}: binds no object", err=True)
                     continue
-                dags.append(plan_query(vprog, name, registry, config, meta))
+                dags.append(plan_query(vprog, name, registry, meta=meta))
     except PlanLoadError as exc:
         _fail(EXIT_PLAN, f"cannot load plan: {exc}")
     except PlanError as exc:

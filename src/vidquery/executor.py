@@ -36,6 +36,7 @@ from .operators import (
     RuntimeOp,
     TrackerOp,
     VObjFilterOp,
+    _check_refs,
     _check_settings,
     _names,
     compare,
@@ -237,17 +238,10 @@ class PropertyEngine:
     # -- predicate evaluation --
 
     def _resolve(self, ref, env: dict, edge) -> Any:
+        # each op checks its predicate's references when it links
         if ref.relation is not None:
-            if edge is None:
-                raise InternalError(
-                    f"relation reference {ref.relation}.{ref.prop} outside an "
-                    f"edge context"
-                )
             return edge.properties.get(ref.prop, UNDEFINED)
-        node = env.get(ref.binding)
-        if node is None:
-            raise InternalError(f"unbound predicate binding {ref.binding!r}")
-        return self.get(node, ref.prop)
+        return self.get(env[ref.binding], ref.prop)
 
     def verdict(self, expr, env: dict, edge=None) -> Optional[bool]:
         """Kleene three-valued verdict: a comparison on an Undefined operand
@@ -303,6 +297,7 @@ class OutputOp(RuntimeOp):
                 and isinstance(r.get("prop"), str) for r in refs)),
              f"frame_output {refs!r}"),
         ])
+        self.reads_parts = len(bindings)
         self.rows: list[dict] = []
         self.tracks: dict[int, Track] = {}
 
@@ -347,6 +342,7 @@ class AggregateOp(RuntimeOp):
     id.  Its answer is its output op's, with the count as `video`."""
 
     kind = "aggregate"
+    reads_parts = None  # `link` checks that its input is an output op
 
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
@@ -368,6 +364,7 @@ class AggregateOp(RuntimeOp):
             (indexed and self.binding != source.bindings[self.part],
              f"binding {self.binding!r}"),
         ])
+        _check_refs(self.op_id, self.predicate, (self.binding,))
         self.output = source
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
@@ -496,6 +493,7 @@ class FusedOp(RuntimeOp):
 
 # --- runtime op construction ------------------------------------------------
 
+FUSED_STEP_KINDS = ("projector", "vobj_filter")  # what the planner fuses
 OPERATOR_CLASSES: dict[str, type[RuntimeOp]] = {cls.kind: cls for cls in (
     FrameFilterOp, ClassifierOp, DetectorOp, TrackerOp, ProjectorOp,
     VObjFilterOp, JoinOp, RelationProjectorOp, RelationFilterOp, OutputOp,
@@ -515,10 +513,14 @@ def build_runtime_op(plan_op: PlanOp, registry: Registry) -> RuntimeOp:
         raise PlanLinkError(f"{op_id}: unknown operator kind {kind!r}")
     try:
         if kind == "fused":  # each step runs under the fused op's id
-            return cls(op_id, params, [
-                build_runtime_op(PlanOp(op_id, s["kind"], s["params"]),
-                                 registry)
-                for s in params["steps"]])
+            steps = [build_runtime_op(PlanOp(op_id, s["kind"], s["params"]),
+                                      registry)
+                     for s in params["steps"]]
+            for step in steps:
+                if step.kind not in FUSED_STEP_KINDS:
+                    raise PlanLinkError(
+                        f"{op_id}: kind {step.kind!r} is not a fused step")
+            return cls(op_id, params, steps)
         if kind in ("classifier", "detector"):
             reg = registry.try_resolve(kind, params[kind])
             if reg is None:
@@ -532,6 +534,23 @@ def build_runtime_op(plan_op: PlanOp, registry: Registry) -> RuntimeOp:
         raise PlanLinkError(f"{op_id}: missing param {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise PlanLinkError(f"{op_id}: bad params: {exc}") from exc
+
+
+def _parts(rt: Optional[RuntimeOp], op_id: str, inputs: list[int]) -> int:
+    """The parts of the frame graphs that `rt` makes from inputs whose
+    graphs hold `inputs` parts: none from the reader, one from a detector,
+    one per input from a join, and as many as its input's from any other
+    op.  PlanLinkError if an input holds other than what `rt` reads."""
+    if rt is None:
+        return 0
+    want = rt.reads_parts
+    for n in inputs:
+        if want is not None and n != want:
+            raise PlanLinkError(
+                f"{op_id}: an input's frame graphs hold {n} parts, not {want}")
+    if isinstance(rt, DetectorOp):
+        return 1
+    return len(inputs) if isinstance(rt, JoinOp) else inputs[0]
 
 
 def op_signature(plan_op: PlanOp, input_sigs: list[str]) -> str:
@@ -858,6 +877,7 @@ class Session:
         its output op.  A tracker owns its input (`TrackerOp.owns_input`) when
         that is a detector's batch that no other scheduled operator reads."""
         schedule: dict[str, tuple[Optional[RuntimeOp], list[str]]] = {}
+        parts: dict[str, int] = {}  # of the graphs each signature makes
         sinks = []
         for dag in dags:
             sigs: dict[str, str] = {}
@@ -883,6 +903,8 @@ class Session:
                     elif pop.kind == "aggregate":
                         rt.link(schedule[input_sigs[0]][0])
                     schedule[sig] = (rt, input_sigs)
+                    parts[sig] = _parts(rt, op_id,
+                                        [parts[s] for s in input_sigs])
                 elif pop.kind == "relation_projector":
                     schedule[sig][0].widen(
                         build_runtime_op(pop, self.registry).bound)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterable, Optional
 
 from .datamodel import Edge, FrameGraph, Track, VObjInstance
-from .dsl.ast import COMPARISON_OPS
+from .dsl.ast import COMPARISON_OPS, walk_refs
 from .planner import decode_expr
 from .registry import (
     GEOMETRIC_FN_COST,
@@ -68,6 +68,10 @@ class RuntimeOp:
     iterator state."""
 
     kind = "op"
+    # the parts that each input's frame graphs hold, which the pass checks
+    # when it links: one, a branch's, unless an op says otherwise; None
+    # takes any number
+    reads_parts: Optional[int] = 1
 
     def __init__(self, op_id: str, params: dict):
         self.op_id = op_id
@@ -117,6 +121,17 @@ def _names(value) -> bool:
         and all(isinstance(v, str) for v in value)
 
 
+def _check_refs(owner: str, predicate, bindings, edge: bool = False) -> None:
+    """`_check_settings` for a predicate: every reference must read a named
+    property of an object of `bindings`, or, if `edge`, of the edge that
+    the predicate is decided on, so a verdict finds whatever it reads."""
+    for ref in walk_refs(predicate):
+        name = f"{ref.relation or ref.binding}.{ref.prop}"
+        found = edge if ref.relation is not None else ref.binding in bindings
+        _check_settings(owner, [(not (found and isinstance(ref.prop, str)),
+                                 f"predicate reference {name!r}")])
+
+
 class FrameFilterOp(RuntimeOp):
     """Drops frames by a channel predicate: in `threshold` mode, a
     comparison of the channel's value with the threshold; in
@@ -129,18 +144,19 @@ class FrameFilterOp(RuntimeOp):
     looks them up."""
 
     kind = "frame_filter"
+    reads_parts = None
 
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
-        self.channel = params["channel"]
-        mode = params.get("mode", "threshold")
-        self.op = params.get("op", ">=")
-        self.threshold = params.get("threshold", 0.0)
+        self.channel, mode = params["channel"], params["mode"]
+        self.op, self.threshold = params["op"], params["threshold"]
+        # only a gate's params hold these; a scene filter's take defaults
         self.tolerance = params.get("tolerance", 0.0)
         window = params.get("window", 1)
         self.cost = params.get("cost_units", GEOMETRIC_FN_COST)
         literals = self.threshold if self.op == "in" else [self.threshold]
         _check_settings(f"frame filter {op_id}", (
+            (not isinstance(self.channel, str), f"channel {self.channel!r}"),
             (mode not in ("threshold", "similar_to_prev"), f"mode {mode!r}"),
             (self.op not in COMPARISON_OPS, f"op {self.op!r}"),
             (not isinstance(literals, (list, tuple))
@@ -149,6 +165,7 @@ class FrameFilterOp(RuntimeOp):
             (not finite_number(self.tolerance),
              f"tolerance {self.tolerance!r}"),
             (type(window) is not int or window < 1, f"window {window!r}"),
+            (not finite_number(self.cost), f"cost_units {self.cost!r}"),
         ))
         if mode == "threshold":
             self._frames = self._threshold_frames
@@ -210,6 +227,7 @@ class ClassifierOp(RuntimeOp):
     checked here."""
 
     kind = "classifier"
+    reads_parts = None
 
     def __init__(self, op_id: str, params: dict, reg: Registration):
         super().__init__(op_id, params)
@@ -238,6 +256,7 @@ class DetectorOp(RuntimeOp):
     `apply_detector` compares them in."""
 
     kind = "detector"
+    reads_parts = None
 
     def __init__(self, op_id: str, params: dict, reg: Registration):
         super().__init__(op_id, params)
@@ -350,15 +369,19 @@ class ProjectorOp(RuntimeOp):
 
 
 class VObjFilterOp(RuntimeOp):
-    """Keeps a node only on a True verdict of the predicate; frames are
-    retained even when emptied (dropping frames is the join's job)."""
+    """Keeps a node only on a True verdict of the predicate, which reads
+    the node's `binding` only; frames are retained even when emptied
+    (dropping frames is the join's job)."""
 
     kind = "vobj_filter"
 
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
-        self.binding = params["binding"]
+        self.binding = binding = params["binding"]
         self.predicate = decode_expr(params["predicate"])
+        _check_settings(op_id, [
+            (not isinstance(binding, str), f"binding {binding!r}")])
+        _check_refs(op_id, self.predicate, (binding,))
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         out = []
@@ -416,10 +439,13 @@ class RelationProjectorOp(RuntimeOp):
     only then is the `distance_m` scale read."""
 
     kind = "relation_projector"
+    reads_parts = 2
 
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
         relation, impls = params["relation"], params["props"]
+        _check_settings(op_id, [
+            (not isinstance(impls, dict), f"props {impls!r}")])
         # (property, implementation, name in the stats), by property name
         self.props = [(prop, impl, f"{relation}.{prop}")
                       for prop, impl in sorted(impls.items())]
@@ -485,9 +511,12 @@ class RelationProjectorOp(RuntimeOp):
 class RelationFilterOp(RuntimeOp):
     """Keeps each edge on which the predicate's verdict, with `args` bound to
     the edge's `a` and `b`, is True, and a frame only if it keeps at least
-    one: a spatial query holds on a frame where some pair holds."""
+    one: a spatial query holds on a frame where some pair holds.  Each part
+    of a kept frame keeps only the objects of its kept edges, in node-id
+    order, so a row lists and a duration tracks only related objects."""
 
     kind = "relation_filter"
+    reads_parts = 2
 
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
@@ -495,6 +524,7 @@ class RelationFilterOp(RuntimeOp):
         self.args = args = params["args"]
         _check_settings(op_id, (
             (not _names(args) or len(args) != 2, f"args {args!r}"),))
+        _check_refs(op_id, self.predicate, args, edge=True)
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         first, second = self.args
@@ -505,9 +535,12 @@ class RelationFilterOp(RuntimeOp):
                 env = {first: edge.a, second: edge.b}
                 if engine.verdict(self.predicate, env, edge) is True:
                     kept.append(edge)
-            if kept:
+            if kept:  # an object is unhashable: match it by identity
+                related = ({id(e.a) for e in kept}, {id(e.b) for e in kept})
+                parts = [[n for n in part if id(n) in ids]
+                         for part, ids in zip(fs.graph.parts, related)]
                 out.append(FrameState(fs.frame_id, fs.record,
-                                      FrameGraph(fs.graph.parts, kept)))
+                                      FrameGraph(parts, kept)))
         return out
 
 

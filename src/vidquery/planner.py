@@ -234,7 +234,6 @@ class PlanDag:
 class PlannerConfig:
     accuracy_target: float = 0.9
     canary_frames: int = 0  # 0 means the whole canary trace
-    enable_pullup: bool = True
     batch_size: int = 16  # of the profiling sessions
 
     def __post_init__(self):
@@ -294,21 +293,22 @@ def plan_query(
     vprog: ValidatedProgram,
     query_name: str,
     registry: Registry,
-    config: PlannerConfig,
+    config: Optional[PlannerConfig] = None,
     meta: Optional[VideoMeta] = None,
     detector_overrides: Optional[dict[str, str]] = None,
 ) -> PlanDag:
     """One branch per bound VObj type, joined, then relation stages, then
     higher-order evaluators and the output/aggregate stage.
 
-    With `config.enable_pullup`, zero-error classifiers and auto frame
-    filters gate each detector, and each branch's filter runs right after
-    the last projector its predicate needs; that changes no result.  A
-    branch's chain of two or more projector/filter steps after the detector
-    or tracker runs as one fused op.  `detector_overrides` maps a
-    binding, behind the path of its sub-plan (`"reds/c"` in a temporal
-    query whose first part is `reds`), to the detector it runs."""
-    return _build(vprog, query_name, registry, config, meta,
+    Zero-error classifiers and auto frame filters gate each detector, and
+    each branch's filter runs right after the last projector its predicate
+    needs.  A branch's chain of two or more projector/filter steps after
+    the detector or tracker runs as one fused op.  `detector_overrides`
+    maps a binding, behind the path of its sub-plan (`"reds/c"` in a
+    temporal query whose first part is `reds`), to the detector it runs.
+    Planning reads no setting: `config` is not read, and stays only for
+    callers that pass `meta` by position."""
+    return _build(vprog, query_name, registry, meta,
                   detector_overrides or {}, require_tracker=False, prefix="")
 
 
@@ -316,7 +316,6 @@ def _build(
     vprog: ValidatedProgram,
     query_name: str,
     registry: Registry,
-    config: PlannerConfig,
     meta: Optional[VideoMeta],
     overrides: dict[str, str],
     require_tracker: bool,
@@ -328,7 +327,7 @@ def _build(
 
     if fq.kind == "duration":
         dag = _build(
-            vprog, fq.base, registry, config, meta, overrides,
+            vprog, fq.base, registry, meta, overrides,
             require_tracker=True, prefix=f"{prefix}{fq.base}/",
         )
         dag.query = query_name
@@ -349,9 +348,9 @@ def _build(
     if fq.kind == "temporal":
         # each sub-plan's ids sit under its own path of query names, so two
         # ops of one id are the same op
-        d1 = _build(vprog, fq.first, registry, config, meta, overrides,
+        d1 = _build(vprog, fq.first, registry, meta, overrides,
                     require_tracker=False, prefix=f"{prefix}{fq.first}/")
-        d2 = _build(vprog, fq.then, registry, config, meta, overrides,
+        d2 = _build(vprog, fq.then, registry, meta, overrides,
                     require_tracker=False, prefix=f"{prefix}{fq.then}/")
         dag = PlanDag(query=query_name)
         for sub in (d1, d2):
@@ -434,10 +433,9 @@ def _build(
 
         det_id = f"{prefix}detector:{binding}"
         prev = head
-        if config.enable_pullup:
-            for gate in _gates(registry, ftype, det_id):
-                gate.inputs = [prev]
-                prev = dag.add(gate).op_id
+        for gate in _gates(registry, ftype, det_id):
+            gate.inputs = [prev]
+            prev = dag.add(gate).op_id
         prev = dag.add(PlanOp(
             op_id=det_id,
             kind="detector",
@@ -457,12 +455,10 @@ def _build(
                    params={"prop": prop})
             for prop in needed
         ]
-        if pred is not None:
-            at = len(steps)
-            if config.enable_pullup:  # right after the last projector it needs
-                closure = set(_needed_props(ftype, pred_props))
-                at = max((i + 1 for i, prop in enumerate(needed)
-                          if prop in closure), default=0)
+        if pred is not None:  # right after the last projector it needs
+            closure = set(_needed_props(ftype, pred_props))
+            at = max((i + 1 for i, prop in enumerate(needed)
+                      if prop in closure), default=0)
             steps.insert(at, PlanOp(
                 op_id=f"{prefix}filter:{binding}",
                 kind="vobj_filter",
@@ -616,14 +612,14 @@ def enumerate_alternatives(
     vprog: ValidatedProgram,
     query_name: str,
     registry: Registry,
-    config: PlannerConfig,
+    config: Optional[PlannerConfig] = None,
     meta: Optional[VideoMeta] = None,
 ) -> list[PlanDag]:
     """Cross product of detector choices per binding along inheritance
     chains; the all-general reference plan comes first.  Each sub-plan's
     bindings are choices of their own, keyed by the sub-plan's path as in
     `plan_query`'s overrides, so a `c` in both parts of a temporal query
-    makes two choices."""
+    makes two choices.  `config` is not read, as in `plan_query`."""
 
     def bindings(q: FlatQuery, prefix: str):
         """(override key, VObj type) of every binding of `q`'s sub-plans."""
@@ -641,7 +637,8 @@ def enumerate_alternatives(
         combos = [c2 for c in combos
                   for c2 in [c] + [{**c, key: name} for name in names]]
     return [
-        plan_query(vprog, query_name, registry, config, meta, overrides)
+        plan_query(vprog, query_name, registry, meta=meta,
+                   detector_overrides=overrides)
         for overrides in combos[:MAX_ALTERNATIVES]
     ]
 

@@ -371,7 +371,7 @@ def _manifest_number(obj: dict, key: str, default, convert=float):
     value = obj.get(key, default)
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # int() of an infinity
         raise RegistryError(f"bad {key} {value!r}") from None
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from vidquery.dsl import parse, validate
 from vidquery.executor import ExecConfig, Session, op_signature
-from vidquery.planner import PlanDag, PlannerConfig, PlanOp, plan_query
+from vidquery.planner import PlanDag, PlanOp, plan_query
 from vidquery.registry import (
     ErrorProfile,
     Registration,
@@ -156,14 +156,12 @@ def run_single(
     trace_path,
     meta,
     registry=None,
-    planner_config: PlannerConfig | None = None,
     exec_config: ExecConfig | None = None,
     result_store=None,
 ):
     """Plan one query, run it in a fresh session, return (outcome, stats, dag)."""
     registry = registry or frozen_registry()
-    planner_config = planner_config or PlannerConfig()
-    dag = plan_query(vprog, query, registry, planner_config, meta)
+    dag = plan_query(vprog, query, registry, meta=meta)
     session = Session(vprog, registry, meta, exec_config)
     outcome = session.run([dag], trace_path, result_store=result_store)[0]
     return outcome, session.stats, dag

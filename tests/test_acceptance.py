@@ -331,8 +331,6 @@ _QUERY_TEMPLATES = [
 
 def test_criterion_08_optimization_soundness(tmp_path):
     rng = random.Random(88)
-    all_opts_plan = PlannerConfig()
-    no_opts_plan = PlannerConfig(enable_pullup=False)
     no_opts_exec = ExecConfig(lazy=False, memo=False)
     for case in range(100):
         meta = meta_1000(12)
@@ -358,12 +356,9 @@ def test_criterion_08_optimization_soundness(tmp_path):
             }}
             """
         vprog = make_program(src)
-        out_opt, _s, _d = run_single(
-            vprog, "q", paths["trace"], meta, planner_config=all_opts_plan
-        )
+        out_opt, _s, _d = run_single(vprog, "q", paths["trace"], meta)
         out_plain, _s, _d = run_single(
-            vprog, "q", paths["trace"], meta, planner_config=no_opts_plan,
-            exec_config=no_opts_exec,
+            vprog, "q", paths["trace"], meta, exec_config=no_opts_exec,
         )
         assert serialize_outcome(out_opt) == serialize_outcome(out_plain), \
             f"case {case}: {body!r}"

@@ -1,6 +1,8 @@
 """Each binding sees only its own objects, also when two bindings share a
 type.  The expected values come from the world scripts."""
 
+import math
+
 from vidquery.synth import ObjectScript, WorldSpec, write_world
 
 from conftest import (CAR_PROGRAM, car, make_program, meta_1000, row_objects,
@@ -85,14 +87,15 @@ def test_an_object_in_both_bindings_is_not_related_to_itself(tmp_path):
     outcome, _s, _d = run_single(vprog, "red_near_mover", trace, meta)
     assert outcome.satisfied == []
 
-    # a second, parked red car next to it relates the two, both ways round
+    # a second, parked red car next to it relates the two; the moving car
+    # is related only as a mover, so row `a` lists the parked car alone
     world.objects.append(car(2, 0, 9, (100.0, 160.0)))
     trace = write_world(world, tmp_path / "w2")["trace"]
     outcome, _s, _d = run_single(vprog, "red_near_mover", trace, meta)
     assert outcome.satisfied == list(range(4, 10))  # speed's window fills
     for row in outcome.rows:
         f = row["frame"]
-        assert nodes(row, "a") == [(f, 0), (f, 1)]
+        assert nodes(row, "a") == [(f, 1)]
         assert nodes(row, "m") == [(f, 0)]
 
 
@@ -129,3 +132,92 @@ def test_a_spatial_query_without_a_predicate_holds_for_any_pair(tmp_path):
     for row in outcome.rows:
         f = row["frame"]
         assert (nodes(row, "c"), nodes(row, "p")) == ([(f, 0)], [(f, 1)])
+
+
+# a spatial row lists, and a duration over it tracks, only the objects of
+# the pairs that held
+NEAR = TOGETHER + """
+spatial query near {
+  first: reds
+  second: people
+  relation: Near
+  predicate: Near(c, p).distance_px < 150
+}
+duration query lingering { base: near min_frames: 5 }
+"""
+
+
+def adult(label, start, end, center):
+    return ObjectScript(label=label, class_name="person", start_frame=start,
+                        end_frame=end, start_center=center,
+                        attrs={"role": "adult"})
+
+
+def related(world, f):
+    """The objects alive on frame `f` that are in a pair within 150 px, by
+    the world script's exact centres."""
+    alive = [o for o in world.objects if o.alive(f)]
+    pairs = [(c, p) for c in alive if c.class_name == "car"
+             for p in alive if p.class_name == "person"
+             and math.dist(c.center(f), p.center(f)) < 150]
+    return {id(o) for pair in pairs for o in pair}
+
+
+def expected_nodes(world, f, class_name):
+    """The trace nodes of frame `f`'s related objects of `class_name`: a
+    trace lists the objects alive on a frame in script order."""
+    near = related(world, f)
+    alive = [o for o in world.objects if o.alive(f)]
+    return [(f, i) for i, o in enumerate(alive)
+            if o.class_name == class_name and id(o) in near]
+
+
+def test_a_spatial_row_lists_only_related_objects(tmp_path):
+    # car 1 drives right past the adult: 200 px off on frame 0, 140 px on
+    # frame 3, level on frame 10; car 3 is parked 100 px from the adult and
+    # car 4 parked far from it, so frame 0 holds a near pair and a far car
+    world = WorldSpec(meta=meta_1000(20), objects=[
+        car(1, 0, 19, (100.0, 500.0), velocity=(20.0, 0.0)),
+        adult(2, 0, 19, (300.0, 500.0)),
+        car(3, 0, 19, (300.0, 600.0)),
+        car(4, 0, 19, (900.0, 100.0)),
+    ])
+    trace = write_world(world, tmp_path / "w")["trace"]
+    outcome, _s, _d = run_single(make_program(NEAR), "near", trace,
+                                 world.meta)
+    assert outcome.satisfied == list(range(20))
+    for row in outcome.rows:
+        f = row["frame"]
+        assert nodes(row, "c") == expected_nodes(world, f, "car")
+        assert nodes(row, "p") == expected_nodes(world, f, "person")
+    listed = {n for row in outcome.rows for n in nodes(row, "c")}
+    assert (0, 0) not in listed and (3, 0) in listed  # car 1, far then near
+    assert not any(n[1] == 3 for n in listed)  # car 4, never near
+
+
+def test_a_duration_fires_only_on_a_related_stretch(tmp_path):
+    # car 1 is near adult 2 on frames 5-7 only, three frames of the five
+    # `lingering` needs; car 3 is near adult 4 on every frame, so every
+    # frame holds a pair
+    world = WorldSpec(meta=meta_1000(12), objects=[
+        car(1, 0, 11, (100.0, 100.0)),
+        adult(2, 5, 7, (200.0, 100.0)),
+        car(3, 0, 11, (700.0, 700.0)),
+        adult(4, 0, 11, (800.0, 700.0)),
+    ])
+    trace = write_world(world, tmp_path / "w")["trace"]
+    outcome, _s, _d = run_single(make_program(NEAR), "lingering", trace,
+                                 world.meta)
+    # each car's track, by the label of the object its rows list
+    label = {}
+    for row in outcome.rows:
+        alive = [o for o in world.objects if o.alive(row["frame"])]
+        for obj in row_objects(row, "c"):
+            label[obj["track"]] = alive[obj["node"][1]].label
+    fires = sorted((label[t], f) for t, f in outcome.duration_fires)
+    # the script's runs of five related frames, every car born on frame 0
+    want = [(c.label, f) for c in world.objects if c.class_name == "car"
+            for f in range(4, 12)
+            if all(id(c) in related(world, g) for g in range(f - 4, f + 1))]
+    assert want == [(3, f) for f in range(4, 12)]
+    assert fires == want

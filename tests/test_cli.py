@@ -4,6 +4,7 @@ import hashlib
 import json
 import marshal
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,30 +95,25 @@ class TestExplain:
         return [line.split('"')[1] for line in output.splitlines()
                 if "[label=" in line]
 
-    def test_flags_off_print_the_unoptimised_layout(self, runner, workspace):
+    def test_gates_and_fused_chain_printed(self, runner, workspace):
         manifest = workspace["dir"] / "registry.json"
         manifest.write_text(json.dumps({"registrations": [
             {"name": "has_car", "kind": "classifier", "vobj": "Car",
              "target_class": "car"},
         ]}))
-        base = ["explain", "-p", workspace["program"], "-q", "reds",
-                "--registry", str(manifest)]
-        plain = runner.invoke(main, base + ["--no-pullup"])
-        assert plain.exit_code == 0, plain.output
-        assert self.nodes(plain.output) == [
-            "reader", "detector:c", "tracker:c", "fused:proj:c.color",
-            "output:reds",
-        ]
-        # the fused op's label lists its steps, the filter last
-        assert '[label="fused\\nfused:proj:c.color\\nprojector color' \
-            '\\nprojector center\\nprojector direction\\nvobj_filter"];' \
-            in plain.output
-        optimised = runner.invoke(main, base)
-        assert optimised.exit_code == 0, optimised.output
-        assert self.nodes(optimised.output) == [
+        result = runner.invoke(main, [
+            "explain", "-p", workspace["program"], "-q", "reds",
+            "--registry", str(manifest)])
+        assert result.exit_code == 0, result.output
+        assert self.nodes(result.output) == [
             "reader", "classifier:detector:c:has_car", "detector:c",
             "tracker:c", "fused:proj:c.color", "output:reds",
         ]
+        # the fused op's label lists its steps, the filter right after the
+        # colour it reads
+        assert '[label="fused\\nfused:proj:c.color\\nprojector color' \
+            '\\nvobj_filter\\nprojector center\\nprojector direction"];' \
+            in result.output
 
     def test_unknown_query_exit_1(self, runner, workspace):
         # checked before planning, as `run` and `profile` check it
@@ -349,7 +345,7 @@ temporal query then_red { first: gate then: gated_reds max_interval_frames: 5 }
     def test_opt_flags_do_not_change_results(self, runner, workspace):
         texts = []
         for i, flags in enumerate([
-            (), ("--no-memo", "--no-lazy", "--no-pullup"),
+            (), ("--no-memo", "--no-lazy"),
         ]):
             out = workspace["dir"] / f"r{i}.json"
             result = runner.invoke(
@@ -497,8 +493,11 @@ def test_bad_meta_file_exit_1(runner, workspace, meta, named):
      "registration 0: error_profile is not an object"),
     ({"registrations": [{"name": "d", "kind": "detector",
                          "cost_units": None}]}, "bad cost_units None"),
+    ({"registrations": [{"name": "d", "kind": "detector",
+                         "error_profile": {"seed": math.inf}}]},
+     "bad seed inf"),
 ], ids=["top-level", "registrations", "entry", "name", "kind",
-        "error-profile", "cost-units"])
+        "error-profile", "cost-units", "error-profile-seed-infinity"])
 def test_bad_manifest_shape_exit_1(runner, workspace, manifest, named):
     path = workspace["dir"] / "bad.json"
     path.write_text(json.dumps(manifest))
@@ -531,15 +530,20 @@ def test_manifest_subsumes_not_an_object_exit_1(runner, workspace):
 
 
 RUN = ["run", "-p", "{program}", "--trace", "{trace}", "--meta", "{meta}"]
-# the flag that turned fusion off, before fusion became how every branch
-# runs; spelt in two parts, so that a search for it finds no live use
+# the flags that turned fusion and pull-up off, before each became how
+# every branch is laid out; spelt in two parts, so that a search for them
+# finds no live use
 FUSION_FLAG = "--no-" "fusion"
+PULLUP_FLAG = "--no-" "pullup"
 
 
 @pytest.mark.parametrize("args, message", [
     (RUN + [FUSION_FLAG], f"No such option '{FUSION_FLAG}'."),
     (["explain", "-p", "{program}", "-q", "reds", FUSION_FLAG],
      f"No such option '{FUSION_FLAG}'."),
+    (RUN + [PULLUP_FLAG], f"No such option '{PULLUP_FLAG}'."),
+    (["explain", "-p", "{program}", "-q", "reds", PULLUP_FLAG],
+     f"No such option '{PULLUP_FLAG}'."),
     (RUN + ["--batch-size", "abc"],
      "Invalid value for '--batch-size': 'abc' is not a valid integer."),
     (["run", "-p", "{program}", "--meta", "{meta}"],
@@ -547,8 +551,9 @@ FUSION_FLAG = "--no-" "fusion"
     (["nosuch"], "No such command 'nosuch'."),
     (["--bogus"] + RUN, "No such option '--bogus'."),
     (["--bogus", "run"], "No such option '--bogus'."),
-], ids=["unknown-option", "explain-unknown-option", "wrong-type",
-        "missing-option", "unknown-command", "group-unknown-option",
+], ids=["unknown-option", "explain-unknown-option", "pullup-option",
+        "explain-pullup-option", "wrong-type", "missing-option",
+        "unknown-command", "group-unknown-option",
         "group-unknown-option-bare-command"])
 def test_usage_error_exit_1(runner, workspace, args, message):
     """A usage error, of the group or of a command, exits 1 with one line,
@@ -558,6 +563,18 @@ def test_usage_error_exit_1(runner, workspace, args, message):
     assert isinstance(result.exception, SystemExit)  # not a traceback
     assert result.stderr.startswith(f"bad option: {message}")
     assert result.stderr.count("\n") == 1
+
+
+def test_readme_names_every_switch_of_run():
+    """README's `run accepts …` line names exactly the `--no-*` options of
+    `vidquery run`, so an option that goes cannot stay documented."""
+    readme = Path(__file__).parent.parent / "README.md"
+    (line,) = [line for line in readme.read_text().splitlines()
+               if line.startswith("`run` accepts")]
+    options = {opt for param in main.commands["run"].params
+               for opt in param.opts if opt.startswith("--no-")}
+    assert options
+    assert set(re.findall(r"--no-[a-z-]+", line)) == options
 
 
 def test_no_arguments_print_the_help(runner):
@@ -991,6 +1008,15 @@ TRACKER_CONFIGS = [
 ]
 
 
+def _cmp(binding, prop, relation=None, args=None, op="==", literal="red"):
+    """A comparison as a saved plan encodes it."""
+    return {"cmp": {"binding": binding, "prop": prop, "relation": relation,
+                    "args": args, "op": op, "literal": literal}}
+
+
+NEAR_CMP = _cmp(None, "distance_px", "Near", ["c", "b"], "<", 500)
+
+
 def _link_failure(runner, workspace, edit, query):
     """The run of `query`'s saved plan, edited, over a trace whose first
     line does not parse."""
@@ -1039,6 +1065,34 @@ def test_saved_plan_without_a_param_the_planner_writes_exit_3(
      "relfilter:Near: bad args ['c']"),
     ("reds", _set_step("projector", prop=[]), "fused:proj:c.color: bad prop []"),
     ("reds", _set("output", query=5), "output:reds: bad query 5"),
+    ("reds", _set_comparison(binding="x"),
+     "fused:proj:c.color: bad predicate reference 'x.color'"),
+    ("reds", _set_comparison(binding=None, relation="Near", args=["c", "b"]),
+     "fused:proj:c.color: bad predicate reference 'Near.color'"),
+    ("reds", _set_comparison(prop=["color"]),
+     "fused:proj:c.color: bad predicate reference \"c.['color']\""),
+    ("reds", _set_step("vobj_filter", binding=5),
+     "fused:proj:c.color: bad binding 5"),
+    ("reds", _sink("aggregate", dict(AGGREGATE, predicate=_cmp("x", "color"))),
+     "sink: bad predicate reference 'x.color'"),
+    ("reds", _sink("aggregate", dict(AGGREGATE, predicate=NEAR_CMP)),
+     "sink: bad predicate reference 'Near.distance_px'"),
+    ("reds_near_blues",
+     _set("relation_filter", predicate={"and": [NEAR_CMP, _cmp("x", "color")]}),
+     "relfilter:Near: bad predicate reference 'x.color'"),
+    ("reds_near_blues", _set("relation_projector", props=[]),
+     "relproj:Near: bad props []"),
+    ("reds", _op("tracker", inputs=["reader"]),
+     "tracker:c: an input's frame graphs hold 0 parts, not 1"),
+    ("reds", _op("fused", inputs=["reader"]),
+     "fused:proj:c.color: an input's frame graphs hold 0 parts, not 1"),
+    ("reds_near_blues", _op("relation_projector", inputs=["fused:proj:c.color"]),
+     "relproj:Near: an input's frame graphs hold 1 parts, not 2"),
+    ("reds_near_blues", _op("output", inputs=["fused:proj:c.color"]),
+     "output:reds_near_blues: an input's frame graphs hold 1 parts, not 2"),
+    ("reds", lambda plan: _step(plan, "projector").update(
+        kind="join", params={}),
+     "fused:proj:c.color: kind 'join' is not a fused step"),
     *[("reds", _set_tracker_config(**{field: value}),
        f"tracker:c: bad params: {message}")
       for field, value, message in TRACKER_CONFIGS],
@@ -1048,6 +1102,13 @@ def test_saved_plan_without_a_param_the_planner_writes_exit_3(
         "output-frame-output-string", "output-frame-output-number",
         "output-frame-output-of-no-binding", "relation-filter-one-arg",
         "projector-prop-list", "output-query-number",
+        "filter-reference-of-another-binding", "filter-relation-reference",
+        "filter-reference-prop-list", "filter-binding-number",
+        "aggregate-reference-of-another-binding",
+        "aggregate-relation-reference", "relation-filter-reference-of-no-arg",
+        "relation-projector-props-list", "tracker-over-the-reader",
+        "filter-over-the-reader", "relation-projector-over-one-branch",
+        "output-over-one-branch", "fused-join-step",
         *[f"tracker-{field.replace('_', '-')}-{value}"
           for field, value, _m in TRACKER_CONFIGS]])
 def test_saved_plan_param_checked_when_the_pass_links(runner, workspace,
@@ -1056,6 +1117,35 @@ def test_saved_plan_param_checked_when_the_pass_links(runner, workspace,
     assert result.exit_code == 3
     assert isinstance(result.exception, SystemExit)  # not a traceback
     assert result.stderr == f"execution failed: {message}\n"
+
+
+SCENE_PROGRAM = PROGRAM + """
+query busy_reds {
+  bind s: Scene
+  bind c: Car
+  frame_constraint: s.motion_score >= 0.5 & c.color == "red"
+}
+"""
+
+
+@pytest.mark.parametrize("param", ["mode", "op", "threshold"])
+def test_saved_frame_filter_without_a_param_the_planner_writes_exit_3(
+        runner, workspace, param):
+    """The planner writes these three for a scene filter as for a gate, so
+    linking reads each as required, before any frame is read."""
+    program = workspace["dir"] / "scene.vq"
+    program.write_text(SCENE_PROGRAM)
+    world = WorldSpec(meta=meta_1000(20), seed=11, objects=[
+        car(1, 0, 19, (100.0, 200.0), velocity=(3.0, 0.0)),
+    ], channels={"motion_score": [1.0] * 20})
+    scene = dict(workspace,
+                 trace=str(write_world(world, workspace["dir"] / "s")["trace"]))
+    result = _edited_run(runner, scene, _drop("frame_filter", param),
+                         _broken_trace(scene), str(program), "busy_reds")
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr == \
+        f"execution failed: scene_filter:0: missing param {param!r}\n"
 
 
 MINE_PROGRAM = PROGRAM.replace(

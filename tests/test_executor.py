@@ -135,13 +135,11 @@ class TestWarmupWindows:
         """)
         big = ExecConfig(batch_size=64)
         out_big, _s, _d = run_single(
-            vprog, "movers", paths["trace"], meta,
-            planner_config=PlannerConfig(batch_size=64), exec_config=big,
+            vprog, "movers", paths["trace"], meta, exec_config=big,
         )
         tiny = ExecConfig(batch_size=1)
         out_tiny, _s2, _d2 = run_single(
-            vprog, "movers", paths["trace"], meta,
-            planner_config=PlannerConfig(batch_size=1), exec_config=tiny,
+            vprog, "movers", paths["trace"], meta, exec_config=tiny,
         )
         assert serialize_outcome(out_big) == serialize_outcome(out_tiny)
 
@@ -201,20 +199,22 @@ class TestTrackWindows:
     def test_a_filter_ahead_of_the_dependency_leaves_the_window_whole(
             self, tmp_path):
         # w is 0 on frame 5 only; w comes first in dependency order, so the
-        # pulled-up filter drops that object before center is projected,
-        # but the track still holds it
+        # filter drops that object before center is projected, but the
+        # track still holds it
         trace, meta = moving_car_trace(tmp_path, 10, w=lambda f: float(f != 5))
         vprog = make_program(MOVING + """
         query q { bind c: Car frame_constraint: c.w > 0.5
                   frame_output: c.spd }
         """)
         speeds = {}
-        for pullup in (True, False):
-            outcome, _s, _d = run_single(
-                vprog, "q", trace, meta,
-                planner_config=PlannerConfig(enable_pullup=pullup))
-            speeds[pullup] = {r["frame"]: r["outputs"]["c.spd"]
-                              for r in outcome.rows}
+        for lazy in (True, False):
+            outcome, _s, dag = run_single(
+                vprog, "q", trace, meta, exec_config=ExecConfig(lazy=lazy))
+            speeds[lazy] = {r["frame"]: r["outputs"]["c.spd"]
+                            for r in outcome.rows}
+        steps = [s["params"].get("prop", s["kind"])
+                 for s in dag.ops["fused:proj:c.w"].params["steps"]]
+        assert steps.index("vobj_filter") < steps.index("center")
         assert speeds[True] == speeds[False]
         # 20 px over a 3-object window at 10 fps and 10 px/m
         assert speeds[True][6] == speeds[True][7] == [20 * 10 / 3 / 10]
@@ -265,9 +265,7 @@ class TestTrackWindows:
                   frame_output: c.drift }
         """)
         outcome, stats, _d = run_single(
-            vprog, "q", trace, meta,
-            planner_config=PlannerConfig(batch_size=batch),
-            exec_config=ExecConfig(batch_size=batch))
+            vprog, "q", trace, meta, exec_config=ExecConfig(batch_size=batch))
         drift = {r["frame"]: r["outputs"]["c.drift"] for r in outcome.rows}
         assert drift == {f: [None if f < 4 else "right"]
                          for f in range(frames)}
@@ -361,35 +359,29 @@ class TestLaziness:
         return make_program(CAR_PROGRAM + """
         query red_speeds {
           bind c: Car
-          frame_constraint: c.color == "red"
+          frame_constraint: c.color == "red" & c.speed >= 0
           frame_output: c.speed
         }
         """)
 
-    # pull-up is disabled here so the filter sits after every projector;
-    # otherwise the filter itself hides the lazy/eager difference
-    NO_PULLUP = PlannerConfig(enable_pullup=False)
-
     def test_lazy_computes_survivors_only(self, tmp_path):
         paths, meta = self.world(tmp_path)
         _out, stats, _dag = run_single(
-            self.prog(), "red_speeds", paths["trace"], meta,
-            planner_config=self.NO_PULLUP,
-        )
-        # speed demanded only for the 2 red cars on frames 4..9
+            self.prog(), "red_speeds", paths["trace"], meta)
+        # `&` stops at a blue car's colour, so speed is demanded only for
+        # the 2 red cars on frames 4..9
         assert stats.property_calls["Car.speed"] == 2 * 6
 
     def test_eager_computes_everything(self, tmp_path):
         paths, meta = self.world(tmp_path)
         lazy_out, _s, _d = run_single(
-            self.prog(), "red_speeds", paths["trace"], meta,
-            planner_config=self.NO_PULLUP,
-        )
+            self.prog(), "red_speeds", paths["trace"], meta)
         eager_out, stats, _d = run_single(
             self.prog(), "red_speeds", paths["trace"], meta,
-            planner_config=self.NO_PULLUP,
             exec_config=ExecConfig(lazy=False),
         )
+        # the filter reads speed, so it runs after speed's projector, which
+        # computes it for all 6 cars
         assert stats.property_calls["Car.speed"] == 6 * 6
         assert serialize_outcome(lazy_out) == serialize_outcome(eager_out)
 
@@ -1170,25 +1162,22 @@ class TestLinkTable:
         ])
         kinds = set()
         for query in vprog.query_order:
-            for pullup in (True, False):
-                config = PlannerConfig(enable_pullup=pullup)
-                dag = plan_query(vprog, query, registry, config,
-                                 meta_1000(20))
-                for pop in dag.ops.values():
-                    kinds.add(pop.kind)
-                    if pop.kind in self.UNLINKED:
-                        continue
-                    rt = build_runtime_op(pop, registry)
-                    steps = [(pop, rt)]
-                    if pop.kind == "fused":
-                        steps += zip([PlanOp(pop.op_id, **s) for s in
-                                      pop.params["steps"]], rt.steps,
-                                     strict=True)
-                    for step, op in steps:
-                        kinds.add(step.kind)
-                        assert type(op) is OPERATOR_CLASSES[step.kind]
-                        assert not isinstance(
-                            getattr(op, "predicate", None), dict)
+            dag = plan_query(vprog, query, registry, meta=meta_1000(20))
+            for pop in dag.ops.values():
+                kinds.add(pop.kind)
+                if pop.kind in self.UNLINKED:
+                    continue
+                rt = build_runtime_op(pop, registry)
+                steps = [(pop, rt)]
+                if pop.kind == "fused":
+                    steps += zip([PlanOp(pop.op_id, **s) for s in
+                                  pop.params["steps"]], rt.steps,
+                                 strict=True)
+                for step, op in steps:
+                    kinds.add(step.kind)
+                    assert type(op) is OPERATOR_CLASSES[step.kind]
+                    assert not isinstance(
+                        getattr(op, "predicate", None), dict)
         assert kinds == set(OPERATOR_CLASSES) | self.UNLINKED
 
     def test_the_benchmark_tracer_wraps_every_linked_class(self):

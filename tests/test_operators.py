@@ -78,10 +78,14 @@ def node(nid, cls="Car", bbox=(0.0, 0.0, 10.0, 10.0), **props):
     )
 
 
+# the params the planner writes for every frame filter, a gate or a scene
+# filter; a gate's also hold `tolerance`, `window` and `cost_units`
+PLANNED = {"channel": "m", "mode": "threshold", "op": ">=", "threshold": 0.0}
+
+
 class TestFrameFilterOp:
     def test_threshold_modes(self):
-        op = FrameFilterOp("f", {"channel": "m", "mode": "threshold",
-                                 "threshold": 0.5, "op": ">"})
+        op = FrameFilterOp("f", dict(PLANNED, threshold=0.5, op=">"))
         batch = [
             FrameState.fresh(record(0, channels={"m": 0.9})),
             FrameState.fresh(record(1, channels={"m": 0.5})),
@@ -91,8 +95,8 @@ class TestFrameFilterOp:
         assert [fs.frame_id for fs in out] == [0]
 
     def test_similar_to_prev_drops_near_duplicates(self):
-        op = FrameFilterOp("f", {"channel": "m", "mode": "similar_to_prev",
-                                 "tolerance": 0.1, "window": 1})
+        op = FrameFilterOp("f", dict(PLANNED, mode="similar_to_prev",
+                                     tolerance=0.1, window=1))
         values = [0.5, 0.55, 0.9, 0.91]
         batch = [FrameState.fresh(record(i, channels={"m": v}))
                  for i, v in enumerate(values)]
@@ -100,30 +104,38 @@ class TestFrameFilterOp:
         assert [fs.frame_id for fs in out] == [0, 2]
 
     def test_missing_channel(self):
-        op = FrameFilterOp("f", {"channel": "m"})
+        op = FrameFilterOp("f", PLANNED)
         with pytest.raises(ConfigurationError):
             op.process(FakeEngine(), [[FrameState.fresh(record(0))]])
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigurationError):
-            FrameFilterOp("f", {"channel": "m", "mode": "wavelet"})
+            FrameFilterOp("f", dict(PLANNED, mode="wavelet"))
 
     @pytest.mark.parametrize("setting", [
         {"op": "~"}, {"threshold": "high"}, {"threshold": float("nan")},
         {"threshold": True}, {"op": "in", "threshold": 1},
         {"op": "in", "threshold": [1, "x"]}, {"tolerance": "x"},
         {"tolerance": float("inf")}, {"window": 0}, {"window": "2"},
+        {"channel": ["m"]}, {"cost_units": "x"}, {"cost_units": float("nan")},
     ])
     def test_bad_setting_fails_at_construction(self, setting):
         with pytest.raises(ConfigurationError):
-            FrameFilterOp("f", {"channel": "m", **setting})
+            FrameFilterOp("f", {**PLANNED, **setting})
+
+    @pytest.mark.parametrize("param", ["channel", "mode", "op", "threshold"])
+    def test_a_param_the_planner_writes_is_required(self, param):
+        params = dict(PLANNED)
+        del params[param]
+        with pytest.raises(KeyError):
+            FrameFilterOp("f", params)
 
 
 def reference_frame_filter(params, batches):
     """The frames a frame filter keeps and the cost it counts, deciding each
     frame with `compare` and adding the cost on every frame in order."""
-    channel, mode = params["channel"], params.get("mode", "threshold")
-    op, threshold = params.get("op", ">="), params.get("threshold", 0.0)
+    channel, mode = params["channel"], params["mode"]
+    op, threshold = params["op"], params["threshold"]
     history = deque(maxlen=params.get("window", 1))
     stats, kept = ExecStats(), []
     for batch in batches:
@@ -173,17 +185,17 @@ class TestLinkedFrameFilter:
                 literals = [number(rng.choice(self.VALUES[:6]))
                             for _ in range(rng.randint(1, 3))]
                 threshold = literals if op == "in" else literals[0]
-                self.check({"channel": "m", "op": op, "threshold": threshold,
-                            "cost_units": rng.choice((0.1, 0.3, 7))},
+                self.check(dict(PLANNED, op=op, threshold=threshold,
+                                cost_units=rng.choice((0.1, 0.3, 7))),
                            self.batches(rng))
 
     def test_similar_to_prev_keeps_what_the_reference_keeps(self):
         rng = random.Random("frame filter similar_to_prev")
         for _ in range(40):
-            self.check({"channel": "m", "mode": "similar_to_prev",
-                        "tolerance": rng.choice((0, 0.5, 1, 1.5)),
-                        "window": rng.randint(1, 4),
-                        "cost_units": rng.choice((0.1, 0.3, 7))},
+            self.check(dict(PLANNED, mode="similar_to_prev",
+                            tolerance=rng.choice((0, 0.5, 1, 1.5)),
+                            window=rng.randint(1, 4),
+                            cost_units=rng.choice((0.1, 0.3, 7))),
                        self.batches(rng))
 
     def test_similar_to_prev_compares_the_frames_of_its_window(self):
@@ -191,9 +203,9 @@ class TestLinkedFrameFilter:
         f - window .. f - 1 that reached the filter, however few."""
         rng = random.Random("frame filter similar_to_prev with gaps")
         for _ in range(40):
-            params = {"channel": "m", "mode": "similar_to_prev",
-                      "tolerance": rng.choice((0, 0.5, 1, 1.5)),
-                      "window": rng.randint(1, 4)}
+            params = dict(PLANNED, mode="similar_to_prev",
+                          tolerance=rng.choice((0, 0.5, 1, 1.5)),
+                          window=rng.randint(1, 4))
             frames = sorted(rng.sample(range(150), 60))
             seen = {f: rng.choice(self.VALUES) for f in frames}
             states = [FrameState.fresh(record(f, channels={"m": seen[f]}))

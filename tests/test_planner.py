@@ -40,11 +40,6 @@ from conftest import (
 )
 
 
-# with `unfused`, the layout the builder gives with no optimisation:
-# detector, tracker, projectors, filter
-PLAIN = PlannerConfig(enable_pullup=False)
-
-
 def reds_program(extra=""):
     return make_program(CAR_PROGRAM + """
     query reds {
@@ -85,7 +80,7 @@ class TestBaseDag:
           frame_constraint: c.direction == "right"
         }
         """)
-        dag = unfused(plan_query(vprog, "fast_reds", frozen_registry(), PLAIN))
+        dag = unfused(plan_query(vprog, "fast_reds", frozen_registry()))
         order = dag.topo_order()
         assert order == [
             "reader", "detector:c", "tracker:c", "proj:c.color",
@@ -105,7 +100,7 @@ class TestBaseDag:
           frame_constraint: c.kindof == "suv"
         }
         """)
-        dag = unfused(plan_query(vprog, "suvs", frozen_registry(), PLAIN))
+        dag = unfused(plan_query(vprog, "suvs", frozen_registry()))
         assert not any(o.kind == "tracker" for o in dag.ops.values())
 
     def test_scene_conjuncts_become_frame_filters(self):
@@ -116,7 +111,7 @@ class TestBaseDag:
           frame_constraint: s.motion_score > 0.5 & c.color == "red"
         }
         """)
-        dag = unfused(plan_query(vprog, "busy_reds", frozen_registry(), PLAIN))
+        dag = unfused(plan_query(vprog, "busy_reds", frozen_registry()))
         ff = dag.ops["scene_filter:0"]
         assert ff.kind == "frame_filter"
         assert ff.params["channel"] == "motion_score"
@@ -143,7 +138,7 @@ class TestBaseDag:
           predicate: Near(c, p).distance_px < 100
         }
         """)
-        dag = unfused(plan_query(vprog, "close", frozen_registry(), PLAIN))
+        dag = unfused(plan_query(vprog, "close", frozen_registry()))
         join = dag.ops["join"]
         # input i of the join is part i: the binding order of the output
         assert join.inputs == ["filter:c", "filter:p"]
@@ -164,7 +159,7 @@ class TestBaseDag:
           video_output: count_distinct(c)
         }
         """)
-        dag = unfused(plan_query(vprog, "red_count", frozen_registry(), PLAIN))
+        dag = unfused(plan_query(vprog, "red_count", frozen_registry()))
         assert dag.sink == "aggregate:red_count"
         assert dag.ops[dag.sink].params["kind"] == "count_distinct"
         assert dag.ops[dag.sink].params["part"] == 0
@@ -179,7 +174,7 @@ class TestBaseDag:
           frame_constraint: c.kindof == "suv" }
         duration query held { base: suvs min_frames: 5 gap_tolerance: 1 }
         """)
-        dag = unfused(plan_query(vprog, "held", frozen_registry(), PLAIN))
+        dag = unfused(plan_query(vprog, "held", frozen_registry()))
         assert dag.sink == "duration:held"
         assert dag.ops[dag.sink].params == {
             "query": "held", "min_frames": 5, "gap_tolerance": 1,
@@ -192,8 +187,8 @@ class TestBaseDag:
         duration query held { base: reds min_seconds: 1.5 }
         """)
         with pytest.raises(PlanError):
-            plan_query(vprog, "held", frozen_registry(), PLAIN)
-        dag = plan_query(vprog, "held", frozen_registry(), PLAIN,
+            plan_query(vprog, "held", frozen_registry())
+        dag = plan_query(vprog, "held", frozen_registry(),
                          meta=meta_1000(100, fps=10))
         assert dag.ops["duration:held"].params["min_frames"] == 15
 
@@ -209,7 +204,7 @@ class TestBaseDag:
           max_interval_frames: 30
         }
         """)
-        dag = unfused(plan_query(vprog, "seq", frozen_registry(), PLAIN))
+        dag = unfused(plan_query(vprog, "seq", frozen_registry()))
         top = dag.ops["temporal:seq"]
         assert top.inputs == ["reds/output:reds", "blues/output:blues"]
         assert top.params["max_interval"] == 30
@@ -218,7 +213,7 @@ class TestBaseDag:
     def test_nested_subplans_keep_their_own_ops(self):
         # `held` plans `suvs` with a tracker, `t`'s first part without one
         vprog = make_program(SUV_PROGRAM)
-        dag = unfused(plan_query(vprog, "t", frozen_registry(), PLAIN))
+        dag = unfused(plan_query(vprog, "t", frozen_registry()))
         top = dag.ops["temporal:t"]
         assert top.params["query"] == "t"
         assert top.inputs == ["suvs/output:suvs", "held/duration:held"]
@@ -238,7 +233,7 @@ class TestBaseDag:
           frame_constraint: c.kindof == "x" }
         """)
         with pytest.raises(PlanError) as exc:
-            plan_query(vprog, "q", frozen_registry(), PLAIN)
+            plan_query(vprog, "q", frozen_registry())
         assert "cnn_v9" in str(exc.value)
 
     def test_plan_id_stable_and_content_sensitive(self):
@@ -332,8 +327,7 @@ class TestPullUp:
 class TestFusion:
     def test_chain_fused_and_relinked(self):
         vprog = reds_program()
-        dag = plan_query(vprog, "reds", frozen_registry(),
-                         PlannerConfig(enable_pullup=False))
+        dag = plan_query(vprog, "reds", frozen_registry())
         fused = [o for o in dag.ops.values() if o.kind == "fused"]
         assert len(fused) == 1
         steps = fused[0].params["steps"]
@@ -571,8 +565,8 @@ def test_readme_program_example_validates_and_plans():
 
 
 def test_every_op_of_every_plan_reaches_the_sink():
-    """Over every program constant of the test modules, every query, flag
-    setting and alternative: no op is left that the sink does not read."""
+    """Over every program constant of the test modules, every query and
+    alternative: no op is left that the sink does not read."""
     programs = []
     for path in sorted(Path(__file__).parent.glob("*.py")):
         module = importlib.import_module(path.stem)
@@ -592,18 +586,16 @@ def test_every_op_of_every_plan_reaches_the_sink():
     for name, source in programs:
         vprog = make_program(source)
         for query in vprog.query_order:
-            for pullup in (True, False):
-                config = PlannerConfig(enable_pullup=pullup)
-                for dag in enumerate_alternatives(
-                        vprog, query, registry, config, meta_1000(100)):
-                    reached, stack = {dag.sink}, [dag.sink]
-                    while stack:
-                        for dep in dag.ops[stack.pop()].inputs:
-                            if dep not in reached:
-                                reached.add(dep)
-                                stack.append(dep)
-                    assert reached == set(dag.ops), (
-                        name, query, config, sorted(set(dag.ops) - reached))
+            for dag in enumerate_alternatives(vprog, query, registry,
+                                              meta=meta_1000(100)):
+                reached, stack = {dag.sink}, [dag.sink]
+                while stack:
+                    for dep in dag.ops[stack.pop()].inputs:
+                        if dep not in reached:
+                            reached.add(dep)
+                            stack.append(dep)
+                assert reached == set(dag.ops), (
+                    name, query, sorted(set(dag.ops) - reached))
 
 
 class _Reads(dict):
@@ -662,8 +654,7 @@ temporal query later { first: reds then: adults max_interval_seconds: 2 }
 
 def test_every_param_of_a_plan_is_read_when_the_pass_links():
     """No plan holds a param that linking its pass does not read: over
-    every query shape, pull-up on and off, every alternative, fused steps
-    included."""
+    every query shape and every alternative, fused steps included."""
     from vidquery.executor import Session
 
     vprog = make_program(EVERY_SHAPE)
@@ -678,28 +669,23 @@ def test_every_param_of_a_plan_is_read_when_the_pass_links():
     ])
     kinds = set()
     for query in vprog.query_order:
-        for pullup in (True, False):
-            config = PlannerConfig(enable_pullup=pullup)
-            for dag in enumerate_alternatives(vprog, query, registry, config,
-                                              meta):
-                # an op of a signature already scheduled is not built: the
-                # first op of its signature, whose params are the same, is
-                # read for it
-                seen, held, first = set(), set(), {}
-                for op_id, sig in op_signatures(dag).items():
-                    op, where = dag.ops[op_id], first.setdefault(sig, op_id)
-                    steps = op.params.get("steps", ())
-                    op.params = _Reads(op.params, seen, where)
-                    held |= {(where, key) for key in op.params}
-                    for i, step in enumerate(steps):
-                        step_where = f"{where} step {i}"
-                        step["params"] = _Reads(step["params"], seen,
-                                                step_where)
-                        held |= {(step_where, key) for key in step["params"]}
-                        kinds.add(step["kind"])
-                    kinds.add(op.kind)
-                Session(vprog, registry, meta).start([dag])
-                assert held <= seen, (query, config, sorted(held - seen))
+        for dag in enumerate_alternatives(vprog, query, registry, meta=meta):
+            # an op of a signature already scheduled is not built: the first
+            # op of its signature, whose params are the same, is read for it
+            seen, held, first = set(), set(), {}
+            for op_id, sig in op_signatures(dag).items():
+                op, where = dag.ops[op_id], first.setdefault(sig, op_id)
+                steps = op.params.get("steps", ())
+                op.params = _Reads(op.params, seen, where)
+                held |= {(where, key) for key in op.params}
+                for i, step in enumerate(steps):
+                    step_where = f"{where} step {i}"
+                    step["params"] = _Reads(step["params"], seen, step_where)
+                    held |= {(step_where, key) for key in step["params"]}
+                    kinds.add(step["kind"])
+                kinds.add(op.kind)
+            Session(vprog, registry, meta).start([dag])
+            assert held <= seen, (query, sorted(held - seen))
     assert kinds == {"reader", "classifier", "frame_filter", "detector",
                      "tracker", "projector", "vobj_filter", "fused", "join",
                      "relation_projector", "relation_filter", "output",

@@ -56,7 +56,7 @@ GOLDEN = {
     "blue_speeds":
         "084a762c56cf55aeafc3363a207b5bbfcbf3980145e1924f1dfc67022f25a51a",
     "red_near_adult":
-        "b2835978fb234a6491e4e86f1564e30c995a2ca22a528a48784dfc361e81b626",
+        "8066909582b40e661edbe66f45ab00ffa8efb02efc749c839dd20df8f4144beb",
     "held":
         "ee2be380639035815566d2fc406cc5d1cc5f6077d145c5e3429c7aaef9308c3b",
     "seq":
