@@ -14,8 +14,9 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .datamodel import UNDEFINED, Track, VObjInstance, window
 from .dsl.ast import And, Compare, Not, Or, PropertyDef
@@ -36,6 +37,8 @@ from .operators import (
     RuntimeOp,
     TrackerOp,
     VObjFilterOp,
+    _LINKED,
+    _ORDERED,
     _check_refs,
     _check_settings,
     _names,
@@ -106,18 +109,19 @@ def _jsonable(value):
     return value
 
 
-@dataclass(frozen=True)
-class LinkedProperty:
-    """A detected type's property as `PropertyEngine.get` runs it."""
-
-    pdef: PropertyDef
-    reg: Registration
-    name: str  # in the stats: "Type.prop"
-    memo: bool  # memoized per track
-
-
 class PropertyEngine:
-    """On-demand property evaluation over frame-graph nodes.
+    """On-demand property evaluation over frame-graph nodes, through
+    functions linked once per pass.
+
+    Linking a detected type (`link`) builds one reader per property: a
+    function of a node that computes the value and keeps it on the node.
+    Each reader is built for its case, a stateless property with its
+    dependencies' readers or a stateful one with its window and its
+    dependency's reader, wrapped for a memoized intrinsic; `bbox` and
+    `frame_rate` read the node's box and the video's rate.  `get` takes the
+    value kept on the node, else runs the reader.  Linking a predicate
+    (`predicate`) builds its verdict as one function of what it binds, and
+    each comparison in it reads through a reader linked then too.
 
     A property is computed at most once per node; intrinsic values are
     additionally memoized per track record.  A stateful property reads its
@@ -129,7 +133,9 @@ class PropertyEngine:
 
     One `PropContext` serves the whole pass: every field a call reads is
     set just before `call_property_impl`, so an implementation must not call
-    back into the engine, which would overwrite it.
+    back into the engine, which would overwrite it.  A reader looks
+    `call_property_impl` and `window` up in this module on every call, so
+    whatever replaces them there after a pass links is what runs.
     """
 
     def __init__(
@@ -147,28 +153,33 @@ class PropertyEngine:
         self.stats = stats
         self.memo: dict[tuple[Track, str], Any] = {}
         self.tracks: dict[tuple[Any, int], Track] = {}  # by (tracker, id)
-        # type -> property -> link; only detected or tracked types are linked
-        self.linked: dict[str, dict[str, LinkedProperty]] = {}
+        # type -> property -> reader; only detected or tracked types are linked
+        self.readers: dict[str, dict[str, Callable]] = {}
         self.ctx = PropContext(node=None, deps={}, window_values=None,
                                meta=meta)
 
     def link(self, vobj: str) -> None:
         """Link each property of the detected type `vobj` once, so a missing
         type or function fails before any frame is read."""
-        if vobj in self.linked:
+        if vobj in self.readers:
             return
         ftype = self.vprog.types.get(vobj)
         if ftype is None:  # a saved plan's type the program lacks
             raise PlanLinkError(f"the program declares no type {vobj!r}")
-        props = self.linked[vobj] = {}
+        regs = {}
         for name, pdef in ftype.props.items():
             try:
-                reg = self.registry.resolve_property_fn(pdef.impl)
+                regs[name] = self.registry.resolve_property_fn(pdef.impl)
             except RegistryError as exc:
                 raise PlanLinkError(f"{vobj}.{name}: {exc}") from exc
-            props[name] = LinkedProperty(
-                pdef, reg, f"{vobj}.{name}",
-                self.config.memo and pdef.intrinsic)
+        fps = self.meta.fps if self.meta else UNDEFINED
+        readers = {"bbox": attrgetter("bbox"), "frame_rate": lambda _n: fps}
+        # dependencies first; the built-in names are never in the order, so a
+        # property declared under one of them is never read
+        for name in ftype.prop_order:
+            readers[name] = self._reader(
+                ftype.props[name], regs[name], f"{vobj}.{name}", readers)
+        self.readers[vobj] = readers
 
     def track(self, tracker, vobj: str, track_id: int) -> Track:
         """A new record for `tracker`'s new track `track_id` (a tracker
@@ -183,92 +194,180 @@ class PropertyEngine:
         self.tracks[tracker, track_id] = track = Track.create(track_id, depth)
         return track
 
-    # -- property evaluation --
+    def _reader(self, pdef: PropertyDef, reg: Registration, name: str,
+                readers: dict) -> Callable:
+        """The reader of `pdef`, whose dependencies' readers `readers`
+        holds; `name` is its name in the stats."""
+        prop, cost = pdef.name, reg.cost_units
+        count, ctx = self.stats.count_property, self.ctx
+        if pdef.kind == "stateful":
+            k, dep = pdef.window, pdef.deps[0]
+            read_dep = readers[dep]
+
+            def read(node):
+                objects = window(node, k)
+                if objects is UNDEFINED:  # still warming up
+                    value = UNDEFINED
+                else:
+                    values = [n.properties[dep] if dep in n.properties
+                              else read_dep(n) for n in objects]
+                    if UNDEFINED in values:
+                        value = UNDEFINED
+                    else:
+                        count(name, cost)
+                        ctx.node, ctx.deps = node, {}
+                        ctx.window_values = values
+                        ctx.window_frames = (objects[0].frame_id,
+                                             objects[-1].frame_id)
+                        value = call_property_impl(reg, ctx)
+                node.properties[prop] = value
+                return value
+        else:
+            deps = [(dep, readers[dep]) for dep in pdef.deps]
+
+            def read(node):
+                props, values = node.properties, {}
+                for dep, read_dep in deps:
+                    values[dep] = props[dep] if dep in props \
+                        else read_dep(node)
+                if UNDEFINED in values.values():
+                    value = UNDEFINED
+                else:
+                    count(name, cost)
+                    ctx.node, ctx.deps = node, values
+                    ctx.window_values = ctx.window_frames = None
+                    value = call_property_impl(reg, ctx)
+                props[prop] = value
+                return value
+        if not (self.config.memo and pdef.intrinsic):
+            return read
+        memo, compute = self.memo, read
+
+        def read(node):  # a defined value is kept on the track record too
+            track = node.track
+            if track is None:
+                return compute(node)
+            key = (track, prop)
+            if key in memo:
+                value = node.properties[prop] = memo[key]
+                return value
+            value = compute(node)
+            if value is not UNDEFINED:
+                memo[key] = value
+            return value
+        return read
+
+    def reader(self, vobj: str, prop: str) -> Callable:
+        """The reader of property `prop` of the linked type `vobj`."""
+        read = self.readers[vobj].get(prop)
+        if read is None:  # a saved plan's property the program lacks
+            raise PlanLinkError(f"{vobj} has no property {prop!r}")
+        return read
 
     def get(self, node: VObjInstance, prop: str):
-        if prop == "bbox":
-            return node.bbox
-        if prop == "frame_rate":
-            return self.meta.fps if self.meta else UNDEFINED
-        if prop in node.properties:
-            return node.properties[prop]
-        linked = self.linked[node.class_name].get(prop)
-        if linked is None:  # a saved plan's property the program lacks
-            raise PlanLinkError(f"{node.class_name} has no property {prop!r}")
-        pdef = linked.pdef
+        """`prop`'s value on `node`: the one kept on it, else its reader's."""
+        props = node.properties
+        if prop in props:
+            return props[prop]
+        return self.reader(node.class_name, prop)(node)
 
-        track = node.track
-        memo_key = None
-        if linked.memo and track is not None:
-            memo_key = (track, prop)
-            if memo_key in self.memo:
-                value = node.properties[prop] = self.memo[memo_key]
-                return value
+    # -- predicate linking --
 
-        deps, win, span = {}, None, None
-        if pdef.kind == "stateful":
-            objects = window(node, pdef.window)
-            if objects is UNDEFINED:  # still warming up: one Undefined read
-                reads = win = (UNDEFINED,)
-            else:
-                dep = pdef.deps[0]
-                reads = win = [
-                    n.properties[dep] if dep in n.properties
-                    else self.get(n, dep)
-                    for n in objects
-                ]
-                span = (objects[0].frame_id, objects[-1].frame_id)
-        else:
-            deps = {dep: self.get(node, dep) for dep in pdef.deps}
-            reads = deps.values()
-        if UNDEFINED in reads:
-            value = UNDEFINED
-        else:
-            self.stats.count_property(linked.name, linked.reg.cost_units)
-            ctx = self.ctx
-            ctx.node, ctx.deps, ctx.window_values, ctx.window_frames = \
-                node, deps, win, span
-            value = call_property_impl(linked.reg, ctx)
-
-        node.properties[prop] = value
-        if memo_key is not None and value is not UNDEFINED:
-            self.memo[memo_key] = value
-        return value
-
-    # -- predicate evaluation --
-
-    def _resolve(self, ref, env: dict, edge) -> Any:
-        # each op checks its predicate's references when it links
-        if ref.relation is not None:
-            return edge.properties.get(ref.prop, UNDEFINED)
-        return self.get(env[ref.binding], ref.prop)
-
-    def verdict(self, expr, env: dict, edge=None) -> Optional[bool]:
-        """Kleene three-valued verdict: a comparison on an Undefined operand
-        (e.g. a stateful property still warming up) is None, `!` keeps None,
-        `&` stops at the first False and `|` at the first True, and an
-        absent predicate is True.  `edge` resolves relation references."""
+    def predicate(self, expr, types: dict[str, str],
+                  edge: Optional[tuple[str, str]] = None) -> Callable:
+        """The Kleene three-valued verdict of `expr`, linked as one function:
+        of the object of the one binding that `types` maps to its type, or,
+        when `edge` holds a relation filter's two args, of an edge, whose
+        `a` and `b` are bound to them and whose properties the relation
+        references read.  A comparison on an Undefined operand (e.g. a
+        stateful property still warming up) is None, `!` keeps None, `&`
+        stops at the first False and `|` at the first True, in the order
+        written, and an absent predicate is True."""
         if expr is None:
-            return True
+            return _always
         if isinstance(expr, Compare):
-            value = self._resolve(expr.ref, env, edge)
+            return self._comparison(expr, types, edge)
+        if isinstance(expr, Not):
+            item = self.predicate(expr.item, types, edge)
+
+            def verdict(x):
+                v = item(x)
+                return None if v is None else not v
+            return verdict
+        if isinstance(expr, (And, Or)):
+            items = [self.predicate(i, types, edge) for i in expr.items]
+            stop = isinstance(expr, Or)  # the value that decides alone
+            whole = not stop
+
+            def verdict(x):
+                result = whole
+                for item in items:
+                    v = item(x)
+                    if v is stop:
+                        return stop
+                    if v is None:
+                        result = None
+                return result
+            return verdict
+        raise InternalError(f"not a predicate: {expr!r}")
+
+    def _comparison(self, expr: Compare, types: dict[str, str],
+                    edge: Optional[tuple[str, str]]) -> Callable:
+        # each op checks its predicate's references when it links
+        ref, op, literal = expr.ref, expr.op, expr.literal
+        prop = ref.prop
+        if ref.relation is not None:
+            def verdict(e):
+                value = e.properties.get(prop, UNDEFINED)
+                return None if value is UNDEFINED \
+                    else compare(value, op, literal)
+            return verdict
+        test = _node_comparison(self.reader(types[ref.binding], prop), prop,
+                                op, literal)
+        if edge is None:
+            return test
+        if ref.binding == edge[1]:  # as in an env, the later arg wins
+            return lambda e: test(e.b)
+        return lambda e: test(e.a)
+
+
+def _always(_x) -> bool:
+    """The verdict of an absent predicate."""
+    return True
+
+
+def _node_comparison(read, prop: str, op: str, literal) -> Callable:
+    """The verdict of comparing a node's `prop` with `literal`: the value
+    kept on the node, else `read`'s, is None when Undefined and otherwise
+    compared as `operators.compare` does, by the body picked here for
+    `op`."""
+    if op in _ORDERED:  # these hold for numbers only, and a bool is not one
+        ordered = _ORDERED[op]
+
+        def verdict(node):
+            props = node.properties
+            value = props[prop] if prop in props else read(node)
             if value is UNDEFINED:
                 return None
-            return compare(value, expr.op, expr.literal)
-        if isinstance(expr, Not):
-            v = self.verdict(expr.item, env, edge)
-            return None if v is None else not v
-        if isinstance(expr, (And, Or)):
-            stop = isinstance(expr, Or)  # the value that decides alone
-            result = not stop
-            for item in expr.items:
-                v = self.verdict(item, env, edge)
-                if v is stop:
-                    return stop
-                if v is None:
-                    result = None
-            return result
-        raise InternalError(f"not a predicate: {expr!r}")
+            return isinstance(value, (int, float)) \
+                and not isinstance(value, bool) and ordered(value, literal)
+    elif op == "in":
+        def verdict(node):
+            props = node.properties
+            value = props[prop] if prop in props else read(node)
+            if value is UNDEFINED:
+                return None
+            return value in literal
+    else:
+        test = _LINKED[op]
+
+        def verdict(node):
+            props = node.properties
+            value = props[prop] if prop in props else read(node)
+            if value is UNDEFINED:
+                return None
+            return test(value, literal)
+    return verdict
 
 
 # --- sink-side runtime operators -------------------------------------------
@@ -278,8 +377,9 @@ class OutputOp(RuntimeOp):
     in frame order (batches arrive in frame order and the join emits sorted
     frames): the one record of what the query kept.  A spatial query's
     relation filter has already dropped the frames where no pair holds.
-    Also keeps the record of each track of the first binding, by id, for a
-    duration over the query."""
+    Each frame output reads through its property's reader, linked with the
+    pass.  Also keeps the record of each track of the first binding, by id,
+    for a duration over the query."""
 
     kind = "output"
 
@@ -300,6 +400,15 @@ class OutputOp(RuntimeOp):
         self.reads_parts = len(bindings)
         self.rows: list[dict] = []
         self.tracks: dict[int, Track] = {}
+        self.frame_readers: list[tuple] = []  # (key, binding, prop, reader)
+
+    def link(self, engine, source, parts) -> None:
+        # a binding named twice reads its last part, as `process`'s dict does
+        part = {b: i for i, b in enumerate(self.bindings)}
+        self.frame_readers = [
+            (f"{r['binding']}.{r['prop']}", r["binding"], r["prop"],
+             engine.reader(parts[part[r["binding"]]], r["prop"]))
+            for r in self.frame_output]
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         for fs in inputs[0]:
@@ -318,10 +427,11 @@ class OutputOp(RuntimeOp):
                 if n.track is not None:
                     self.tracks[n.track.track_id] = n.track
             outputs = {}
-            for ref in self.frame_output:
-                b, prop = ref["binding"], ref["prop"]
-                outputs[f"{b}.{prop}"] = [
-                    _jsonable(engine.get(n, prop)) for n in parts[b]
+            for key, b, prop, read in self.frame_readers:
+                outputs[key] = [
+                    _jsonable(n.properties[prop] if prop in n.properties
+                              else read(n))
+                    for n in parts[b]
                 ]
             if outputs:
                 row["outputs"] = outputs
@@ -339,7 +449,9 @@ _VERDICT_SLOT = {True: 0, False: 1, None: 2}
 class AggregateOp(RuntimeOp):
     """Counts per-track three-valued verdicts of the video constraint over
     the objects of its binding's part: [true, false, undefined] by track
-    id.  Its answer is its output op's, with the count as `video`."""
+    id, each from the constraint's verdict function, linked with the pass
+    (`PropertyEngine.predicate`).  Its answer is its output op's, with the
+    count as `video`."""
 
     kind = "aggregate"
     reads_parts = None  # `link` checks that its input is an output op
@@ -352,8 +464,9 @@ class AggregateOp(RuntimeOp):
         self.predicate = decode_expr(params["predicate"])
         self.per_track: dict[int, list[int]] = {}
         self.output: Optional[OutputOp] = None  # set by `link`
+        self.verdict = None  # set by `link`
 
-    def link(self, source: Optional[RuntimeOp]) -> None:
+    def link(self, engine, source, parts) -> None:
         """Count over `source`, the op of this op's input, which must be an
         output op whose part `part` is bound to `binding`."""
         indexed = isinstance(source, OutputOp) and type(self.part) is int \
@@ -366,17 +479,17 @@ class AggregateOp(RuntimeOp):
         ])
         _check_refs(self.op_id, self.predicate, (self.binding,))
         self.output = source
+        self.verdict = engine.predicate(
+            self.predicate, {self.binding: parts[self.part]})
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
+        verdict, per_track = self.verdict, self.per_track
         for fs in inputs[0]:
             for node in fs.graph.parts[self.part]:
                 if node.track is None:
                     continue
-                verdict = engine.verdict(
-                    self.predicate, {self.binding: node}
-                )
-                self.per_track.setdefault(node.track.track_id, [0, 0, 0])[
-                    _VERDICT_SLOT[verdict]] += 1
+                slot = _VERDICT_SLOT[verdict(node)]
+                per_track.setdefault(node.track.track_id, [0, 0, 0])[slot] += 1
         return inputs[0]
 
     def outcome(self) -> QueryOutcome:
@@ -484,6 +597,10 @@ class FusedOp(RuntimeOp):
         super().__init__(op_id, params)
         self.steps = steps
 
+    def link(self, engine, source, parts) -> None:
+        for step in self.steps:  # a step keeps its input's parts
+            step.link(engine, source, parts)
+
     def process(self, engine, inputs: list[Batch]) -> Batch:
         batch = inputs[0]
         for step in self.steps:
@@ -536,21 +653,23 @@ def build_runtime_op(plan_op: PlanOp, registry: Registry) -> RuntimeOp:
         raise PlanLinkError(f"{op_id}: bad params: {exc}") from exc
 
 
-def _parts(rt: Optional[RuntimeOp], op_id: str, inputs: list[int]) -> int:
-    """The parts of the frame graphs that `rt` makes from inputs whose
-    graphs hold `inputs` parts: none from the reader, one from a detector,
-    one per input from a join, and as many as its input's from any other
-    op.  PlanLinkError if an input holds other than what `rt` reads."""
+def _parts(rt: Optional[RuntimeOp], op_id: str,
+           inputs: list[tuple[str, ...]]) -> tuple[str, ...]:
+    """The types of the parts of the frame graphs that `rt` makes from
+    inputs whose graphs hold parts of the types `inputs`: none from the
+    reader, the detector's from a detector, each input's in turn from a
+    join, and its input's from any other op.  PlanLinkError if an input
+    holds other than the number of parts `rt` reads."""
     if rt is None:
-        return 0
+        return ()
     want = rt.reads_parts
-    for n in inputs:
-        if want is not None and n != want:
-            raise PlanLinkError(
-                f"{op_id}: an input's frame graphs hold {n} parts, not {want}")
+    for types in inputs:
+        if want is not None and len(types) != want:
+            raise PlanLinkError(f"{op_id}: an input's frame graphs hold "
+                                f"{len(types)} parts, not {want}")
     if isinstance(rt, DetectorOp):
-        return 1
-    return len(inputs) if isinstance(rt, JoinOp) else inputs[0]
+        return (rt.vobj,)
+    return sum(inputs, ()) if isinstance(rt, JoinOp) else inputs[0]
 
 
 def op_signature(plan_op: PlanOp, input_sigs: list[str]) -> str:
@@ -872,12 +991,12 @@ class Session:
         each signature built once (a shared relation projector takes each
         plan's bound, `RelationProjectorOp.widen`; a reader has no runtime
         op; a duration or temporal sink is built over its input sinks, not
-        scheduled).  Also returns each plan's sink (`_sink`), links each
-        detector's and tracker's type into the engine and each aggregate to
-        its output op.  A tracker owns its input (`TrackerOp.owns_input`) when
+        scheduled).  Also returns each plan's sink (`_sink`), and links each
+        built op into the pass (`RuntimeOp.link`) with its first input's op
+        and part types.  A tracker owns its input (`TrackerOp.owns_input`) when
         that is a detector's batch that no other scheduled operator reads."""
         schedule: dict[str, tuple[Optional[RuntimeOp], list[str]]] = {}
-        parts: dict[str, int] = {}  # of the graphs each signature makes
+        parts: dict[str, tuple] = {}  # types of each signature's parts
         sinks = []
         for dag in dags:
             sigs: dict[str, str] = {}
@@ -898,13 +1017,12 @@ class Session:
                 if sig not in schedule:
                     rt = None if pop.kind == "reader" \
                         else build_runtime_op(pop, self.registry)
-                    if pop.kind in ("detector", "tracker"):
-                        self.engine.link(rt.vobj)
-                    elif pop.kind == "aggregate":
-                        rt.link(schedule[input_sigs[0]][0])
-                    schedule[sig] = (rt, input_sigs)
                     parts[sig] = _parts(rt, op_id,
                                         [parts[s] for s in input_sigs])
+                    if rt is not None:  # every op but the reader has inputs
+                        rt.link(self.engine, schedule[input_sigs[0]][0],
+                                parts[input_sigs[0]])
+                    schedule[sig] = (rt, input_sigs)
                 elif pop.kind == "relation_projector":
                     schedule[sig][0].widen(
                         build_runtime_op(pop, self.registry).bound)

@@ -76,6 +76,14 @@ class RuntimeOp:
     def __init__(self, op_id: str, params: dict):
         self.op_id = op_id
 
+    def link(self, engine, source: Optional["RuntimeOp"],
+             parts: tuple[str, ...]) -> None:
+        """Link what this op decides once per pass into `engine`, the pass's
+        `PropertyEngine`: `source` is the op of its first input (None when
+        that is the trace reader) and `parts` the types of that input's
+        parts, which the pass has checked against `reads_parts`.  Nothing,
+        unless an op says otherwise."""
+
     def process(self, engine, inputs: list[Batch]) -> Batch:
         """One batch per input in, one batch out.  `engine` is the pass's
         `PropertyEngine`; an operator counts work in `engine.stats`."""
@@ -101,7 +109,8 @@ def compare(value, op: str, literal) -> bool:
     return _ORDERED[op](value, literal)
 
 
-# `compare` of a float against a frame filter's threshold, by op
+# `compare` by op, for values it decides alike on: a float against a frame
+# filter's threshold under any op, and any value under `==` and `!=`
 _LINKED = {**_ORDERED, "==": operator.eq, "!=": operator.ne,
            "in": lambda value, literal: value in literal}
 
@@ -272,8 +281,11 @@ class DetectorOp(RuntimeOp):
             **reg.params, "classes": frozenset(classes),
             "score_threshold": float(threshold), "requires_attrs": required,
         })
-        self.vobj = vobj = params["vobj"]  # the pass links the type
+        self.vobj = vobj = params["vobj"]
         _check_settings(op_id, [(not isinstance(vobj, str), f"vobj {vobj!r}")])
+
+    def link(self, engine, source, parts) -> None:
+        engine.link(self.vobj)
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         out = []
@@ -308,11 +320,14 @@ class TrackerOp(RuntimeOp):
 
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
-        self.vobj = vobj = params["vobj"]  # the pass links the type
+        self.vobj = vobj = params["vobj"]
         _check_settings(op_id, [(not isinstance(vobj, str), f"vobj {vobj!r}")])
         self.tracker = SortTracker(TrackerConfig.from_json(params["config"]))
         self.owns_input = False
         self._held: dict[int, Track] = {}  # records of live tracks, by id
+
+    def link(self, engine, source, parts) -> None:
+        engine.link(self.vobj)
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         # a track retired during the last batch stayed readable until that
@@ -371,7 +386,9 @@ class ProjectorOp(RuntimeOp):
 class VObjFilterOp(RuntimeOp):
     """Keeps a node only on a True verdict of the predicate, which reads
     the node's `binding` only; frames are retained even when emptied
-    (dropping frames is the join's job)."""
+    (dropping frames is the join's job).  The verdict is one function of
+    the node, linked with the pass (`PropertyEngine.predicate`) for the
+    binding's type."""
 
     kind = "vobj_filter"
 
@@ -382,16 +399,18 @@ class VObjFilterOp(RuntimeOp):
         _check_settings(op_id, [
             (not isinstance(binding, str), f"binding {binding!r}")])
         _check_refs(op_id, self.predicate, (binding,))
+        self.verdict = None  # set by `link`
+
+    def link(self, engine, source, parts) -> None:
+        self.verdict = engine.predicate(self.predicate,
+                                        {self.binding: parts[0]})
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
+        verdict = self.verdict
         out = []
         for fs in inputs[0]:
             (part,) = fs.graph.parts
-            kept = [
-                node for node in part
-                if engine.verdict(self.predicate,
-                                      {self.binding: node}) is True
-            ]
+            kept = [node for node in part if verdict(node) is True]
             if len(kept) == len(part):
                 out.append(fs)
             else:  # a new part: the input batch may feed other queries
@@ -513,7 +532,9 @@ class RelationFilterOp(RuntimeOp):
     the edge's `a` and `b`, is True, and a frame only if it keeps at least
     one: a spatial query holds on a frame where some pair holds.  Each part
     of a kept frame keeps only the objects of its kept edges, in node-id
-    order, so a row lists and a duration tracks only related objects."""
+    order, so a row lists and a duration tracks only related objects.  The
+    verdict is one function of the edge, linked with the pass
+    (`PropertyEngine.predicate`) for the two parts' types."""
 
     kind = "relation_filter"
     reads_parts = 2
@@ -525,16 +546,17 @@ class RelationFilterOp(RuntimeOp):
         _check_settings(op_id, (
             (not _names(args) or len(args) != 2, f"args {args!r}"),))
         _check_refs(op_id, self.predicate, args, edge=True)
+        self.verdict = None  # set by `link`
+
+    def link(self, engine, source, parts) -> None:
+        self.verdict = engine.predicate(
+            self.predicate, dict(zip(self.args, parts)), tuple(self.args))
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
-        first, second = self.args
+        verdict = self.verdict
         out = []
         for fs in inputs[0]:
-            kept = []
-            for edge in fs.graph.edges:
-                env = {first: edge.a, second: edge.b}
-                if engine.verdict(self.predicate, env, edge) is True:
-                    kept.append(edge)
+            kept = [edge for edge in fs.graph.edges if verdict(edge) is True]
             if kept:  # an object is unhashable: match it by identity
                 related = ({id(e.a) for e in kept}, {id(e.b) for e in kept})
                 parts = [[n for n in part if id(n) in ids]

@@ -122,7 +122,11 @@ class WorldSpec:
                     _pair("turn_velocity", o["turn_velocity"])
                     if o.get("turn_velocity") else None
                 ),
-                dropout_frames=frozenset(o.get("dropout_frames", [])),
+                dropout_frames=frozenset(_checked(
+                    "dropout_frames", o.get("dropout_frames", []),
+                    "a list of frame numbers",
+                    lambda v: isinstance(v, list)
+                    and all(type(f) is int for f in v))),
             )
             for o in obj.get("objects", [])
         ]

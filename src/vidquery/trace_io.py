@@ -307,12 +307,17 @@ def write_ground_truth(entries: Iterable[GroundTruthEntry], path) -> None:
 
 def meta_from_json(obj: dict) -> VideoMeta:
     """The video meta of a decoded meta block.  A field of the wrong type or
-    value raises `KeyError`, `TypeError`, `ValueError` or `OverflowError`."""
+    value raises `KeyError`, `TypeError`, `ValueError` or `OverflowError`.
+    The frame count must be a JSON integer: `int` would truncate 20.5 and
+    turn 1e300 into a count that `vidquery synth` renders frame by frame."""
+    frames = obj["frames"]
+    if type(frames) is not int:
+        raise ValueError(f"frames {frames!r} is not an integer")
     return VideoMeta(
         fps=float(obj["fps"]),
         width=int(obj["width"]),
         height=int(obj["height"]),
-        frame_count=int(obj["frames"]),
+        frame_count=frames,
         px_per_m=float(obj["px_per_m"]) if obj.get("px_per_m") is not None else None,
     )
 

@@ -466,7 +466,10 @@ META_FIELDS = '"width": 1000, "height": 1000, "frames": 20'
     ('{"fps": NaN, ' + META_FIELDS + "}", "fps nan is not positive and finite"),
     ('{"fps": 30, "px_per_m": Infinity, ' + META_FIELDS + "}",
      "px_per_m inf is not positive and finite"),
-], ids=["fps-null", "list", "width-infinity", "fps-nan", "px-per-m-infinity"])
+    ('{"fps": 30, "width": 1000, "height": 1000, "frames": 20.5}',
+     "frames 20.5 is not an integer"),
+], ids=["fps-null", "list", "width-infinity", "fps-nan", "px-per-m-infinity",
+        "frames-fraction"])
 def test_bad_meta_file_exit_1(runner, workspace, meta, named):
     path = workspace["dir"] / "bad-meta.json"
     path.write_text(meta)
@@ -1355,9 +1358,17 @@ class TestSynth:
          "score True is not a number in [0, 1]"),
         (lambda w: w["objects"][0].update({"class": 5}),
          "class 5 is not a string"),
+        (lambda w: w["objects"][0].update(dropout_frames=[3, "x"]),
+         "dropout_frames [3, 'x'] is not a list of frame numbers"),
+        (lambda w: w["objects"][0].update(dropout_frames="34"),
+         "dropout_frames '34' is not a list of frame numbers"),
+        # `int` made 10**300 frames of it, which synth rendered one by one
+        (lambda w: w["meta"].update(frames=1e300),
+         "frames 1e+300 is not an integer"),
     ], ids=["fps-null", "velocity-null", "list", "channels-list",
             "start-center-single", "channel-string", "turn-frame-string",
-            "score-above-1", "score-bool", "class-number"])
+            "score-above-1", "score-bool", "class-number",
+            "dropout-frame-string", "dropout-frames-string", "frames-float"])
     def test_world_of_the_wrong_shape_exit_1(self, runner, workspace, edit,
                                              named):
         world = json.loads(Path(workspace["world"]).read_text())

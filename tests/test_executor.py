@@ -83,12 +83,13 @@ class TestConfigAndCompare:
         # an Undefined operand is neither equal nor unequal: no verdict
         engine = PropertyEngine(make_program(CAR_PROGRAM), frozen_registry(),
                                 meta_1000(1), ExecConfig(), ExecStats())
+        engine.link("Car")
         node = VObjInstance(node_id=(0, 0), class_name="Car", frame_id=0,
                             bbox=(0.0, 0.0, 10.0, 10.0),
                             properties={"direction": UNDEFINED})
         for op in ("==", "!="):
             expr = Compare(PropRef("c", "direction"), op, 1)
-            assert engine.verdict(expr, {"c": node}) is None
+            assert engine.predicate(expr, {"c": "Car"})(node) is None
 
 
 class TestStats:

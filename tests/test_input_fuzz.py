@@ -1,10 +1,10 @@
 """Every input file the CLI reads, fuzzed for the exit-code promise.
 
 Seeded, structure-aware mutants of saved plans (as `profile --save-plan`
-writes them), registry manifests, meta files and trace lines go through
-the CLI in process.  Whatever the mutant, a command exits 0, 1, 2 or 3,
-raises nothing but `SystemExit`, and a non-zero exit leaves a one-line
-diagnostic on stderr.  Each input kind runs a fixed number of cases, so a
+writes them), registry manifests, meta files, trace lines and world files
+(as `vidquery synth` reads them) go through the CLI in process.  Whatever
+the mutant, a command exits 0, 1, 2 or 3, raises nothing but `SystemExit`,
+and a non-zero exit leaves a one-line diagnostic on stderr.  Each input kind runs a fixed number of cases, so a
 failure names the seed and case that reproduce it.
 """
 
@@ -22,7 +22,8 @@ from vidquery.synth import ObjectScript, WorldSpec, write_world
 from conftest import CAR_PROGRAM, car, meta_1000
 
 SEED = 21
-CASES = {"plan": 400, "manifest": 250, "meta": 120, "trace": 120}
+CASES = {"plan": 400, "manifest": 250, "meta": 120, "trace": 120,
+         "world": 300}
 
 PROGRAM = CAR_PROGRAM + """
 vobj Person {
@@ -156,7 +157,7 @@ def inputs(tmp_path_factory):
     (ws / "m.json").write_text(json.dumps(MANIFEST))
     base = {"program": str(ws / "q.vq"), "trace": str(paths["trace"]),
             "meta": str(paths["meta"]), "manifest": str(ws / "m.json"),
-            "dir": ws, "plans": {}}
+            "world": str(paths["world"]), "dir": ws, "plans": {}}
     runner = CliRunner()
     for query in QUERIES:
         plan = ws / f"{query}.plan.json"
@@ -217,8 +218,15 @@ def trace_case(ws, rng):
             "--registry", ws["manifest"]]
 
 
+def world_case(ws, rng):
+    with open(ws["world"]) as fh:
+        world = mutate(json.load(fh), rng, rng.randint(1, 2))
+    return ["synth", "--world", _write(ws["dir"] / "world.json", world),
+            "--out", str(ws["dir"] / "rendered")]
+
+
 CASE_MAKERS = {"plan": plan_case, "manifest": manifest_case,
-               "meta": meta_case, "trace": trace_case}
+               "meta": meta_case, "trace": trace_case, "world": world_case}
 
 
 @pytest.mark.parametrize("kind", sorted(CASES))

@@ -38,8 +38,8 @@ class FakeEngine:
     stats: ExecStats = field(default_factory=ExecStats)
     meta: Optional[Any] = None
     tracks: dict = field(default_factory=dict)
-    keep: Any = None  # predicate on node, used by verdict
-    keep_edge: Any = None
+    keep: Any = None  # a node's verdict, linked by a vobj filter
+    keep_edge: Any = None  # an edge's, linked by a relation filter
 
     depth: int = 0  # latest objects each track keeps
 
@@ -48,11 +48,14 @@ class FakeEngine:
             (tracker, track_id), Track.create(track_id, self.depth)
         )
 
-    def verdict(self, predicate, env, edge=None):
-        if edge is not None:
-            return self.keep_edge(edge)
-        (node,) = env.values()
-        return self.keep(node)
+    def predicate(self, expr, types, edge=None):
+        return self.keep if edge is None else self.keep_edge
+
+
+def linked(op, engine, parts):
+    """`op`, linked into `engine`'s pass over an input of `parts`."""
+    op.link(engine, None, parts)
+    return op
 
 
 def record(frame, boxes=(), channels=None, cls="car", **attrs):
@@ -317,18 +320,20 @@ class TestTrackerOp:
 
 class TestVObjFilterOp:
     def test_removes_failing_nodes_copy_on_write(self):
-        op = VObjFilterOp("v", {"binding": "c", "predicate": None})
         engine = FakeEngine()
         engine.keep = lambda n: n.node_id == (0, 0)
+        op = linked(VObjFilterOp("v", {"binding": "c", "predicate": None}),
+                    engine, ("Car",))
         fs = state_with_nodes(0, node((0, 0)), node((0, 1)))
         out = op.process(engine, [[fs]])
         assert [n.node_id for n in out[0].graph.nodes] == [(0, 0)]
         assert [n.node_id for n in fs.graph.nodes] == [(0, 0), (0, 1)]
 
     def test_empty_frames_retained(self):
-        op = VObjFilterOp("v", {"binding": "c", "predicate": None})
         engine = FakeEngine()
         engine.keep = lambda n: False
+        op = linked(VObjFilterOp("v", {"binding": "c", "predicate": None}),
+                    engine, ("Car",))
         out = op.process(engine, [[state_with_nodes(0, node((0, 0)))]])
         assert len(out) == 1 and out[0].graph.parts == [[]]
 
@@ -401,9 +406,10 @@ class TestRelationOps:
         car, person = fs.graph.nodes
         near, far = Edge(car, person, {"d": 1.0}), Edge(car, person, {"d": 9.0})
         fs.graph.edges[:] = [near, far]
-        op = RelationFilterOp("f", NO_PREDICATE)
         engine = FakeEngine()
         engine.keep_edge = lambda e: e.properties["d"] < 5
+        op = linked(RelationFilterOp("f", NO_PREDICATE), engine,
+                    ("Car", "Person"))
         out = op.process(engine, [[fs]])
         assert out[0].graph.edges == [near]
         assert out[0].graph.parts == fs.graph.parts
@@ -417,7 +423,9 @@ class TestRelationOps:
         verdicts = iter([True, None])  # frame 2 has no edge to test
         engine = FakeEngine()
         engine.keep_edge = lambda e: next(verdicts)
-        out = RelationFilterOp("f", NO_PREDICATE).process(engine, [frames])
+        op = linked(RelationFilterOp("f", NO_PREDICATE), engine,
+                    ("Car", "Person"))
+        out = op.process(engine, [frames])
         assert [fs.frame_id for fs in out] == [0]
 
 
