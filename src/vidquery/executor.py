@@ -377,9 +377,10 @@ class OutputOp(RuntimeOp):
     in frame order (batches arrive in frame order and the join emits sorted
     frames): the one record of what the query kept.  A spatial query's
     relation filter has already dropped the frames where no pair holds.
-    Each frame output reads through its property's reader, linked with the
-    pass.  Also keeps the record of each track of the first binding, by id,
-    for a duration over the query."""
+    Part i holds the objects of binding i, and each frame output reads its
+    part through its property's reader, linked with the pass.  Also keeps
+    the record of each track of the first binding, by id, for a duration
+    over the query."""
 
     kind = "output"
 
@@ -388,7 +389,8 @@ class OutputOp(RuntimeOp):
         self.query = query = params["query"]
         self.bindings = bindings = params["bindings"]  # one name per part
         self.frame_output = refs = params["frame_output"]
-        named = bool(bindings) and _names(bindings)
+        named = bool(bindings) and _names(bindings) \
+            and len(set(bindings)) == len(bindings)  # one part per name
         _check_settings(op_id, [
             (not isinstance(query, str), f"query {query!r}"),
             (not named, f"bindings {bindings!r}"),
@@ -400,38 +402,38 @@ class OutputOp(RuntimeOp):
         self.reads_parts = len(bindings)
         self.rows: list[dict] = []
         self.tracks: dict[int, Track] = {}
-        self.frame_readers: list[tuple] = []  # (key, binding, prop, reader)
+        self.frame_readers: list[tuple] = []  # (key, part, prop, reader)
 
     def link(self, engine, source, parts) -> None:
-        # a binding named twice reads its last part, as `process`'s dict does
         part = {b: i for i, b in enumerate(self.bindings)}
         self.frame_readers = [
-            (f"{r['binding']}.{r['prop']}", r["binding"], r["prop"],
+            (f"{r['binding']}.{r['prop']}", part[r["binding"]], r["prop"],
              engine.reader(parts[part[r["binding"]]], r["prop"]))
             for r in self.frame_output]
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
+        bindings = self.bindings
         for fs in inputs[0]:
-            parts = dict(zip(self.bindings, fs.graph.parts))
-            if not all(parts.values()):
+            parts = fs.graph.parts
+            if not all(parts):
                 continue
             objects = {}
             row: dict[str, Any] = {"frame": fs.frame_id, "objects": objects}
-            for b, nodes in parts.items():
+            for b, nodes in zip(bindings, parts):
                 objects[b] = [
                     (*n.node_id,
                      None if n.track is None else n.track.track_id, *n.bbox)
                     for n in nodes
                 ]
-            for n in fs.graph.parts[0]:
+            for n in parts[0]:
                 if n.track is not None:
                     self.tracks[n.track.track_id] = n.track
             outputs = {}
-            for key, b, prop, read in self.frame_readers:
+            for key, i, prop, read in self.frame_readers:
                 outputs[key] = [
                     _jsonable(n.properties[prop] if prop in n.properties
                               else read(n))
-                    for n in parts[b]
+                    for n in parts[i]
                 ]
             if outputs:
                 row["outputs"] = outputs
@@ -448,10 +450,10 @@ _VERDICT_SLOT = {True: 0, False: 1, None: 2}
 
 class AggregateOp(RuntimeOp):
     """Counts per-track three-valued verdicts of the video constraint over
-    the objects of its binding's part: [true, false, undefined] by track
-    id, each from the constraint's verdict function, linked with the pass
-    (`PropertyEngine.predicate`).  Its answer is its output op's, with the
-    count as `video`."""
+    the objects of part `part`, which its output op binds: [true, false,
+    undefined] by track id, each from the constraint's verdict function,
+    linked with the pass (`PropertyEngine.predicate`).  Its answer is its
+    output op's, with the count as `video`."""
 
     kind = "aggregate"
     reads_parts = None  # `link` checks that its input is an output op
@@ -459,7 +461,6 @@ class AggregateOp(RuntimeOp):
     def __init__(self, op_id: str, params: dict):
         super().__init__(op_id, params)
         self.agg_kind = params["kind"]
-        self.binding = params["binding"]
         self.part = params["part"]
         self.predicate = decode_expr(params["predicate"])
         self.per_track: dict[int, list[int]] = {}
@@ -468,19 +469,18 @@ class AggregateOp(RuntimeOp):
 
     def link(self, engine, source, parts) -> None:
         """Count over `source`, the op of this op's input, which must be an
-        output op whose part `part` is bound to `binding`."""
+        output op with a part `part`, whose binding it takes."""
         indexed = isinstance(source, OutputOp) and type(self.part) is int \
             and 0 <= self.part < len(source.bindings)
         _check_settings(self.op_id, [
             (self.agg_kind != "count_distinct", f"kind {self.agg_kind!r}"),
             (not indexed, f"part {self.part!r}"),
-            (indexed and self.binding != source.bindings[self.part],
-             f"binding {self.binding!r}"),
         ])
-        _check_refs(self.op_id, self.predicate, (self.binding,))
+        binding = source.bindings[self.part]
+        _check_refs(self.op_id, self.predicate, (binding,))
         self.output = source
         self.verdict = engine.predicate(
-            self.predicate, {self.binding: parts[self.part]})
+            self.predicate, {binding: parts[self.part]})
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         verdict, per_track = self.verdict, self.per_track
@@ -495,7 +495,8 @@ class AggregateOp(RuntimeOp):
     def outcome(self) -> QueryOutcome:
         base = self.output.outcome()
         base.video = {
-            "aggregate": self.agg_kind, "binding": self.binding,
+            "aggregate": self.agg_kind,
+            "binding": self.output.bindings[self.part],
             "value": count_distinct_tracks(self.per_track),
             "per_track": {
                 str(t): dict(zip(("true", "false", "undefined"), counts))
@@ -653,15 +654,14 @@ def build_runtime_op(plan_op: PlanOp, registry: Registry) -> RuntimeOp:
         raise PlanLinkError(f"{op_id}: bad params: {exc}") from exc
 
 
-def _parts(rt: Optional[RuntimeOp], op_id: str,
+def _parts(rt: RuntimeOp, op_id: str,
            inputs: list[tuple[str, ...]]) -> tuple[str, ...]:
     """The types of the parts of the frame graphs that `rt` makes from
-    inputs whose graphs hold parts of the types `inputs`: none from the
-    reader, the detector's from a detector, each input's in turn from a
-    join, and its input's from any other op.  PlanLinkError if an input
-    holds other than the number of parts `rt` reads."""
-    if rt is None:
-        return ()
+    inputs whose graphs hold parts of the types `inputs` (an op with no
+    inputs reads the trace's frame states, whose graphs hold none): the
+    detector's from a detector, each input's in turn from a join, and its
+    input's from any other op.  PlanLinkError if an input holds other than
+    the number of parts `rt` reads."""
     want = rt.reads_parts
     for types in inputs:
         if want is not None and len(types) != want:
@@ -916,7 +916,7 @@ class ResultStore:
 
     def put(self, inputs_digest: str, plan_id: str, outcome: QueryOutcome) -> None:
         """Write to a temporary file beside the entry, then rename it into
-        place, so a reader never sees a partial entry."""
+        place, so `get` never sees a partial entry."""
         payload = marshal.dumps(outcome.to_json())
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
@@ -931,6 +931,7 @@ class ResultStore:
 
 # --- session ----------------------------------------------------------------
 
+TRACE = ""  # the schedule's name for the batch of initial frame states
 TRACE_CHUNK = 8 << 20  # bytes of the trace hashed at a time for the cache key
 
 
@@ -989,14 +990,15 @@ class Session:
         """The pass's schedule, signature -> (runtime op, input signatures):
         every plan in order, each in topological order, the first op of
         each signature built once (a shared relation projector takes each
-        plan's bound, `RelationProjectorOp.widen`; a reader has no runtime
-        op; a duration or temporal sink is built over its input sinks, not
-        scheduled).  Also returns each plan's sink (`_sink`), and links each
-        built op into the pass (`RuntimeOp.link`) with its first input's op
-        and part types.  A tracker owns its input (`TrackerOp.owns_input`) when
-        that is a detector's batch that no other scheduled operator reads."""
-        schedule: dict[str, tuple[Optional[RuntimeOp], list[str]]] = {}
-        parts: dict[str, tuple] = {}  # types of each signature's parts
+        plan's bound, `RelationProjectorOp.widen`; a duration or temporal
+        sink is built over its input sinks, not scheduled); an op with no
+        inputs reads `TRACE`.  Also returns each plan's sink (`_sink`), and
+        links each built op into the pass (`RuntimeOp.link`) with its first
+        input's op and part types.  A tracker owns its input
+        (`TrackerOp.owns_input`) when that is a detector's batch that no
+        other scheduled operator reads."""
+        schedule: dict[str, tuple[RuntimeOp, list[str]]] = {}
+        parts: dict[str, tuple] = {TRACE: ()}  # types of each one's parts
         sinks = []
         for dag in dags:
             sigs: dict[str, str] = {}
@@ -1015,23 +1017,21 @@ class Session:
                 input_sigs = [sigs[i] for i in pop.inputs]
                 sig = sigs[op_id] = op_signature(pop, input_sigs)
                 if sig not in schedule:
-                    rt = None if pop.kind == "reader" \
-                        else build_runtime_op(pop, self.registry)
-                    parts[sig] = _parts(rt, op_id,
-                                        [parts[s] for s in input_sigs])
-                    if rt is not None:  # every op but the reader has inputs
-                        rt.link(self.engine, schedule[input_sigs[0]][0],
-                                parts[input_sigs[0]])
-                    schedule[sig] = (rt, input_sigs)
+                    rt = build_runtime_op(pop, self.registry)
+                    reads = input_sigs or [TRACE]
+                    parts[sig] = _parts(rt, op_id, [parts[s] for s in reads])
+                    source = schedule[input_sigs[0]][0] if input_sigs else None
+                    rt.link(self.engine, source, parts[reads[0]])
+                    schedule[sig] = (rt, reads)
                 elif pop.kind == "relation_projector":
                     schedule[sig][0].widen(
                         build_runtime_op(pop, self.registry).bound)
                 ops[op_id] = schedule[sig][0]
             sinks.append(_sink(dag, ops, dag.sink))
-        readers = Counter(s for _rt, ins in schedule.values() for s in ins)
+        consumers = Counter(s for _rt, ins in schedule.values() for s in ins)
         for rt, ins in schedule.values():
-            if isinstance(rt, TrackerOp):
-                rt.owns_input = readers[ins[0]] == 1 and \
+            if isinstance(rt, TrackerOp):  # its input is never `TRACE`
+                rt.owns_input = consumers[ins[0]] == 1 and \
                     isinstance(schedule[ins[0]][0], DetectorOp)
         return schedule, sinks
 
@@ -1059,11 +1059,8 @@ class Session:
     def feed(self, base: Batch) -> None:
         """Run every scheduled operator once over one batch of initial frame
         states (`trace_batches`)."""
-        out: dict[str, Batch] = {}
+        out = {TRACE: base}
         for sig, (rt, input_sigs) in self._schedule.items():
-            if rt is None:
-                out[sig] = base
-                continue
             self.stats.count_op(sig)
             out[sig] = rt.process(self.engine, [out[s] for s in input_sigs])
 

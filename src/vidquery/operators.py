@@ -80,9 +80,9 @@ class RuntimeOp:
              parts: tuple[str, ...]) -> None:
         """Link what this op decides once per pass into `engine`, the pass's
         `PropertyEngine`: `source` is the op of its first input (None when
-        that is the trace reader) and `parts` the types of that input's
-        parts, which the pass has checked against `reads_parts`.  Nothing,
-        unless an op says otherwise."""
+        it has none and reads the trace's frame states) and `parts` the
+        types of that input's parts, which the pass has checked against
+        `reads_parts`.  Nothing, unless an op says otherwise."""
 
     def process(self, engine, inputs: list[Batch]) -> Batch:
         """One batch per input in, one batch out.  `engine` is the pass's
@@ -314,7 +314,7 @@ class TrackerOp(RuntimeOp):
     A tracker that `owns_input` sets records on its input's nodes and passes
     its input's frame states on; `Session` grants that when the input is a
     detector's batch that no other operator reads.  Otherwise it copies the
-    nodes, so sibling readers of its input never see its assignments."""
+    nodes, so the other consumers of its input never see its assignments."""
 
     kind = "tracker"
 

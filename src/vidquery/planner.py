@@ -18,10 +18,12 @@ from .registry import Registration, Registry, RegistryError
 from .trace_io import VideoMeta
 from .tracker import TrackerConfig
 
-PLAN_VERSION = 7
-# the number of inputs an op of each kind takes; any other kind takes 1
-_INPUT_COUNTS = {"reader": range(0, 1), "join": range(2, sys.maxsize),
-                "temporal": range(2, 3)}
+PLAN_VERSION = 8
+# the inputs an op of each kind takes, any other kind 1; a branch's first op
+# takes none and reads the trace's frame states
+_INPUT_COUNTS = {"frame_filter": range(0, 2), "classifier": range(0, 2),
+                 "detector": range(0, 2), "join": range(2, sys.maxsize),
+                 "temporal": range(2, 3)}
 MAX_ALTERNATIVES = 32  # candidates `enumerate_alternatives` returns at most
 
 
@@ -132,8 +134,8 @@ class PlanOp:
                 f"op {op_id!r}: inputs {inputs!r} are not a list of op ids")
         count = _INPUT_COUNTS.get(kind, range(1, 2))
         if len(inputs) not in count:
-            want = f"{count.start} or more" if len(count) > 1 \
-                else str(count.start)
+            want = f"{count.start} or more" if count.stop == sys.maxsize \
+                else " or ".join(map(str, count))
             raise PlanLoadError(
                 f"op {op_id!r}: kind {kind!r} takes {want} "
                 f"input{'' if want == '1' else 's'}, not {len(inputs)}")
@@ -298,7 +300,9 @@ def plan_query(
     detector_overrides: Optional[dict[str, str]] = None,
 ) -> PlanDag:
     """One branch per bound VObj type, joined, then relation stages, then
-    higher-order evaluators and the output/aggregate stage.
+    higher-order evaluators and the output/aggregate stage.  A branch's
+    first op, a scene filter, a gate or its detector, has no inputs: it
+    reads the trace's frame states.
 
     Zero-error classifiers and auto frame filters gate each detector, and
     each branch's filter runs right after the last projector its predicate
@@ -373,15 +377,12 @@ def _build(
 
     # basic or spatial
     dag = PlanDag(query=query_name)
-    reader_id = "reader"
-    dag.add(PlanOp(op_id=reader_id, kind="reader"))
-
     vobj_bindings = [(b, t) for b, t in fq.bindings if t != SCENE_TYPE]
 
-    # scene predicates become frame filters right after the reader
-    head = reader_id
+    # scene predicates become frame filters, ahead of every branch
+    head: list[str] = []  # the inputs of each branch's first op
     for i, conj in enumerate(fq.scene_conjs):
-        ff = dag.add(PlanOp(
+        head = [dag.add(PlanOp(
             op_id=f"{prefix}scene_filter:{i}",
             kind="frame_filter",
             params={
@@ -390,9 +391,8 @@ def _build(
                 "op": conj.op,
                 "threshold": conj.literal,
             },
-            inputs=[head],
-        ))
-        head = ff.op_id
+            inputs=head,
+        )).op_id]
 
     out_refs_by_binding: dict[str, list[PropRef]] = {}
     for ref in fq.frame_output:
@@ -432,15 +432,15 @@ def _build(
         )
 
         det_id = f"{prefix}detector:{binding}"
-        prev = head
+        inputs = list(head)
         for gate in _gates(registry, ftype, det_id):
-            gate.inputs = [prev]
-            prev = dag.add(gate).op_id
+            gate.inputs = inputs
+            inputs = [dag.add(gate).op_id]
         prev = dag.add(PlanOp(
             op_id=det_id,
             kind="detector",
             params={"detector": det_name, "vobj": vobj},
-            inputs=[prev],
+            inputs=inputs,
         )).op_id
         if tracker_needed:
             prev = dag.add(PlanOp(
@@ -538,7 +538,6 @@ def _build(
             kind="aggregate",
             params={
                 "kind": kind,
-                "binding": binding,
                 "part": part_bindings.index(binding),
                 "predicate": encode_expr(fq.video_pred),
             },

@@ -214,26 +214,29 @@ def generate(world: WorldSpec) -> list[TraceRecord]:
     return [render_frame(world, f) for f in range(world.meta.frame_count)]
 
 
+def frame_identities(world: WorldSpec, frame: int) -> list[dict]:
+    """[{label, class, bbox, dropped}] of one frame: the true identity of
+    each object on screen there, dropped out of the trace or not."""
+    entries = []
+    for obj in world.objects:
+        if not obj.alive(frame):
+            continue
+        cx, cy = _noisy_center(world, obj, frame)
+        bbox = _clamped_bbox(world, cx, cy, obj.size)
+        if bbox is None:
+            continue
+        entries.append({
+            "label": obj.label,
+            "class": obj.class_name,
+            "bbox": list(bbox),
+            "dropped": frame in obj.dropout_frames,
+        })
+    return entries
+
+
 def identity_map(world: WorldSpec) -> dict[int, list[dict]]:
-    """frame -> [{label, class, bbox}], the true object identities."""
-    out: dict[int, list[dict]] = {}
-    for frame in range(world.meta.frame_count):
-        entries = []
-        for obj in world.objects:
-            if not obj.alive(frame):
-                continue
-            cx, cy = _noisy_center(world, obj, frame)
-            bbox = _clamped_bbox(world, cx, cy, obj.size)
-            if bbox is None:
-                continue
-            entries.append({
-                "label": obj.label,
-                "class": obj.class_name,
-                "bbox": list(bbox),
-                "dropped": frame in obj.dropout_frames,
-            })
-        out[frame] = entries
-    return out
+    """frame -> `frame_identities`, the true object identities."""
+    return {f: frame_identities(world, f) for f in range(world.meta.frame_count)}
 
 
 def label_frames(
@@ -267,7 +270,8 @@ def label_tracks(
 
 
 def write_world(world: WorldSpec, out_dir) -> dict[str, Path]:
-    """Render a world into trace/meta/ground-truth files."""
+    """Render a world into trace/meta/ground-truth files, one frame at a
+    time, so the memory it takes does not grow with the frame count."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -276,14 +280,12 @@ def write_world(world: WorldSpec, out_dir) -> dict[str, Path]:
         "ground_truth": out_dir / "gt.jsonl",
         "world": out_dir / "world.json",
     }
-    write_trace(generate(world), paths["trace"])
+    frames = range(world.meta.frame_count)
+    write_trace((render_frame(world, f) for f in frames), paths["trace"])
     write_meta(world.meta, paths["meta"])
-    ids = identity_map(world)
     write_ground_truth(
-        (
-            GroundTruthEntry(frame_id=f, objects=ids[f])
-            for f in sorted(ids)
-        ),
+        (GroundTruthEntry(frame_id=f, objects=frame_identities(world, f))
+         for f in frames),
         paths["ground_truth"],
     )
     paths["world"].write_text(

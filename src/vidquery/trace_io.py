@@ -1,6 +1,6 @@
 """Detection-trace ingestion and on-disk formats.
 
-Traces are line-delimited JSON, one record per frame, so readers can stream
+Traces are line-delimited JSON, one record per frame, so a run can stream
 without loading whole files.  Frames absent from a trace are frames with zero
 detections, not errors.  An absent frame has no channel values either, so an
 auto `similar_to_prev` gate compares only the frames a trace lists, and a

@@ -106,7 +106,7 @@ class TestExplain:
             "--registry", str(manifest)])
         assert result.exit_code == 0, result.output
         assert self.nodes(result.output) == [
-            "reader", "classifier:detector:c:has_car", "detector:c",
+            "classifier:detector:c:has_car", "detector:c",
             "tracker:c", "fused:proj:c.color", "output:reds",
         ]
         # the fused op's label lists its steps, the filter right after the
@@ -784,8 +784,7 @@ def _output_over_a_duration(plan):
 
 DURATION = {"query": "held", "min_frames": 3, "gap_tolerance": 0}
 TEMPORAL = {"query": "seq", "max_interval": 2}
-AGGREGATE = {"kind": "count_distinct", "binding": "c", "part": 0,
-             "predicate": None}
+AGGREGATE = {"kind": "count_distinct", "part": 0, "predicate": None}
 
 
 def _edited_run(runner, workspace, edit, trace=None, program=None,
@@ -819,11 +818,13 @@ def _broken_trace(workspace) -> str:
 
 @pytest.mark.parametrize("edit, code, message", [
     (lambda plan: plan.update(version=4), 2,
-     "cannot load plan: plan version 4 unsupported (expected 7)"),
+     "cannot load plan: plan version 4 unsupported (expected 8)"),
     (lambda plan: plan.update(version=5), 2,
-     "cannot load plan: plan version 5 unsupported (expected 7)"),
+     "cannot load plan: plan version 5 unsupported (expected 8)"),
     (lambda plan: plan.update(version=6), 2,
-     "cannot load plan: plan version 6 unsupported (expected 7)"),
+     "cannot load plan: plan version 6 unsupported (expected 8)"),
+    (lambda plan: plan.update(version=7), 2,
+     "cannot load plan: plan version 7 unsupported (expected 8)"),
     (_set_output_kind, 3,
      "execution failed: output:reds: unknown operator kind 'nosuch'"),
     (_set_step_kind, 3,
@@ -869,8 +870,6 @@ def _broken_trace(workspace) -> str:
      "execution failed: sink: bad part 3"),
     (_sink("aggregate", dict(AGGREGATE, kind="sum")), 3,
      "execution failed: sink: bad kind 'sum'"),
-    (_sink("aggregate", dict(AGGREGATE, binding="x")), 3,
-     "execution failed: sink: bad binding 'x'"),
     (_sink("aggregate", AGGREGATE, inputs=[]), 2,
      "cannot load plan: op 'sink': kind 'aggregate' takes 1 input, not 0"),
     (_op("output", inputs=[]), 2,
@@ -878,8 +877,9 @@ def _broken_trace(workspace) -> str:
      "not 0"),
     (_sink("temporal", TEMPORAL, inputs=["output:reds"]), 2,
      "cannot load plan: op 'sink': kind 'temporal' takes 2 inputs, not 1"),
-    (_op("reader", inputs=["output:reds"]), 2,
-     "cannot load plan: op 'reader': kind 'reader' takes 0 inputs, not 1"),
+    (_op("detector", inputs=["tracker:c", "output:reds"]), 2,
+     "cannot load plan: op 'detector:c': kind 'detector' takes 0 or 1 "
+     "inputs, not 2"),
     (_op("output", inputs=["fused:proj:c.color"] * 2), 2,
      "cannot load plan: op 'output:reds': kind 'output' takes 1 input, "
      "not 2"),
@@ -910,7 +910,8 @@ def _broken_trace(workspace) -> str:
      "cannot load plan: op 'after': input 'sink' makes no frames"),
     (_op("detector", params={}), 2,
      "cannot load plan: plan references unregistered detector None"),
-], ids=["version-4", "version-5", "version-6", "unknown-kind", "unknown-step-kind",
+], ids=["version-4", "version-5", "version-6", "version-7", "unknown-kind",
+        "unknown-step-kind",
         "bad-predicate", "missing-param", "predicate-not-an-object",
         "bad-tracker-config", "bad-op-string-prop", "bad-op-numeric-prop",
         "ordered-op-string", "ordered-op-bool", "in-without-list",
@@ -918,9 +919,9 @@ def _broken_trace(workspace) -> str:
         "duration-min-frames-fraction", "duration-negative-gap",
         "duration-without-query", "temporal-max-interval-text",
         "temporal-negative-max-interval", "aggregate-part-out-of-range",
-        "aggregate-kind-sum", "aggregate-binding-of-no-part",
-        "aggregate-without-input", "output-without-input",
-        "temporal-with-one-input", "reader-with-an-input",
+        "aggregate-kind-sum", "aggregate-without-input",
+        "output-without-input", "temporal-with-one-input",
+        "detector-with-two-inputs",
         "output-with-two-inputs", "input-names-no-op", "sink-names-no-op",
         "sink-not-a-string", "inputs-a-string", "ops-an-object",
         "without-query", "params-not-an-object", "kind-not-a-string",
@@ -1020,6 +1021,19 @@ def _cmp(binding, prop, relation=None, args=None, op="==", literal="red"):
 NEAR_CMP = _cmp(None, "distance_px", "Near", ["c", "b"], "<", 500)
 
 
+def _over_the_trace(kind):
+    """Make the plan's op of kind `kind` read a scene filter that has no
+    inputs: it reads the trace's frame states, whose graphs hold no
+    parts."""
+    def edit(plan):
+        plan["ops"].append({
+            "op_id": "scene", "kind": "frame_filter", "inputs": [],
+            "params": {"channel": "motion_score", "mode": "threshold",
+                       "op": ">=", "threshold": 0.0}})
+        _op(kind, inputs=["scene"])(plan)
+    return edit
+
+
 def _link_failure(runner, workspace, edit, query):
     """The run of `query`'s saved plan, edited, over a trace whose first
     line does not parse."""
@@ -1085,10 +1099,12 @@ def test_saved_plan_without_a_param_the_planner_writes_exit_3(
      "relfilter:Near: bad predicate reference 'x.color'"),
     ("reds_near_blues", _set("relation_projector", props=[]),
      "relproj:Near: bad props []"),
-    ("reds", _op("tracker", inputs=["reader"]),
+    ("reds", _over_the_trace("tracker"),
      "tracker:c: an input's frame graphs hold 0 parts, not 1"),
-    ("reds", _op("fused", inputs=["reader"]),
+    ("reds", _over_the_trace("fused"),
      "fused:proj:c.color: an input's frame graphs hold 0 parts, not 1"),
+    ("reds", _over_the_trace("output"),
+     "output:reds: an input's frame graphs hold 0 parts, not 1"),
     ("reds_near_blues", _op("relation_projector", inputs=["fused:proj:c.color"]),
      "relproj:Near: an input's frame graphs hold 1 parts, not 2"),
     ("reds_near_blues", _op("output", inputs=["fused:proj:c.color"]),
@@ -1109,8 +1125,9 @@ def test_saved_plan_without_a_param_the_planner_writes_exit_3(
         "filter-reference-prop-list", "filter-binding-number",
         "aggregate-reference-of-another-binding",
         "aggregate-relation-reference", "relation-filter-reference-of-no-arg",
-        "relation-projector-props-list", "tracker-over-the-reader",
-        "filter-over-the-reader", "relation-projector-over-one-branch",
+        "relation-projector-props-list", "tracker-over-the-trace",
+        "filter-over-the-trace", "output-over-the-trace",
+        "relation-projector-over-one-branch",
         "output-over-one-branch", "fused-join-step",
         *[f"tracker-{field.replace('_', '-')}-{value}"
           for field, value, _m in TRACKER_CONFIGS]])
@@ -1120,6 +1137,20 @@ def test_saved_plan_param_checked_when_the_pass_links(runner, workspace,
     assert result.exit_code == 3
     assert isinstance(result.exception, SystemExit)  # not a traceback
     assert result.stderr == f"execution failed: {message}\n"
+
+
+def test_output_op_naming_one_binding_twice_exits_3(runner, workspace):
+    """Part i of a frame graph is binding i's, so an output op whose
+    bindings name `c` for both parts would list the second part's objects
+    under `c`; the pass refuses it when it links."""
+    program = workspace["dir"] / "spatial.vq"
+    program.write_text(SPATIAL_PROGRAM)
+    result = _edited_run(runner, workspace, _set("output", bindings=["c", "c"]),
+                         program=str(program), query="reds_near_blues")
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+    assert result.stderr == \
+        "execution failed: output:reds_near_blues: bad bindings ['c', 'c']\n"
 
 
 SCENE_PROGRAM = PROGRAM + """

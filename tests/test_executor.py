@@ -27,6 +27,7 @@ from vidquery.executor import (
     PropertyEngine,
     QueryOutcome,
     ResultStore,
+    SINK_CLASSES,
     Session,
     build_runtime_op,
     run_plans,
@@ -1150,8 +1151,6 @@ class TestLinkTable:
     query moving_reds { bind s: Scene bind c: Car
       frame_constraint: s.motion_score > 0.1 & c.color == "red" }
     """
-    UNLINKED = {"reader", "duration", "temporal"}  # no runtime op of their own
-
     def test_every_planned_kind_links(self):
         vprog = make_program(self.PROGRAM)
         registry = frozen_registry([
@@ -1166,7 +1165,7 @@ class TestLinkTable:
             dag = plan_query(vprog, query, registry, meta=meta_1000(20))
             for pop in dag.ops.values():
                 kinds.add(pop.kind)
-                if pop.kind in self.UNLINKED:
+                if pop.kind in SINK_CLASSES:  # built over its input sinks
                     continue
                 rt = build_runtime_op(pop, registry)
                 steps = [(pop, rt)]
@@ -1179,7 +1178,9 @@ class TestLinkTable:
                     assert type(op) is OPERATOR_CLASSES[step.kind]
                     assert not isinstance(
                         getattr(op, "predicate", None), dict)
-        assert kinds == set(OPERATOR_CLASSES) | self.UNLINKED
+        # every op of a plan builds a runtime op or a duration or temporal
+        # sink: no placeholder op
+        assert kinds == set(OPERATOR_CLASSES) | set(SINK_CLASSES)
 
     def test_the_benchmark_tracer_wraps_every_linked_class(self):
         """A kind the tracer does not list would run untraced, silently."""

@@ -83,11 +83,13 @@ class TestBaseDag:
         dag = unfused(plan_query(vprog, "fast_reds", frozen_registry()))
         order = dag.topo_order()
         assert order == [
-            "reader", "detector:c", "tracker:c", "proj:c.color",
+            "detector:c", "tracker:c", "proj:c.color",
             "proj:c.center", "proj:c.direction", "filter:c",
             "output:fast_reds",
         ]
         assert dag.sink == "output:fast_reds"
+        # the branch's first op reads the trace's frame states
+        assert dag.ops["detector:c"].inputs == []
 
     def test_no_tracker_without_state_video_or_intrinsic(self):
         vprog = make_program("""
@@ -262,7 +264,7 @@ class TestPullUp:
         registry = frozen_registry([gate, flaky])
         dag = plan_query(vprog, "reds", registry, PlannerConfig())
         gate_id = "classifier:detector:c:has_car"
-        assert dag.ops[gate_id].inputs == ["reader"]
+        assert dag.ops[gate_id].inputs == []
         assert dag.ops["detector:c"].inputs == [gate_id]
         # errorful gate stays out: inserting it would change results
         assert not any("flaky_gate" in i for i in dag.ops)
@@ -288,6 +290,7 @@ class TestPullUp:
         """)
         dag = plan_query(vprog, "pair", frozen_registry([gate, motion]),
                          PlannerConfig())
+        assert dag.ops["scene_filter:0"].inputs == []
         for b in ("a", "b"):
             cls, ff = f"classifier:detector:{b}:has_car", f"gate:detector:{b}:moving"
             assert dag.ops[cls].inputs == ["scene_filter:0"]
@@ -352,7 +355,7 @@ class TestFusion:
                          frozen_registry([specialized_red_car()]),
                          PlannerConfig(), detector_overrides={"c": "red_car"})
         assert dag.topo_order() == [
-            "reader", "detector:c", "proj:c.center", "output:red_centers",
+            "detector:c", "proj:c.center", "output:red_centers",
         ]
 
     def test_filter_placed_inside_the_fused_chain(self):
@@ -457,9 +460,9 @@ class TestF1AndSelection:
         out = []
         for i in range(n):
             dag = PlanDag(query="q")
-            dag.add(PlanOp(op_id="reader", kind="reader",
+            dag.add(PlanOp(op_id="output", kind="output",
                            params={"variant": i}))
-            dag.sink = "reader"
+            dag.sink = "output"
             out.append(dag)
         return out
 
@@ -547,7 +550,8 @@ def test_explain_dot_lists_nodes_and_edges():
     dag = plan_query(vprog, "reds", frozen_registry(), PlannerConfig())
     dot = explain_dot(dag, costs={"detector:c": 100.0})
     assert dot.startswith("digraph plan {")
-    assert '"reader" -> "detector:c";' in dot
+    assert '"detector:c" -> "tracker:c";' in dot
+    assert '-> "detector:c"' not in dot  # it reads the trace
     assert "cost=100" in dot
 
 
@@ -654,8 +658,10 @@ temporal query later { first: reds then: adults max_interval_seconds: 2 }
 
 def test_every_param_of_a_plan_is_read_when_the_pass_links():
     """No plan holds a param that linking its pass does not read: over
-    every query shape and every alternative, fused steps included."""
-    from vidquery.executor import Session
+    every query shape and every alternative, fused steps included.  Every
+    op builds a runtime op, which the pass schedules, or a duration or
+    temporal sink: a plan holds no placeholder op."""
+    from vidquery.executor import SINK_CLASSES, RuntimeOp, Session
 
     vprog = make_program(EVERY_SHAPE)
     meta = meta_1000(100)
@@ -684,9 +690,13 @@ def test_every_param_of_a_plan_is_read_when_the_pass_links():
                     held |= {(step_where, key) for key in step["params"]}
                     kinds.add(step["kind"])
                 kinds.add(op.kind)
-            Session(vprog, registry, meta).start([dag])
+            session = Session(vprog, registry, meta)
+            session.start([dag])
             assert held <= seen, (query, sorted(held - seen))
-    assert kinds == {"reader", "classifier", "frame_filter", "detector",
+            for op_id, sig in op_signatures(dag).items():
+                if dag.ops[op_id].kind not in SINK_CLASSES:
+                    assert isinstance(session._schedule[sig][0], RuntimeOp)
+    assert kinds == {"classifier", "frame_filter", "detector",
                      "tracker", "projector", "vobj_filter", "fused", "join",
                      "relation_projector", "relation_filter", "output",
                      "aggregate", "duration", "temporal"}

@@ -1,5 +1,8 @@
 """Scripted-world rendering: trajectories, noise determinism, and oracles."""
 
+import json
+import tracemalloc
+
 import pytest
 
 from vidquery.synth import (
@@ -115,6 +118,10 @@ def test_write_world_round_trip(tmp_path):
     paths = write_world(world, tmp_path / "w")
     assert load_meta(paths["meta"]) == world.meta
     assert list(open_trace(paths["trace"])) == generate(world)
+    ids = identity_map(world)
+    assert [json.loads(line) for line in
+            paths["ground_truth"].read_text().splitlines()] == \
+        [{"frame": f, "objects": ids[f]} for f in range(4)]
     reloaded = load_world(paths["world"])
     assert reloaded == world
     assert generate(reloaded) == generate(world)
@@ -128,3 +135,19 @@ def test_identity_map_marks_dropouts():
     assert [e["dropped"] for f in range(3) for e in ids[f]] == \
         [False, True, False]
     assert ids[0][0]["label"] == 1
+
+
+def test_write_world_memory_does_not_grow_with_the_frame_count(tmp_path):
+    """Each frame is rendered and written before the next: a 20,000-frame
+    world of one car peaks far below the ~12 MB that its records and
+    identities take when held at once."""
+    frames = 20_000
+    world = WorldSpec(meta=meta_1000(frames), seed=1, objects=[
+        car(1, 0, frames - 1, (100.0, 300.0), velocity=(0.01, 0.0))])
+    tracemalloc.start()
+    try:
+        write_world(world, tmp_path / "w")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
